@@ -28,9 +28,8 @@ from .standard import hyperbolic_plane, root_lattice
 from .groups import NeedIsotypicData
 from .gsignature import defect_point, fixed_point_predictions, \
     max_defect_check
-from .nikulin import VARPI_NORMS, aut_trivial_on_disc_search, build_family, \
-    build_hat_and_K, build_Lp, build_sigma, genus_check_lambda_G, \
-    Lp_complement_in_Kp
+from .nikulin import VARPI_NORMS, aut_trivial_on_disc_search, family, \
+    genus_check_lambda_G
 from .shortvec import lattice_isometry, min_norm_and_kissing
 from .realize import HypothesisViolated, build_a4_example, \
     build_model_prime_action, build_nikulin_involution, classify_dichotomy, \
@@ -147,17 +146,8 @@ def _scenario_involution(budget):
     return checks
 
 
-def _family_chain(p):
-    fam = build_family(p)
-    build_Lp(fam)
-    build_sigma(fam)
-    build_hat_and_K(fam)
-    Lp_complement_in_Kp(fam)
-    return fam
-
-
 def _scenario_family(p, budget):
-    fam = _family_chain(p)
+    fam = family(p)
     m = fam.nu * (p - 1)
     checks = []
 

@@ -11,7 +11,6 @@ from fractions import Fraction
 import math
 
 from .matrix import (
-    char_poly,
     dot,
     identity_matrix,
     int_kernel,
@@ -21,17 +20,16 @@ from .matrix import (
     mat_mul,
     mat_sub,
     rank as qrank,
+    rank_mod_p,
     to_fraction_matrix,
     to_int_matrix,
     transpose,
     vec_mat,
 )
 from .lattice import (
-    Lattice,
     Sublattice,
     express_in_basis,
     signature_of_gram,
-    span_intersection,
 )
 from .polys import (
     compact_form,
@@ -147,32 +145,6 @@ def fixed_sublattice(ambient, generators):
     return Sublattice(ambient, basis)
 
 
-def _rank_mod_p(M, p):
-    A = [[x % p for x in row] for row in M]
-    m = len(A)
-    n = len(A[0]) if A else 0
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if A[i][col] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][col], -1, p)
-        A[r] = [(x * inv) % p for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][col]:
-                f = A[i][col]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
 @dataclass
 class ZGDecomposition:
     """Summand counts of a prime-order lattice automorphism.
@@ -208,7 +180,7 @@ def zg_decomposition(g, p):
     M = I
     for _ in range(p + 1):
         M = mat_mul(M, N)
-        ranks.append(_rank_mod_p(M, p))
+        ranks.append(rank_mod_p(M, p))
     blocks = {}
     for k in range(1, p + 1):
         m_k = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]

@@ -9,7 +9,8 @@ style point/surface count identity, and fixed-point-count predictions.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polys import cyclotomic, poly_divmod, poly_mul, poly_trim, poly_xgcd
+from .polys import (cyclotomic, poly_add, poly_divmod, poly_mul, poly_sub,
+                    poly_trim, poly_xgcd)
 
 
 class InvalidCharacter(ValueError):
@@ -80,37 +81,17 @@ def defect_point(p, q):
     for j in range(1, p):
         zj = x_pow(j)
         zjq = x_pow((j * q) % p)
-        num = poly_mul(poly_add_const(zj, 1), poly_add_const(zjq, 1))
-        den = poly_mul(poly_neg_plus_const(zj, 1), poly_neg_plus_const(zjq, 1))
+        num = poly_mul(poly_add(zj, [1]), poly_add(zjq, [1]))
+        den = poly_mul(poly_sub([1], zj), poly_sub([1], zjq))
         num = _phi_reduce(num, phi)
         den = _phi_reduce(den, phi)
         term = _phi_reduce(poly_mul(num, _phi_inverse(den, phi)), phi)
-        total = _phi_reduce(poly_mul([Fraction(1)], poly_addl(total, term)),
-                            phi)
+        total = _phi_reduce(poly_add(total, term), phi)
     total = poly_trim(total)
     assert len(total) <= 1, "defect sum failed to be rational"
     val = total[0] if total else Fraction(0)
     assert (Fraction(val) * 3 * (p - 1)).denominator == 1
     return Fraction(val)
-
-
-def poly_add_const(poly, c):
-    out = list(poly) if poly else [Fraction(0)]
-    out[0] = out[0] + c
-    return out
-
-
-def poly_neg_plus_const(poly, c):
-    out = [-x for x in poly] if poly else [Fraction(0)]
-    out[0] = out[0] + c
-    return out
-
-
-def poly_addl(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x + y for x, y in zip(a, b)]
 
 
 def defect_surface(p, self_int):

@@ -19,11 +19,10 @@ from .matrix import (
     int_kernel,
     inverse,
     is_integral,
-    mat_eq,
     mat_mul,
     row_hnf,
     snf,
-    solve_right,
+    solve_rows,
     to_fraction_matrix,
     to_int_matrix,
     transpose,
@@ -85,13 +84,7 @@ def signature_of_gram(gram):
 
 def express_in_basis(rows, basis):
     """Coefficient matrix X with X * basis == rows over Q, or None."""
-    out = []
-    for r in rows:
-        x = solve_right(basis, r)
-        if x is None:
-            return None
-        out.append(x)
-    return out
+    return solve_rows(basis, rows)
 
 
 def in_rowspan_z(basis, vec):
@@ -152,22 +145,10 @@ class Lattice:
     def sig_plus(self):
         return self.signature()[0]
 
-    def is_negative_definite(self):
-        p, m, z = signature_of_gram(self.gram)
-        return p == 0 and z == 0
-
-    def is_positive_definite(self):
-        p, m, z = signature_of_gram(self.gram)
-        return m == 0 and z == 0
-
     def gram_inverse(self):
         if self._inv is None:
             self._inv = inverse(self.gram)
         return self._inv
-
-    def dual_basis(self):
-        """Rows are the dual basis vectors in lattice coordinates."""
-        return self.gram_inverse()
 
     def is_unimodular(self):
         return abs(self.determinant()) == 1

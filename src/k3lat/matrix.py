@@ -68,11 +68,6 @@ def vec_mat(x, A):
     return out
 
 
-def mat_vec(A, x):
-    """Matrix times column vector, returned as a flat list."""
-    return [sum(a * b for a, b in zip(row, x)) for row in A]
-
-
 def dot(x, y):
     assert len(x) == len(y)
     return sum(a * b for a, b in zip(x, y))
@@ -109,6 +104,40 @@ def to_fraction_matrix(A):
     return [[Fraction(a) for a in row] for row in A]
 
 
+def _echelon(M, ncols):
+    """Forward elimination over Q on the first ncols columns, in place.
+
+    M is a list of Fraction rows; columns past ncols ride along. Returns
+    (pivot columns, number of row swaps): afterwards row i has its pivot
+    at pivots[i] with zeros below it, and rows from len(pivots) on vanish
+    on the first ncols columns.
+    """
+    m = len(M)
+    pivots = []
+    swaps = 0
+    for col in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if M[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            swaps += 1
+        prow = M[r]
+        inv = 1 / prow[col]
+        support = [c for c in range(col, len(prow)) if prow[c]]
+        for i in range(r + 1, m):
+            row = M[i]
+            if row[col]:
+                f = row[col] * inv
+                for c in support:
+                    row[c] -= f * prow[c]
+        pivots.append(col)
+    return pivots, swaps
+
+
 def det(A):
     """Determinant by fraction Gaussian elimination. Returns int for int input."""
     n = len(A)
@@ -116,25 +145,12 @@ def det(A):
         return 1
     assert all(len(row) == n for row in A), "det needs a square matrix"
     M = to_fraction_matrix(A)
-    d = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if M[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            d = -d
-        d *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col] != 0:
-                f = M[r][col] * inv
-                for c in range(col, n):
-                    M[r][c] -= f * M[col][c]
+    pivots, swaps = _echelon(M, n)
+    if len(pivots) < n:
+        return 0
+    d = Fraction(-1 if swaps % 2 else 1)
+    for i in range(n):
+        d *= M[i][i]
     if d.denominator == 1:
         return int(d)
     return d
@@ -142,29 +158,10 @@ def det(A):
 
 def inverse(A):
     """Inverse as a Fraction matrix. Raises ZeroDivisionError if singular."""
-    n = len(A)
-    M = to_fraction_matrix(A)
-    I = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if M[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            I[col], I[piv] = I[piv], I[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        I[col] = [x * inv for x in I[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-                I[r] = [x - f * y for x, y in zip(I[r], I[col])]
-    return I
+    X = solve_rows(A, identity_matrix(len(A)))
+    if X is None:
+        raise ZeroDivisionError("matrix is singular")
+    return X
 
 
 def rank(A):
@@ -172,27 +169,39 @@ def rank(A):
     if not A or not A[0]:
         return 0
     M = to_fraction_matrix(A)
-    m, n = len(M), len(M[0])
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if M[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][col]
-        for i in range(r + 1, m):
-            if M[i][col] != 0:
-                f = M[i][col] * inv
-                for c in range(col, n):
-                    M[i][c] -= f * M[r][c]
-        r += 1
-        if r == m:
-            break
-    return r
+    return len(_echelon(M, len(M[0]))[0])
+
+
+def solve_rows(A, B):
+    """Solve X A = B over Q for a matrix X, or return None.
+
+    Row i of X is a row vector x with x A = B[i]; A may be rectangular,
+    and coordinates off the pivots are set to 0. None when some row of B
+    is not in the row span of A. One elimination of [A^T | B^T] serves
+    every row of B.
+    """
+    m = len(A)
+    k = len(B)
+    n = len(A[0]) if A else (len(B[0]) if B else 0)
+    assert all(len(b) == n for b in B)
+    M = [[Fraction(A[i][j]) for i in range(m)]
+         + [Fraction(B[t][j]) for t in range(k)] for j in range(n)]
+    pivots, _ = _echelon(M, m)
+    r = len(pivots)
+    if any(any(row[m:]) for row in M[r:]):
+        return None
+    X = []
+    for t in range(m, m + k):
+        x = [Fraction(0)] * m
+        for i in range(r - 1, -1, -1):
+            row = M[i]
+            s = row[t]
+            for col in pivots[i + 1:]:
+                if row[col]:
+                    s -= row[col] * x[col]
+            x[pivots[i]] = s / row[pivots[i]]
+        X.append(x)
+    return X
 
 
 def solve_right(A, b):
@@ -200,52 +209,31 @@ def solve_right(A, b):
 
     A may be rectangular; any solution is returned when one exists.
     """
-    m = len(A)
-    n = len(A[0]) if A else len(b)
-    assert len(b) == n
-    # Augmented system on columns of A^T.
-    M = [[Fraction(A[i][j]) for i in range(m)] + [Fraction(b[j])] for j in range(n)]
+    X = solve_rows(A, [b])
+    return None if X is None else X[0]
+
+
+def rank_mod_p(A, p):
+    """Rank of an integer matrix over F_p."""
+    M = [[x % p for x in row] for row in A]
+    m = len(M)
+    n = len(M[0]) if M else 0
     r = 0
-    pivots = []
-    for col in range(m):
-        piv = None
-        for i in range(r, n):
-            if M[i][col] != 0:
-                piv = i
-                break
+    for col in range(n):
+        piv = next((i for i in range(r, m) if M[i][col]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][col]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(n):
-            if i != r and M[i][col] != 0:
+        inv = pow(M[r][col], -1, p)
+        M[r] = [(x * inv) % p for x in M[r]]
+        for i in range(r + 1, m):
+            if M[i][col]:
                 f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(col)
+                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
         r += 1
-    for i in range(r, n):
-        if M[i][m] != 0:
-            return None
-    x = [Fraction(0)] * m
-    for row_idx, col in enumerate(pivots):
-        x[col] = M[row_idx][m]
-    return x
-
-
-def xgcd(a, b):
-    """Extended gcd: returns (g, s, t) with s*a + t*b == g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+        if r == m:
+            break
+    return r
 
 
 def row_hnf(A):

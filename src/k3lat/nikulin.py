@@ -11,7 +11,6 @@ to satisfy is verified at construction time with exact arithmetic.
 from dataclasses import dataclass, field
 from fractions import Fraction
 import itertools
-import math
 
 from .matrix import (
     char_poly,
@@ -32,13 +31,11 @@ from .matrix import (
     vec_mat,
 )
 from .lattice import (
-    DiscriminantForm,
     Lattice,
     direct_sum,
     express_in_basis,
     gram_of_rows,
     group_generated_by,
-    signature_of_gram,
     sublattice_index,
 )
 from .polys import cyclotomic, poly_divmod, poly_trim
@@ -47,8 +44,6 @@ from .shortvec import (
     SearchBudgetExceeded,
     disc_form_isometry,
     enumerate_vectors,
-    lattice_isometry,
-    min_norm_and_kissing,
 )
 
 
@@ -582,6 +577,16 @@ def Lp_complement_in_Kp(fam):
             "sigma_extension": sig_hat}
 
 
+def family(p):
+    """N_p, L_p, sigma and K_p at p, each stage verified as it is built."""
+    fam = build_family(p)
+    build_Lp(fam)
+    build_sigma(fam)
+    build_hat_and_K(fam)
+    Lp_complement_in_Kp(fam)
+    return fam
+
+
 GENUS_CANDIDATES = {
     3: lambda: direct_sum(hyperbolic_plane(), hyperbolic_plane(3),
                           hyperbolic_plane(3), root_lattice("A", 2, -1),
@@ -598,8 +603,7 @@ def genus_check_lambda_G(p, fam=None, budget=10 ** 6):
     if p not in (3, 5, 7):
         raise UnsupportedPrime("genus candidates listed for p in {3,5,7}")
     if fam is None:
-        fam = build_family(p)
-        build_Lp(fam)
+        fam = family(p)
     cand = GENUS_CANDIDATES[p]()
     nu = fam.nu
     rank = 22 - nu * (p - 1)
@@ -640,12 +644,8 @@ def hermitian_pairing_smoke(fam, samples=6):
 
 def build_full(p, aut_budget=10 ** 6):
     """Build and verify the whole family at p; returns the family object."""
-    fam = build_family(p)
+    fam = family(p)
     k_vector_uniqueness(p)
-    build_Lp(fam)
-    build_sigma(fam)
-    build_hat_and_K(fam)
-    Lp_complement_in_Kp(fam)
     hermitian_pairing_smoke(fam)
     if p in (3, 5, 7):
         genus_check_lambda_G(p, fam)

@@ -13,11 +13,10 @@ unimodular model realizing the order-p rotation of the family lattice.
 
 Search-discovered data (discriminant glue images, the A_3 + A_3 chain
 embedding into E8) is pinned as module constants; every builder
-re-verifies the pinned data from scratch before using it, and the
-search routines stay available so tests can cross-check the pins.
+re-verifies the pinned data from scratch before using it. The searches
+that first produced the pins live with the tests, which re-derive them.
 """
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,6 +32,7 @@ from .matrix import (
     mat_mul,
     mat_sub,
     matrix_order,
+    rank_mod_p,
     to_fraction_matrix,
     to_int_matrix,
     transpose,
@@ -59,7 +59,6 @@ from .standard import (
     root_lattice,
 )
 from .shortvec import (
-    SearchBudgetExceeded,
     classify_root_system,
     disc_form_isometry,
     enumerate_vectors,
@@ -76,14 +75,7 @@ from .groups import (
 )
 from .polys import cyclotomic
 from .gsignature import fixed_point_predictions
-from .nikulin import (
-    GENUS_CANDIDATES,
-    Lp_complement_in_Kp,
-    build_family,
-    build_hat_and_K,
-    build_Lp,
-    build_sigma,
-)
+from .nikulin import GENUS_CANDIDATES, family
 
 
 TEICHMUELLER_CAVEAT = (
@@ -376,61 +368,6 @@ def _contragredient_interleaved(M):
     return X
 
 
-def find_a3a3_embedding():
-    """Search E8 for the A_3 + A_3 configuration with diag(4, 4) complement.
-
-    Deterministic scan over root chains r1 - r2 - r3 (pairings -1, -1, 0)
-    and a second chain orthogonal to the first; accepts the first pair
-    whose orthogonal complement admits two perpendicular norm-4 vectors
-    forming a basis. Existence makes the scan terminate early.
-    """
-    C = cartan_matrix("E", 8)
-    half = enumerate_vectors(Lattice(C), 2)
-    roots = half + [[-x for x in v] for v in half]
-    assert len(roots) == 240
-    paired = [vec_mat(r, C) for r in roots]
-
-    def chains(pool_idx):
-        for a in pool_idx:
-            for b in pool_idx:
-                if dot(paired[a], roots[b]) != -1:
-                    continue
-                for c in pool_idx:
-                    if dot(paired[b], roots[c]) == -1 and \
-                            dot(paired[a], roots[c]) == 0:
-                        yield a, b, c
-
-    all_idx = range(len(roots))
-    for i1, i2, i3 in chains(all_idx):
-        chain1 = [roots[i1], roots[i2], roots[i3]]
-        perp = [t for t in all_idx
-                if all(dot(paired[t], chain1[s]) == 0 for s in range(3))]
-        for j1, j2, j3 in chains(perp):
-            chain2 = [roots[j1], roots[j2], roots[j3]]
-            rows = [paired[t] for t in (i1, i2, i3, j1, j2, j3)]
-            K = int_kernel(rows)
-            if len(K) != 2:
-                continue
-            GK = to_int_matrix(gram_of_rows(K, C))
-            found = _perpendicular_four_basis(GK)
-            if found is None:
-                continue
-            comp = [vec_mat(found[0], K), vec_mat(found[1], K)]
-            return {"chain1": chain1, "chain2": chain2, "complement": comp}
-    raise AssertionError("exhaustive scan found no admissible embedding")
-
-
-def _perpendicular_four_basis(GK):
-    """Unimodular basis change of a binary form to diag(4, 4), or None."""
-    vv = enumerate_vectors(Lattice(GK), 4)
-    for a in range(len(vv)):
-        ga = vec_mat(vv[a], GK)
-        for b in range(a + 1, len(vv)):
-            if dot(ga, vv[b]) == 0 and abs(det([vv[a], vv[b]])) == 1:
-                return vv[a], vv[b]
-    return None
-
-
 def _verify_a3a3(data):
     """Recheck every property of the pinned embedding from scratch."""
     C = cartan_matrix("E", 8)
@@ -635,52 +572,6 @@ def build_nikulin_involution():
 # ---------------------------------------------------------------------------
 # unimodular gluing
 
-def anti_isometry_images(D_src, D_dst, budget=10 ** 6):
-    """Generator images of an anti-isometry D_src -> D_dst, or None.
-
-    Anti means all quadratic values flip sign; found by searching for an
-    isomorphism from the opposite form of D_src onto D_dst and reading
-    it through the identity-on-cosets map.
-    """
-    Dop = D_src.opposite()
-    imgs = disc_form_isometry(Dop, D_dst, budget=budget, return_images=True)
-    if imgs is None:
-        return None
-    out = []
-    for lift in D_src.lifts:
-        t = Dop.reduce(lift)
-        acc = D_dst.zero()
-        for tj, im in zip(t, imgs):
-            acc = D_dst.add(acc, D_dst.scale(tj, im))
-        out.append(tuple(acc))
-    return out
-
-
-def _fp_rank(rows, p):
-    """Rank of an integer matrix over F_p (tiny sizes only)."""
-    A = [[x % p for x in row] for row in rows]
-    m = len(A)
-    if m == 0:
-        return 0
-    n = len(A[0])
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if A[i][col] % p), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][col], -1, p)
-        A[r] = [(x * inv) % p for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][col]:
-                f = A[i][col]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
 def _verify_anti_isometry(D_src, D_dst, images, p):
     """Generator-level certificate that images define an injective
     homomorphism negating the quadratic form (both groups p-elementary)."""
@@ -695,8 +586,7 @@ def _verify_anti_isometry(D_src, D_dst, images, p):
             got = (D_dst.bilinear(images[i], images[j])
                    + D_src.bilinear(ei, ej)) % 1
             assert got == 0
-    assert _fp_rank([list(im) for im in images], p) == k, \
-        "glue map must be injective"
+    assert rank_mod_p(images, p) == k, "glue map must be injective"
 
 
 def glue_unimodular(K, W, images, p):
@@ -836,15 +726,6 @@ MODEL_GLUE_IMAGES = {
 }
 
 
-def _family_with_K(p):
-    fam = build_family(p)
-    build_Lp(fam)
-    build_sigma(fam)
-    build_hat_and_K(fam)
-    Lp_complement_in_Kp(fam)
-    return fam
-
-
 def _transported_family_isometry(fam, embed_K, L_G):
     """Unimodular change of basis carrying the family lattice onto L_G.
 
@@ -908,7 +789,7 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
     """
     if p not in GLUE_PARTNERS:
         raise ValueError("no embedding data for p = %r" % (p,))
-    fam = _family_with_K(p)
+    fam = family(p)
     K = fam.K
     W = GLUE_PARTNERS[p]()
     m = fam.nu * (p - 1)
@@ -1004,23 +885,3 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
     certificates["complex"] = report.complex_verdict
 
     return ExampleAction(group, None, certificates)
-
-
-def derive_model_glue_images(p, budget=10 ** 6):
-    """Recompute the glue images for p by search (pins come from here)."""
-    fam = _family_with_K(p)
-    W = GLUE_PARTNERS[p]()
-    images = anti_isometry_images(DiscriminantForm(fam.K.gram),
-                                  DiscriminantForm(W.gram), budget=budget)
-    assert images is not None, "no anti-isometry found for p = %d" % p
-    return images
-
-
-def derive_coxeter_glue_images(budget=10 ** 6):
-    """Recompute the Coxeter-model glue images by search."""
-    A26 = direct_sum(*[root_lattice("A", 2, -1) for _ in range(6)])
-    X = _coxeter_partner()
-    images = anti_isometry_images(DiscriminantForm(A26.gram),
-                                  DiscriminantForm(X.gram), budget=budget)
-    assert images is not None, "no anti-isometry found for the Coxeter model"
-    return images

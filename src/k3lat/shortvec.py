@@ -1,9 +1,9 @@
 """Definite-lattice enumeration and isometry testing.
 
-Fincke-Pohst enumeration with exact rational Cholesky data, a deliberately
-independent naive box enumerator used as an oracle in tests, root-system
+Fincke-Pohst enumeration with exact rational Cholesky data, root-system
 classification, and two backtracking searches: lattice isometry on definite
-Gram matrices and isomorphism of finite discriminant forms.
+Gram matrices and isomorphism of finite discriminant forms. The tests check
+the enumeration against an independent box enumerator of their own.
 """
 
 from fractions import Fraction
@@ -31,22 +31,16 @@ class SearchBudgetExceeded(Exception):
 
 
 def _floor_plus_sqrt(c, W):
-    """floor(c + sqrt(W)) for exact rationals, W >= 0."""
+    """floor(c + sqrt(W)) for exact rationals, W >= 0.
+
+    With c = a/b and W = n/d, an integer y = k b - a satisfies y <= b sqrt(W)
+    iff y <= isqrt(floor(n b^2 / d)), so the answer is all integer math.
+    """
     c = Fraction(c)
     W = Fraction(W)
     assert W >= 0
-    base = Fraction(math.isqrt(W.numerator * W.denominator), W.denominator)
-    m = math.floor(c + base)
-
-    def fits(k):
-        d = k - c
-        return d <= 0 or d * d <= W
-
-    while fits(m + 1):
-        m += 1
-    while not fits(m):
-        m -= 1
-    return m
+    a, b = c.numerator, c.denominator
+    return (a + math.isqrt(W.numerator * b * b // W.denominator)) // b
 
 
 def _cholesky_data(gram):
@@ -113,65 +107,6 @@ def fincke_pohst_up_to(gram, bound, budget=None):
     return [list(v) for v in out]
 
 
-def naive_enumerate_up_to(gram, bound, prune=True):
-    """Box-search oracle: same output contract as fincke_pohst_up_to.
-
-    Independent code path: coordinate boxes from the inverse Gram diagonal,
-    optional pruning by Schur-complement completion bounds. With prune=False
-    this is a pure brute-force scan suitable only for small ranks.
-    """
-    n = len(gram)
-    if n == 0 or bound <= 0:
-        return []
-    G = to_fraction_matrix(gram)
-    Ginv = inverse(G)
-    bound = Fraction(bound)
-    boxes = [_floor_plus_sqrt(0, bound * Ginv[i][i]) for i in range(n)]
-    completions = None
-    if prune:
-        # completions[k] bounds the full norm given the first k coordinates:
-        # min over tails equals u * (A - B C^{-1} B^T) * u^T
-        completions = {}
-        for k in range(1, n):
-            A = [row[:k] for row in G[:k]]
-            B = [row[k:] for row in G[:k]]
-            C = [row[k:] for row in G[k:]]
-            Cinv = inverse(C)
-            D = mat_mul(mat_mul(B, Cinv), transpose(B))
-            completions[k] = [[A[i][j] - D[i][j] for j in range(k)]
-                              for i in range(k)]
-    out = []
-    x = [0] * n
-
-    def quad(M, v, k):
-        acc = Fraction(0)
-        for i in range(k):
-            if v[i]:
-                acc += M[i][i] * v[i] * v[i]
-                for j in range(i + 1, k):
-                    if v[j]:
-                        acc += 2 * M[i][j] * v[i] * v[j]
-        return acc
-
-    def walk(i):
-        if i == n:
-            val = quad(G, x, n)
-            if 0 < val <= bound and _is_canonical(x):
-                out.append(tuple(x))
-            return
-        for xi in range(-boxes[i], boxes[i] + 1):
-            x[i] = xi
-            if prune and 0 < i + 1 < n:
-                if quad(completions[i + 1], x, i + 1) > bound:
-                    continue
-            walk(i + 1)
-        x[i] = 0
-
-    walk(0)
-    out.sort()
-    return [list(v) for v in out]
-
-
 def _definite_sign(gram):
     if not gram:
         return 1
@@ -208,14 +143,6 @@ def enumerate_vectors(L, target_norm, budget=None):
         if val == abs(target_norm):
             out.append(v)
     return out
-
-
-def short_vectors_up_to(L, abs_bound, budget=None):
-    """Vectors with 0 < |norm| <= abs_bound of a definite lattice, +- reps."""
-    gram = _as_gram(L)
-    sign = _definite_sign(gram)
-    work = gram if sign > 0 else [[-x for x in row] for row in gram]
-    return fincke_pohst_up_to(work, abs_bound, budget=budget)
 
 
 def has_minus_two_vector(L, budget=None):

@@ -8,7 +8,7 @@ types, block generators for K3).
 from fractions import Fraction
 
 from .lattice import Lattice, direct_sum
-from .matrix import identity_matrix, is_integral, mat_mul, to_int_matrix
+from .matrix import is_integral, to_int_matrix
 
 
 class UnsupportedRootSystem(ValueError):
@@ -22,15 +22,10 @@ class NotAMinusTwoVector(ValueError):
 class NamedLattice(Lattice):
     """A Lattice with a name and distinguished coordinate vectors."""
 
-    def __init__(self, gram, name, distinguished=None, labels=None,
-                 allow_degenerate=False):
-        super().__init__(gram, labels=labels, allow_degenerate=allow_degenerate)
+    def __init__(self, gram, name, distinguished=None, labels=None):
+        super().__init__(gram, labels=labels)
         self.name = name
         self.distinguished = dict(distinguished or {})
-
-    @property
-    def lattice(self):
-        return self
 
     def __repr__(self):
         return "NamedLattice(%r, rank %d)" % (self.name, self.rank)
@@ -96,15 +91,6 @@ def hyperbolic_plane(scale=1):
     name = "U" if scale == 1 else "U(%d)" % scale
     return NamedLattice([[0, scale], [scale, 0]], name,
                         {"e": [1, 0], "f": [0, 1]})
-
-
-def hyperbolic_u():
-    return hyperbolic_plane(1)
-
-
-def z_zero():
-    """Z as a rank-one lattice with identically zero form."""
-    return NamedLattice([[0]], "Zzero", {"z": [1]}, allow_degenerate=True)
 
 
 def k3_lattice():

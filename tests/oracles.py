@@ -1,0 +1,185 @@
+"""Test oracles and pin re-derivers.
+
+An independent box enumerator to check Fincke-Pohst against, and the
+searches that first produced the data pinned in k3lat.realize: the
+A_3 + A_3 chain embedding into E8 and the discriminant glue images.
+"""
+
+from fractions import Fraction
+
+from conftest import family
+from k3lat.lattice import DiscriminantForm, Lattice, direct_sum, gram_of_rows
+from k3lat.matrix import (
+    det,
+    dot,
+    int_kernel,
+    inverse,
+    mat_mul,
+    to_fraction_matrix,
+    to_int_matrix,
+    transpose,
+    vec_mat,
+)
+from k3lat.realize import GLUE_PARTNERS, _coxeter_partner
+from k3lat.shortvec import (
+    _floor_plus_sqrt,
+    _is_canonical,
+    disc_form_isometry,
+    enumerate_vectors,
+)
+from k3lat.standard import cartan_matrix, root_lattice
+
+
+def naive_enumerate_up_to(gram, bound, prune=True):
+    """Box-search oracle: same output contract as fincke_pohst_up_to.
+
+    Independent code path: coordinate boxes from the inverse Gram diagonal,
+    optional pruning by Schur-complement completion bounds. With prune=False
+    this is a pure brute-force scan suitable only for small ranks.
+    """
+    n = len(gram)
+    if n == 0 or bound <= 0:
+        return []
+    G = to_fraction_matrix(gram)
+    Ginv = inverse(G)
+    bound = Fraction(bound)
+    boxes = [_floor_plus_sqrt(0, bound * Ginv[i][i]) for i in range(n)]
+    completions = None
+    if prune:
+        # completions[k] bounds the full norm given the first k coordinates:
+        # min over tails equals u * (A - B C^{-1} B^T) * u^T
+        completions = {}
+        for k in range(1, n):
+            A = [row[:k] for row in G[:k]]
+            B = [row[k:] for row in G[:k]]
+            C = [row[k:] for row in G[k:]]
+            Cinv = inverse(C)
+            D = mat_mul(mat_mul(B, Cinv), transpose(B))
+            completions[k] = [[A[i][j] - D[i][j] for j in range(k)]
+                              for i in range(k)]
+    out = []
+    x = [0] * n
+
+    def quad(M, v, k):
+        acc = Fraction(0)
+        for i in range(k):
+            if v[i]:
+                acc += M[i][i] * v[i] * v[i]
+                for j in range(i + 1, k):
+                    if v[j]:
+                        acc += 2 * M[i][j] * v[i] * v[j]
+        return acc
+
+    def walk(i):
+        if i == n:
+            val = quad(G, x, n)
+            if 0 < val <= bound and _is_canonical(x):
+                out.append(tuple(x))
+            return
+        for xi in range(-boxes[i], boxes[i] + 1):
+            x[i] = xi
+            if prune and 0 < i + 1 < n:
+                if quad(completions[i + 1], x, i + 1) > bound:
+                    continue
+            walk(i + 1)
+        x[i] = 0
+
+    walk(0)
+    out.sort()
+    return [list(v) for v in out]
+
+
+def find_a3a3_embedding():
+    """Search E8 for the A_3 + A_3 configuration with diag(4, 4) complement.
+
+    Deterministic scan over root chains r1 - r2 - r3 (pairings -1, -1, 0)
+    and a second chain orthogonal to the first; accepts the first pair
+    whose orthogonal complement admits two perpendicular norm-4 vectors
+    forming a basis. Existence makes the scan terminate early.
+    """
+    C = cartan_matrix("E", 8)
+    half = enumerate_vectors(Lattice(C), 2)
+    roots = half + [[-x for x in v] for v in half]
+    assert len(roots) == 240
+    paired = [vec_mat(r, C) for r in roots]
+
+    def chains(pool_idx):
+        for a in pool_idx:
+            for b in pool_idx:
+                if dot(paired[a], roots[b]) != -1:
+                    continue
+                for c in pool_idx:
+                    if dot(paired[b], roots[c]) == -1 and \
+                            dot(paired[a], roots[c]) == 0:
+                        yield a, b, c
+
+    all_idx = range(len(roots))
+    for i1, i2, i3 in chains(all_idx):
+        chain1 = [roots[i1], roots[i2], roots[i3]]
+        perp = [t for t in all_idx
+                if all(dot(paired[t], chain1[s]) == 0 for s in range(3))]
+        for j1, j2, j3 in chains(perp):
+            chain2 = [roots[j1], roots[j2], roots[j3]]
+            rows = [paired[t] for t in (i1, i2, i3, j1, j2, j3)]
+            K = int_kernel(rows)
+            if len(K) != 2:
+                continue
+            GK = to_int_matrix(gram_of_rows(K, C))
+            found = _perpendicular_four_basis(GK)
+            if found is None:
+                continue
+            comp = [vec_mat(found[0], K), vec_mat(found[1], K)]
+            return {"chain1": chain1, "chain2": chain2, "complement": comp}
+    raise AssertionError("exhaustive scan found no admissible embedding")
+
+
+def _perpendicular_four_basis(GK):
+    """Unimodular basis change of a binary form to diag(4, 4), or None."""
+    vv = enumerate_vectors(Lattice(GK), 4)
+    for a in range(len(vv)):
+        ga = vec_mat(vv[a], GK)
+        for b in range(a + 1, len(vv)):
+            if dot(ga, vv[b]) == 0 and abs(det([vv[a], vv[b]])) == 1:
+                return vv[a], vv[b]
+    return None
+
+
+def anti_isometry_images(D_src, D_dst, budget=10 ** 6):
+    """Generator images of an anti-isometry D_src -> D_dst, or None.
+
+    Anti means all quadratic values flip sign; found by searching for an
+    isomorphism from the opposite form of D_src onto D_dst and reading
+    it through the identity-on-cosets map.
+    """
+    Dop = D_src.opposite()
+    imgs = disc_form_isometry(Dop, D_dst, budget=budget, return_images=True)
+    if imgs is None:
+        return None
+    out = []
+    for lift in D_src.lifts:
+        t = Dop.reduce(lift)
+        acc = D_dst.zero()
+        for tj, im in zip(t, imgs):
+            acc = D_dst.add(acc, D_dst.scale(tj, im))
+        out.append(tuple(acc))
+    return out
+
+
+def derive_model_glue_images(p, budget=10 ** 6):
+    """Recompute the glue images for p by search (pins come from here)."""
+    fam = family(p)
+    W = GLUE_PARTNERS[p]()
+    images = anti_isometry_images(DiscriminantForm(fam.K.gram),
+                                  DiscriminantForm(W.gram), budget=budget)
+    assert images is not None, "no anti-isometry found for p = %d" % p
+    return images
+
+
+def derive_coxeter_glue_images(budget=10 ** 6):
+    """Recompute the Coxeter-model glue images by search."""
+    A26 = direct_sum(*[root_lattice("A", 2, -1) for _ in range(6)])
+    X = _coxeter_partner()
+    images = anti_isometry_images(DiscriminantForm(A26.gram),
+                                  DiscriminantForm(X.gram), budget=budget)
+    assert images is not None, "no anti-isometry found for the Coxeter model"
+    return images

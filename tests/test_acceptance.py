@@ -36,17 +36,7 @@ from k3lat.matrix import (
     to_int_matrix,
     transpose,
 )
-from k3lat.nikulin import (
-    VARPI_NORMS,
-    _flat_rho,
-    _pair,
-    build_family,
-    build_hat_and_K,
-    build_Lp,
-    build_sigma,
-    genus_check_lambda_G,
-    Lp_complement_in_Kp,
-)
+from k3lat.nikulin import VARPI_NORMS, _flat_rho, _pair, genus_check_lambda_G
 from k3lat.polys import cyclotomic
 from k3lat.realize import (
     build_a4_example,
@@ -59,25 +49,13 @@ from k3lat.shortvec import (
     fincke_pohst_up_to,
     lattice_isometry,
     min_norm_and_kissing,
-    naive_enumerate_up_to,
 )
 from k3lat.standard import hyperbolic_plane, k3_lattice, reflection, root_lattice
 
+from conftest import family
+from oracles import naive_enumerate_up_to
+
 NU = {2: 8, 3: 6, 5: 4, 7: 3}
-
-_fams = {}
-
-
-def _family(p):
-    if p not in _fams:
-        fam = build_family(p)
-        build_Lp(fam)
-        build_sigma(fam)
-        build_hat_and_K(fam)
-        Lp_complement_in_Kp(fam)
-        _fams[p] = fam
-    return _fams[p]
-
 
 def _report(capsys, num, desc, ok, elapsed, limit):
     status = "PASS" if ok and elapsed < limit else "FAIL"
@@ -116,7 +94,7 @@ def test_criterion_03_family_identities(capsys):
     t0 = time.perf_counter()
     ok = True
     for p, nu in NU.items():
-        fam = _family(p)
+        fam = family(p)
         m = nu * (p - 1)
         ok = ok and _pair(fam.gram_D, fam.rho, fam.rho) == -2 * (p - 1) * p
         ok = ok and _pair(fam.gram_D, fam.varpi, fam.varpi) == VARPI_NORMS[p]
@@ -146,7 +124,7 @@ def test_criterion_03_family_identities(capsys):
 
 def test_criterion_04_identifications(capsys):
     t0 = time.perf_counter()
-    fam2 = _family(2)
+    fam2 = family(2)
     e8m2 = rescale(root_lattice("E", 8, sign=-1), 2)
     T = lattice_isometry(fam2.L.gram, e8m2.gram)
     ok = T is not None and abs(det(T)) == 1
@@ -161,7 +139,7 @@ def test_criterion_04_identifications(capsys):
     ok = ok and DiscriminantForm(e8m2.gram).cyclic_orders \
         != DiscriminantForm(a1m2.gram).cyclic_orders
 
-    fam3 = _family(3)
+    fam3 = family(3)
     ok = ok and min_norm_and_kissing(fam3.L.gram) == (4, 756)
     neg = [[-x for x in row] for row in fam3.L.gram]
     vecs = [v for v in naive_enumerate_up_to(neg, 4, prune=True) if any(v)]
@@ -173,11 +151,11 @@ def test_criterion_04_identifications(capsys):
 
 def test_criterion_05_K_relations(capsys):
     for p in NU:
-        _family(p)
+        family(p)
     t0 = time.perf_counter()
     ok = True
     for p, nu in NU.items():
-        fam = _family(p)
+        fam = family(p)
         GK = fam.K.gram
         m = nu * (p - 1)
         n = len(GK)
@@ -218,11 +196,11 @@ def test_criterion_05_K_relations(capsys):
 
 def test_criterion_06_genus_checks(capsys):
     for p in (3, 5, 7):
-        _family(p)
+        family(p)
     t0 = time.perf_counter()
     ok = True
     for p in (3, 5, 7):
-        fam = _family(p)
+        fam = family(p)
         nu = fam.nu
         rep = genus_check_lambda_G(p, fam=fam)
         ok = ok and rep["candidate_rank"] == 22 - nu * (p - 1)

@@ -1,6 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
+from k3lat.lattice import express_in_basis
 from k3lat.matrix import (
     char_poly,
     det,
@@ -14,6 +18,7 @@ from k3lat.matrix import (
     mat_sub,
     matrix_order,
     rank,
+    rank_mod_p,
     snf_diagonal,
     solve_right,
     to_fraction_matrix,
@@ -62,6 +67,90 @@ def test_inverse_round_trips():
         Ainv = inverse(A)
         assert mat_eq(mat_mul(A, Ainv), identity_matrix(n))
         assert mat_eq(mat_mul(Ainv, A), identity_matrix(n))
+
+
+def test_inverse_is_a_two_sided_inverse_and_rejects_singular():
+    rng = random.Random(13)
+    tried = singular = 0
+    while tried < 30 or singular < 10:
+        n = rng.randint(1, 5)
+        A = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+              for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:
+            # a row that is a combination of two others
+            A[-1] = [a - 2 * b for a, b in zip(A[0], A[1 % (n - 1)])]
+        if det(A) == 0:
+            singular += 1
+            with pytest.raises(ZeroDivisionError):
+                inverse(A)
+            continue
+        tried += 1
+        assert mat_eq(mat_mul(inverse(A), A), identity_matrix(n))
+
+
+def _rows(rng, k, n, lo=-3, hi=3):
+    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(k)]
+
+
+def test_express_in_basis_batch_equals_solve_right_per_row():
+    rng = random.Random(29)
+    outcomes = set()
+    for trial in range(90):
+        n = rng.randint(1, 5)
+        basis = _rows(rng, rng.randint(1, 4), n)
+        if trial % 3 == 0:
+            # rank-deficient: one more row inside the span of the others
+            basis.append([a - b for a, b in zip(basis[0], basis[-1])])
+        elif trial % 3 == 1:
+            basis = [[Fraction(x, rng.randint(1, 4)) for x in row]
+                     for row in basis]
+        m = len(basis)
+        k = rng.randint(1, 4)
+        rows = [[sum(c[i] * basis[i][j] for i in range(m))
+                 for j in range(n)] for c in _rows(rng, k, m)]
+        if trial % 2:
+            rows[rng.randrange(k)] = _rows(rng, 1, n)[0]
+        per_row = [solve_right(basis, r) for r in rows]
+        X = express_in_basis(rows, basis)
+        in_span = [rank(basis + [r]) == rank(basis) for r in rows]
+        if all(in_span):
+            assert X == per_row
+            assert mat_eq(mat_mul(X, to_fraction_matrix(basis)),
+                          to_fraction_matrix(rows))
+        else:
+            assert X is None
+            assert all((x is None) == (not ok)
+                       for x, ok in zip(per_row, in_span))
+        outcomes.add((trial % 3, X is None))
+    assert len(outcomes) == 6, outcomes
+
+
+def _row_space_size(A, p):
+    """Number of distinct F_p-combinations of the rows of A."""
+    n = len(A[0])
+    span = set()
+    for c in itertools.product(range(p), repeat=len(A)):
+        span.add(tuple(sum(ci * row[j] for ci, row in zip(c, A)) % p
+                       for j in range(n)))
+    return len(span)
+
+
+def test_rank_mod_p_matches_row_space_count():
+    rng = random.Random(31)
+    dropped = 0
+    for p in (2, 3, 5, 7):
+        planted = [[[p, 0], [0, 1]], [[1, 2], [3, 6 + p]],
+                   [[1, 1, 0], [0, 1, 1], [1, 0, p - 1]]]
+        randoms = [_rows(rng, rng.randint(1, 3), rng.randint(1, 3), -9, 9)
+                   for _ in range(15)]
+        for A in planted + randoms:
+            r = rank_mod_p(A, p)
+            assert p ** r == _row_space_size(A, p)
+            assert r <= rank(A)
+            dropped += r < rank(A)
+        for A in planted:
+            assert rank_mod_p(A, p) < rank(A)
+    assert dropped >= 12
 
 
 def test_solve_right_row_convention():

@@ -24,44 +24,29 @@ from k3lat.nikulin import (
     _flat_rho,
     _pair,
     aut_trivial_on_disc_search,
-    build_family,
     build_full,
-    build_hat_and_K,
-    build_Lp,
-    build_sigma,
     genus_check_lambda_G,
     hermitian_pairing_smoke,
     k_vector_uniqueness,
-    Lp_complement_in_Kp,
 )
 from k3lat.shortvec import (
     enumerate_vectors,
     lattice_isometry,
     min_norm_and_kissing,
-    naive_enumerate_up_to,
 )
 from k3lat.standard import hyperbolic_plane, root_lattice
 from k3lat.lattice import rescale
 
+from conftest import family
+from oracles import naive_enumerate_up_to
+
 PRIMES = (2, 3, 5, 7)
-_cache = {}
-
-
-def family(p):
-    if p not in _cache:
-        fam = build_family(p)
-        build_Lp(fam)
-        build_sigma(fam)
-        build_hat_and_K(fam)
-        Lp_complement_in_Kp(fam)
-        _cache[p] = fam
-    return _cache[p]
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_distinguished_vector_norms(p):
     fam = family(p)
-    assert fam.nu * p == 24 - fam.nu * 0 - (24 - fam.nu * p)
+    assert fam.nu * (p + 1) == 24
     assert _pair(fam.gram_D, fam.rho, fam.rho) == -2 * (p - 1) * p
     assert _pair(fam.gram_D, fam.varpi, fam.varpi) == VARPI_NORMS[p]
     assert fam.k == K_VECTORS[p]

@@ -10,7 +10,6 @@ from k3lat.realize import (
     HypothesisViolated,
     RealizabilityReport,
     TEICHMUELLER_CAVEAT,
-    anti_isometry_images,
     build_a4_example,
     build_coxeter_model,
     build_model_prime_action,
@@ -19,14 +18,18 @@ from k3lat.realize import (
     decide_complex,
     decide_metric,
     dehn_twist_obstruction,
-    derive_coxeter_glue_images,
-    derive_model_glue_images,
-    find_a3a3_embedding,
     glue_unimodular,
     two_elementary_profile,
 )
 from k3lat.standard import k3_lattice, reflection, root_lattice
 from k3lat.lattice import rescale
+
+from oracles import (
+    anti_isometry_images,
+    derive_coxeter_glue_images,
+    derive_model_glue_images,
+    find_a3a3_embedding,
+)
 
 K3 = k3_lattice()
 N = 22

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from k3lat.lattice import Lattice, direct_sum
 from k3lat.matrix import det, mat_eq, mat_mul, transpose
 from k3lat.shortvec import (
     SearchBudgetExceeded,
+    _floor_plus_sqrt,
     _short_basis,
     classify_root_system,
     disc_form_isometry,
@@ -14,9 +16,10 @@ from k3lat.shortvec import (
     has_minus_two_vector,
     lattice_isometry,
     min_norm_and_kissing,
-    naive_enumerate_up_to,
 )
 from k3lat.standard import cartan_matrix, root_lattice
+
+from oracles import naive_enumerate_up_to
 
 
 def test_root_counts_one_per_sign_pair():
@@ -36,6 +39,21 @@ def test_enumerate_is_deterministic():
     a = enumerate_vectors(L, -2)
     b = enumerate_vectors(L, -2)
     assert a == b
+
+
+def test_floor_plus_sqrt_is_the_largest_fitting_integer():
+    # k fits when k <= c + sqrt(W), i.e. k - c <= 0 or (k - c)^2 <= W
+    def fits(k, c, W):
+        return k - c <= 0 or (k - c) ** 2 <= W
+
+    rng = random.Random(19)
+    cases = [(0, 0), (Fraction(-7, 2), 0), (3, 16), (Fraction(1, 3), 4)]
+    cases += [(Fraction(rng.randint(-60, 60), rng.randint(1, 12)),
+               Fraction(rng.randint(0, 400), rng.randint(1, 30)))
+              for _ in range(2000)]
+    for c, W in cases:
+        m = _floor_plus_sqrt(c, W)
+        assert fits(m, c, W) and not fits(m + 1, c, W), (c, W, m)
 
 
 def test_fincke_pohst_agrees_with_naive_enumeration():
