@@ -9,9 +9,11 @@ two runs with the same arguments emit byte-identical reports; runtimes
 appear only in human mode.
 
 Exit status: 0 when no check failed (inconclusive does not fail), 1 when
-a check failed, 2 for usage or input parse errors. The environment
-variable K3R_BUDGET supplies a default search budget; --seed is accepted
-for search-order experimentation and never affects verdicts or reports.
+a check failed, 2 for usage or input parse errors. A search that runs out
+of its budget gives an inconclusive report (exit 0) naming the search, its
+budget and the nodes it spent. The environment variable K3R_BUDGET
+supplies a default search budget; --seed is accepted for search-order
+experimentation and never affects verdicts or reports.
 """
 
 import argparse
@@ -30,7 +32,8 @@ from .gsignature import defect_point, fixed_point_predictions, \
     max_defect_check
 from .nikulin import VARPI_NORMS, aut_trivial_on_disc_search, family, \
     genus_check_lambda_G
-from .shortvec import lattice_isometry, min_norm_and_kissing
+from .shortvec import SearchBudgetExceeded, lattice_isometry, \
+    min_norm_and_kissing
 from .realize import HypothesisViolated, build_a4_example, \
     build_model_prime_action, build_nikulin_involution, classify_dichotomy, \
     decide_complex, dehn_twist_obstruction, two_elementary_profile
@@ -425,6 +428,14 @@ def _print_report(report, fmt, runtime=None, stream=None):
         stream.write("runtime: %.2fs\n" % runtime)
 
 
+def _inconclusive(args, e):
+    obj = {"schema": SCHEMA, "kind": "inconclusive", "verb": args.verb,
+           "status": "inconclusive", "stage": e.stage, "nodes": e.nodes,
+           "budget": e.budget}
+    _print_report(obj, args.format)
+    return 0
+
+
 def _fail(message, code=2):
     sys.stderr.write("error: %s\n" % message)
     return code
@@ -630,6 +641,8 @@ def main(argv=None):
     }[args.verb]
     try:
         return handler(args)
+    except SearchBudgetExceeded as e:
+        return _inconclusive(args, e)
     except serialize.SerializationError as e:
         return _fail(str(e))
     except FileNotFoundError as e:

@@ -529,15 +529,15 @@ def _projector_coinvariant(group, projectors, fixed):
                                   for row in BF], BF)
             assert R is not None
             traces.append(R)
-        s = sum(sum(mat_mul(R, R)[i][i] for i in range(len(basis)))
-                for R in traces) / order
-        char_sq = Fraction(0)
-        for R in traces:
-            tr = sum(R[i][i] for i in range(len(basis)))
-            Rinv = inverse(R)
-            trinv = sum(Rinv[i][i] for i in range(len(basis)))
-            char_sq += tr * trinv
-        i_val = char_sq / order
+        m = len(basis)
+        # Frobenius-Schur indicator (1/|G|) sum chi(g^2), with
+        # chi(g^2) = tr(R R) = sum_ij R_ij R_ji
+        s = Fraction(sum(sum(R[i][j] * R[j][i] for i in range(m)
+                             for j in range(m)) for R in traces)) / order
+        # <chi, chi> = (1/|G|) sum chi(g) chi(g^-1); chi is rational-valued
+        # here, so chi(g^-1) = conj chi(g) = chi(g) and the sum is of tr(R)^2
+        char_sq = sum(sum(R[i][i] for i in range(m)) ** 2 for R in traces)
+        i_val = Fraction(char_sq) / order
         if s <= 0:
             raise UnsupportedSchurType(
                 "component %d has non-real Schur type (indicator %s)"

@@ -379,7 +379,7 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
         for wv in pool[C[i][i]]:
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetExceeded("aut search budget")
+                raise SearchBudgetExceeded("aut search", nodes, budget)
             wc = vec_mat(wv, C)
             # (w - e_i) pairs into p Z^n against the dual basis
             if any((wc[k] - C[i][k]) % p for k in range(n)):

@@ -1,9 +1,10 @@
 """Definite-lattice enumeration and isometry testing.
 
-Fincke-Pohst enumeration with exact rational Cholesky data, root-system
-classification, and two backtracking searches: lattice isometry on definite
-Gram matrices and isomorphism of finite discriminant forms. The tests check
-the enumeration against an independent box enumerator of their own.
+Integral LLL reduction of Gram matrices, Fincke-Pohst enumeration in
+integers on the reduced basis, root-system classification, and two
+backtracking searches: lattice isometry on definite Gram matrices and
+isomorphism of finite discriminant forms. The tests check the enumeration
+against an independent box enumerator of their own.
 """
 
 from fractions import Fraction
@@ -27,35 +28,113 @@ from .standard import cartan_matrix
 
 
 class SearchBudgetExceeded(Exception):
-    """A combinatorial search ran out of its node budget (distinct from 'no')."""
+    """A combinatorial search ran out of its node budget (distinct from 'no').
 
-
-def _floor_plus_sqrt(c, W):
-    """floor(c + sqrt(W)) for exact rationals, W >= 0.
-
-    With c = a/b and W = n/d, an integer y = k b - a satisfies y <= b sqrt(W)
-    iff y <= isqrt(floor(n b^2 / d)), so the answer is all integer math.
+    stage names the search, nodes the nodes it had counted when it stopped,
+    budget the limit it was given.
     """
-    c = Fraction(c)
-    W = Fraction(W)
-    assert W >= 0
-    a, b = c.numerator, c.denominator
-    return (a + math.isqrt(W.numerator * b * b // W.denominator)) // b
+
+    def __init__(self, stage, nodes, budget):
+        super().__init__("%s budget %d exhausted after %d nodes"
+                         % (stage, budget, nodes))
+        self.stage = stage
+        self.nodes = nodes
+        self.budget = budget
 
 
-def _cholesky_data(gram):
-    """Fincke-Pohst decomposition: Q(x) = sum_i q[i][i](x_i + sum_{j>i} q[i][j] x_j)^2."""
+def lll_gram(gram):
+    """Integral LLL reduction of a positive definite integer Gram matrix.
+
+    Cohen, GTM 138, Algorithm 2.6.7 with delta = 99/100, run on inner
+    products only, so every quantity stays an integer. Returns
+    (H, R, d, lam): H is unimodular and R = H gram H^t is the Gram matrix
+    of the reduced basis; d[0] = 1 and d[k] is the determinant of the
+    leading k x k block of R; lam[k][j] = d[j+1] mu_{k,j} for j < k, with
+    mu the Gram-Schmidt coefficients. Raises ValueError when an entry is
+    not an integer or some d[k] <= 0, i.e. the form is not positive
+    definite.
+    """
     n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        assert q[i][i] > 0, "form must be positive definite"
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    return q
+    R = [[int(x) for x in row] for row in gram]
+    if not mat_eq(R, gram):
+        raise ValueError("Gram matrix must be integral")
+    H = identity_matrix(n)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            u = R[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u <= 0:
+                raise ValueError("form is not positive definite")
+            else:
+                d[k + 1] = u
+
+    def reduce(k, l):
+        # b_k <- b_k - q b_l with q the integer nearest lam[k][l] / d[l+1]
+        D = d[l + 1]
+        if 2 * abs(lam[k][l]) <= D:
+            return
+        q = (2 * lam[k][l] + D) // (2 * D)
+        H[k] = [a - q * b for a, b in zip(H[k], H[l])]
+        Rk, Rl = R[k], R[l]
+        kk = Rk[k] - 2 * q * Rk[l] + q * q * Rl[l]
+        for i in range(n):
+            Rk[i] -= q * Rl[i]
+        Rk[k] = kk
+        for i in range(n):
+            R[i][k] = Rk[i]
+        lam[k][l] -= q * D
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k, kmax):
+        # exchange b_{k-1} and b_k; only d[k] and the lam touching them move
+        H[k - 1], H[k] = H[k], H[k - 1]
+        R[k - 1], R[k] = R[k], R[k - 1]
+        for row in R:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        lk = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (B * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    if n:
+        gram_schmidt(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
+        reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if 100 * d[k + 1] * d[k - 1] < 99 * d[k] * d[k] - 100 * lk * lk:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return H, R, d, lam
+
+
+def _level_range(w, D, s, rem):
+    """(lo, hi) with lo <= y <= hi exactly when w (D y + s)^2 <= rem.
+
+    w, D > 0 and rem >= 0 are integers: t = D y + s fits iff
+    |t| <= isqrt(rem // w).
+    """
+    r = math.isqrt(rem // w)
+    return -((r + s) // D), (r - s) // D
 
 
 def _is_canonical(vec):
@@ -68,41 +147,69 @@ def _is_canonical(vec):
 def fincke_pohst_up_to(gram, bound, budget=None):
     """All x with 0 < x*gram*x^T <= bound, one per +- pair, lex sorted.
 
-    gram must be positive definite; rational entries are fine. The budget
-    counts coordinate assignments and raises SearchBudgetExceeded.
+    gram must be positive definite; rational entries are fine. The search
+    runs in integers on the LLL-reduced basis: after scaling gram by the
+    common denominator den of its entries, with y the coordinates in the
+    reduced basis, M * den * Q = sum_i w_i (d[i+1] y_i + sum_{j>i}
+    lam[j][i] y_j)^2 for M = lcm(d[i] d[i+1]) and w_i = M / (d[i] d[i+1]).
+    Only y whose last nonzero coordinate is positive are visited; each hit
+    is mapped back by x = y H and signed so its first nonzero entry is
+    positive. The budget counts coordinate assignments (in the reduced
+    basis) and raises SearchBudgetExceeded.
     """
     n = len(gram)
     if n == 0 or bound <= 0:
         return []
-    q = _cholesky_data(gram)
-    bound = Fraction(bound)
+    den = 1
+    for row in gram:
+        for v in row:
+            den = math.lcm(den, Fraction(v).denominator)
+    H, _, d, lam = lll_gram([[int(v * den) for v in row] for row in gram])
+    M = 1
+    for i in range(n):
+        M = math.lcm(M, d[i] * d[i + 1])
+    w = [M // (d[i] * d[i + 1]) for i in range(n)]
+    # the nonzero lam[j][i], j > i, that shift level i
+    shifts = [[(j, lam[j][i]) for j in range(i + 1, n) if lam[j][i]]
+              for i in range(n)]
     out = []
-    x = [0] * n
+    y = [0] * n
     nodes = 0
 
-    def descend(i, rem):
+    def hit():
+        x = [0] * n
+        for yj, h in zip(y, H):
+            if yj:
+                x = [a + yj * b for a, b in zip(x, h)]
+        if not _is_canonical(x):
+            x = [-a for a in x]
+        out.append(tuple(x))
+
+    def descend(i, rem, top):
+        # top: every y[j], j > i, is zero, so y[i] >= 0 fixes the sign
         nonlocal nodes
-        u = Fraction(0)
-        for j in range(i + 1, n):
-            if x[j]:
-                u += q[i][j] * x[j]
-        w = rem / q[i][i]
-        hi = _floor_plus_sqrt(-u, w)
-        lo = -_floor_plus_sqrt(u, w)
-        for xi in range(lo, hi + 1):
+        s = 0
+        for j, l in shifts[i]:
+            if y[j]:
+                s += l * y[j]
+        D = d[i + 1]
+        lo, hi = _level_range(w[i], D, s, rem)
+        if top:
+            lo = max(lo, 0)
+        for yi in range(lo, hi + 1):
             nodes += 1
             if budget is not None and nodes > budget:
-                raise SearchBudgetExceeded("enumeration budget %d" % budget)
-            x[i] = xi
+                raise SearchBudgetExceeded("enumeration", nodes, budget)
+            y[i] = yi
             if i == 0:
-                if _is_canonical(x):
-                    out.append(tuple(x))
+                if yi or not top:
+                    hit()
             else:
-                step = xi + u
-                descend(i - 1, rem - q[i][i] * step * step)
-        x[i] = 0
+                t = D * yi + s
+                descend(i - 1, rem - w[i] * t * t, top and not yi)
+        y[i] = 0
 
-    descend(n - 1, bound)
+    descend(n - 1, math.floor(Fraction(bound) * den) * M, True)
     out.sort()
     return [list(v) for v in out]
 
@@ -444,7 +551,7 @@ def lattice_isometry(gram1, gram2, budget=10 ** 7):
         for w, wg in by_norm.get(want_norm, []):
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetExceeded("isometry budget %d" % budget)
+                raise SearchBudgetExceeded("isometry", nodes, budget)
             if slot == 0 and not _is_canonical(w):
                 continue  # -identity symmetry: fix the first slot's sign
             ok = True
@@ -487,8 +594,9 @@ def disc_form_isometry(D1, D2, budget=10 ** 6, return_images=False):
     if k == 0:
         return [] if return_images else True
     if D1.group_order > budget:
-        raise SearchBudgetExceeded("discriminant group too large: %d"
-                                   % D1.group_order)
+        # the search is refused before it starts: no node is spent
+        raise SearchBudgetExceeded("discriminant-form isometry (group "
+                                   "order %d)" % D1.group_order, 0, budget)
     use_q = D1.even
     gens1 = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
     want_q = [D1.q(g) if use_q else None for g in gens1]
@@ -534,7 +642,8 @@ def disc_form_isometry(D1, D2, budget=10 ** 6, return_images=False):
         for t in cands[i]:
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetExceeded("disc isometry budget %d" % budget)
+                raise SearchBudgetExceeded("discriminant-form isometry",
+                                           nodes, budget)
             ok = True
             for j in range(i):
                 if D2.bilinear(chosen[j], t) != want_b[j][i]:

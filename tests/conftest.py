@@ -1,7 +1,7 @@
 """Shared test state: each family lattice is built once per test run.
 
-Building L_7 alone takes tens of seconds, so the test modules and the pin
-re-derivers in oracles.py share one cached nikulin.family.
+Building the four families takes several seconds, so the test modules and
+the pin re-derivers in oracles.py share one cached nikulin.family.
 """
 
 import functools

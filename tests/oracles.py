@@ -6,6 +6,7 @@ A_3 + A_3 chain embedding into E8 and the discriminant glue images.
 """
 
 from fractions import Fraction
+import math
 
 from conftest import family
 from k3lat.lattice import DiscriminantForm, Lattice, direct_sum, gram_of_rows
@@ -22,7 +23,6 @@ from k3lat.matrix import (
 )
 from k3lat.realize import GLUE_PARTNERS, _coxeter_partner
 from k3lat.shortvec import (
-    _floor_plus_sqrt,
     _is_canonical,
     disc_form_isometry,
     enumerate_vectors,
@@ -43,7 +43,8 @@ def naive_enumerate_up_to(gram, bound, prune=True):
     G = to_fraction_matrix(gram)
     Ginv = inverse(G)
     bound = Fraction(bound)
-    boxes = [_floor_plus_sqrt(0, bound * Ginv[i][i]) for i in range(n)]
+    # |x_i| <= sqrt(bound * Ginv[i][i]), and floor(sqrt(W)) = isqrt(floor(W))
+    boxes = [math.isqrt(math.floor(bound * Ginv[i][i])) for i in range(n)]
     completions = None
     if prune:
         # completions[k] bounds the full norm given the first k coordinates:

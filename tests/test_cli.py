@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -148,3 +149,20 @@ def test_bad_budget_env_exits_2(capsys, monkeypatch):
     code, _, err = _run(capsys, ["compute", "defect", "--p", "3", "--q", "1"])
     assert code == 2
     assert "K3R_BUDGET" in err
+
+
+def test_budget_exhaustion_is_inconclusive(capsys):
+    group = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                         "inputs", "nikulin-involution-group.json")
+    argv = ["--budget", "1", "decide", "--group", group]
+    code, out, err = _run(capsys, argv)
+    assert code == 0 and err == ""
+    assert "status: inconclusive" in out and "stage: enumeration" in out
+    assert "nodes: 2" in out and "budget: 1" in out
+    code1, out1, _ = _run(capsys, ["--format", "structured"] + argv)
+    code2, out2, _ = _run(capsys, ["--format", "structured"] + argv)
+    assert code1 == code2 == 0 and out1 == out2
+    doc = json.loads(out1)
+    assert doc["status"] == "inconclusive" and doc["verb"] == "decide"
+    assert (doc["stage"], doc["nodes"], doc["budget"]) == \
+        ("enumeration", 2, 1)

@@ -4,10 +4,19 @@ from fractions import Fraction
 import pytest
 
 from k3lat.lattice import Lattice, direct_sum
-from k3lat.matrix import det, mat_eq, mat_mul, transpose
+from k3lat.matrix import (
+    det,
+    identity_matrix,
+    inverse,
+    mat_eq,
+    mat_mul,
+    to_int_matrix,
+    transpose,
+    vec_mat,
+)
 from k3lat.shortvec import (
     SearchBudgetExceeded,
-    _floor_plus_sqrt,
+    _level_range,
     _short_basis,
     classify_root_system,
     disc_form_isometry,
@@ -15,11 +24,148 @@ from k3lat.shortvec import (
     fincke_pohst_up_to,
     has_minus_two_vector,
     lattice_isometry,
+    lll_gram,
     min_norm_and_kissing,
 )
 from k3lat.standard import cartan_matrix, root_lattice
 
+from conftest import family
 from oracles import naive_enumerate_up_to
+
+
+def _random_unimodular(rng, n, moves):
+    """A product of elementary row moves and sign flips, with its inverse."""
+    U = identity_matrix(n)
+    for _ in range(moves):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j and rng.random() < 0.8:
+            c = rng.choice([-2, -1, 1, 2])
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        else:
+            U[i] = [-a for a in U[i]]
+    return U, to_int_matrix(inverse(U))
+
+
+def _gram_schmidt(R):
+    """Fraction Gram-Schmidt on a Gram matrix: (B, mu) with B[k] = |b_k*|^2."""
+    n = len(R)
+    R = [[Fraction(x) for x in row] for row in R]
+    B = [Fraction(0)] * n
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k):
+            mu[k][j] = (R[k][j] - sum(mu[j][i] * mu[k][i] * B[i]
+                                      for i in range(j))) / B[j]
+        B[k] = R[k][k] - sum(mu[k][i] ** 2 * B[i] for i in range(k))
+    return B, mu
+
+
+def _reduction_cases():
+    rng = random.Random(23)
+    cases = [root_lattice(kind, n).gram for kind, n in
+             [("A", 1), ("A", 4), ("D", 5), ("E", 6), ("E", 8)]]
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        U, _ = _random_unimodular(rng, n, 3 * n)
+        C = rng.choice([cartan_matrix("A", n),
+                        [[rng.randint(1, 3) if i == j else 0
+                          for j in range(n)] for i in range(n)]])
+        cases.append(mat_mul(mat_mul(U, C), transpose(U)))
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        Bm = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if det(Bm) != 0:
+            cases.append(mat_mul(Bm, transpose(Bm)))
+    return cases
+
+
+def test_lll_gram_is_a_reduced_unimodular_change_of_basis():
+    for G in _reduction_cases():
+        n = len(G)
+        H, R, d, lam = lll_gram(G)
+        assert abs(det(H)) == 1
+        assert mat_eq(R, mat_mul(mat_mul(H, G), transpose(H)))
+        B, mu = _gram_schmidt(R)
+        assert d[0] == 1
+        for k in range(n):
+            assert d[k + 1] == d[k] * B[k] == det([r[:k + 1]
+                                                  for r in R[:k + 1]])
+            for j in range(k):
+                assert lam[k][j] == d[j + 1] * mu[k][j]
+                # size reduced: |mu_kj| <= 1/2
+                assert 2 * abs(lam[k][j]) <= d[j + 1], (G, k, j)
+            if k:
+                # Lovasz condition with delta = 99/100
+                assert B[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) \
+                    * B[k - 1], (G, k)
+
+
+def test_lll_gram_rejects_forms_that_are_not_positive_definite():
+    for G in ([[0]], [[-2]], [[0, 1], [1, 0]], [[2, 0], [0, -2]],
+              [[1, 1], [1, 1]], [[2, 1, 0], [1, 2, 0], [0, 0, -1]],
+              root_lattice("E", 8, sign=-1).gram):
+        with pytest.raises(ValueError):
+            lll_gram(G)
+        with pytest.raises(ValueError):
+            fincke_pohst_up_to(G, 4)
+    with pytest.raises(ValueError):
+        lll_gram([[Fraction(1, 2)]])
+
+
+def test_level_range_is_exactly_the_fitting_integers():
+    # y is in the range iff w * (D y + s)^2 <= rem
+    rng = random.Random(19)
+    cases = [(1, 1, 0, 0), (3, 2, -5, 0), (1, 4, 7, 16), (5, 3, 0, 4)]
+    cases += [(rng.randint(1, 30), rng.randint(1, 12),
+               rng.randint(-80, 80), rng.randint(0, 5000))
+              for _ in range(2000)]
+    for w, D, s, rem in cases:
+        lo, hi = _level_range(w, D, s, rem)
+        window = range(min(lo, 0) - 3, max(hi, 0) + 4)
+        fits = [y for y in window if w * (D * y + s) ** 2 <= rem]
+        assert fits == list(range(lo, hi + 1)), (w, D, s, rem, lo, hi)
+
+
+def _mapped(vecs, Uinv):
+    out = []
+    for x in vecs:
+        v = vec_mat(x, Uinv)
+        if next(a for a in v if a) < 0:
+            v = [-a for a in v]
+        out.append(v)
+    return sorted(out)
+
+
+def test_fincke_pohst_does_not_depend_on_the_basis():
+    # vectors of U G U^t are the vectors of G times U^-1
+    rng = random.Random(31)
+    grams = [root_lattice(kind, n).gram for kind, n in
+             [("A", 2), ("A", 5), ("D", 4), ("D", 6), ("E", 8)]]
+    grams += [[[Fraction(x, 4) for x in row] for row in G] for G in grams]
+    for G in grams:
+        n = len(G)
+        bound = 4 if G[0][0] == 2 else 1
+        ref = fincke_pohst_up_to(G, bound)
+        assert ref
+        for _ in range(3):
+            U, Uinv = _random_unimodular(rng, n, 4 * n)
+            skew = mat_mul(mat_mul(U, G), transpose(U))
+            assert fincke_pohst_up_to(skew, bound) == _mapped(ref, Uinv)
+
+
+def test_fincke_pohst_scales_rational_grams():
+    G = root_lattice("D", 5).gram
+    quarter = [[Fraction(x, 4) for x in row] for row in G]
+    assert fincke_pohst_up_to(quarter, Fraction(3, 2)) == \
+        fincke_pohst_up_to(G, 6)
+
+
+def test_fincke_pohst_on_L3_finds_378_short_vectors():
+    G = [[-x for x in row] for row in family(3).L.gram]
+    vecs = fincke_pohst_up_to(G, 4)
+    assert len(vecs) == 378
+    assert vecs == sorted(vecs)
+    assert all(next(a for a in v if a) > 0 for v in vecs)
 
 
 def test_root_counts_one_per_sign_pair():
@@ -39,21 +185,6 @@ def test_enumerate_is_deterministic():
     a = enumerate_vectors(L, -2)
     b = enumerate_vectors(L, -2)
     assert a == b
-
-
-def test_floor_plus_sqrt_is_the_largest_fitting_integer():
-    # k fits when k <= c + sqrt(W), i.e. k - c <= 0 or (k - c)^2 <= W
-    def fits(k, c, W):
-        return k - c <= 0 or (k - c) ** 2 <= W
-
-    rng = random.Random(19)
-    cases = [(0, 0), (Fraction(-7, 2), 0), (3, 16), (Fraction(1, 3), 4)]
-    cases += [(Fraction(rng.randint(-60, 60), rng.randint(1, 12)),
-               Fraction(rng.randint(0, 400), rng.randint(1, 30)))
-              for _ in range(2000)]
-    for c, W in cases:
-        m = _floor_plus_sqrt(c, W)
-        assert fits(m, c, W) and not fits(m + 1, c, W), (c, W, m)
 
 
 def test_fincke_pohst_agrees_with_naive_enumeration():
@@ -157,6 +288,17 @@ def test_budget_exhaustion_raises():
     G = root_lattice("E", 8, sign=1).gram
     with pytest.raises(SearchBudgetExceeded):
         fincke_pohst_up_to(G, 8, budget=5)
+
+
+def test_budget_exhaustion_reports_stage_and_nodes():
+    G = root_lattice("E", 8, sign=1).gram
+    with pytest.raises(SearchBudgetExceeded) as info:
+        fincke_pohst_up_to(G, 8, budget=5)
+    assert (info.value.stage, info.value.nodes, info.value.budget) == \
+        ("enumeration", 6, 5)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        lattice_isometry(G, G, budget=3)
+    assert info.value.budget == 3 and info.value.nodes == 4
 
 
 def test_short_basis_is_unimodular_change():
