@@ -105,7 +105,7 @@ def in_rowspan_z(basis, vec):
 class Lattice:
     """Free Z-module with a symmetric integer bilinear form."""
 
-    def __init__(self, gram, labels=None, allow_degenerate=False):
+    def __init__(self, gram, labels=None):
         n = len(gram)
         for row in gram:
             assert len(row) == n
@@ -118,8 +118,7 @@ class Lattice:
         self._sig = None
         self._det = None
         self._inv = None
-        if not allow_degenerate:
-            assert self.determinant() != 0, "degenerate form; pass allow_degenerate"
+        assert self.determinant() != 0, "degenerate form"
 
     def bilinear(self, x, y):
         assert len(x) == len(y) == self.rank
@@ -190,9 +189,7 @@ def direct_sum(
         if have_labels:
             labels.extend(l.labels)
         ofs += k
-    allow = any(det(g) == 0 for g in grams)
-    return Lattice(out, labels=labels if have_labels else None,
-                   allow_degenerate=allow)
+    return Lattice(out, labels=labels if have_labels else None)
 
 
 class Sublattice:
@@ -215,8 +212,8 @@ class Sublattice:
         BG = mat_mul(B, self.ambient.gram)
         return mat_mul(BG, transpose(B))
 
-    def as_lattice(self, allow_degenerate=False):
-        return Lattice(self.gram(), allow_degenerate=allow_degenerate)
+    def as_lattice(self):
+        return Lattice(self.gram())
 
     def contains(self, vec):
         return in_rowspan_z(self.basis, vec)

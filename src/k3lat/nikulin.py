@@ -44,6 +44,7 @@ from .shortvec import (
     SearchBudgetExceeded,
     disc_form_isometry,
     enumerate_vectors,
+    lll_gram,
 )
 
 
@@ -79,8 +80,6 @@ class NikulinFamily:
     sigma_D: list = None
     sigma_N: list = None
     sigma_L: list = None
-    Nhat: Lattice = None
-    Nhat_basis: list = None
     K: Lattice = None
     sigma_K: list = None
     K_eprime: list = None
@@ -224,13 +223,11 @@ def build_Lp(fam):
     L_in_N = hnf_basis(rows)
     assert sublattice_index(L_in_N, identity_matrix(m)) == p
     gram_L = to_int_matrix(gram_of_rows(L_in_N, fam.N.gram))
-    # re-express in a short basis: enumeration and searches depend on it
-    from .shortvec import _short_basis
-    R = _short_basis([[-x for x in row] for row in gram_L])
-    if R is not None:
-        L_in_N = to_int_matrix(mat_mul(R, L_in_N))
-        gram_L = to_int_matrix(gram_of_rows(L_in_N, fam.N.gram))
-    L = Lattice(gram_L)
+    # rebase on the LLL-reduced basis, which sigma_L and every later
+    # search are written in; the reduced Gram is -R
+    H, R = lll_gram([[-x for x in row] for row in gram_L])[:2]
+    L_in_N = mat_mul(H, L_in_N)
+    L = Lattice([[-x for x in row] for row in R])
     plus, minus, zero = L.signature()
     assert (plus, zero) == (0, 0) and minus == fam.nu * (p - 1)
     assert L.is_even()
@@ -338,10 +335,9 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     row must satisfy (s_i - e_i) C = 0 mod p, and transposing any complete
     solution gives a Gram isometry trivial on the discriminant.
     Completes for p = 2, 3 and reports the group; may exhaust the budget
-    for p = 5, 7 and then reports inconclusive.
+    for p = 5, 7, and then raises SearchBudgetExceeded (from the pool
+    enumeration or the backtracking, each naming its stage).
     """
-    from .shortvec import _short_basis
-
     G = fam.L.gram
     n = len(G)
     p = fam.p
@@ -349,22 +345,17 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     C = [[x * p for x in row] for row in Ginv]
     assert is_integral(C), "discriminant exponent must divide p"
     C = to_int_matrix(C)
-    # rebase so the dual form has short diagonal, else pools explode;
-    # the congruence (S - 1) C = 0 mod p is unimodular-covariant
-    R = _short_basis([[-x for x in row] for row in C])
-    if R is None:
-        R = identity_matrix(n)
-    Rinv = to_int_matrix(inverse(R))
-    C = to_int_matrix(mat_mul(mat_mul(R, C), transpose(R)))
+    # rebase the dual form on its LLL basis so its diagonal is short, else
+    # the pools explode; the congruence (S - 1) C = 0 mod p is covariant
+    # under the unimodular change H
+    H, R = lll_gram([[-x for x in row] for row in C])[:2]
+    Hinv = to_int_matrix(inverse(H))
+    C = [[-x for x in row] for row in R]
     norms = sorted({C[i][i] for i in range(n)})
     pool = {}
-    try:
-        for t in norms:
-            vecs = enumerate_vectors(Lattice(C), t, budget=budget)
-            pool[t] = [v for v in vecs] + [[-x for x in v] for v in vecs]
-    except SearchBudgetExceeded:
-        return {"p": fam.p, "complete": False, "inconclusive": True,
-                "stage": "enumeration"}
+    for t in norms:
+        vecs = enumerate_vectors(Lattice(C), t, budget=budget)
+        pool[t] = [v for v in vecs] + [[-x for x in v] for v in vecs]
 
     found = []
     chosen = []
@@ -397,15 +388,11 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
             chosen.pop()
             chosen_c.pop()
 
-    try:
-        backtrack(0)
-    except SearchBudgetExceeded:
-        return {"p": fam.p, "complete": False, "inconclusive": True,
-                "stage": "backtracking", "nodes": nodes}
+    backtrack(0)
 
     mats = []
     for Sp in found:
-        S = to_int_matrix(mat_mul(mat_mul(Rinv, Sp), R))
+        S = to_int_matrix(mat_mul(mat_mul(Hinv, Sp), H))
         T = transpose(S)
         assert mat_eq(mat_mul(mat_mul(T, G), transpose(T)), G)
         shift = mat_mul(Ginv, to_fraction_matrix(
@@ -421,35 +408,25 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
         for S in mats[:min(order, 8)]:
             assert tuple(tuple(r) for r in mat_mul(T, S)) in keys
     is_sigma_cyclic = order == fam.p
-    report = {"p": fam.p, "complete": True, "inconclusive": False,
-              "group_order": order, "equals_sigma_cyclic": is_sigma_cyclic,
-              "nodes": nodes}
+    report = {"p": fam.p, "group_order": order,
+              "equals_sigma_cyclic": is_sigma_cyclic, "nodes": nodes}
     if fam.p in (2, 3):
         assert is_sigma_cyclic, report
     return report
 
 
 def build_hat_and_K(fam):
-    """Degenerate extension N_hat and the even lattice K_p = N_p + U.
+    """The even lattice K_p = N_p + U, after the orbit-sum identity.
 
-    Hat coordinates: the D frame plus one isotropic direction f scaled by
-    1/p; x goes to x + (rho.x / p) f. K_p adds a second direction s with
-    s.s = -2, s.f = 1; the change of basis (e := s + f, f) exhibits
-    K_p as N_p plus a hyperbolic plane.
+    Lifted coordinates: the D frame plus one isotropic direction f scaled
+    by 1/p; x lifts to x + (rho.x / p) f, and the lifts of a full sigma
+    orbit sum to f. K_p adds a second direction s with s.s = -2,
+    s.f = 1; the change of basis (e := s + f, f) exhibits K_p as N_p
+    plus a hyperbolic plane.
     """
     p = fam.p
     m = len(fam.basis_N)
-    # N_hat: basis rows in (D, f) coordinates, Gram degenerate
-    hat_rows = []
-    for row in fam.basis_N:
-        val = _pair(fam.gram_D, fam.rho, row) / p
-        hat_rows.append(list(row) + [val])
     f_row = [Fraction(0)] * m + [Fraction(1)]
-    hat_rows.append(f_row)
-    gram_hat = [row[:] + [0] for row in fam.N.gram] + [[0] * (m + 1)]
-    Nhat = Lattice(gram_hat, allow_degenerate=True)
-    fam.Nhat = Nhat
-    fam.Nhat_basis = hat_rows
 
     # sum over a full sigma-orbit of lifted classes, including j = 0, is f
     for i in range(1, fam.nu + 1):
@@ -497,7 +474,7 @@ def build_hat_and_K(fam):
     # rank N_p + 2 throughout; at p = 2 that is 8 + 2 with one positive square
     assert K.rank == fam.nu * (p - 1) + 2
     assert K.signature() == (1, fam.nu * (p - 1) + 1, 0)
-    return Nhat, K
+    return K
 
 
 def _flat_rho(fam):

@@ -67,6 +67,7 @@ from .shortvec import (
     min_norm_and_kissing,
 )
 from .groups import (
+    CoinvariantResult,
     IsometryGroup,
     coinvariant_L_G,
     regular_summand_discriminant_check,
@@ -101,6 +102,7 @@ class RealizabilityReport:
     complex_witness: list
     L_G_rank: int
     caveat: str = TEICHMUELLER_CAVEAT
+    coinvariant: CoinvariantResult = None   # the L_G it was decided from
 
     def __post_init__(self):
         assert self.metric in ("yes", "no")
@@ -184,7 +186,7 @@ def decide_complex(group, isotypic_data=None, budget=None):
     verdict, wit, res = decide_metric(group, isotypic_data, budget=budget)
     if verdict == "no":
         return RealizabilityReport("no", wit, "no", "no-minus-two-failed",
-                                   None, res.L_G.rank)
+                                   None, res.L_G.rank, coinvariant=res)
     if res.L_G.rank == 0:
         comp_basis = identity_matrix(group.ambient.rank)
     else:
@@ -195,10 +197,11 @@ def decide_complex(group, isotypic_data=None, budget=None):
         inter = []
     if inter:
         w = [int(x) for x in inter[0]]
-        return RealizabilityReport("yes", None, "yes", "ok", w, res.L_G.rank)
+        return RealizabilityReport("yes", None, "yes", "ok", w, res.L_G.rank,
+                                   coinvariant=res)
     return RealizabilityReport("yes", None, "no",
                                "no-trivial-rep-in-complement", None,
-                               res.L_G.rank)
+                               res.L_G.rank, coinvariant=res)
 
 
 def dehn_twist_obstruction(v, ambient=None):
@@ -450,8 +453,8 @@ def build_a4_example():
                 E[i][j] += Fraction(g[i][j], 12)
     projectors = [E, mat_sub(identity_matrix(n), E)]
 
-    res = coinvariant_L_G(group, projectors)
-    L = res.L_G
+    report = decide_complex(group, projectors)
+    L = report.coinvariant.L_G
     assert L.rank == 4
     mn, kiss = min_norm_and_kissing(L.gram())
     assert (mn, kiss) == (4, 8)
@@ -462,7 +465,6 @@ def build_a4_example():
         for b in range(a + 1, 4):
             assert dot(vec_mat(gens4[a], GL), gens4[b]) == 0
 
-    report = decide_complex(group, projectors)
     assert report.metric == "yes"
     assert report.complex_verdict == "no"
     assert report.complex_reason == "no-trivial-rep-in-complement"
@@ -510,7 +512,8 @@ def build_nikulin_involution():
     assert reg["image_is_direct_summand"]
     assert reg["disc_is_Fp_space_of_dim_r"]
 
-    res = coinvariant_L_G(group)
+    report = decide_complex(group)
+    res = report.coinvariant
     fixed, L = res.fixed, res.L_G
     assert res.mode == "pointwise-fixed-3-plane"
     assert fixed.rank == 14 and L.rank == 8
@@ -549,7 +552,6 @@ def build_nikulin_involution():
     pred = fixed_point_predictions(2, 8, tcr=(6, 0, 8))
     assert pred.euler == 8
 
-    report = decide_complex(group)
     assert report.metric == "yes" and report.complex_verdict == "yes"
 
     certificates = {
@@ -804,7 +806,8 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
     assert group.order() == p
     assert spinor_plus_membership(lam, S)
 
-    res = coinvariant_L_G(group)
+    report = decide_complex(group)
+    res = report.coinvariant
     fixed, L = res.fixed, res.L_G
     assert res.mode == "pointwise-fixed-3-plane"
     assert fixed.rank == 22 - m
@@ -878,7 +881,6 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
         certificates["nu"] = dich.nu
         certificates["fixed_matches_genus_candidate"] = True
 
-    report = decide_complex(group)
     assert report.metric == "yes"
     assert report.complex_verdict == "yes"
     certificates["metric"] = report.metric

@@ -438,52 +438,14 @@ def classify_root_system(L, budget=None):
     return RootSystem(roots_half, components, simple_roots, spanning)
 
 
-def _short_basis(gram, budget=None):
-    """A basis of Z^n among short vectors of the form, or None.
-
-    Greedy independent set over vectors of growing norm, then index-1 repair
-    by replacing basis vectors with short vectors having a fractional
-    coordinate (strictly decreases the index each round).
-    """
-    n = len(gram)
-    bound = 2
-    shorts = []
-    while True:
-        shorts = fincke_pohst_up_to(gram, bound, budget=budget)
-        if qrank(shorts) == n:
-            break
-        bound *= 2
-        if bound > 4 * max(gram[i][i] for i in range(n)):
-            return None
-    B = []
-    for v in shorts:
-        if qrank(B + [v]) > len(B):
-            B.append(v)
-        if len(B) == n:
-            break
-    idx = abs(det(B))
-    while idx > 1:
-        Binv = inverse(B)
-        best = None
-        for v in shorts:
-            coords = vec_mat(v, Binv)
-            for i, xi in enumerate(coords):
-                a = abs(xi)
-                if 0 < a < 1 and (best is None or a < best[0]):
-                    best = (a, v, i)
-        if best is None:
-            return None
-        B[best[2]] = best[1]
-        idx = abs(det(B))
-    return B
-
-
 def lattice_isometry(gram1, gram2, budget=10 ** 7):
     """An integer matrix T with T * gram2 * T^t == gram1, or None.
 
-    Both forms must be definite of the same sign. None is returned only
-    when the search space is exhausted; hitting the node budget raises
-    SearchBudgetExceeded instead (a timeout is not a 'no').
+    Both forms must be integral and definite of the same sign; the slots
+    are filled in the LLL basis of gram1 (lll_gram raises ValueError on a
+    non-integral Gram). None is returned only when the search space is
+    exhausted; hitting the node budget raises SearchBudgetExceeded
+    instead (a timeout is not a 'no').
     """
     gram1 = _as_gram(gram1)
     gram2 = _as_gram(gram2)
@@ -509,10 +471,7 @@ def lattice_isometry(gram1, gram2, budget=10 ** 7):
             min_norm_and_kissing(gram2, budget=budget):
         return None
 
-    B = _short_basis(gram1, budget=budget)
-    if B is None:
-        B = identity_matrix(n)
-    G1p = mat_mul(mat_mul(B, gram1), transpose(B))
+    B, G1p = lll_gram(gram1)[:2]
 
     max_norm = max(G1p[i][i] for i in range(n))
     cand1 = fincke_pohst_up_to(gram1, max_norm, budget=budget)

@@ -166,3 +166,22 @@ def test_budget_exhaustion_is_inconclusive(capsys):
     assert doc["status"] == "inconclusive" and doc["verb"] == "decide"
     assert (doc["stage"], doc["nodes"], doc["budget"]) == \
         ("enumeration", 2, 1)
+
+
+def test_family_scenarios_at_small_budgets_pass_or_are_inconclusive(capsys):
+    # the aut search runs out of budget between 1000 and 10000 nodes; that
+    # must read as inconclusive, never as a failed group-order check
+    stages = set()
+    for p in (2, 3):
+        for budget in (10, 1000, 3000, 10000, 100000):
+            code, out, err = _run(capsys, [
+                "--format", "structured", "--budget", str(budget),
+                "scenario", "nikulin-family-p%d" % p])
+            assert code == 0 and err == "", (p, budget, err)
+            doc = json.loads(out)
+            if doc.get("status") == "inconclusive":
+                assert doc["budget"] == budget and doc["nodes"] > budget
+                stages.add(doc["stage"])
+            else:
+                assert all(c["status"] == "pass" for c in doc["checks"])
+    assert "aut search" in stages

@@ -17,7 +17,6 @@ from k3lat.matrix import (
 from k3lat.shortvec import (
     SearchBudgetExceeded,
     _level_range,
-    _short_basis,
     classify_root_system,
     disc_form_isometry,
     enumerate_vectors,
@@ -299,14 +298,3 @@ def test_budget_exhaustion_reports_stage_and_nodes():
     with pytest.raises(SearchBudgetExceeded) as info:
         lattice_isometry(G, G, budget=3)
     assert info.value.budget == 3 and info.value.nodes == 4
-
-
-def test_short_basis_is_unimodular_change():
-    U = [[1, 5, 3], [0, 1, 7], [0, 0, 1]]
-    A3 = cartan_matrix("A", 3)
-    skew = mat_mul(mat_mul(U, A3), transpose(U))
-    B = _short_basis(skew)
-    assert B is not None and abs(det(B)) == 1
-    newG = mat_mul(mat_mul(B, skew), transpose(B))
-    assert max(newG[i][i] for i in range(3)) <= max(skew[i][i]
-                                                    for i in range(3))
