@@ -3,7 +3,10 @@
 Covers group validation/closure, fixed sublattices, the coinvariant
 sublattice L_G (pointwise-fixed, cyclic, and projector-supplied modes),
 module decomposition counts (t, c, r) for prime-order elements, the
-direct-summand check for the regular part, and positive spinor norm.
+direct-summand check for the regular part, and membership in O^+, the
+isometries preserving the orientation of positive-definite 3-planes:
+the sign of one small determinant, det(P g G P^T) for a positive-definite
+basis P, which is never 0.
 """
 
 from dataclasses import dataclass, field
@@ -11,13 +14,14 @@ from fractions import Fraction
 import math
 
 from .matrix import (
-    dot,
+    det,
     identity_matrix,
     int_kernel,
     inverse,
     is_integral,
     mat_eq,
     mat_mul,
+    mat_scale,
     mat_sub,
     rank as qrank,
     rank_mod_p,
@@ -25,9 +29,11 @@ from .matrix import (
     to_int_matrix,
     transpose,
     vec_mat,
+    zero_matrix,
 )
 from .lattice import (
     Sublattice,
+    diagonalize,
     express_in_basis,
     signature_of_gram,
 )
@@ -251,76 +257,23 @@ def regular_summand_discriminant_check(ambient, g, p):
 def spinor_plus_membership(ambient, g):
     """Whether g preserves the orientation of positive-definite 3-planes.
 
-    Constructive Cartan-Dieudonne over Q: peel off one (or two) rational
-    reflections per step, each fixing one more anisotropic vector; g lies
-    in O^+ iff the number of positive-norm reflection vectors is even.
+    Let the rows of P be an integral basis of a maximal positive-definite
+    subspace, from one congruence diagonalization of the form. Then g lies
+    in O^+ iff det(P g G P^T) > 0: the matrix is the Gram pairing of the
+    image plane g(P) against P, and its determinant is never 0, because
+    g(P) is positive definite and P^perp is negative definite, so g(P)
+    meets P^perp only in 0.
     """
-    gram = [[Fraction(x) for x in row] for row in ambient.gram]
     G = ambient.gram
     if not mat_eq(mat_mul(mat_mul(g, G), transpose(g)), G):
         raise NotAnIsometry("matrix does not preserve the form")
-    A = to_fraction_matrix(g)
-    positive = 0
-
-    def reflect_matrix(gram_cur, v):
-        n = len(gram_cur)
-        gv = vec_mat(v, gram_cur)
-        vv = dot(gv, v)
-        assert vv != 0
-        R = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            R[i][i] = Fraction(1)
-        for i in range(n):
-            f = 2 * gv[i] / vv
-            if f:
-                for j in range(n):
-                    R[i][j] -= f * v[j]
-        return R
-
-    while gram:
-        n = len(gram)
-        I = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-             for i in range(n)]
-        if mat_eq(A, I):
-            break
-        # anisotropic vector: a basis vector, or e_i + e_j on a zero diagonal
-        x = None
-        for i in range(n):
-            if gram[i][i] != 0:
-                x = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-                break
-        if x is None:
-            found = next((i, j) for i in range(n) for j in range(n)
-                         if i != j and gram[i][j] != 0)
-            i, j = found
-            x = [Fraction(0)] * n
-            x[i] = Fraction(1)
-            x[j] = Fraction(1)
-        y = vec_mat(x, A)
-        if y != x:
-            diff = [a - b for a, b in zip(y, x)]
-            qd = dot(vec_mat(diff, gram), diff)
-            if qd != 0:
-                vs = [diff]
-            else:
-                # Q(y-x) + Q(y+x) = 4 Q(x) != 0, so the sum case applies
-                vs = [[a + b for a, b in zip(y, x)], x]
-            for v in vs:
-                if dot(vec_mat(v, gram), v) > 0:
-                    positive += 1
-                A = mat_mul(A, reflect_matrix(gram, v))
-        assert vec_mat(x, A) == x
-        # restrict to the orthogonal complement of x
-        gx = vec_mat(x, gram)
-        d = math.lcm(*[f.denominator for f in gx]) if any(gx) else 1
-        K = int_kernel([[int(f * d) for f in gx]])
-        if not K:
-            break
-        KF = [[Fraction(c) for c in row] for row in K]
-        A = express_in_basis([vec_mat(row, A) for row in KF], KF)
-        assert A is not None
-        gram = mat_mul(mat_mul(KF, gram), transpose(KF))
-    return positive % 2 == 0
+    rows, norms, _ = diagonalize(G)
+    P = []
+    for row, d in zip(rows, norms):
+        if d > 0:
+            den = math.lcm(*[x.denominator for x in row])
+            P.append([int(x * den) for x in row])
+    return det(mat_mul(mat_mul(P, g), transpose(mat_mul(P, G)))) > 0
 
 
 @dataclass
@@ -492,17 +445,21 @@ def _projector_coinvariant(group, projectors, fixed):
     ambient = group.ambient
     n = ambient.rank
     F = [to_fraction_matrix(E) for E in projectors]
-    total = [[sum(E[i][j] for E in F) for j in range(n)] for i in range(n)]
-    assert mat_eq(total, identity_matrix(n)), "projectors must sum to 1"
-    for idx, E in enumerate(F):
-        assert mat_eq(mat_mul(E, E), E), "projector %d is not idempotent" % idx
-        for jdx in range(idx + 1, len(F)):
-            assert mat_eq(mat_mul(E, F[jdx]),
-                          [[Fraction(0)] * n for _ in range(n)]), \
+    # the checks run on the integral Z = D E, D a common denominator:
+    # E E = E iff Z Z = D Z, and the other identities scale alike
+    D = math.lcm(*[x.denominator for E in F for row in E for x in row])
+    Z = [[[int(x * D) for x in row] for row in E] for E in F]
+    total = [[sum(E[i][j] for E in Z) for j in range(n)] for i in range(n)]
+    assert mat_eq(total, mat_scale(D, identity_matrix(n))), \
+        "projectors must sum to 1"
+    for idx, E in enumerate(Z):
+        assert mat_eq(mat_mul(E, E), mat_scale(D, E)), \
+            "projector %d is not idempotent" % idx
+        for jdx in range(idx + 1, len(Z)):
+            assert mat_eq(mat_mul(E, Z[jdx]), zero_matrix(n, n)), \
                 "projectors %d,%d do not annihilate" % (idx, jdx)
         for gmat in group.generators:
-            gF = to_fraction_matrix(gmat)
-            assert mat_eq(mat_mul(gF, E), mat_mul(E, gF)), \
+            assert mat_eq(mat_mul(gmat, E), mat_mul(E, gmat)), \
                 "projector %d is not equivariant" % idx
 
     elements = group.elements()
@@ -525,8 +482,7 @@ def _projector_coinvariant(group, projectors, fixed):
         BF = [[Fraction(c) for c in row] for row in basis]
         traces = []
         for gmat in elements:
-            R = express_in_basis([vec_mat(row, to_fraction_matrix(gmat))
-                                  for row in BF], BF)
+            R = express_in_basis([vec_mat(row, gmat) for row in BF], BF)
             assert R is not None
             traces.append(R)
         m = len(basis)

@@ -30,56 +30,58 @@ from .matrix import (
 )
 
 
-def signature_of_gram(gram):
-    """Inertia (n_plus, n_minus, n_zero) of a rational symmetric matrix."""
+def diagonalize(gram):
+    """Congruence diagonalization of a rational symmetric matrix.
+
+    Returns (rows, norms, nullity): rational row vectors with
+    rows * gram * rows^T = diag(norms), every norm nonzero, and the
+    dimension of the radical, so len(rows) + nullity = n. The rows come
+    from an invertible change of basis, so the signs of norms are the
+    inertia. Each pivot updates only the still-active block: rows and
+    columns already split off are zero off the diagonal and stay so.
+    """
     n = len(gram)
     M = to_fraction_matrix(gram)
     for i in range(n):
         for j in range(i):
             assert M[i][j] == M[j][i], "Gram matrix must be symmetric"
+    T = to_fraction_matrix(identity_matrix(n))
     active = list(range(n))
-    plus = minus = 0
-
-    def add_row_col(i, j):
-        # simultaneous row and column addition keeps the form congruent
-        for c in range(n):
-            M[i][c] += M[j][c]
-        for r in range(n):
-            M[r][i] += M[r][j]
-
+    rows, norms = [], []
     while active:
-        piv = None
-        for i in active:
-            if M[i][i] != 0:
-                piv = i
-                break
+        piv = next((i for i in active if M[i][i] != 0), None)
         if piv is None:
-            pair = None
-            for i in active:
-                for j in active:
-                    if i != j and M[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in active for j in active
+                         if i != j and M[i][j] != 0), None)
             if pair is None:
-                return plus, minus, len(active)
-            add_row_col(*pair)
+                break
+            # e_i += e_j: the new diagonal entry is 2 M[i][j] != 0
+            i, j = pair
+            for c in active:
+                M[i][c] += M[j][c]
+            for r in active:
+                M[r][i] += M[r][j]
+            T[i] = [a + b for a, b in zip(T[i], T[j])]
             continue
-        d = M[piv][piv]
-        if d > 0:
-            plus += 1
-        else:
-            minus += 1
         active.remove(piv)
+        d, Mp, Tp = M[piv][piv], M[piv], T[piv]
+        rows.append(Tp)
+        norms.append(d)
         for k in active:
-            if M[k][piv] != 0:
-                f = M[k][piv] / d
-                for c in range(n):
-                    M[k][c] -= f * M[piv][c]
-                for r in range(n):
-                    M[r][k] -= f * M[r][piv]
-    return plus, minus, 0
+            f = Mp[k] / d
+            if f:
+                Mk = M[k]
+                for c in active:
+                    Mk[c] -= f * Mp[c]
+                T[k] = [a - f * b for a, b in zip(T[k], Tp)]
+    return rows, norms, len(active)
+
+
+def signature_of_gram(gram):
+    """Inertia (n_plus, n_minus, n_zero) of a rational symmetric matrix."""
+    _, norms, nullity = diagonalize(gram)
+    plus = sum(1 for d in norms if d > 0)
+    return plus, len(norms) - plus, nullity
 
 
 def express_in_basis(rows, basis):

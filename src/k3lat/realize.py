@@ -246,12 +246,14 @@ def _is_odd_prime(p):
     return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, p, 2))
 
 
-def classify_dichotomy(group, budget=None):
+def classify_dichotomy(group, budget=None, coinvariant=None):
     """Sort an odd prime order action into Nikulin or Coxeter kind.
 
     Requires a positive 3-plane inside the fixed sublattice and no
     cyclotomic summands; violations of either hypothesis raise. A third
     verdict, kind = violation, covers root data matching neither shape.
+    A caller that already holds the group's CoinvariantResult passes it
+    as coinvariant, so the fixed sublattice and L_G are not recomputed.
     """
     group, _ = _resolve_group(group, None)
     p = group.order()
@@ -259,7 +261,7 @@ def classify_dichotomy(group, budget=None):
         raise ValueError("group must have odd prime order, got %d" % p)
     g = group.cyclic_generator()
     assert g is not None
-    fixed = group.fixed_sublattice()
+    fixed = coinvariant.fixed if coinvariant else group.fixed_sublattice()
     sig_plus = signature_of_gram(fixed.gram())[0] if fixed.rank else 0
     if sig_plus != 3:
         raise HypothesisViolated(
@@ -268,8 +270,9 @@ def classify_dichotomy(group, budget=None):
     if dec.c != 0:
         raise HypothesisViolated(
             "cyclotomic summands present (c = %d)" % dec.c)
-    res = coinvariant_L_G(group)
-    L = res.L_G
+    if coinvariant is None:
+        coinvariant = coinvariant_L_G(group)
+    L = coinvariant.L_G
     assert L.rank % (p - 1) == 0
     nu = L.rank // (p - 1)
     evidence = {"tcr": (dec.t, dec.c, dec.r), "L_G_rank": L.rank}
@@ -442,7 +445,7 @@ def build_a4_example():
         gens.append(_block_diag(X, T, T))
     group = IsometryGroup(k3, gens)
     assert group.order() == 12
-    assert all(spinor_plus_membership(k3, g) for g in gens)
+    in_o_plus = all(spinor_plus_membership(k3, g) for g in gens)
 
     elements = group.elements()
     n = k3.rank
@@ -471,7 +474,7 @@ def build_a4_example():
 
     certificates = {
         "order": 12,
-        "in_O_plus": True,
+        "in_O_plus": in_o_plus,
         "pairing_lattice_is_U3": True,
         "embedding_complement_gram": [[4, 0], [0, 4]],
         "L_G_rank": 4,
@@ -504,7 +507,7 @@ def build_nikulin_involution():
         g[14 + j][6 + j] = 1
     group = IsometryGroup(k3, [g])
     assert group.order() == 2
-    assert spinor_plus_membership(k3, g)
+    in_o_plus = spinor_plus_membership(k3, g)
 
     dec = zg_decomposition(g, 2)
     assert (dec.t, dec.c, dec.r) == (6, 0, 8)
@@ -556,7 +559,7 @@ def build_nikulin_involution():
 
     certificates = {
         "order": 2,
-        "in_O_plus": True,
+        "in_O_plus": in_o_plus,
         "tcr": (6, 0, 8),
         "image_is_direct_summand": True,
         "disc_dimension_over_F2": reg["disc_dimension_over_Fp"],
@@ -675,7 +678,7 @@ def build_coxeter_model():
     group = IsometryGroup(lam, [S])
     assert group.order() == 3
     assert matrix_order(S, cap=6) == 3
-    assert spinor_plus_membership(lam, S)
+    in_o_plus = spinor_plus_membership(lam, S)
 
     dec = zg_decomposition(S, 3)
     assert (dec.t, dec.c, dec.r) == (4, 0, 6), (dec.t, dec.c, dec.r)
@@ -687,7 +690,7 @@ def build_coxeter_model():
 
     certificates = {
         "order": 3,
-        "in_O_plus": True,
+        "in_O_plus": in_o_plus,
         "tcr": (4, 0, 6),
         "kind": report.kind,
         "nu": report.nu,
@@ -804,7 +807,7 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
     S = transport_action(B, M)
     group = IsometryGroup(lam, [S])
     assert group.order() == p
-    assert spinor_plus_membership(lam, S)
+    in_o_plus = spinor_plus_membership(lam, S)
 
     report = decide_complex(group)
     res = report.coinvariant
@@ -845,7 +848,7 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
         "ambient_even_unimodular": True,
         "K_embedded_primitively": True,
         "order": p,
-        "in_O_plus": True,
+        "in_O_plus": in_o_plus,
         "tcr": (dec.t, dec.c, dec.r),
         "fixed_rank": fixed.rank,
         "fixed_sig_plus": 3,
@@ -869,7 +872,7 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
         certificates["L_G_isometric_to_E8_minus_2"] = True
         certificates["fixed_disc_matches_swap_fixed"] = True
     else:
-        dich = classify_dichotomy(group)
+        dich = classify_dichotomy(group, coinvariant=res)
         assert dich.kind == "Nikulin", dich
         assert dich.nu == fam.nu
         cand = GENUS_CANDIDATES[p]()

@@ -1,6 +1,7 @@
 """Test oracles and pin re-derivers.
 
-An independent box enumerator to check Fincke-Pohst against, and the
+An independent box enumerator to check Fincke-Pohst against, a
+constructive Cartan-Dieudonne to check O^+ membership against, and the
 searches that first produced the data pinned in k3lat.realize: the
 A_3 + A_3 chain embedding into E8 and the discriminant glue images.
 """
@@ -9,12 +10,20 @@ from fractions import Fraction
 import math
 
 from conftest import family
-from k3lat.lattice import DiscriminantForm, Lattice, direct_sum, gram_of_rows
+from k3lat.lattice import (
+    DiscriminantForm,
+    Lattice,
+    direct_sum,
+    express_in_basis,
+    gram_of_rows,
+)
 from k3lat.matrix import (
     det,
     dot,
+    identity_matrix,
     int_kernel,
     inverse,
+    mat_eq,
     mat_mul,
     to_fraction_matrix,
     to_int_matrix,
@@ -88,6 +97,61 @@ def naive_enumerate_up_to(gram, bound, prune=True):
     walk(0)
     out.sort()
     return [list(v) for v in out]
+
+
+def cartan_dieudonne_o_plus(ambient, g):
+    """O^+ oracle: constructive Cartan-Dieudonne over Q.
+
+    Independent of the determinant test in k3lat.groups. Peels off one
+    (or two) rational reflections per step, each fixing one more
+    anisotropic vector, then restricts to that vector's orthogonal
+    complement; g lies in O^+ iff the number of positive-norm reflection
+    vectors is even. A reflection in v is the rank-one update
+    A -> A - (A f) v with f = 2 gram v / (v gram v).
+    """
+    gram = to_fraction_matrix(ambient.gram)
+    A = to_fraction_matrix(g)
+    positive = 0
+    while gram:
+        n = len(gram)
+        if mat_eq(A, identity_matrix(n)):
+            break
+        # anisotropic vector: a basis vector, or e_i + e_j on a zero diagonal
+        x = [Fraction(0)] * n
+        i = next((i for i in range(n) if gram[i][i] != 0), None)
+        if i is None:
+            i, j = next((i, j) for i in range(n) for j in range(n)
+                        if i != j and gram[i][j] != 0)
+            x[j] = Fraction(1)
+        x[i] = Fraction(1)
+        y = vec_mat(x, A)
+        if y != x:
+            diff = [a - b for a, b in zip(y, x)]
+            if dot(vec_mat(diff, gram), diff) != 0:
+                vs = [diff]
+            else:
+                # Q(y-x) + Q(y+x) = 4 Q(x) != 0, so the sum case applies
+                vs = [[a + b for a, b in zip(y, x)], x]
+            for v in vs:
+                gv = vec_mat(v, gram)
+                vv = dot(gv, v)
+                if vv > 0:
+                    positive += 1
+                Af = [dot(row, gv) * 2 / vv for row in A]
+                A = [[a - c * b for a, b in zip(row, v)]
+                     for row, c in zip(A, Af)]
+        assert vec_mat(x, A) == x
+        # restrict to the orthogonal complement of x
+        gx = vec_mat(x, gram)
+        d = math.lcm(*[f.denominator for f in gx])
+        K = int_kernel([[int(f * d) for f in gx]])
+        if not K:
+            break
+        KF = to_fraction_matrix(K)
+        A = express_in_basis([vec_mat(row, A) for row in KF], KF)
+        assert A is not None
+        gram = mat_mul(mat_mul(KF, gram), transpose(KF))
+    return positive % 2 == 0
 
 
 def find_a3a3_embedding():

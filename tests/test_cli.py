@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -185,3 +187,31 @@ def test_family_scenarios_at_small_budgets_pass_or_are_inconclusive(capsys):
             else:
                 assert all(c["status"] == "pass" for c in doc["checks"])
     assert "aut search" in stages
+
+
+def test_orientation_check_reports_the_computed_value(capsys, monkeypatch):
+    # the builders record what the O^+ test returns; a false value must
+    # surface as a failed check naming both values, not as a crash
+    monkeypatch.setattr("k3lat.realize.spinor_plus_membership",
+                        lambda ambient, g: False)
+    code, out, _ = _run(capsys, ["--format", "structured",
+                                 "scenario", "a4-example"])
+    assert code == 1
+    doc = json.loads(out)
+    failed = [c for c in doc["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["generators-orientation"]
+    assert failed[0]["expected"] is True and failed[0]["computed"] is False
+
+
+def test_structured_report_is_unchanged_under_python_O(capsys):
+    argv = ["--format", "structured", "scenario", "a4-example"]
+    code, plain, _ = _run(capsys, argv)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    path = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-m", "k3lat.cli"] + argv,
+                          capture_output=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert code == proc.returncode == 0
+    assert proc.stdout == plain.encode()

@@ -27,6 +27,7 @@ from k3lat.matrix import (
 )
 from k3lat.polys import cyclotomic
 from k3lat.standard import k3_lattice, reflection, reflection_general
+from oracles import cartan_dieudonne_o_plus
 
 K3 = k3_lattice()
 N = 22
@@ -122,6 +123,34 @@ def test_spinor_is_multiplicative_on_small_groups():
             assert vals[tuple(map(tuple, ab))] == expect
 
 
+def _random_pm2_vector(rng, norm):
+    # random tail in slots 2..21, then fix the norm through the first
+    # hyperbolic plane: q(e + b f + tail) = 2b + q(tail), q(tail) even
+    v = [0, 0] + [rng.randint(-1, 1) for _ in range(N - 2)]
+    tail = K3.q(v)
+    v[0] = 1
+    v[1] = (norm - tail) // 2
+    assert K3.q(v) == norm
+    return v
+
+
+def test_o_plus_matches_reflection_parity_and_cartan_dieudonne():
+    # a reflection in v lies in O^+ iff v^2 < 0, so a product of them
+    # does iff it uses an even number of positive vectors
+    rng = random.Random(37)
+    for _ in range(10):
+        g = I22
+        positive = 0
+        for _ in range(rng.randint(1, 4)):
+            norm = rng.choice((2, -2))
+            positive += norm > 0
+            g = mat_mul(g, reflection_general(K3.gram, _random_pm2_vector(
+                rng, norm)))
+        expect = positive % 2 == 0
+        assert spinor_plus_membership(K3, g) is expect
+        assert cartan_dieudonne_o_plus(K3, g) is expect
+
+
 def test_pointwise_reflection_coinvariant():
     root = [0] * N
     root[6] = 1
@@ -159,6 +188,21 @@ def test_noncyclic_group_needs_isotypic_data():
     assert Gnc.order() == 8
     with pytest.raises(NeedIsotypicData):
         coinvariant_L_G(Gnc)
+
+
+def test_bad_isotypic_projectors_are_rejected():
+    root = [0] * N
+    root[6] = 1
+    Gnc = IsometryGroup(K3, [_u2_twist(), reflection(K3.gram, root)])
+    half = [[Fraction(x, 2) for x in row] for row in I22]
+    P = [[0] * N for _ in range(N)]
+    P[0][0] = 1
+    rest = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(I22, P)]
+    # I/2 + I/2 sums to 1 but is not idempotent; P is an idempotent
+    # coordinate projector that the order-4 twist does not commute with
+    for projectors in ([half, half], [P, rest]):
+        with pytest.raises(AssertionError):
+            coinvariant_L_G(Gnc, projectors)
 
 
 def test_order_three_rotation_glues_to_regular_summand():

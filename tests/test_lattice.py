@@ -4,6 +4,7 @@ from fractions import Fraction
 from k3lat.lattice import (
     DiscriminantForm,
     Lattice,
+    diagonalize,
     direct_sum,
     express_in_basis,
     gram_of_rows,
@@ -13,7 +14,7 @@ from k3lat.lattice import (
     span_intersection,
     sublattice_index,
 )
-from k3lat.matrix import det, identity_matrix
+from k3lat.matrix import det, identity_matrix, rank
 from k3lat.standard import hyperbolic_plane, k3_lattice, root_lattice
 
 
@@ -45,6 +46,13 @@ def test_signature_counts_match_sylvester():
         if z == 0:
             sign = 1 if det(G) > 0 else -1
             assert sign == (-1) ** m
+        # the diagonalizing rows are independent and orthogonal
+        rows, norms, nullity = diagonalize(G)
+        assert nullity == z and len(rows) == p + m == rank(G)
+        assert rank(rows) == len(rows)
+        assert gram_of_rows(rows, G) == [
+            [norms[i] if i == j else 0 for j in range(len(rows))]
+            for i in range(len(rows))]
 
 
 def test_discriminant_group_order_is_abs_det():
