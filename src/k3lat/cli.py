@@ -23,15 +23,15 @@ import time
 from fractions import Fraction
 
 from . import serialize
-from .matrix import identity_matrix, vec_mat, dot
+from .matrix import identity_matrix
 from .lattice import DiscriminantForm, Lattice, direct_sum, express_in_basis, \
     sublattice_index
 from .standard import hyperbolic_plane, root_lattice
 from .groups import NeedIsotypicData
 from .gsignature import defect_point, fixed_point_predictions, \
     max_defect_check
-from .nikulin import VARPI_NORMS, aut_trivial_on_disc_search, family, \
-    genus_check_lambda_G
+from .nikulin import VARPI_NORMS, _flat_rho, _pair, \
+    aut_trivial_on_disc_search, family, genus_check_lambda_G
 from .shortvec import SearchBudgetExceeded, lattice_isometry, \
     min_norm_and_kissing
 from .realize import HypothesisViolated, build_a4_example, \
@@ -152,16 +152,11 @@ def _scenario_family(p, budget):
     m = fam.nu * (p - 1)
     checks = []
 
-    def pair(x, y):
-        from .matrix import to_fraction_matrix
-        gx = vec_mat([Fraction(a) for a in x], to_fraction_matrix(fam.gram_D))
-        return dot(gx, [Fraction(b) for b in y])
-
     checks.append(_check("rho-norm", Fraction(-2 * (p - 1) * p),
-                         pair(fam.rho, fam.rho),
+                         _pair(fam.gram_D, fam.rho, fam.rho),
                          "rho.rho = -2(p-1)p"))
     checks.append(_check("varpi-norm", Fraction(VARPI_NORMS[p]),
-                         pair(fam.varpi, fam.varpi),
+                         _pair(fam.gram_D, fam.varpi, fam.varpi),
                          "varpi.varpi determined by the weight vector"))
     unit_rows = identity_matrix(m)
     checks.append(_check("overlattice-index", p,
@@ -194,19 +189,16 @@ def _scenario_family(p, budget):
     checks.append(_check("s-dot-rho", 2 * (p - 1),
                          fam.checks.get("s_dot_rho"),
                          "s.rho = 2(p-1)"))
-    eK = [Fraction(x) for x in fam.K_eprime]
-    from .matrix import to_fraction_matrix
-    from .nikulin import _flat_rho
-    GK = to_fraction_matrix(fam.K.gram)
+    GK = fam.K.gram
     checks.append(_check("eprime-isotropic", Fraction(0),
-                         dot(vec_mat(eK, GK), eK),
+                         _pair(GK, fam.K_eprime, fam.K_eprime),
                          "the distinguished fixed vector e' is isotropic"))
     jrho = _flat_rho(fam)
     ps_rho = [Fraction(p) if i == m + 1 else Fraction(0)
               for i in range(m + 2)]
     ps_rho = [a + b for a, b in zip(ps_rho, jrho)]
     checks.append(_check("ps-plus-rho-norm", Fraction(-2 * p),
-                         dot(vec_mat(ps_rho, GK), ps_rho),
+                         _pair(GK, ps_rho, ps_rho),
                          "(p s + rho)^2 = -2p"))
     checks.append(_check("L-complement-in-K", True,
                          fam.checks.get("complement_is_Up"),

@@ -14,6 +14,7 @@ from fractions import Fraction
 import math
 
 from .matrix import (
+    _scaled,
     det,
     identity_matrix,
     int_kernel,
@@ -25,7 +26,6 @@ from .matrix import (
     mat_sub,
     rank as qrank,
     rank_mod_p,
-    to_fraction_matrix,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -268,11 +268,7 @@ def spinor_plus_membership(ambient, g):
     if not mat_eq(mat_mul(mat_mul(g, G), transpose(g)), G):
         raise NotAnIsometry("matrix does not preserve the form")
     rows, norms, _ = diagonalize(G)
-    P = []
-    for row, d in zip(rows, norms):
-        if d > 0:
-            den = math.lcm(*[x.denominator for x in row])
-            P.append([int(x * den) for x in row])
+    P = [row for row, d in zip(rows, norms) if d > 0]
     return det(mat_mul(mat_mul(P, g), transpose(mat_mul(P, G)))) > 0
 
 
@@ -444,7 +440,7 @@ def _cyclic_coinvariant(group, g, fixed):
 def _projector_coinvariant(group, projectors, fixed):
     ambient = group.ambient
     n = ambient.rank
-    F = [to_fraction_matrix(E) for E in projectors]
+    F = [[list(map(Fraction, row)) for row in E] for E in projectors]
     # the checks run on the integral Z = D E, D a common denominator:
     # E E = E iff Z Z = D Z, and the other identities scale alike
     D = math.lcm(*[x.denominator for E in F for row in E for x in row])
@@ -469,20 +465,14 @@ def _projector_coinvariant(group, projectors, fixed):
     comp_report = []
     for idx, E in enumerate(F):
         # integral saturated basis of (image of E) cap lattice
-        IminusE = mat_sub(identity_matrix(n), E)
-        den = 1
-        for row in IminusE:
-            for x in row:
-                den = math.lcm(den, Fraction(x).denominator)
-        Mint = [[int(Fraction(x) * den) for x in row] for row in IminusE]
+        _, Mint = _scaled(mat_sub(identity_matrix(n), E))
         basis = int_kernel(transpose(Mint))
         if not basis:
             comp_report.append({"index": idx, "rank": 0})
             continue
-        BF = [[Fraction(c) for c in row] for row in basis]
         traces = []
         for gmat in elements:
-            R = express_in_basis([vec_mat(row, gmat) for row in BF], BF)
+            R = express_in_basis([vec_mat(row, gmat) for row in basis], basis)
             assert R is not None
             traces.append(R)
         m = len(basis)

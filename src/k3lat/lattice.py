@@ -11,6 +11,7 @@ import itertools
 import math
 
 from .matrix import (
+    _scaled,
     copy_matrix,
     det,
     dot,
@@ -23,7 +24,6 @@ from .matrix import (
     row_hnf,
     snf,
     solve_rows,
-    to_fraction_matrix,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -33,21 +33,32 @@ from .matrix import (
 def diagonalize(gram):
     """Congruence diagonalization of a rational symmetric matrix.
 
-    Returns (rows, norms, nullity): rational row vectors with
+    Returns (rows, norms, nullity): integer row vectors with
     rows * gram * rows^T = diag(norms), every norm nonzero, and the
     dimension of the radical, so len(rows) + nullity = n. The rows come
     from an invertible change of basis, so the signs of norms are the
     inertia. Each pivot updates only the still-active block: rows and
     columns already split off are zero off the diagonal and stay so.
+
+    The elimination is fraction-free (Bareiss) on den * gram, den > 0 the
+    common denominator. After pivots P, an active entry M[k][c] is the
+    minor of den * gram on rows P + [k] and columns P + [c], and T[k] is
+    the previous pivot prev times the rational row, integral by Cramer's
+    rule; so the division by prev in each update is exact. The pair step
+    e_i += e_j is a unimodular change of the basis that leaves the pivot
+    rows alone, and minors are linear in rows, so it keeps both facts.
+    The row of a pivot d then has norm d * prev / den.
     """
     n = len(gram)
-    M = to_fraction_matrix(gram)
     for i in range(n):
         for j in range(i):
-            assert M[i][j] == M[j][i], "Gram matrix must be symmetric"
-    T = to_fraction_matrix(identity_matrix(n))
+            assert gram[i][j] == gram[j][i], "Gram matrix must be symmetric"
+    den, M = _scaled(gram)
+    M = [row[:] for row in M]
+    T = identity_matrix(n)
     active = list(range(n))
     rows, norms = [], []
+    prev = 1
     while active:
         piv = next((i for i in active if M[i][i] != 0), None)
         if piv is None:
@@ -66,14 +77,13 @@ def diagonalize(gram):
         active.remove(piv)
         d, Mp, Tp = M[piv][piv], M[piv], T[piv]
         rows.append(Tp)
-        norms.append(d)
+        norms.append(d * prev if den is None else Fraction(d * prev, den))
         for k in active:
-            f = Mp[k] / d
-            if f:
-                Mk = M[k]
-                for c in active:
-                    Mk[c] -= f * Mp[c]
-                T[k] = [a - f * b for a, b in zip(T[k], Tp)]
+            Mk, f = M[k], M[k][piv]
+            for c in active:
+                Mk[c] = (d * Mk[c] - f * Mp[c]) // prev
+            T[k] = [(d * a - f * b) // prev for a, b in zip(T[k], Tp)]
+        prev = d
     return rows, norms, len(active)
 
 
@@ -271,21 +281,13 @@ def group_generated_by(rows):
     """
     if not rows:
         return []
-    rows_f = [[Fraction(x) for x in r] for r in rows]
-    d = 1
-    for r in rows_f:
-        for x in r:
-            d = math.lcm(d, x.denominator)
-    ints = [[int(x * d) for x in r] for r in rows_f]
-    H = hnf_basis(ints)
-    return [[Fraction(x, d) for x in row] for row in H]
+    d, ints = _scaled(rows)
+    return [[Fraction(x, d or 1) for x in row] for row in hnf_basis(ints)]
 
 
 def gram_of_rows(rows, ambient_gram):
     """Gram matrix rows * ambient_gram * rows^T (rational entries allowed)."""
-    G = to_fraction_matrix(ambient_gram)
-    R = [[Fraction(x) for x in r] for r in rows]
-    return mat_mul(mat_mul(R, G), transpose(R))
+    return mat_mul(mat_mul(rows, ambient_gram), transpose(rows))
 
 
 def span_intersection(basis1, basis2):
@@ -355,7 +357,7 @@ class DiscriminantForm:
             bil = [[Fraction(0)] * k for _ in range(k)]
             quad = [Fraction(0)] * k
             for i in range(k):
-                gi = vec_mat(self.lifts[i], to_fraction_matrix(self.gram))
+                gi = vec_mat(self.lifts[i], self.gram)
                 for j in range(k):
                     bil[i][j] = dot(gi, self.lifts[j])
                 quad[i] = bil[i][i]
@@ -424,8 +426,7 @@ class DiscriminantForm:
 
         The vector must pair integrally with the source lattice.
         """
-        y = vec_mat([Fraction(c) for c in rational_vec],
-                    to_fraction_matrix(self.gram))
+        y = vec_mat(rational_vec, self.gram)
         if not all(c.denominator == 1 for c in y):
             raise ValueError("vector does not pair integrally with the lattice")
         t_full = vec_mat([int(c) for c in y], self._snf_V)

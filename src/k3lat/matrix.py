@@ -3,9 +3,17 @@
 Everything here works with plain lists of lists holding ints or Fractions.
 Vectors are rows throughout the package: a matrix acts on the right of a
 row vector, so composition of actions reads left to right.
+
+Products run in integers. A rational matrix reaches the integer product
+only through `_scaled`, as one integer matrix d*A and its common
+denominator d; `mat_mul` divides by the denominators once per entry at
+the end, and `char_poly` once per coefficient.
 """
 
 from fractions import Fraction
+from itertools import chain
+import math
+from operator import mul
 
 
 def zero_matrix(m, n):
@@ -26,15 +34,31 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
+def _scaled(A):
+    """(d, d*A as ints) with d the least common denominator of A, or
+    (None, A) when A holds no Fraction."""
+    if Fraction not in set(map(type, chain.from_iterable(A))):
+        return None, A
+    d = math.lcm(*{x.denominator for x in chain.from_iterable(A)})
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in A]
+
+
 def mat_mul(A, B):
+    """A * B; Fraction entries when either side holds a Fraction."""
     if A and B:
         assert len(A[0]) == len(B), "inner dimensions must agree"
     if not A:
         return []
     if not B:
         return [[] for _ in A]
+    dA, A = _scaled(A)
+    dB, B = _scaled(B)
     Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+    P = [[sum(map(mul, row, col)) for col in Bt] for row in A]
+    if dA is None and dB is None:
+        return P
+    d = (dA or 1) * (dB or 1)
+    return [[Fraction(x, d) for x in row] for row in P]
 
 
 def mat_add(A, B):
@@ -100,10 +124,6 @@ def to_int_matrix(A):
     return out
 
 
-def to_fraction_matrix(A):
-    return [[Fraction(a) for a in row] for row in A]
-
-
 def _echelon(M, ncols):
     """Forward elimination over Q on the first ncols columns, in place.
 
@@ -144,7 +164,7 @@ def det(A):
     if n == 0:
         return 1
     assert all(len(row) == n for row in A), "det needs a square matrix"
-    M = to_fraction_matrix(A)
+    M = [list(map(Fraction, row)) for row in A]
     pivots, swaps = _echelon(M, n)
     if len(pivots) < n:
         return 0
@@ -168,7 +188,7 @@ def rank(A):
     """Rank over Q."""
     if not A or not A[0]:
         return 0
-    M = to_fraction_matrix(A)
+    M = [list(map(Fraction, row)) for row in A]
     return len(_echelon(M, len(M[0]))[0])
 
 
@@ -413,28 +433,32 @@ def char_poly(A):
     """Characteristic polynomial det(x*I - A) by Faddeev-LeVerrier.
 
     Returns coefficients [c0, c1, ..., cn] with cn == 1, as ints when A is
-    integral.
+    integral. The recursion runs on the integer matrix N = d*A, where
+    c_{n-k} = -tr(M_k)/k is an exact integer division; coefficient i of
+    det(x*I - A) is then that of det(x*I - N) divided by d^(n-i).
     """
     n = len(A)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
+    d, N = _scaled(A)
+    coeffs = [0] * n + [1]
     M = zero_matrix(n, n)
-    AF = to_fraction_matrix(A)
     for k in range(1, n + 1):
-        # M_k = A * (M_{k-1} + c_{n-k+1} I)
-        work = copy_matrix(M)
+        # M_k = N * (M_{k-1} + c_{n-k+1} I)
         ck = coeffs[n - k + 1]
         for i in range(n):
-            work[i][i] += ck
-        M = mat_mul(AF, work)
+            M[i][i] += ck
+        M = mat_mul(N, M)
         tr = sum(M[i][i] for i in range(n))
-        coeffs[n - k] = -tr / k
+        if tr % k:
+            raise ArithmeticError(
+                "Faddeev-LeVerrier: trace %d of M_%d is not divisible by %d"
+                % (tr, k, k))
+        coeffs[n - k] = -tr // k
+    if d is None:
+        return coeffs
     out = []
-    for c in coeffs:
-        if isinstance(c, Fraction) and c.denominator == 1:
-            out.append(int(c))
-        else:
-            out.append(c)
+    for i, c in enumerate(coeffs):
+        q, r = divmod(c, d ** (n - i))
+        out.append(Fraction(c, d ** (n - i)) if r else q)
     return out
 
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 import itertools
 
 from .matrix import (
+    _scaled,
     char_poly,
     det,
     dot,
@@ -25,7 +26,6 @@ from .matrix import (
     mat_mul,
     mat_sub,
     matrix_order,
-    to_fraction_matrix,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -96,7 +96,11 @@ class NikulinFamily:
 
 
 def _pair(gram, x, y):
-    return dot(vec_mat([Fraction(a) for a in x], to_fraction_matrix(gram)), y)
+    """x . y under the integer Gram, as a Fraction: one integer pairing of
+    the scaled vectors over the product of their denominators."""
+    dx, (X,) = _scaled([x])
+    dy, (Y,) = _scaled([y])
+    return Fraction(dot(vec_mat(X, gram), Y), (dx or 1) * (dy or 1))
 
 
 def build_family(p):
@@ -144,8 +148,7 @@ def build_family(p):
         assert all((2 * x).denominator == 1 for x in rho)
         assert [-x for x in rho] == varpi, "for p = 2 rho is minus varpi"
 
-    unit_rows = [[Fraction(1) if t == s else Fraction(0) for t in range(m)]
-                 for s in range(m)]
+    unit_rows = identity_matrix(m)
     basis_N = group_generated_by(unit_rows + [varpi])
     gram_N = gram_of_rows(basis_N, gram_D)
     assert is_integral(gram_N), "N_p must be an integral lattice"
@@ -167,7 +170,7 @@ def build_family(p):
     assert 2 * len(roots_N) == nu * p * (p - 1)
     in_H2D = 0
     for v in roots_N:
-        w = vec_mat([Fraction(x) for x in v], basis_N)
+        w = vec_mat(v, basis_N)
         if all(x.denominator == 1 for x in w):
             in_H2D += 1
     assert in_H2D == len(roots_N), "roots of N_p must all lie in H2D"
@@ -247,7 +250,7 @@ def build_Lp(fam):
 
     fam.L_basis_in_N = L_in_N
     fam.L = L
-    fam.L_basis_in_D = mat_mul(to_fraction_matrix(L_in_N), fam.basis_N)
+    fam.L_basis_in_D = mat_mul(L_in_N, fam.basis_N)
     fam.rho_in_N = rho_in_N
     fam.checks["disc_L_orders"] = disc.cyclic_orders
     fam.checks["L_has_no_roots"] = True
@@ -271,7 +274,7 @@ def build_sigma(fam):
                   fam.gram_D)
 
     # restrict to N_p (must be integral: sigma preserves the overlattice)
-    imgs = mat_mul(fam.basis_N, to_fraction_matrix(sigma_D))
+    imgs = mat_mul(fam.basis_N, sigma_D)
     sigma_N = express_in_basis(imgs, fam.basis_N)
     assert sigma_N is not None and is_integral(sigma_N)
     sigma_N = to_int_matrix(sigma_N)
@@ -279,7 +282,7 @@ def build_sigma(fam):
                   fam.N.gram)
     assert matrix_order(sigma_N, cap=2 * p) == p
 
-    imgs = mat_mul(fam.L_basis_in_N, to_fraction_matrix(sigma_N))
+    imgs = mat_mul(fam.L_basis_in_N, sigma_N)
     sigma_L = express_in_basis(imgs, fam.L_basis_in_N)
     assert sigma_L is not None and is_integral(sigma_L)
     sigma_L = to_int_matrix(sigma_L)
@@ -290,23 +293,20 @@ def build_sigma(fam):
     # trivial action on the discriminant group of L_p
     n = len(sigma_L)
     Ginv = fam.L.gram_inverse()
-    shift = mat_mul(Ginv, to_fraction_matrix(
-        mat_sub(sigma_L, identity_matrix(n))))
+    shift = mat_mul(Ginv, mat_sub(sigma_L, identity_matrix(n)))
     assert is_integral(shift), "sigma must act trivially on disc(L_p)"
     fam.checks["sigma_trivial_on_disc"] = True
 
     # (sigma - 1)(rho / p) lands in L_p
     rho_in_L = express_in_basis([fam.rho_in_N], fam.L_basis_in_N)[0]
     frac = [x / fam.p for x in rho_in_L]
-    moved = vec_mat(frac, to_fraction_matrix(
-        mat_sub(sigma_L, identity_matrix(n))))
+    moved = vec_mat(frac, mat_sub(sigma_L, identity_matrix(n)))
     assert all(x.denominator == 1 for x in moved)
     fam.checks["sigma_shift_of_rho_over_p"] = True
 
     # char poly on L_p is a power of the p-th cyclotomic polynomial
-    cp = char_poly(sigma_L)
-    phi = [Fraction(x) for x in cyclotomic(p)]
-    quo = [Fraction(x) for x in cp]
+    phi = cyclotomic(p)
+    quo = char_poly(sigma_L)
     power = 0
     while True:
         q, r = poly_divmod(quo, phi)
@@ -315,7 +315,7 @@ def build_sigma(fam):
         quo = q
         power += 1
     assert power == fam.nu, "char poly must be Phi_p^nu"
-    assert not poly_trim(poly_divmod(quo, [Fraction(1)])[1]) and len(
+    assert not poly_trim(poly_divmod(quo, [1])[1]) and len(
         poly_trim(quo)) == 1
     fam.checks["sigma_char_poly_power"] = power
 
@@ -355,7 +355,10 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     pool = {}
     for t in norms:
         vecs = enumerate_vectors(Lattice(C), t, budget=budget)
-        pool[t] = [v for v in vecs] + [[-x for x in v] for v in vecs]
+        # each pool vector with its image under C, computed once
+        imgs = [vec_mat(v, C) for v in vecs]
+        pool[t] = list(zip(vecs, imgs)) + [
+            ([-x for x in v], [-x for x in w]) for v, w in zip(vecs, imgs)]
 
     found = []
     chosen = []
@@ -367,11 +370,10 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
         if i == n:
             found.append([list(v) for v in chosen])
             return
-        for wv in pool[C[i][i]]:
+        for wv, wc in pool[C[i][i]]:
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded("aut search", nodes, budget)
-            wc = vec_mat(wv, C)
             # (w - e_i) pairs into p Z^n against the dual basis
             if any((wc[k] - C[i][k]) % p for k in range(n)):
                 continue
@@ -395,8 +397,7 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
         S = to_int_matrix(mat_mul(mat_mul(Hinv, Sp), H))
         T = transpose(S)
         assert mat_eq(mat_mul(mat_mul(T, G), transpose(T)), G)
-        shift = mat_mul(Ginv, to_fraction_matrix(
-            mat_sub(T, identity_matrix(n))))
+        shift = mat_mul(Ginv, mat_sub(T, identity_matrix(n)))
         assert is_integral(shift)
         mats.append(T)
     order = len(mats)
@@ -490,7 +491,7 @@ def _flat_L_basis(fam):
     """j(L_p) inside K_p: x + (-(rho.x)/p) f, integral exactly on L_p."""
     rows = []
     for lrow in fam.L_basis_in_N:
-        x_D = vec_mat([Fraction(c) for c in lrow], fam.basis_N)
+        x_D = vec_mat(lrow, fam.basis_N)
         val = _pair(fam.gram_D, fam.rho, x_D) / fam.p
         assert val.denominator == 1
         rows.append([Fraction(c) for c in lrow] + [-val, Fraction(0)])
@@ -507,7 +508,7 @@ def Lp_complement_in_Kp(fam):
     m = len(fam.basis_N)
     gram_K = fam.K.gram
     jL = _flat_L_basis(fam)
-    pairings = mat_mul(jL, to_fraction_matrix(gram_K))
+    pairings = mat_mul(jL, gram_K)
     comp = int_kernel([[int(x) for x in row] for row in pairings])
     assert len(comp) == 2
 
@@ -528,24 +529,16 @@ def Lp_complement_in_Kp(fam):
     assert gram_ef == [[0, p], [p, 0]], gram_ef
 
     # extension of sigma fixing e' and f
-    P = [list(map(Fraction, row)) for row in jL] + \
-        [list(map(Fraction, ef[0])), list(map(Fraction, ef[1]))]
-    B = [[Fraction(0)] * (m + 2) for _ in range(m + 2)]
-    for a in range(m):
-        for b in range(m):
-            B[a][b] = Fraction(fam.sigma_L[a][b])
-    B[m][m] = Fraction(1)
-    B[m + 1][m + 1] = Fraction(1)
-    Pinv = inverse(P)
-    sig_hat = mat_mul(mat_mul(Pinv, B), P)
+    P = jL + ef
+    B = [row + [0, 0] for row in fam.sigma_L] + identity_matrix(m + 2)[m:]
+    sig_hat = mat_mul(mat_mul(inverse(P), B), P)
     assert is_integral(sig_hat), "sigma extension must be integral on K_p"
     sig_hat = to_int_matrix(sig_hat)
     assert mat_eq(mat_mul(mat_mul(sig_hat, gram_K), transpose(sig_hat)),
                   gram_K)
     assert matrix_order(sig_hat, cap=2 * p) == p
-    assert vec_mat([Fraction(x) for x in eprime],
-                   to_fraction_matrix(sig_hat)) == [Fraction(x) for x in eprime]
-    assert vec_mat(f, to_fraction_matrix(sig_hat)) == f
+    assert vec_mat(eprime, sig_hat) == eprime
+    assert vec_mat(f, sig_hat) == f
     fam.checks["complement_is_Up"] = True
     fam.checks["sigma_extends_to_K"] = True
     fam.sigma_K = sig_hat

@@ -33,7 +33,7 @@ from .matrix import (
     mat_sub,
     matrix_order,
     rank_mod_p,
-    to_fraction_matrix,
+    solve_rows,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -287,9 +287,7 @@ def classify_dichotomy(group, budget=None, coinvariant=None):
     if rs.components != [("A", p - 1)] * nu or not rs.spanning:
         return DichotomyReport(p, nu, "violation", evidence)
     # restriction of g to L_G (saturated and stable, hence integral)
-    M = express_in_basis(
-        [vec_mat([Fraction(c) for c in row], to_fraction_matrix(g))
-         for row in L.basis], L.basis)
+    M = express_in_basis([vec_mat(row, g) for row in L.basis], L.basis)
     assert M is not None and is_integral(M)
     M = to_int_matrix(M)
     certificates = []
@@ -401,8 +399,7 @@ def _a4_e8_matrix(img, basis_rows):
     """
     M = _a3_weyl(img)
     D = _block_diag(M, M, identity_matrix(2))
-    B = to_fraction_matrix(basis_rows)
-    T = mat_mul(mat_mul(inverse(B), to_fraction_matrix(D)), B)
+    T = mat_mul(mat_mul(inverse(basis_rows), D), basis_rows)
     assert is_integral(T)
     T = to_int_matrix(T)
     C = cartan_matrix("E", 8)
@@ -463,7 +460,7 @@ def build_a4_example():
     assert (mn, kiss) == (4, 8)
     gens4 = enumerate_vectors(Lattice(L.gram()), -4)
     assert len(gens4) == 4
-    GL = to_fraction_matrix(L.gram())
+    GL = L.gram()
     for a in range(4):
         for b in range(a + 1, 4):
             assert dot(vec_mat(gens4[a], GL), gens4[b]) == 0
@@ -609,11 +606,9 @@ def glue_unimodular(K, W, images, p):
     _verify_anti_isometry(DK, DW, images, p)
     nk, nw = K.rank, W.rank
     amb = _block_diag(K.gram, W.gram)
-    rows = [[Fraction(1) if t == s else Fraction(0) for t in range(nk + nw)]
-            for s in range(nk + nw)]
+    rows = identity_matrix(nk + nw)
     for lift, img in zip(DK.lifts, images):
-        rows.append([Fraction(x) for x in lift]
-                    + [Fraction(x) for x in DW.lift(img)])
+        rows.append(lift + DW.lift(img))
     B = group_generated_by(rows)
     G = gram_of_rows(B, amb)
     assert is_integral(G), "glue graph must be isotropic for the pairing"
@@ -623,9 +618,7 @@ def glue_unimodular(K, W, images, p):
     assert abs(det(G)) == 1
     assert sublattice_index(identity_matrix(nk + nw), B) == DK.group_order
 
-    embed_K = express_in_basis(
-        [[Fraction(1) if t == s else Fraction(0) for t in range(nk + nw)]
-         for s in range(nk)], B)
+    embed_K = express_in_basis(identity_matrix(nk + nw)[:nk], B)
     assert embed_K is not None and is_integral(embed_K)
     embed_K = to_int_matrix(embed_K)
     sub = Sublattice(lam, embed_K)
@@ -638,9 +631,9 @@ def glue_unimodular(K, W, images, p):
 def transport_action(B, M):
     """Conjugate the frame action M into the glued basis B; must be
     integral, which is exactly invariance of the glue group."""
-    Bf = to_fraction_matrix(B)
-    S = mat_mul(mat_mul(Bf, to_fraction_matrix(M)), inverse(Bf))
-    assert is_integral(S), "action does not preserve the glue"
+    S = solve_rows(B, mat_mul(B, M))
+    assert S is not None and is_integral(S), \
+        "action does not preserve the glue"
     return to_int_matrix(S)
 
 
@@ -740,27 +733,24 @@ def _transported_family_isometry(fam, embed_K, L_G):
     and the corrected image lies in L_G with equal determinant, hence
     equals it. Returns T with T * fam.L.gram * T^t = L_G.gram().
     """
-    GK = to_fraction_matrix(fam.K.gram)
+    GK = fam.K.gram
     mN = len(fam.N.gram)
-    e_pair = vec_mat([Fraction(x) for x in fam.K_eprime], GK)
-    fvec = [Fraction(0)] * len(GK)
-    fvec[mN] = Fraction(1)
-    f_e = dot(vec_mat(fvec, GK), [Fraction(x) for x in fam.K_eprime])
+    e_pair = vec_mat(fam.K_eprime, GK)
+    f_e = e_pair[mN]  # f . e', with f the unit vector at mN
     assert f_e != 0
     rows_K = []
     for x in fam.L_basis_in_N:
-        y = [Fraction(v) for v in x] + [Fraction(0), Fraction(0)]
-        a = -dot(e_pair, y) / f_e
-        assert a.denominator == 1
+        y = list(x) + [0, 0]
+        a, r = divmod(-dot(e_pair, y), f_e)
+        assert r == 0
         y[mN] += a
-        assert dot(vec_mat(y, GK), [Fraction(v) for v in fam.K_eprime]) == 0
+        assert dot(vec_mat(y, GK), fam.K_eprime) == 0
         rows_K.append(y)
-    assert to_int_matrix(gram_of_rows(rows_K, GK)) == [
-        [int(v) for v in row] for row in fam.L.gram]
-    R = mat_mul(to_int_matrix(rows_K), embed_K)
+    assert gram_of_rows(rows_K, GK) == fam.L.gram
+    R = mat_mul(rows_K, embed_K)
     X = express_in_basis(R, L_G.basis)
     assert X is not None and is_integral(X) and abs(det(X)) == 1
-    return inverse(to_fraction_matrix(X))
+    return inverse(X)
 
 
 def two_elementary_profile(D):
@@ -836,8 +826,7 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
     disc_match = disc_form_isometry(DL, DiscriminantForm(fam.L.gram))
     assert disc_match, "discriminant forms of L_G and the family lattice"
     iso = _transported_family_isometry(fam, embed_K, L)
-    assert mat_eq(mat_mul(mat_mul(iso, to_fraction_matrix(fam.L.gram)),
-                          transpose(iso)), to_fraction_matrix(GL))
+    assert mat_eq(mat_mul(mat_mul(iso, fam.L.gram), transpose(iso)), GL)
     level = "isometry"
 
     certificates = {

@@ -18,7 +18,6 @@ from .matrix import (
     mat_eq,
     mat_mul,
     rank as qrank,
-    to_fraction_matrix,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -397,11 +396,10 @@ def classify_root_system(L, budget=None):
         if not decomposable:
             simple.append(r)
     # pairing graph on simple roots
-    G = to_fraction_matrix(gram)
     k = len(simple)
     adj = {i: set() for i in range(k)}
     for i in range(k):
-        gi = vec_mat(simple[i], G)
+        gi = vec_mat(simple[i], gram)
         for j in range(i + 1, k):
             if dot(gi, simple[j]) != 0:
                 adj[i].add(j)
@@ -426,7 +424,7 @@ def classify_root_system(L, budget=None):
         label, m, order = _order_component(comp, adj)
         ordered = [simple[v] for v in order]
         C = cartan_matrix(label, m)
-        got = mat_mul(mat_mul(ordered, G), transpose(ordered))
+        got = mat_mul(mat_mul(ordered, gram), transpose(ordered))
         assert mat_eq(got, [[-x for x in row] for row in C]), \
             "simple roots do not reproduce the Cartan matrix"
         components.append((label, m))

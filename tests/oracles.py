@@ -1,9 +1,12 @@
 """Test oracles and pin re-derivers.
 
-An independent box enumerator to check Fincke-Pohst against, a
-constructive Cartan-Dieudonne to check O^+ membership against, and the
-searches that first produced the data pinned in k3lat.realize: the
-A_3 + A_3 chain embedding into E8 and the discriminant glue images.
+Entrywise Fraction references for the integer kernels of k3lat.matrix
+and k3lat.lattice (product, Faddeev-LeVerrier, congruence
+diagonalization), an independent box enumerator to check Fincke-Pohst
+against, a constructive Cartan-Dieudonne to check O^+ membership
+against, and the searches that first produced the data pinned in
+k3lat.realize: the A_3 + A_3 chain embedding into E8 and the
+discriminant glue images.
 """
 
 from fractions import Fraction
@@ -25,7 +28,6 @@ from k3lat.matrix import (
     inverse,
     mat_eq,
     mat_mul,
-    to_fraction_matrix,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -37,6 +39,66 @@ from k3lat.shortvec import (
     enumerate_vectors,
 )
 from k3lat.standard import cartan_matrix, root_lattice
+
+
+def to_fraction_matrix(A):
+    return [[Fraction(a) for a in row] for row in A]
+
+
+def fraction_mat_mul(A, B):
+    """Product reference: every entry a sum of Fraction products."""
+    return [[sum((Fraction(a) * Fraction(B[t][j]) for t, a in enumerate(row)),
+                 Fraction(0)) for j in range(len(B[0]) if B else 0)]
+            for row in A]
+
+
+def fraction_char_poly(A):
+    """Faddeev-LeVerrier over Q with Fraction products throughout."""
+    n = len(A)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    M = [[Fraction(0)] * n for _ in range(n)]
+    AF = to_fraction_matrix(A)
+    for k in range(1, n + 1):
+        for i in range(n):
+            M[i][i] += coeffs[n - k + 1]
+        M = fraction_mat_mul(AF, M)
+        coeffs[n - k] = -sum(M[i][i] for i in range(n)) / k
+    return coeffs
+
+
+def fraction_diagonalize(gram):
+    """Congruence diagonalization over Q: (rows, norms, nullity) with
+    rational rows, pivoting on the first nonzero diagonal entry and
+    adding e_j to e_i when the active diagonal vanishes."""
+    n = len(gram)
+    M = to_fraction_matrix(gram)
+    T = to_fraction_matrix(identity_matrix(n))
+    active = list(range(n))
+    rows, norms = [], []
+    while active:
+        piv = next((i for i in active if M[i][i] != 0), None)
+        if piv is None:
+            pair = next(((i, j) for i in active for j in active
+                         if i != j and M[i][j] != 0), None)
+            if pair is None:
+                break
+            i, j = pair
+            for c in active:
+                M[i][c] += M[j][c]
+            for r in active:
+                M[r][i] += M[r][j]
+            T[i] = [a + b for a, b in zip(T[i], T[j])]
+            continue
+        active.remove(piv)
+        d = M[piv][piv]
+        rows.append(T[piv])
+        norms.append(d)
+        for k in active:
+            f = M[k][piv] / d
+            for c in active:
+                M[k][c] -= f * M[piv][c]
+            T[k] = [a - f * b for a, b in zip(T[k], T[piv])]
+    return rows, norms, len(active)
 
 
 def naive_enumerate_up_to(gram, bound, prune=True):

@@ -32,7 +32,6 @@ from k3lat.matrix import (
     mat_mul,
     matrix_order,
     snf_diagonal,
-    to_fraction_matrix,
     to_int_matrix,
     transpose,
 )
@@ -53,7 +52,7 @@ from k3lat.shortvec import (
 from k3lat.standard import hyperbolic_plane, k3_lattice, reflection, root_lattice
 
 from conftest import family
-from oracles import naive_enumerate_up_to
+from oracles import naive_enumerate_up_to, to_fraction_matrix
 
 NU = {2: 8, 3: 6, 5: 4, 7: 3}
 

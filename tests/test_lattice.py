@@ -16,6 +16,7 @@ from k3lat.lattice import (
 )
 from k3lat.matrix import det, identity_matrix, rank
 from k3lat.standard import hyperbolic_plane, k3_lattice, root_lattice
+from oracles import fraction_diagonalize
 
 
 def _random_symmetric(rng, n, lo=-4, hi=4):
@@ -53,6 +54,32 @@ def test_signature_counts_match_sylvester():
         assert gram_of_rows(rows, G) == [
             [norms[i] if i == j else 0 for j in range(len(rows))]
             for i in range(len(rows))]
+
+
+def test_diagonalize_matches_fraction_oracle():
+    # zero diagonals force the e_i += e_j step; rational entries force
+    # the common denominator
+    rng = random.Random(37)
+    for trial in range(150):
+        n = rng.randint(1, 7)
+        G = _random_symmetric(rng, n, -3, 3)
+        if trial % 2:
+            for i in range(n):
+                G[i][i] = 0
+        if trial % 3 == 0:
+            dens = [rng.choice([1, 2, 3, 4, 6]) for _ in range(n)]
+            G = [[Fraction(G[i][j], dens[min(i, j)]) for j in range(n)]
+                 for i in range(n)]
+        rows, norms, nullity = diagonalize(G)
+        assert all(isinstance(x, int) for row in rows for x in row)
+        assert all(norms)
+        assert gram_of_rows(rows, G) == [
+            [norms[i] if i == j else 0 for j in range(len(rows))]
+            for i in range(len(rows))]
+        assert rank(rows) == len(rows) == rank(G)
+        _, ref_norms, ref_nullity = fraction_diagonalize(G)
+        assert nullity == ref_nullity
+        assert sorted(d > 0 for d in norms) == sorted(d > 0 for d in ref_norms)
 
 
 def test_discriminant_group_order_is_abs_det():

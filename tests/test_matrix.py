@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,9 +24,10 @@ from k3lat.matrix import (
     rank_mod_p,
     snf_diagonal,
     solve_right,
-    to_fraction_matrix,
     to_int_matrix,
+    vec_mat,
 )
+from oracles import fraction_char_poly, fraction_mat_mul, to_fraction_matrix
 
 
 def _det_by_elimination(A):
@@ -246,3 +250,73 @@ def test_integrality_round_trip():
     assert not is_integral([[Fraction(1, 2)]])
     assert mat_sub(identity_matrix(2), identity_matrix(2)) == [[0, 0], [0, 0]]
     assert to_fraction_matrix([[1]]) == [[Fraction(1)]]
+
+
+def _entry(rng, rational):
+    """An int, or a Fraction with a signed denominator when rational."""
+    x = rng.randint(-5, 5)
+    if rational and rng.random() < 0.5:
+        return Fraction(x, rng.choice([-7, -3, -2, 1, 2, 3, 5, 6, 35]))
+    return x
+
+
+def _matrix(rng, m, n, rational):
+    return [[_entry(rng, rational) for _ in range(n)] for _ in range(m)]
+
+
+def test_mat_mul_and_vec_mat_match_fraction_reference():
+    rng = random.Random(71)
+    shapes = [(1, 5, 1), (5, 1, 4), (1, 1, 1), (3, 4, 2), (4, 4, 4),
+              (6, 3, 5)]
+    for trial in range(60):
+        m, k, n = shapes[trial % len(shapes)]
+        A = _matrix(rng, m, k, trial % 3 != 0)
+        B = _matrix(rng, k, n, trial % 3 != 1)
+        P = mat_mul(A, B)
+        assert P == fraction_mat_mul(A, B)
+        has_fraction = any(isinstance(x, Fraction)
+                           for M in (A, B) for row in M for x in row)
+        assert all(isinstance(x, Fraction) == has_fraction
+                   for row in P for x in row)
+        for row in A:
+            assert vec_mat(row, B) == fraction_mat_mul([row], B)[0]
+    assert mat_mul([], [[1, 2]]) == []
+    assert mat_mul([[], []], []) == [[], []]
+    assert mat_mul([[Fraction(1, 2)], [3]], [[], ]) == [[], []]
+    assert vec_mat([], []) == []
+
+
+def test_char_poly_matches_fraction_faddeev_leverrier():
+    rng = random.Random(73)
+    for trial in range(30):
+        n = rng.randint(1, 6)
+        A = _matrix(rng, n, n, trial % 2 == 1)
+        cp = char_poly(A)
+        assert cp == fraction_char_poly(A)
+        assert all(isinstance(c, int) for c in cp if Fraction(c).denominator == 1)
+    assert char_poly([]) == [1]
+
+
+def test_char_poly_rejects_a_corrupted_trace_under_python_O():
+    # corrupt every product's (0, 0) entry: the exactness check tr % k
+    # must fire even when asserts are stripped
+    code = (
+        "import k3lat.matrix as m\n"
+        "orig = m.mat_mul\n"
+        "def bad(A, B):\n"
+        "    P = orig(A, B)\n"
+        "    P[0][0] += 1\n"
+        "    return P\n"
+        "m.mat_mul = bad\n"
+        "try:\n"
+        "    m.char_poly([[1, 2], [3, 4]])\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised"), proc.stdout

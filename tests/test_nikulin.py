@@ -13,7 +13,6 @@ from k3lat.matrix import (
     is_integral,
     mat_mul,
     matrix_order,
-    to_fraction_matrix,
     to_int_matrix,
     transpose,
 )
@@ -39,7 +38,7 @@ from k3lat.standard import hyperbolic_plane, root_lattice
 from k3lat.lattice import rescale
 
 from conftest import family
-from oracles import naive_enumerate_up_to
+from oracles import naive_enumerate_up_to, to_fraction_matrix
 
 PRIMES = (2, 3, 5, 7)
 
