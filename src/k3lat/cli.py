@@ -14,6 +14,10 @@ of its budget gives an inconclusive report (exit 0) naming the search, its
 budget and the nodes it spent. The environment variable K3R_BUDGET
 supplies a default search budget; --seed is accepted for search-order
 experimentation and never affects verdicts or reports.
+
+The modules realize, nikulin and gsignature are imported inside the
+verbs and scenarios that call them, so a fresh process compiles and
+loads them only when the command runs them.
 """
 
 import argparse
@@ -28,15 +32,8 @@ from .lattice import DiscriminantForm, Lattice, direct_sum, express_in_basis, \
     sublattice_index
 from .standard import hyperbolic_plane, root_lattice
 from .groups import NeedIsotypicData
-from .gsignature import defect_point, fixed_point_predictions, \
-    max_defect_check
-from .nikulin import VARPI_NORMS, _flat_rho, _pair, \
-    aut_trivial_on_disc_search, family, genus_check_lambda_G
 from .shortvec import SearchBudgetExceeded, lattice_isometry, \
     min_norm_and_kissing
-from .realize import HypothesisViolated, build_a4_example, \
-    build_model_prime_action, build_nikulin_involution, classify_dichotomy, \
-    decide_complex, dehn_twist_obstruction, two_elementary_profile
 
 SCHEMA = serialize.SCHEMA
 
@@ -73,6 +70,7 @@ def _cert_checks(certs, spec_rows):
 # scenarios
 
 def _scenario_a4(budget):
+    from .realize import build_a4_example
     act = build_a4_example()
     rows = [
         ("group-order", "order", 12, "|A_4| = 12"),
@@ -101,6 +99,7 @@ def _scenario_a4(budget):
 
 
 def _scenario_involution(budget):
+    from .realize import build_nikulin_involution, two_elementary_profile
     act = build_nikulin_involution()
     rows = [
         ("group-order", "order", 2, "the swap is an involution"),
@@ -148,6 +147,8 @@ def _scenario_involution(budget):
 
 
 def _scenario_family(p, budget):
+    from .nikulin import VARPI_NORMS, _flat_rho, _pair, \
+        aut_trivial_on_disc_search, family
     fam = family(p)
     m = fam.nu * (p - 1)
     checks = []
@@ -209,6 +210,7 @@ def _scenario_family(p, budget):
                          "sigma extends to an isometry of K_p"))
 
     if p == 2:
+        from .realize import two_elementary_profile
         e8m2 = [[2 * x for x in row]
                 for row in root_lattice("E", 8, -1).gram]
         T = lattice_isometry(fam.L.gram, e8m2,
@@ -242,6 +244,8 @@ def _scenario_family(p, budget):
 
 
 def _scenario_defect(budget):
+    from .gsignature import defect_point, fixed_point_predictions, \
+        max_defect_check
     checks = []
     for p, nu in ((2, 8), (3, 6), (5, 4), (7, 3)):
         closure = nu * defect_point(p, p - 1)
@@ -270,6 +274,7 @@ def _scenario_defect(budget):
 
 def _scenario_dehn(budget):
     from .standard import k3_lattice
+    from .realize import dehn_twist_obstruction
     k3 = k3_lattice()
     v = [0] * 22
     v[6] = 1
@@ -294,6 +299,7 @@ def _scenario_dehn(budget):
 
 
 def _scenario_genus(budget):
+    from .nikulin import genus_check_lambda_G
     checks = []
     for p in (3, 5, 7):
         rep = genus_check_lambda_G(p, budget=budget or 10 ** 6)
@@ -314,6 +320,7 @@ def _scenario_genus(budget):
 
 
 def _scenario_model(p, budget):
+    from .realize import build_model_prime_action
     act = build_model_prime_action(p, iso_budget=budget or 10 ** 7)
     certs = act.certificates
     nu = {2: 8, 3: 6, 5: 4, 7: 3}[p]
@@ -454,6 +461,7 @@ def _cmd_scenario(args):
 
 
 def _cmd_decide(args):
+    from .realize import decide_complex
     group = _load_group(args.group)
     iso = _load_isotypic(args.isotypic) if args.isotypic else None
     try:
@@ -474,6 +482,7 @@ def _cmd_decide(args):
 
 
 def _cmd_dichotomy(args):
+    from .realize import HypothesisViolated, classify_dichotomy
     group = _load_group(args.group)
     try:
         rep = classify_dichotomy(group, budget=args.budget)
@@ -489,6 +498,8 @@ EXAMPLES = ("a4", "nikulin-involution", "prime-p")
 
 
 def _cmd_example(args):
+    from .realize import build_a4_example, build_model_prime_action, \
+        build_nikulin_involution
     name = args.name
     if name == "prime-p":
         if args.p is None:
@@ -552,6 +563,7 @@ def _cmd_compute(args):
     if sub == "defect":
         if args.p is None or args.q is None:
             return _fail("compute defect requires --p and --q")
+        from .gsignature import defect_point
         val = defect_point(args.p, args.q)
         sys.stdout.write("%s\n" % val)
         return 0

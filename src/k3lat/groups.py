@@ -9,7 +9,6 @@ the sign of one small determinant, det(P g G P^T) for a positive-definite
 basis P, which is never 0.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 import math
 
@@ -151,18 +150,16 @@ def fixed_sublattice(ambient, generators):
     return Sublattice(ambient, basis)
 
 
-@dataclass
 class ZGDecomposition:
     """Summand counts of a prime-order lattice automorphism.
 
     t trivial (rank 1), c cyclotomic (rank p-1), r regular (rank p);
     t + c(p-1) + r*p equals the rank of the module.
     """
-    p: int
-    t: int
-    c: int
-    r: int
-    jordan_blocks: dict = field(default_factory=dict)
+
+    def __init__(self, p, t, c, r, jordan_blocks=None):
+        self.p, self.t, self.c, self.r = p, t, c, r
+        self.jordan_blocks = {} if jordan_blocks is None else jordan_blocks
 
     def rank(self):
         return self.t + self.c * (self.p - 1) + self.r * self.p
@@ -272,7 +269,6 @@ def spinor_plus_membership(ambient, g):
     return det(mat_mul(mat_mul(P, g), transpose(mat_mul(P, G)))) > 0
 
 
-@dataclass
 class CoinvariantResult:
     """L_G and how it was determined.
 
@@ -282,11 +278,10 @@ class CoinvariantResult:
     variant actually used; variants carries every orientation-compatible
     choice (more than one is possible only outside O^+).
     """
-    L_G: Sublattice
-    fixed: Sublattice
-    mode: str
-    p_types: list
-    variants: list
+
+    def __init__(self, L_G, fixed, mode, p_types, variants):
+        self.L_G, self.fixed, self.mode = L_G, fixed, mode
+        self.p_types, self.variants = p_types, variants
 
 
 def _saturated_span(ambient, bases):

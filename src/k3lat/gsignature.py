@@ -6,7 +6,6 @@ houses the signature balance, the maximal-defect statement, the adjunction
 style point/surface count identity, and fixed-point-count predictions.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polys import (cyclotomic, poly_add, poly_divmod, poly_mul, poly_sub,
@@ -21,33 +20,29 @@ class RankOverflow(ValueError):
     pass
 
 
-@dataclass
 class DefectInput:
     """Local fixed-point data for one prime-order action.
 
     points: the q of each isolated point with local weights (1, q).
     surfaces: (self_intersection, euler_characteristic) per fixed surface.
     """
-    p: int
-    points: list
-    surfaces: list
 
-    def __post_init__(self):
-        for q in self.points:
-            if q % self.p == 0:
+    def __init__(self, p, points, surfaces):
+        for q in points:
+            if q % p == 0:
                 raise InvalidCharacter("point weight q must be a unit mod p")
+        self.p, self.points, self.surfaces = p, points, surfaces
 
 
-@dataclass
 class FixedPointPrediction:
-    p: int
-    nu: int
-    euler: int
-    quotient_signature: int
-    total_defect: Fraction
-    moduli_dimension: int
-    edmonds_b0_plus_b2: int = None
-    edmonds_b1: int = None
+    def __init__(self, p, nu, euler, quotient_signature, total_defect,
+                 moduli_dimension, edmonds_b0_plus_b2=None, edmonds_b1=None):
+        self.p, self.nu, self.euler = p, nu, euler
+        self.quotient_signature = quotient_signature
+        self.total_defect = total_defect
+        self.moduli_dimension = moduli_dimension
+        self.edmonds_b0_plus_b2 = edmonds_b0_plus_b2
+        self.edmonds_b1 = edmonds_b1
 
 
 def _phi_reduce(poly, phi):

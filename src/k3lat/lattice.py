@@ -351,44 +351,50 @@ class DiscriminantForm:
         return DiscriminantForm(self.gram, _negate=True)
 
     def _tables(self):
-        # generator pairing tables; everything downstream is table lookups
+        # generator pairing table times the exponent e of the group, which
+        # clears every denominator (b(x_i, x_j) lies in (1/gcd(s_i, s_j))Z):
+        # everything downstream is integer table lookups
         if self._pair_table is None:
+            e = math.lcm(*self.orders)
             k = len(self.orders)
-            bil = [[Fraction(0)] * k for _ in range(k)]
-            quad = [Fraction(0)] * k
+            bil = [[0] * k for _ in range(k)]
             for i in range(k):
                 gi = vec_mat(self.lifts[i], self.gram)
                 for j in range(k):
-                    bil[i][j] = dot(gi, self.lifts[j])
-                quad[i] = bil[i][i]
-            self._pair_table = (bil, quad)
+                    b = e * dot(gi, self.lifts[j])
+                    if b.denominator != 1:
+                        raise ArithmeticError(
+                            "e * b(x_%d, x_%d) = %s is not integral"
+                            % (i, j, b))
+                    bil[i][j] = b.numerator
+            self._pair_table = (e, bil)
         return self._pair_table
 
     def bilinear(self, x, y):
         """Pairing in Q/Z, returned in [0, 1)."""
-        bil, _ = self._tables()
-        acc = Fraction(0)
+        e, bil = self._tables()
+        acc = 0
         for i, xi in enumerate(x):
             if xi:
                 for j, yj in enumerate(y):
                     if yj:
                         acc += xi * yj * bil[i][j]
-        return acc % 1
+        return Fraction(acc % e, e)
 
     def q(self, x):
         """Quadratic value in Q/2Z, returned in [0, 2)."""
         if not self.even:
             raise ValueError("quadratic refinement requires an even lattice")
-        bil, quad = self._tables()
-        acc = Fraction(0)
+        e, bil = self._tables()
+        acc = 0
         k = len(x)
         for i in range(k):
             if x[i]:
-                acc += x[i] * x[i] * quad[i]
+                acc += x[i] * x[i] * bil[i][i]
                 for j in range(i + 1, k):
                     if x[j]:
                         acc += 2 * x[i] * x[j] * bil[i][j]
-        return acc % 2
+        return Fraction(acc % (2 * e), e)
 
     def lift(self, x):
         """A rational representative in source-lattice coordinates."""

@@ -8,7 +8,6 @@ reach K_p = N_p + U. Every arithmetic identity these lattices are supposed
 to satisfy is verified at construction time with exact arithmetic.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 import itertools
 
@@ -56,7 +55,6 @@ K_VECTORS = {2: [1] * 8, 3: [1] * 6, 5: [1, 1, 2, 2], 7: [1, 2, 3]}
 VARPI_NORMS = {2: -4, 3: -4, 5: -8, 7: -12}
 
 
-@dataclass
 class NikulinFamily:
     """All distinguished data of the family at one prime.
 
@@ -64,26 +62,20 @@ class NikulinFamily:
     where H2D is the orthogonal sum of negated Cartan blocks; N_p and L_p
     carry their own Gram matrices plus basis rows in that frame.
     """
-    p: int
-    nu: int
-    k: list
-    labels: list
-    gram_D: list
-    varpi: list
-    rho: list
-    basis_N: list           # rows, D frame, denominators divide p
-    N: Lattice
-    L_basis_in_N: list = None
-    L: Lattice = None
-    L_basis_in_D: list = None
-    rho_in_N: list = None
-    sigma_D: list = None
-    sigma_N: list = None
-    sigma_L: list = None
-    K: Lattice = None
-    sigma_K: list = None
-    K_eprime: list = None
-    checks: dict = field(default_factory=dict)
+
+    def __init__(self, p, nu, k, labels, gram_D, varpi, rho, basis_N, N,
+                 L_basis_in_N=None, L=None, L_basis_in_D=None, rho_in_N=None,
+                 sigma_D=None, sigma_N=None, sigma_L=None, K=None,
+                 sigma_K=None, K_eprime=None, checks=None):
+        self.p, self.nu, self.k, self.labels = p, nu, k, labels
+        self.gram_D, self.varpi, self.rho = gram_D, varpi, rho
+        self.basis_N = basis_N      # rows, D frame, denominators divide p
+        self.N = N
+        self.L_basis_in_N, self.L = L_basis_in_N, L
+        self.L_basis_in_D, self.rho_in_N = L_basis_in_D, rho_in_N
+        self.sigma_D, self.sigma_N, self.sigma_L = sigma_D, sigma_N, sigma_L
+        self.K, self.sigma_K, self.K_eprime = K, sigma_K, K_eprime
+        self.checks = {} if checks is None else checks
 
     def d_index(self, i, j):
         """Flat index of D_{i,j}, i in 1..nu, j in 1..p-1."""

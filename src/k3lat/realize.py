@@ -17,7 +17,6 @@ re-verifies the pinned data from scratch before using it. The searches
 that first produced the pins live with the tests, which re-derive them.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .matrix import (
@@ -67,7 +66,6 @@ from .shortvec import (
     min_norm_and_kissing,
 )
 from .groups import (
-    CoinvariantResult,
     IsometryGroup,
     coinvariant_L_G,
     regular_summand_discriminant_check,
@@ -75,8 +73,6 @@ from .groups import (
     zg_decomposition,
 )
 from .polys import cyclotomic
-from .gsignature import fixed_point_predictions
-from .nikulin import GENUS_CANDIDATES, family
 
 
 TEICHMUELLER_CAVEAT = (
@@ -92,34 +88,38 @@ class HypothesisViolated(ValueError):
     pass
 
 
-@dataclass
 class RealizabilityReport:
-    """Joint verdict of both realizability tests for one group."""
-    metric: str
-    metric_witness: list
-    complex_verdict: str
-    complex_reason: str
-    complex_witness: list
-    L_G_rank: int
-    caveat: str = TEICHMUELLER_CAVEAT
-    coinvariant: CoinvariantResult = None   # the L_G it was decided from
+    """Joint verdict of both realizability tests for one group.
 
-    def __post_init__(self):
-        assert self.metric in ("yes", "no")
-        assert self.complex_verdict in ("yes", "no")
-        if self.complex_verdict == "yes":
-            assert self.metric == "yes", "complex yes must imply metric yes"
+    coinvariant is the CoinvariantResult the verdicts were decided from.
+    """
+
+    def __init__(self, metric, metric_witness, complex_verdict,
+                 complex_reason, complex_witness, L_G_rank,
+                 caveat=TEICHMUELLER_CAVEAT, coinvariant=None):
+        if metric not in ("yes", "no"):
+            raise AssertionError("metric verdict must be yes or no, got %r"
+                                 % (metric,))
+        if complex_verdict not in ("yes", "no"):
+            raise AssertionError("complex verdict must be yes or no, got %r"
+                                 % (complex_verdict,))
+        if complex_verdict == "yes" and metric != "yes":
+            raise AssertionError("complex yes must imply metric yes")
+        self.metric, self.metric_witness = metric, metric_witness
+        self.complex_verdict = complex_verdict
+        self.complex_reason = complex_reason
+        self.complex_witness = complex_witness
+        self.L_G_rank, self.caveat = L_G_rank, caveat
+        self.coinvariant = coinvariant
 
 
-@dataclass
 class DichotomyReport:
-    p: int
-    nu: int
-    kind: str                   # Nikulin | Coxeter | violation
-    evidence: dict = field(default_factory=dict)
+    def __init__(self, p, nu, kind, evidence=None):
+        self.p, self.nu = p, nu
+        self.kind = kind            # Nikulin | Coxeter | violation
+        self.evidence = {} if evidence is None else evidence
 
 
-@dataclass
 class ExampleAction:
     """A constructed group plus everything needed to analyze it.
 
@@ -127,9 +127,10 @@ class ExampleAction:
     non-cyclic; certificates records every identity verified during
     construction, for report emission.
     """
-    group: IsometryGroup
-    projectors: list = None
-    certificates: dict = field(default_factory=dict)
+
+    def __init__(self, group, projectors=None, certificates=None):
+        self.group, self.projectors = group, projectors
+        self.certificates = {} if certificates is None else certificates
 
     @property
     def ambient(self):
@@ -495,6 +496,7 @@ def build_nikulin_involution():
     lattice isometric to U^3 + E8(-2) by an explicit basis, L_G
     isometric to E8(-2) the same way, eight fixed points predicted.
     """
+    from .gsignature import fixed_point_predictions
     k3 = k3_lattice()
     g = [[0] * 22 for _ in range(22)]
     for i in range(6):
@@ -782,6 +784,8 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
     isometry transported through the glue (no search, so the strongest
     level is reached at every rank; the report states the level).
     """
+    from .gsignature import fixed_point_predictions
+    from .nikulin import GENUS_CANDIDATES, family
     if p not in GLUE_PARTNERS:
         raise ValueError("no embedding data for p = %r" % (p,))
     fam = family(p)

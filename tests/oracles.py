@@ -2,11 +2,11 @@
 
 Entrywise Fraction references for the integer kernels of k3lat.matrix
 and k3lat.lattice (product, Faddeev-LeVerrier, congruence
-diagonalization), an independent box enumerator to check Fincke-Pohst
-against, a constructive Cartan-Dieudonne to check O^+ membership
-against, and the searches that first produced the data pinned in
-k3lat.realize: the A_3 + A_3 chain embedding into E8 and the
-discriminant glue images.
+diagonalization, discriminant-form pairing), an independent box
+enumerator to check Fincke-Pohst against, a constructive
+Cartan-Dieudonne to check O^+ membership against, and the searches
+that first produced the data pinned in k3lat.realize: the A_3 + A_3
+chain embedding into E8 and the discriminant glue images.
 """
 
 from fractions import Fraction
@@ -99,6 +99,16 @@ def fraction_diagonalize(gram):
                 M[k][c] -= f * M[piv][c]
             T[k] = [a - f * b for a, b in zip(T[k], T[piv])]
     return rows, norms, len(active)
+
+
+def fraction_lift_pairing(D, x, y):
+    """Unreduced x . y of the rational lifts of two classes of the
+    discriminant form D, summed entrywise in Fractions; mod 1 it is the
+    pairing, and for x = y mod 2 the quadratic value."""
+    lx, ly = D.lift(x), D.lift(y)
+    n = len(D.gram)
+    return sum((lx[i] * D.gram[i][j] * ly[j]
+                for i in range(n) for j in range(n)), Fraction(0))
 
 
 def naive_enumerate_up_to(gram, bound, prune=True):

@@ -215,3 +215,44 @@ def test_structured_report_is_unchanged_under_python_O(capsys):
                           env=dict(os.environ, PYTHONPATH=path))
     assert code == proc.returncode == 0
     assert proc.stdout == plain.encode()
+
+
+# modules a verb must not load when it does not call them
+LAZY = ("dataclasses", "k3lat.realize", "k3lat.nikulin",
+        "k3lat.gsignature")
+
+
+def _loaded_by(argv):
+    """The LAZY modules that `import k3lat.cli` and then, when argv is
+    given, main(argv) load into a fresh interpreter."""
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "from k3lat.cli import main\n"
+              "code = main(%r) if %r else 0\n"
+              "sys.stderr.write(' '.join(m for m in %r\n"
+              "                          if m in set(sys.modules) - before))\n"
+              "sys.exit(code)\n" % (argv, argv, LAZY))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    path = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_verbs_load_only_the_modules_they_call():
+    inputs = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                          "inputs")
+    assert _loaded_by(None) == set()
+    e8 = os.path.join(inputs, "e8-minus-1.json")
+    assert _loaded_by(["compute", "enumerate", "--lattice", e8,
+                       "--norm", "-2"]) == set()
+    involution = os.path.join(inputs, "nikulin-involution-group.json")
+    assert _loaded_by(["decide", "--group", involution]) == \
+        {"k3lat.realize"}
+    model = os.path.join(inputs, "model-prime-3-group.json")
+    assert _loaded_by(["dichotomy", "--group", model]) == \
+        {"k3lat.realize"}

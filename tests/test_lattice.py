@@ -16,7 +16,7 @@ from k3lat.lattice import (
 )
 from k3lat.matrix import det, identity_matrix, rank
 from k3lat.standard import hyperbolic_plane, k3_lattice, root_lattice
-from oracles import fraction_diagonalize
+from oracles import fraction_diagonalize, fraction_lift_pairing
 
 
 def _random_symmetric(rng, n, lo=-4, hi=4):
@@ -115,6 +115,35 @@ def test_discriminant_form_known_values():
     assert D2.cyclic_orders == [2, 2]
     vals = sorted(D2.q(x) for x in D2.elements())
     assert vals == [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
+
+
+def test_disc_form_q_and_bilinear_match_fraction_reference():
+    # seeded even Grams plus fixed ones with noncyclic and mixed-order
+    # groups; q on every element, the pairing on seeded pairs
+    rng = random.Random(53)
+    grams = [rescale(hyperbolic_plane(), 2).gram,
+             root_lattice("D", 4).gram, root_lattice("A", 3, -1).gram,
+             direct_sum(root_lattice("A", 2),
+                        rescale(hyperbolic_plane(), 6)).gram]
+    while len(grams) < 40:
+        n = rng.randint(1, 4)
+        G = _random_symmetric(rng, n)
+        for i in range(n):
+            G[i][i] = 2 * rng.randint(-3, 3)
+        if det(G) != 0 and abs(det(G)) <= 300:
+            grams.append(G)
+    for G in grams:
+        D = DiscriminantForm(G)
+        elems = list(D.elements())
+        for x in elems:
+            got = D.q(x)
+            assert type(got) is Fraction
+            assert got == fraction_lift_pairing(D, x, x) % 2
+        for _ in range(30):
+            x, y = rng.choice(elems), rng.choice(elems)
+            got = D.bilinear(x, y)
+            assert type(got) is Fraction
+            assert got == fraction_lift_pairing(D, x, y) % 1
 
 
 def test_discriminant_opposite_negates_q():

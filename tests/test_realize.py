@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from k3lat.groups import IsometryGroup, zg_decomposition
@@ -87,6 +91,28 @@ def test_report_invariants_enforced():
         RealizabilityReport("no", None, "yes", "ok", None, 0)
     with pytest.raises(AssertionError):
         RealizabilityReport("maybe", None, "no", "x", None, 0)
+
+
+def test_report_invariants_enforced_under_python_O():
+    # the verdict invariants are checks, not asserts: -O keeps them
+    script = (
+        "from k3lat.realize import RealizabilityReport\n"
+        "for args in [('no', None, 'yes', 'ok', None, 0),\n"
+        "             ('maybe', None, 'no', 'x', None, 0),\n"
+        "             ('yes', None, 'maybe', 'x', None, 0)]:\n"
+        "    try:\n"
+        "        RealizabilityReport(*args)\n"
+        "        print('accepted')\n"
+        "    except AssertionError:\n"
+        "        print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 3
 
 
 def test_dehn_twist_obstruction_fields():
