@@ -8,12 +8,20 @@ states the mathematical claim being verified (or the literal tag
 two runs with the same arguments emit byte-identical reports; runtimes
 appear only in human mode.
 
+Each claim is compared in one place, the check row that names it: the
+builders record the values they compute, and the rows of a scenario
+compare them with the claimed constants. The example verb runs the same
+rows as the matching scenario on the action it emits.
+
 Exit status: 0 when no check failed (inconclusive does not fail), 1 when
-a check failed, 2 for usage or input parse errors. A search that runs out
-of its budget gives an inconclusive report (exit 0) naming the search, its
-budget and the nodes it spent. The environment variable K3R_BUDGET
-supplies a default search budget; --seed is accepted for search-order
-experimentation and never affects verdicts or reports.
+a check failed, in a scenario or an example, or when an internal
+consistency check of the library failed ("internal check failed", naming
+the file and line when the check carries no message), 2 for usage errors
+and bad input (unreadable or malformed files, invalid data). A search
+that runs out of its budget gives an inconclusive report (exit 0) naming
+the search, its budget and the nodes it spent. The environment variable
+K3R_BUDGET supplies a default search budget; --seed is accepted for
+search-order experimentation and never affects verdicts or reports.
 
 The modules realize, nikulin and gsignature are imported inside the
 verbs and scenarios that call them, so a fresh process compiles and
@@ -29,7 +37,7 @@ from fractions import Fraction
 from . import serialize
 from .matrix import identity_matrix
 from .lattice import DiscriminantForm, Lattice, direct_sum, express_in_basis, \
-    sublattice_index
+    rescale, sublattice_index
 from .standard import hyperbolic_plane, root_lattice
 from .groups import NeedIsotypicData
 from .shortvec import SearchBudgetExceeded, lattice_isometry, \
@@ -58,7 +66,8 @@ def _check(name, expected, computed, anchor="plumbing"):
 
 
 def _cert_checks(certs, spec_rows):
-    """Map a builder's certificate dict onto report checks.
+    """Map computed values (a builder's certificates, a family's checks)
+    onto report checks.
 
     spec_rows: (check name, certificate key, expected value, anchor).
     """
@@ -66,12 +75,14 @@ def _cert_checks(certs, spec_rows):
             for name, key, expected, anchor in spec_rows]
 
 
+def _failed(checks):
+    return [c for c in checks if c["status"] == "fail"]
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 
-def _scenario_a4(budget):
-    from .realize import build_a4_example
-    act = build_a4_example()
+def _a4_checks(act):
     rows = [
         ("group-order", "order", 12, "|A_4| = 12"),
         ("generators-orientation", "in_O_plus", True,
@@ -98,9 +109,13 @@ def _scenario_a4(budget):
     return _cert_checks(act.certificates, rows)
 
 
-def _scenario_involution(budget):
-    from .realize import build_nikulin_involution, two_elementary_profile
-    act = build_nikulin_involution()
+def _scenario_a4(budget):
+    from .realize import build_a4_example
+    return _a4_checks(build_a4_example())
+
+
+def _involution_checks(act):
+    from .realize import two_elementary_profile
     rows = [
         ("group-order", "order", 2, "the swap is an involution"),
         ("generators-orientation", "in_O_plus", True,
@@ -125,18 +140,9 @@ def _scenario_involution(budget):
     ]
     checks = _cert_checks(act.certificates, rows)
     # signature + discriminant identification, independent of the basis
-    fixed_gram = [[2 * x for x in row]
-                  for row in root_lattice("E", 8, -1).gram]
-    u3 = direct_sum(hyperbolic_plane(), hyperbolic_plane(),
-                    hyperbolic_plane())
-    tg = [[0] * 14 for _ in range(14)]
-    for i in range(6):
-        for j in range(6):
-            tg[i][j] = u3.gram[i][j]
-    for i in range(8):
-        for j in range(8):
-            tg[6 + i][6 + j] = fixed_gram[i][j]
-    target = Lattice(tg)
+    target = direct_sum(hyperbolic_plane(), hyperbolic_plane(),
+                        hyperbolic_plane(),
+                        rescale(root_lattice("E", 8, -1), 2))
     prof = two_elementary_profile(DiscriminantForm(target.gram))
     fixed = act.group.fixed_sublattice()
     prof_fixed = two_elementary_profile(DiscriminantForm(fixed.gram()))
@@ -144,6 +150,11 @@ def _scenario_involution(budget):
         "fixed-disc-profile", prof, prof_fixed,
         "disc of the fixed lattice matches disc of U^3 + E8(-2)"))
     return checks
+
+
+def _scenario_involution(budget):
+    from .realize import build_nikulin_involution
+    return _involution_checks(build_nikulin_involution())
 
 
 def _scenario_family(p, budget):
@@ -172,24 +183,18 @@ def _scenario_family(p, budget):
                          rho_in_L is not None and
                          all(x.denominator == 1 for x in rho_in_L[0]),
                          "rho lies in L_p"))
-    checks.append(_check("L-disc-orders", [p] * fam.nu,
-                         fam.checks.get("disc_L_orders"),
-                         "disc(L_p) is (Z/p)^nu"))
-    checks.append(_check("L-root-free", True,
-                         fam.checks.get("L_has_no_roots"),
-                         "L_p contains no (-2)-vectors"))
-    checks.append(_check("sigma-trivial-on-disc", True,
-                         fam.checks.get("sigma_trivial_on_disc"),
-                         "sigma acts trivially on disc(L_p)"))
-    checks.append(_check("sigma-shift", True,
-                         fam.checks.get("sigma_shift_of_rho_over_p"),
-                         "(sigma - 1) maps L_p-dual into L_p"))
-    checks.append(_check("K-splits-U", True,
-                         fam.checks.get("K_splits_off_U"),
-                         "K_p = N_p + U"))
-    checks.append(_check("s-dot-rho", 2 * (p - 1),
-                         fam.checks.get("s_dot_rho"),
-                         "s.rho = 2(p-1)"))
+    checks += _cert_checks(fam.checks, [
+        ("L-disc-orders", "disc_L_orders", [p] * fam.nu,
+         "disc(L_p) is (Z/p)^nu"),
+        ("L-root-free", "L_has_no_roots", True,
+         "L_p contains no (-2)-vectors"),
+        ("sigma-trivial-on-disc", "sigma_trivial_on_disc", True,
+         "sigma acts trivially on disc(L_p)"),
+        ("sigma-shift", "sigma_shift_of_rho_over_p", True,
+         "(sigma - 1) maps L_p-dual into L_p"),
+        ("K-splits-U", "K_splits_off_U", True, "K_p = N_p + U"),
+        ("s-dot-rho", "s_dot_rho", 2 * (p - 1), "s.rho = 2(p-1)"),
+    ])
     GK = fam.K.gram
     checks.append(_check("eprime-isotropic", Fraction(0),
                          _pair(GK, fam.K_eprime, fam.K_eprime),
@@ -201,13 +206,12 @@ def _scenario_family(p, budget):
     checks.append(_check("ps-plus-rho-norm", Fraction(-2 * p),
                          _pair(GK, ps_rho, ps_rho),
                          "(p s + rho)^2 = -2p"))
-    checks.append(_check("L-complement-in-K", True,
-                         fam.checks.get("complement_is_Up"),
-                         "the complement of L_p in K_p has Gram "
-                         "[[0, p], [p, 0]]"))
-    checks.append(_check("sigma-extends", True,
-                         fam.checks.get("sigma_extends_to_K"),
-                         "sigma extends to an isometry of K_p"))
+    checks += _cert_checks(fam.checks, [
+        ("L-complement-in-K", "complement_is_Up", True,
+         "the complement of L_p in K_p has Gram [[0, p], [p, 0]]"),
+        ("sigma-extends", "sigma_extends_to_K", True,
+         "sigma extends to an isometry of K_p"),
+    ])
 
     if p == 2:
         from .realize import two_elementary_profile
@@ -319,9 +323,7 @@ def _scenario_genus(budget):
     return checks
 
 
-def _scenario_model(p, budget):
-    from .realize import build_model_prime_action
-    act = build_model_prime_action(p, iso_budget=budget or 10 ** 7)
+def _model_checks(p, act):
     certs = act.certificates
     nu = {2: 8, 3: 6, 5: 4, 7: 3}[p]
     m = nu * (p - 1)
@@ -361,6 +363,10 @@ def _scenario_model(p, budget):
         checks.append(_check("L-G-is-E8-minus-2", True,
                              certs.get("L_G_isometric_to_E8_minus_2"),
                              "L_G is isometric to E8(-2)"))
+        checks.append(_check("fixed-disc-profile", True,
+                             certs.get("fixed_disc_matches_swap_fixed"),
+                             "disc of the fixed lattice matches that of "
+                             "the swap's, U^3 + E8(-2)"))
     else:
         checks.append(_check("dichotomy-kind", "Nikulin",
                              certs.get("dichotomy_kind"),
@@ -371,6 +377,12 @@ def _scenario_model(p, budget):
                              "the fixed lattice matches the listed "
                              "genus candidate"))
     return checks
+
+
+def _scenario_model(p, budget):
+    from .realize import build_model_prime_action
+    return _model_checks(p, build_model_prime_action(
+        p, iso_budget=budget or 10 ** 7))
 
 
 SCENARIOS = {
@@ -456,8 +468,7 @@ def _cmd_scenario(args):
     t0 = time.time()
     report = run_scenario(args.name, budget=args.budget)
     _print_report(report, args.format, runtime=time.time() - t0)
-    failed = any(c["status"] == "fail" for c in report["checks"])
-    return 1 if failed else 0
+    return 1 if _failed(report["checks"]) else 0
 
 
 def _cmd_decide(args):
@@ -509,12 +520,15 @@ def _cmd_example(args):
                          % args.p)
         act = build_model_prime_action(args.p,
                                        iso_budget=args.budget or 10 ** 7)
+        checks = _model_checks(args.p, act)
         stem = "model-prime-%d" % args.p
     elif name == "a4":
         act = build_a4_example()
+        checks = _a4_checks(act)
         stem = "a4"
     elif name == "nikulin-involution":
         act = build_nikulin_involution()
+        checks = _involution_checks(act)
         stem = "nikulin-involution"
     else:
         return _fail("unknown example %r; choose from: %s" % (
@@ -533,7 +547,11 @@ def _cmd_example(args):
     obj = {"schema": SCHEMA, "kind": "example", "example": name,
            "files": files, "verification": _jsonable(act.certificates)}
     _print_report(obj, args.format)
-    return 0
+    failed = _failed(checks)
+    for c in failed:
+        _fail("check %s failed: expected %r, computed %r"
+              % (c["name"], c["expected"], c["computed"]))
+    return 1 if failed else 0
 
 
 def _cmd_compute(args):
@@ -649,8 +667,16 @@ def main(argv=None):
         return _fail(str(e))
     except FileNotFoundError as e:
         return _fail("cannot read %s" % e.filename)
-    except (ValueError, AssertionError) as e:
+    except ValueError as e:
         return _fail("invalid input: %s" % e)
+    except AssertionError as e:
+        msg = str(e)
+        if not msg:
+            import traceback
+            frame = traceback.extract_tb(e.__traceback__)[-1]
+            msg = "%s line %d" % (os.path.basename(frame.filename),
+                                  frame.lineno)
+        return _fail("internal check failed: %s" % msg, code=1)
 
 
 if __name__ == "__main__":

@@ -354,8 +354,9 @@ def coinvariant_L_G(group, isotypic_data=None):
     isotypic projectors for non-cyclic groups.
     """
     ambient = group.ambient
-    assert ambient.signature() == (3, 19, 0), \
-        "coinvariant analysis is specific to the K3 lattice signature"
+    if ambient.signature() != (3, 19, 0):
+        raise ValueError(
+            "coinvariant analysis is specific to the K3 lattice signature")
     fixed = group.fixed_sublattice()
     if fixed.rank:
         fp, fm, fz = signature_of_gram(fixed.gram())
@@ -435,23 +436,26 @@ def _cyclic_coinvariant(group, g, fixed):
 def _projector_coinvariant(group, projectors, fixed):
     ambient = group.ambient
     n = ambient.rank
+    if any(len(E) != n or any(len(r) != n for r in E) for E in projectors):
+        raise ValueError("projectors must be %d x %d matrices" % (n, n))
     F = [[list(map(Fraction, row)) for row in E] for E in projectors]
     # the checks run on the integral Z = D E, D a common denominator:
     # E E = E iff Z Z = D Z, and the other identities scale alike
     D = math.lcm(*[x.denominator for E in F for row in E for x in row])
     Z = [[[int(x * D) for x in row] for row in E] for E in F]
     total = [[sum(E[i][j] for E in Z) for j in range(n)] for i in range(n)]
-    assert mat_eq(total, mat_scale(D, identity_matrix(n))), \
-        "projectors must sum to 1"
+    if not mat_eq(total, mat_scale(D, identity_matrix(n))):
+        raise ValueError("projectors must sum to 1")
     for idx, E in enumerate(Z):
-        assert mat_eq(mat_mul(E, E), mat_scale(D, E)), \
-            "projector %d is not idempotent" % idx
+        if not mat_eq(mat_mul(E, E), mat_scale(D, E)):
+            raise ValueError("projector %d is not idempotent" % idx)
         for jdx in range(idx + 1, len(Z)):
-            assert mat_eq(mat_mul(E, Z[jdx]), zero_matrix(n, n)), \
-                "projectors %d,%d do not annihilate" % (idx, jdx)
+            if not mat_eq(mat_mul(E, Z[jdx]), zero_matrix(n, n)):
+                raise ValueError("projectors %d,%d do not annihilate"
+                                 % (idx, jdx))
         for gmat in group.generators:
-            assert mat_eq(mat_mul(gmat, E), mat_mul(E, gmat)), \
-                "projector %d is not equivariant" % idx
+            if not mat_eq(mat_mul(gmat, E), mat_mul(E, gmat)):
+                raise ValueError("projector %d is not equivariant" % idx)
 
     elements = group.elements()
     order = len(elements)

@@ -61,6 +61,8 @@ def defect_point(p, q):
     (1+z)(1+z^q) / ((1-z)(1-z^q)); the local defect of an isolated
     fixed point with rotation weights (1, q).
     """
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        raise ValueError("p must be a prime, got %d" % p)
     q = q % p
     if q == 0:
         raise InvalidCharacter("q must be a unit mod p")
@@ -124,23 +126,21 @@ def signature_balance(p, sigma_N, sigma_quotient, data):
 
 
 def max_defect_check(p):
-    """The point defect is strictly maximal at q = p-1, where it equals
-    (p-1)(p-2)/3; verified by exhaustive evaluation over all units."""
+    """Whether the point defect is strictly maximal at q = p-1, where it
+    should equal (p-1)(p-2)/3: the report of an exhaustive evaluation over
+    all units, with the argmax of the table as max_at."""
     assert p > 2, "needs an odd prime"
     table = defect_table(p)
-    expected_max = Fraction((p - 1) * (p - 2), 3)
     top = table[p - 1]
-    strict = all(v < top for q, v in table.items() if q != p - 1)
-    report = {
+    return {
         "p": p,
         "table": table,
-        "max_at": p - 1,
+        "max_at": max(table, key=table.get),
         "max_value": top,
-        "max_matches_formula": top == expected_max,
-        "strictly_maximal": strict,
+        "max_matches_formula": top == Fraction((p - 1) * (p - 2), 3),
+        "strictly_maximal": all(v < top for q, v in table.items()
+                                if q != p - 1),
     }
-    assert report["max_matches_formula"] and report["strictly_maximal"]
-    return report
 
 
 def noether_identity_check(p, points, surfaces):

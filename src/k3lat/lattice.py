@@ -119,18 +119,18 @@ class Lattice:
 
     def __init__(self, gram, labels=None):
         n = len(gram)
-        for row in gram:
-            assert len(row) == n
-        for i in range(n):
-            for j in range(i):
-                assert gram[i][j] == gram[j][i], "Gram matrix must be symmetric"
+        if any(len(row) != n for row in gram):
+            raise ValueError("Gram matrix must be square")
+        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("Gram matrix must be symmetric")
         self.gram = [list(map(int, row)) for row in gram]
         self.rank = n
         self.labels = list(labels) if labels else None
         self._sig = None
         self._det = None
         self._inv = None
-        assert self.determinant() != 0, "degenerate form"
+        if self.determinant() == 0:
+            raise ValueError("degenerate form")
 
     def bilinear(self, x, y):
         assert len(x) == len(y) == self.rank

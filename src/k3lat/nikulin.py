@@ -4,8 +4,10 @@ Start from nu disjoint A_{p-1}(-1) blocks on basis vectors D_{i,j}
 (nu(p+1) = 24), adjoin the fractional class varpi built from the weight
 vector k to get the overlattice N_p, cut out the index-p sublattice L_p
 with the Weyl-type vector rho, and extend by an isotropic direction to
-reach K_p = N_p + U. Every arithmetic identity these lattices are supposed
-to satisfy is verified at construction time with exact arithmetic.
+reach K_p = N_p + U. Each stage asserts, in exact arithmetic, the facts
+the later stages rely on, and records the identities the paper states as
+computed values in fam.checks; the scenario rows of k3lat.cli compare
+them with the claimed constants.
 """
 
 from fractions import Fraction
@@ -35,7 +37,6 @@ from .lattice import (
     express_in_basis,
     gram_of_rows,
     group_generated_by,
-    sublattice_index,
 )
 from .polys import cyclotomic, poly_divmod, poly_trim
 from .standard import cartan_matrix, cycle_coxeter_matrix, hyperbolic_plane, root_lattice
@@ -127,12 +128,8 @@ def build_family(p):
         assert _pair(gram_D, varpi, e).denominator == 1
 
     ww = _pair(gram_D, varpi, varpi)
-    assert ww == VARPI_NORMS[p], (p, ww)
     assert ww == Fraction((1 - p) * sum(x * x for x in k), p)
     assert ww % 2 == 0, "overlattice class must have even norm"
-
-    rr = _pair(gram_D, rho, rho)
-    assert rr == -2 * (p - 1) * p
 
     if p > 2:
         assert all(x.denominator == 1 for x in rho), "rho integral for odd p"
@@ -147,7 +144,6 @@ def build_family(p):
     gram_N = to_int_matrix(gram_N)
     N = Lattice(gram_N)
     assert N.is_even()
-    assert sublattice_index(unit_rows, basis_N) == p
     assert det(gram_N) * p * p == det(gram_D)
 
     fam = NikulinFamily(p=p, nu=nu, k=list(k), labels=labels, gram_D=gram_D,
@@ -216,7 +212,6 @@ def build_Lp(fam):
             e[t0] = -((w[t] * inv) % p)
             rows.append(e)
     L_in_N = hnf_basis(rows)
-    assert sublattice_index(L_in_N, identity_matrix(m)) == p
     gram_L = to_int_matrix(gram_of_rows(L_in_N, fam.N.gram))
     # rebase on the LLL-reduced basis, which sigma_L and every later
     # search are written in; the reduced Gram is -R
@@ -230,22 +225,13 @@ def build_Lp(fam):
     rho_in_N = express_in_basis([fam.rho], fam.basis_N)[0]
     assert all(x.denominator == 1 for x in rho_in_N)
     rho_in_N = [int(x) for x in rho_in_N]
-    assert sum(a * b for a, b in zip(rho_in_N, w)) % p == 0, "rho lies in L_p"
-    rho_in_L = express_in_basis([rho_in_N], L_in_N)[0]
-    assert all(x.denominator == 1 for x in rho_in_L)
-
-    disc = L.discriminant_group()
-    assert disc.cyclic_orders == [p] * fam.nu, disc.cyclic_orders
-
-    no_roots = enumerate_vectors(L, -2)
-    assert not no_roots, "L_p contains no -2 vectors"
 
     fam.L_basis_in_N = L_in_N
     fam.L = L
     fam.L_basis_in_D = mat_mul(L_in_N, fam.basis_N)
     fam.rho_in_N = rho_in_N
-    fam.checks["disc_L_orders"] = disc.cyclic_orders
-    fam.checks["L_has_no_roots"] = True
+    fam.checks["disc_L_orders"] = L.discriminant_group().cyclic_orders
+    fam.checks["L_has_no_roots"] = not enumerate_vectors(L, -2)
     return L
 
 
@@ -286,15 +272,14 @@ def build_sigma(fam):
     n = len(sigma_L)
     Ginv = fam.L.gram_inverse()
     shift = mat_mul(Ginv, mat_sub(sigma_L, identity_matrix(n)))
-    assert is_integral(shift), "sigma must act trivially on disc(L_p)"
-    fam.checks["sigma_trivial_on_disc"] = True
+    fam.checks["sigma_trivial_on_disc"] = is_integral(shift)
 
     # (sigma - 1)(rho / p) lands in L_p
     rho_in_L = express_in_basis([fam.rho_in_N], fam.L_basis_in_N)[0]
     frac = [x / fam.p for x in rho_in_L]
     moved = vec_mat(frac, mat_sub(sigma_L, identity_matrix(n)))
-    assert all(x.denominator == 1 for x in moved)
-    fam.checks["sigma_shift_of_rho_over_p"] = True
+    fam.checks["sigma_shift_of_rho_over_p"] = all(
+        x.denominator == 1 for x in moved)
 
     # char poly on L_p is a power of the p-th cyclotomic polynomial
     phi = cyclotomic(p)
@@ -400,12 +385,8 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     for T in mats[:min(order, 8)]:
         for S in mats[:min(order, 8)]:
             assert tuple(tuple(r) for r in mat_mul(T, S)) in keys
-    is_sigma_cyclic = order == fam.p
-    report = {"p": fam.p, "group_order": order,
-              "equals_sigma_cyclic": is_sigma_cyclic, "nodes": nodes}
-    if fam.p in (2, 3):
-        assert is_sigma_cyclic, report
-    return report
+    return {"p": fam.p, "group_order": order,
+            "equals_sigma_cyclic": order == fam.p, "nodes": nodes}
 
 
 def build_hat_and_K(fam):
@@ -434,7 +415,6 @@ def build_hat_and_K(fam):
         tilde0 = [a + b for a, b in zip(lift0, f_row)]
         total = [a + b for a, b in zip(total, tilde0)]
         assert total == f_row, "orbit sum of lifted classes must equal f"
-    fam.checks["orbit_sum_is_f"] = True
 
     # K_p in basis (i(n_1), ..., i(n_m), f, s)
     gram_K = [row[:] + [0, 0] for row in fam.N.gram]
@@ -452,17 +432,11 @@ def build_hat_and_K(fam):
     expected = [row[:] + [0, 0] for row in fam.N.gram]
     expected.append([0] * m + [0, 1])
     expected.append([0] * m + [1, 0])
-    assert mat_eq(moved, expected), "K_p must split as N_p plus U"
-    fam.checks["K_splits_off_U"] = True
+    fam.checks["K_splits_off_U"] = mat_eq(moved, expected)
 
-    # rho pairs with s and the isotropic class as stated
-    jrho = _flat_rho(fam)
+    # s.rho, an integer: _flat_rho asserts that rho has no f part
     s = [0] * (m + 1) + [1]
-    srho = _pair(gram_K, s, jrho)
-    assert srho == 2 * (p - 1), srho
-    v = [p * a + b for a, b in zip(s, jrho)]
-    assert _pair(gram_K, v, v) == -2 * p
-    fam.checks["s_dot_rho"] = int(srho)
+    fam.checks["s_dot_rho"] = int(_pair(gram_K, s, _flat_rho(fam)))
 
     # rank N_p + 2 throughout; at p = 2 that is 8 + 2 with one positive square
     assert K.rank == fam.nu * (p - 1) + 2
@@ -509,30 +483,30 @@ def Lp_complement_in_Kp(fam):
     f = [Fraction(0)] * m + [Fraction(1), Fraction(0)]
     eprime = [p * a + b + c for a, b, c in zip(s, jrho, f)]
     assert all(x.denominator == 1 for x in eprime)
-    assert _pair(gram_K, eprime, eprime) == 0, "e' must be isotropic"
 
     # same Z-span: complement == <e', f>
     ef = [[int(x) for x in eprime], [int(x) for x in f]]
     X = express_in_basis(ef, comp)
     Y = express_in_basis(comp, ef)
-    assert X is not None and Y is not None
-    assert is_integral(X) and is_integral(Y)
     gram_ef = gram_of_rows(ef, gram_K)
-    assert gram_ef == [[0, p], [p, 0]], gram_ef
+    fam.checks["complement_is_Up"] = (
+        X is not None and Y is not None and is_integral(X)
+        and is_integral(Y) and gram_ef == [[0, p], [p, 0]])
 
     # extension of sigma fixing e' and f
     P = jL + ef
     B = [row + [0, 0] for row in fam.sigma_L] + identity_matrix(m + 2)[m:]
     sig_hat = mat_mul(mat_mul(inverse(P), B), P)
-    assert is_integral(sig_hat), "sigma extension must be integral on K_p"
-    sig_hat = to_int_matrix(sig_hat)
-    assert mat_eq(mat_mul(mat_mul(sig_hat, gram_K), transpose(sig_hat)),
-                  gram_K)
-    assert matrix_order(sig_hat, cap=2 * p) == p
-    assert vec_mat(eprime, sig_hat) == eprime
-    assert vec_mat(f, sig_hat) == f
-    fam.checks["complement_is_Up"] = True
-    fam.checks["sigma_extends_to_K"] = True
+    extends = is_integral(sig_hat)
+    if extends:
+        sig_hat = to_int_matrix(sig_hat)
+        extends = (
+            mat_eq(mat_mul(mat_mul(sig_hat, gram_K), transpose(sig_hat)),
+                   gram_K)
+            and matrix_order(sig_hat, cap=2 * p) == p
+            and vec_mat(eprime, sig_hat) == eprime
+            and vec_mat(f, sig_hat) == f)
+    fam.checks["sigma_extends_to_K"] = extends
     fam.sigma_K = sig_hat
     fam.K_eprime = [int(x) for x in eprime]
     return {"p": p, "gram": gram_ef, "eprime": [int(x) for x in eprime],
@@ -567,19 +541,13 @@ def genus_check_lambda_G(p, fam=None, budget=10 ** 6):
     if fam is None:
         fam = family(p)
     cand = GENUS_CANDIDATES[p]()
-    nu = fam.nu
-    rank = 22 - nu * (p - 1)
-    assert cand.rank == rank
-    assert cand.signature() == (3, 19 - nu * (p - 1), 0)
     Dc = cand.discriminant_group()
     DL = fam.L.discriminant_group()
     match = disc_form_isometry(Dc, DL.opposite(), budget=budget)
-    report = {"p": p, "candidate_rank": rank,
-              "candidate_signature": cand.signature(),
-              "disc_orders": Dc.cyclic_orders,
-              "opposite_disc_match": bool(match)}
-    assert report["opposite_disc_match"], report
-    return report
+    return {"p": p, "candidate_rank": cand.rank,
+            "candidate_signature": cand.signature(),
+            "disc_orders": Dc.cyclic_orders,
+            "opposite_disc_match": bool(match)}
 
 
 def hermitian_pairing_smoke(fam, samples=6):
@@ -590,26 +558,25 @@ def hermitian_pairing_smoke(fam, samples=6):
     for _ in range(fam.p - 1):
         powers.append(mat_mul(powers[-1], fam.sigma_L))
     G = fam.L.gram
-    count = 0
+    totals = []
     for a in range(min(samples, n)):
         for b in range(min(samples, n)):
             u = [1 if t == a else 0 for t in range(n)]
             v = [1 if t == b else 0 for t in range(n)]
-            total = 0
-            for P in powers:
-                total += dot(vec_mat(u, G), vec_mat(v, P))
-            assert total == 0, (a, b, total)
-            count += 1
-    fam.checks["hermitian_orbit_sums_vanish"] = count
-    return {"p": fam.p, "pairs_checked": count, "all_zero": True}
+            totals.append(sum(dot(vec_mat(u, G), vec_mat(v, P))
+                              for P in powers))
+    all_zero = not any(totals)
+    fam.checks["hermitian_orbit_sums_vanish"] = all_zero
+    return {"p": fam.p, "pairs_checked": len(totals), "all_zero": all_zero}
 
 
 def build_full(p, aut_budget=10 ** 6):
-    """Build and verify the whole family at p; returns the family object."""
+    """Build the whole family at p and record every report in fam.checks;
+    returns the family object."""
     fam = family(p)
     k_vector_uniqueness(p)
     hermitian_pairing_smoke(fam)
     if p in (3, 5, 7):
-        genus_check_lambda_G(p, fam)
+        fam.checks["genus"] = genus_check_lambda_G(p, fam)
     fam.checks["aut_search"] = aut_trivial_on_disc_search(fam, aut_budget)
     return fam

@@ -203,18 +203,118 @@ def test_orientation_check_reports_the_computed_value(capsys, monkeypatch):
     assert failed[0]["expected"] is True and failed[0]["computed"] is False
 
 
-def test_structured_report_is_unchanged_under_python_O(capsys):
-    argv = ["--format", "structured", "scenario", "a4-example"]
-    code, plain, _ = _run(capsys, argv)
+def _env():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
     path = os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-O", "-m", "k3lat.cli"] + argv,
-                          capture_output=True, timeout=300,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _main_in_subprocess(argv, optimize, prelude=""):
+    """Run prelude, then exit with k3lat.cli.main(argv), in a fresh
+    interpreter; under python -O when optimize is set. Output is bytes."""
+    script = ("import sys\n%s\nfrom k3lat.cli import main\n"
+              "sys.exit(main(%r))\n" % (prelude, argv))
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable] + flags + ["-c", script],
+                          capture_output=True, timeout=300, env=_env())
+
+
+# one scenario per builder whose report fields the rows compare
+@pytest.mark.parametrize("scenario", [
+    "a4-example", "nikulin-involution", "nikulin-family-p3",
+    "model-prime-3", "dehn-twist", "defect-table", "genus-check"])
+def test_structured_report_is_unchanged_under_python_O(capsys, scenario):
+    argv = ["--format", "structured", "scenario", scenario]
+    code, plain, _ = _run(capsys, argv)
+    proc = _main_in_subprocess(argv, optimize=True)
     assert code == proc.returncode == 0
     assert proc.stdout == plain.encode()
+
+
+# a corrupted computed value per builder, and the one row that reads it
+CORRUPTIONS = {
+    "a4-example": ("perpendicular-generators", """
+import k3lat.realize as r
+real = r.enumerate_vectors
+r.enumerate_vectors = lambda lat, norm: real(lat, norm)[:-1]
+"""),
+    "nikulin-involution": ("image-direct-summand", """
+import k3lat.realize as r
+real = r.regular_summand_discriminant_check
+def fake(*args):
+    rep = real(*args)
+    rep["image_is_direct_summand"] = False
+    return rep
+r.regular_summand_discriminant_check = fake
+"""),
+    # a root of L_3 where the enumeration of its (-2)-vectors finds none
+    "nikulin-family-p3": ("L-root-free", """
+import k3lat.nikulin as n
+real = n.enumerate_vectors
+def fake(lat, norm, budget=None):
+    return real(lat, norm, budget) or [[1] + [0] * (lat.rank - 1)]
+n.enumerate_vectors = fake
+"""),
+    "model-prime-3": ("dichotomy-kind", """
+import k3lat.realize as r
+real = r.classify_dichotomy
+def fake(*args, **kwargs):
+    rep = real(*args, **kwargs)
+    rep.kind = "Coxeter"
+    return rep
+r.classify_dichotomy = fake
+"""),
+    "dehn-twist": ("witness", """
+import k3lat.realize as r
+real = r.decide_metric
+def fake(group):
+    verdict, wit, res = real(group)
+    return verdict, [2 * x for x in wit], res
+r.decide_metric = fake
+"""),
+}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+@pytest.mark.parametrize("scenario", sorted(CORRUPTIONS))
+def test_corrupted_value_fails_exactly_its_row(scenario, optimize):
+    name, prelude = CORRUPTIONS[scenario]
+    proc = _main_in_subprocess(["--format", "structured", "scenario",
+                                scenario], optimize, prelude)
+    assert proc.returncode == 1, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert [c["name"] for c in doc["checks"]
+            if c["status"] == "fail"] == [name]
+
+
+def test_example_exits_1_on_a_failed_check(tmp_path):
+    _, prelude = CORRUPTIONS["nikulin-involution"]
+    proc = _main_in_subprocess(["example", "nikulin-involution", "--out",
+                                str(tmp_path)], False, prelude)
+    assert proc.returncode == 1
+    assert b"'image_is_direct_summand': False" in proc.stdout
+    assert proc.stderr.startswith(b"error: check image-direct-summand failed")
+
+
+def test_internal_assert_is_not_reported_as_bad_input(capsys, monkeypatch):
+    # a corrupted pin trips an assert that guards a builder step: exit 1
+    # naming the check, or the file and line when it has no message
+    from k3lat import realize
+    pin = realize.A3A3_EMBEDDING
+    first, second = pin["complement"]
+    monkeypatch.setitem(pin, "complement", [[2 * x for x in first], second])
+    code, out, err = _run(capsys, ["scenario", "a4-example"])
+    assert (code, out) == (1, "")
+    assert err == ("error: internal check failed: complement rows must "
+                   "span the kernel\n")
+    monkeypatch.undo()
+    a, b, c = pin["chain1"]
+    monkeypatch.setitem(pin, "chain1", [b, a, c])
+    code, out, err = _run(capsys, ["scenario", "a4-example"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: internal check failed: realize.py line ")
 
 
 # modules a verb must not load when it does not call them
@@ -232,13 +332,9 @@ def _loaded_by(argv):
               "sys.stderr.write(' '.join(m for m in %r\n"
               "                          if m in set(sys.modules) - before))\n"
               "sys.exit(code)\n" % (argv, argv, LAZY))
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "src")
-    path = os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=_env())
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
 

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -201,8 +204,49 @@ def test_bad_isotypic_projectors_are_rejected():
     # I/2 + I/2 sums to 1 but is not idempotent; P is an idempotent
     # coordinate projector that the order-4 twist does not commute with
     for projectors in ([half, half], [P, rest]):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             coinvariant_L_G(Gnc, projectors)
+
+
+def test_projectors_of_the_wrong_size_are_rejected():
+    root = [0] * N
+    root[6] = 1
+    Gnc = IsometryGroup(K3, [_u2_twist(), reflection(K3.gram, root)])
+    with pytest.raises(ValueError, match="22 x 22"):
+        coinvariant_L_G(Gnc, [identity_matrix(2)])
+
+
+def test_bad_isotypic_projectors_are_rejected_under_python_O():
+    # projectors come from files: their checks must not be asserts
+    script = (
+        "from fractions import Fraction\n"
+        "from k3lat.groups import IsometryGroup, coinvariant_L_G\n"
+        "from k3lat.matrix import identity_matrix\n"
+        "from k3lat.standard import k3_lattice, reflection\n"
+        "k3 = k3_lattice()\n"
+        "twist = identity_matrix(22)\n"
+        "twist[0][:4] = [0, 0, 1, 0]\n"
+        "twist[1][:4] = [0, 0, 0, 1]\n"
+        "twist[2][:4] = [-1, 0, 0, 0]\n"
+        "twist[3][:4] = [0, -1, 0, 0]\n"
+        "root = [0] * 22\n"
+        "root[6] = 1\n"
+        "G = IsometryGroup(k3, [twist, reflection(k3.gram, root)])\n"
+        "half = [[Fraction(x, 2) for x in row]\n"
+        "        for row in identity_matrix(22)]\n"
+        "try:\n"
+        "    coinvariant_L_G(G, [half, half])\n"
+        "    print('accepted')\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "projector 0 is not idempotent"
 
 
 def test_order_three_rotation_glues_to_regular_summand():

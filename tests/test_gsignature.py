@@ -57,6 +57,12 @@ def test_invalid_characters_rejected():
         DefectInput(5, points=[1, 10], surfaces=[])
 
 
+def test_defect_point_needs_a_prime():
+    for p in (-3, 0, 1, 4, 9):
+        with pytest.raises(ValueError, match="p must be a prime"):
+            defect_point(p, 1)
+
+
 def test_defect_surface_scale():
     assert defect_surface(3, 1) == Fraction(8, 3)
     assert defect_surface(5, -2) == Fraction(-16)
