@@ -17,7 +17,6 @@ from .matrix import (
     det,
     identity_matrix,
     int_kernel,
-    inverse,
     is_integral,
     mat_eq,
     mat_mul,
@@ -25,7 +24,6 @@ from .matrix import (
     mat_sub,
     rank as qrank,
     rank_mod_p,
-    to_int_matrix,
     transpose,
     vec_mat,
     zero_matrix,
@@ -36,13 +34,7 @@ from .lattice import (
     express_in_basis,
     signature_of_gram,
 )
-from .polys import (
-    compact_form,
-    cyclotomic,
-    poly_eval_matrix,
-    poly_mul,
-    root_separators,
-)
+from .polys import cyclotomic, poly_eval_matrix
 
 
 class NotAnIsometry(ValueError):
@@ -273,85 +265,26 @@ class CoinvariantResult:
     """L_G and how it was determined.
 
     mode is one of pointwise-fixed-3-plane, rotation-on-3-plane,
-    supplied-isotypic. p_types lists the real representation types whose
-    isotypic components meet an invariant positive 3-plane, for the
-    variant actually used; variants carries every orientation-compatible
-    choice (more than one is possible only outside O^+).
+    supplied-isotypic. p_types labels the components that meet an
+    invariant positive 3-plane (those with a positive part); L_G is the
+    saturated span of the other components.
     """
 
-    def __init__(self, L_G, fixed, mode, p_types, variants):
+    def __init__(self, L_G, fixed, mode, p_types):
         self.L_G, self.fixed, self.mode = L_G, fixed, mode
-        self.p_types, self.variants = p_types, variants
-
-
-def _saturated_span(ambient, bases):
-    rows = [row for b in bases for row in b]
-    if not rows:
-        return Sublattice(ambient, [])
-    sat = int_kernel(int_kernel(rows))
-    return Sublattice(ambient, sat)
-
-
-def _rotation_signatures(ambient, g, d, basis):
-    """Exact per-eigenvalue signatures of the form on ker Phi_d(g).
-
-    Returns a list of (k, a_k, b_k): the lambda = 2cos(2 pi k / d)
-    constituent carries signature (2 a_k, 2 b_k). Uses Sturm-certified
-    rational separators and signatures of B(h(t)x, y) for separator-product
-    polynomials h; all arithmetic exact.
-    """
-    m = len(basis)
-    phi = len(cyclotomic(d)) - 1
-    assert m % phi == 0
-    n_d = m // phi
-    ginv = to_int_matrix(inverse(g))
-    t_full = [[g[i][j] + ginv[i][j] for j in range(len(g))] for i in range(len(g))]
-    t_res = express_in_basis([vec_mat(row, t_full) for row in basis], basis)
-    assert t_res is not None and is_integral(t_res)
-    t_res = to_int_matrix(t_res)
-    B = mat_mul(mat_mul(basis, ambient.gram), transpose(basis))
-    psi = compact_form(d)
-    seps = root_separators(psi)
-    nroots = len(seps) - 1
-    assert nroots == phi // 2
-    inner = seps[1:-1]
-    # root l (ascending) flips sign under (y - s_i) exactly for i >= l
-    sig_rows = []
-    rhs = []
-    for j in range(1, nroots + 1):
-        h = [Fraction(1)]
-        for i in range(j - 1):
-            h = poly_mul(h, [-inner[i], Fraction(1)])
-        H = poly_eval_matrix(h, t_res)
-        Bh = mat_mul(H, B)
-        assert mat_eq(Bh, transpose(Bh))
-        plus, minus, zero = signature_of_gram(Bh)
-        assert zero == 0
-        rhs.append(plus - minus)
-        sig_rows.append([(-1) ** max(0, j - l) for l in range(1, nroots + 1)])
-    # solve sig_rows * (2(a_l - b_l)) = rhs exactly
-    from .matrix import solve_right
-    sol = solve_right(transpose(sig_rows), rhs)
-    assert sol is not None
-    ks = [k for k in range(1, (d + 1) // 2) if math.gcd(k, d) == 1]
-    assert len(ks) == nroots
-    out = []
-    for l in range(1, nroots + 1):
-        diff = Fraction(sol[l - 1]) / 2
-        a = (n_d + diff) / 2
-        assert a.denominator == 1 and 0 <= a <= n_d
-        a = int(a)
-        k = ks[nroots - l]  # ascending eigenvalue = descending k
-        out.append((k, a, n_d - a))
-    return out
+        self.p_types = p_types
 
 
 def coinvariant_L_G(group, isotypic_data=None):
     """The coinvariant sublattice L_G of a finite isometry group on K3.
 
-    Exact three-way logic: pointwise fixed positive 3-plane, cyclic
-    rotation analysis via cyclotomic kernels, or caller-supplied rational
-    isotypic projectors for non-cyclic groups.
+    One rule in every mode: of the Q-isotypic components of H_2, those
+    with a positive part meet an invariant positive 3-plane, and L_G is
+    the saturated span of the others. The components come from a
+    pointwise-fixed positive 3-plane (the fixed lattice and its
+    complement), from the cyclotomic kernels of a cyclic generator, or
+    from caller-supplied rational isotypic projectors for non-cyclic
+    groups. A cyclic group outside O^+ is refused with ValueError.
     """
     ambient = group.ambient
     if ambient.signature() != (3, 19, 0):
@@ -365,8 +298,7 @@ def coinvariant_L_G(group, isotypic_data=None):
     if fp == 3:
         L = fixed.orthogonal_complement()
         res = CoinvariantResult(L, fixed, "pointwise-fixed-3-plane",
-                                ["trivial"],
-                                [{"p_types": ["trivial"], "excluded": []}])
+                                ["trivial"])
         _check_coinvariant(group, res)
         return res
 
@@ -380,9 +312,15 @@ def coinvariant_L_G(group, isotypic_data=None):
 
 
 def _cyclic_coinvariant(group, g, fixed):
+    """L_G from the saturated cyclotomic kernels K_d = ker Phi_d(g).
+
+    The K_d are mutually orthogonal, so an invariant positive 3-plane
+    splits along them and the positive parts a_d = sig_+(K_d) sum to 3.
+    g acts on that plane with determinant (-1)^{a_2}, since the rotation
+    parts (d >= 3) have determinant +1, so g lies in O^+ iff a_2 is even.
+    """
     ambient = group.ambient
     N = group.order()
-    # saturated cyclotomic kernels K_d = ker Phi_d(g), the Q-isotypic pieces
     comps = {}
     for d in range(1, N + 1):
         if N % d:
@@ -394,41 +332,25 @@ def _cyclic_coinvariant(group, g, fixed):
     assert sum(len(b) for b in comps.values()) == ambient.rank
 
     a_plus = {}
-    rot_sig = {}
     for d, basis in comps.items():
-        if d <= 2:
-            plus, minus, zero = signature_of_gram(
-                mat_mul(mat_mul(basis, ambient.gram), transpose(basis)))
-            assert zero == 0
-            a_plus[d] = plus
-        else:
-            rot_sig[d] = _rotation_signatures(ambient, g, d, basis)
-    a1 = a_plus.get(1, 0)
-    a2 = a_plus.get(2, 0)
-    rot_total = sum(a for sigs in rot_sig.values() for (_, a, _) in sigs)
-    assert a1 + a2 + 2 * rot_total == 3, "positive part bookkeeping failed"
-
-    # orientation-compatible contents of an invariant positive 3-plane:
-    # determinant of the action on the plane must be +1
-    variants = []
-    if a1 >= 1 and a2 >= 2:
-        variants.append({"p_types": ["trivial", "sign", "sign"],
-                         "excluded": [1, 2]})
-    if a1 >= 1:
-        for d, sigs in sorted(rot_sig.items()):
-            for (k, a, b) in sigs:
-                if a >= 1:
-                    variants.append(
-                        {"p_types": ["trivial", "rotation(d=%d,k=%d)" % (d, k)],
-                         "excluded": [1, d]})
-    if not variants:
+        plus, minus, zero = signature_of_gram(
+            mat_mul(mat_mul(basis, ambient.gram), transpose(basis)))
+        assert zero == 0
+        a_plus[d] = plus
+    assert sum(a_plus.values()) == 3, "positive part bookkeeping failed"
+    if a_plus.get(2, 0) % 2:
         raise ValueError("no orientation-compatible invariant positive "
                          "3-plane: the group does not lie in O^+")
-    chosen = variants[0]
-    keep = [b for d, b in sorted(comps.items()) if d not in chosen["excluded"]]
-    L = _saturated_span(ambient, keep)
-    res = CoinvariantResult(L, fixed, "rotation-on-3-plane",
-                            chosen["p_types"], variants)
+
+    p_types = []
+    for d, a in sorted(a_plus.items()):
+        # one label per positive line (d <= 2) or positive plane (d >= 3)
+        name = {1: "trivial", 2: "sign"}.get(d, "rotation(d=%d)" % d)
+        p_types.extend([name] * (a if d <= 2 else a // 2))
+    keep = [row for d, b in sorted(comps.items()) if not a_plus[d]
+            for row in b]
+    L = Sublattice(ambient, keep).saturation()
+    res = CoinvariantResult(L, fixed, "rotation-on-3-plane", p_types)
     _check_coinvariant(group, res)
     return res
 
@@ -459,15 +381,13 @@ def _projector_coinvariant(group, projectors, fixed):
 
     elements = group.elements()
     order = len(elements)
-    keep_bases = []
+    keep = []
     p_types = []
-    comp_report = []
     for idx, E in enumerate(F):
         # integral saturated basis of (image of E) cap lattice
         _, Mint = _scaled(mat_sub(identity_matrix(n), E))
         basis = int_kernel(transpose(Mint))
         if not basis:
-            comp_report.append({"index": idx, "rank": 0})
             continue
         traces = []
         for gmat in elements:
@@ -495,17 +415,12 @@ def _projector_coinvariant(group, projectors, fixed):
         plus, minus, zero = signature_of_gram(
             mat_mul(mat_mul(basis, ambient.gram), transpose(basis)))
         assert zero == 0
-        is_p = plus > 0
-        comp_report.append({"index": idx, "rank": len(basis),
-                            "multiplicity": int(mult),
-                            "sig_plus": plus, "p_type": is_p})
-        if is_p:
+        if plus:
             p_types.append("component-%d" % idx)
         else:
-            keep_bases.append(basis)
-    L = _saturated_span(ambient, keep_bases)
-    res = CoinvariantResult(L, fixed, "supplied-isotypic", p_types,
-                            [{"p_types": p_types, "components": comp_report}])
+            keep.extend(basis)
+    L = Sublattice(ambient, keep).saturation()
+    res = CoinvariantResult(L, fixed, "supplied-isotypic", p_types)
     _check_coinvariant(group, res)
     return res
 

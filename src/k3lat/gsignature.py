@@ -36,13 +36,11 @@ class DefectInput:
 
 class FixedPointPrediction:
     def __init__(self, p, nu, euler, quotient_signature, total_defect,
-                 moduli_dimension, edmonds_b0_plus_b2=None, edmonds_b1=None):
+                 moduli_dimension):
         self.p, self.nu, self.euler = p, nu, euler
         self.quotient_signature = quotient_signature
         self.total_defect = total_defect
         self.moduli_dimension = moduli_dimension
-        self.edmonds_b0_plus_b2 = edmonds_b0_plus_b2
-        self.edmonds_b1 = edmonds_b1
 
 
 def _phi_reduce(poly, phi):
@@ -156,16 +154,12 @@ def noether_identity_check(p, points, surfaces):
     return {"p": p, "value": val, "equals_8": val == 8}
 
 
-def fixed_point_predictions(p, nu, tcr=None):
+def fixed_point_predictions(p, nu):
     """Numerical predictions for an order-p action whose fixed locus is
-    nu isolated points.
-
-    With tcr = (t, c, r) supplied, the mod-p homology bound is asserted:
-    nu = t + 2 points and no 1-cycles (c = 0).
-    """
+    nu isolated points."""
     if nu * (p - 1) > 19:
         raise RankOverflow("nu(p-1) = %d exceeds 19" % (nu * (p - 1)))
-    pred = FixedPointPrediction(
+    return FixedPointPrediction(
         p=p,
         nu=nu,
         euler=24 - nu * p,
@@ -173,10 +167,3 @@ def fixed_point_predictions(p, nu, tcr=None):
         total_defect=Fraction((p - 1) * (nu * p - 16)),
         moduli_dimension=3 * (2 * nu - 5),
     )
-    if tcr is not None:
-        t, c, r = tcr
-        assert nu == t + 2, "point count must equal t + 2"
-        assert c == 0, "isolated fixed points force c = 0"
-        pred.edmonds_b0_plus_b2 = t + 2
-        pred.edmonds_b1 = c
-    return pred

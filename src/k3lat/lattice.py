@@ -153,9 +153,6 @@ class Lattice:
             self._sig = signature_of_gram(self.gram)
         return self._sig
 
-    def sig_plus(self):
-        return self.signature()[0]
-
     def gram_inverse(self):
         if self._inv is None:
             self._inv = inverse(self.gram)
@@ -226,9 +223,6 @@ class Sublattice:
 
     def as_lattice(self):
         return Lattice(self.gram())
-
-    def contains(self, vec):
-        return in_rowspan_z(self.basis, vec)
 
     def saturation_basis(self):
         if not self.basis:
@@ -411,9 +405,6 @@ class DiscriminantForm:
 
     def add(self, x, y):
         return tuple((a + b) % o for a, b, o in zip(x, y, self.orders))
-
-    def neg(self, x):
-        return tuple((-a) % o for a, o in zip(x, self.orders))
 
     def scale(self, c, x):
         return tuple((c * a) % o for a, o in zip(x, self.orders))

@@ -11,7 +11,6 @@ them with the claimed constants.
 """
 
 from fractions import Fraction
-import itertools
 
 from .matrix import (
     _scaled,
@@ -164,28 +163,6 @@ def build_family(p):
     assert in_H2D == len(roots_N), "roots of N_p must all lie in H2D"
     fam.checks["root_count_N"] = 2 * len(roots_N)
     return fam
-
-
-def k_vector_uniqueness(p):
-    """The square multiset of k is the only one summing to 0 in F_p.
-
-    Exhausts all multisets of nonzero squares of length nu. For p = 2
-    there is nothing to check and the report says so.
-    """
-    if p == 2:
-        return {"p": 2, "vacuous": True}
-    k = K_VECTORS[p]
-    nu = len(k)
-    squares = sorted({(x * x) % p for x in range(1, p)})
-    target = sorted((x * x) % p for x in k)
-    solutions = [list(c)
-                 for c in itertools.combinations_with_replacement(squares, nu)
-                 if sum(c) % p == 0]
-    report = {"p": p, "vacuous": False, "solutions": solutions,
-              "expected": target,
-              "unique": solutions == [target]}
-    assert report["unique"], report
-    return report
 
 
 def build_Lp(fam):
@@ -548,35 +525,3 @@ def genus_check_lambda_G(p, fam=None, budget=10 ** 6):
             "candidate_signature": cand.signature(),
             "disc_orders": Dc.cyclic_orders,
             "opposite_disc_match": bool(match)}
-
-
-def hermitian_pairing_smoke(fam, samples=6):
-    """Orbit sums u . sigma^j u' vanish: the sesquilinear pairing built
-    from the rotation takes values in the augmentation ideal."""
-    n = len(fam.sigma_L)
-    powers = [identity_matrix(n)]
-    for _ in range(fam.p - 1):
-        powers.append(mat_mul(powers[-1], fam.sigma_L))
-    G = fam.L.gram
-    totals = []
-    for a in range(min(samples, n)):
-        for b in range(min(samples, n)):
-            u = [1 if t == a else 0 for t in range(n)]
-            v = [1 if t == b else 0 for t in range(n)]
-            totals.append(sum(dot(vec_mat(u, G), vec_mat(v, P))
-                              for P in powers))
-    all_zero = not any(totals)
-    fam.checks["hermitian_orbit_sums_vanish"] = all_zero
-    return {"p": fam.p, "pairs_checked": len(totals), "all_zero": all_zero}
-
-
-def build_full(p, aut_budget=10 ** 6):
-    """Build the whole family at p and record every report in fam.checks;
-    returns the family object."""
-    fam = family(p)
-    k_vector_uniqueness(p)
-    hermitian_pairing_smoke(fam)
-    if p in (3, 5, 7):
-        fam.checks["genus"] = genus_check_lambda_G(p, fam)
-    fam.checks["aut_search"] = aut_trivial_on_disc_search(fam, aut_budget)
-    return fam

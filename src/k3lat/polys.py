@@ -1,4 +1,5 @@
-"""Univariate polynomial helpers: cyclotomics, Sturm sequences, root isolation.
+"""Univariate polynomial helpers: arithmetic over Q, cyclotomics, matrix
+evaluation and the extended Euclidean algorithm.
 
 Polynomials are lists of coefficients, constant term first. Coefficients are
 ints where possible and Fractions otherwise.
@@ -13,11 +14,6 @@ def poly_trim(p):
     while p and p[-1] == 0:
         p = p[:-1]
     return p
-
-
-def poly_deg(p):
-    p = poly_trim(p)
-    return len(p) - 1 if p else -1
 
 
 def poly_add(p, q):
@@ -38,10 +34,6 @@ def poly_sub(p, q):
     for i, c in enumerate(q):
         out[i] -= c
     return poly_trim(out)
-
-
-def poly_scale(c, p):
-    return poly_trim([c * a for a in p])
 
 
 def poly_mul(p, q):
@@ -87,17 +79,6 @@ def poly_exact_div(p, q):
     return out
 
 
-def poly_eval(p, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_derivative(p):
-    return poly_trim([i * c for i, c in enumerate(p)][1:])
-
-
 def poly_eval_matrix(p, M):
     """Evaluate p at a square matrix by Horner's rule."""
     n = len(M)
@@ -124,148 +105,6 @@ def cyclotomic(d):
             num = poly_exact_div(num, cyclotomic(e))
     _CYCLO_CACHE[d] = num
     return num
-
-
-def euler_phi(d):
-    out = d
-    n = d
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out -= out // n
-    return out
-
-
-def compact_form(d):
-    """Minimal polynomial of 2*cos(2*pi/d) for d >= 3.
-
-    Returns psi with cyclotomic(d)(x) == x^m * psi(x + 1/x), m = phi(d)/2.
-    psi is monic, integral, irreducible, with the phi(d)/2 real roots
-    2*cos(2*pi*k/d) for k coprime to d, 0 < k < d/2.
-    """
-    assert d >= 3
-    phi = cyclotomic(d)
-    m = (len(phi) - 1) // 2
-    assert len(phi) - 1 == 2 * m, "phi(d) must be even for d >= 3"
-    # Chebyshev-like basis: b_j(y) stands for x^j + x^(-j).
-    b_prev = [2]
-    b_cur = [0, 1]
-    psi = poly_scale(phi[m], [1])
-    for j in range(1, m + 1):
-        psi = poly_add(psi, poly_scale(phi[m + j], b_cur))
-        if j < m:
-            b_prev, b_cur = b_cur, poly_sub(poly_mul([0, 1], b_cur), b_prev)
-    assert psi[-1] == 1
-    return psi
-
-
-def sturm_sequence(p):
-    seq = [[Fraction(c) for c in poly_trim(p)]]
-    dp = poly_derivative(seq[0])
-    if dp:
-        seq.append(dp)
-    while poly_deg(seq[-1]) > 0:
-        _, rem = poly_divmod(seq[-2], seq[-1])
-        if not rem:
-            break
-        seq.append([-c for c in rem])
-    return seq
-
-
-def _variations(seq, x):
-    signs = []
-    for p in seq:
-        v = poly_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    changes = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            changes += 1
-    return changes
-
-
-def count_real_roots(p, a, b, seq=None):
-    """Distinct real roots of p in the half-open interval (a, b]."""
-    if seq is None:
-        seq = sturm_sequence(p)
-    return _variations(seq, a) - _variations(seq, b)
-
-
-def isolate_real_roots(p, lo, hi):
-    """Disjoint intervals (a, b], ascending, one distinct real root each.
-
-    p must be squarefree on (lo, hi]. Endpoints are Fractions.
-    """
-    seq = sturm_sequence(p)
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    out = []
-    stack = [(lo, hi, count_real_roots(p, lo, hi, seq))]
-    while stack:
-        a, b, cnt = stack.pop()
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        left = count_real_roots(p, a, mid, seq)
-        stack.append((a, mid, left))
-        stack.append((mid, b, cnt - left))
-    out.sort()
-    return out
-
-
-def root_separators(p, lo=-3, hi=3):
-    """Rationals s_0 < s_1 < ... < s_r with one root of p inside each
-    (s_i, s_{i+1}) and no root at any s_i. Roots must lie in (lo, hi).
-    """
-    p = poly_trim(p)
-    lo = Fraction(lo)
-    hi = Fraction(hi)
-    assert poly_eval(p, lo) != 0 and poly_eval(p, hi) != 0
-    ivs = isolate_real_roots(p, lo, hi)
-    seq = sturm_sequence(p)
-
-    def refine(iv):
-        a, b = iv
-        mid = (a + b) / 2
-        if count_real_roots(p, a, mid, seq) == 1:
-            return a, mid
-        return mid, b
-
-    seps = [lo]
-    for i in range(len(ivs) - 1):
-        a1, b1 = ivs[i]
-        a2, b2 = ivs[i + 1]
-        # shrink until a clean rational point fits between the two roots
-        while True:
-            if b1 < a2:
-                s = (b1 + a2) / 2 if poly_eval(p, b1) == 0 else b1
-                if poly_eval(p, s) != 0:
-                    break
-            elif poly_eval(p, b1) != 0:
-                s = b1
-                break
-            if poly_eval(p, b1) == 0:
-                a2, b2 = refine((a2, b2))
-                if a2 > b1:
-                    s = (b1 + a2) / 2
-                    if poly_eval(p, s) != 0:
-                        break
-            else:
-                a1, b1 = refine((a1, b1))
-        seps.append(s)
-        ivs[i] = (a1, b1)
-        ivs[i + 1] = (a2, b2)
-    seps.append(hi)
-    return seps
 
 
 def poly_xgcd(a, b):

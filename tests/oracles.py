@@ -6,13 +6,17 @@ diagonalization, discriminant-form pairing), an independent box
 enumerator to check Fincke-Pohst against, a constructive
 Cartan-Dieudonne to check O^+ membership against, and the searches
 that first produced the data pinned in k3lat.realize: the A_3 + A_3
-chain embedding into E8 and the discriminant glue images.
+chain embedding into E8 and the discriminant glue images. Also the
+family checks that no verb runs: uniqueness of the k-vector squares, the
+Hermitian orbit-sum smoke test and the whole-family integration build.
 """
 
 from fractions import Fraction
+import itertools
 import math
 
 from conftest import family
+from k3lat import nikulin
 from k3lat.lattice import (
     DiscriminantForm,
     Lattice,
@@ -320,3 +324,59 @@ def derive_coxeter_glue_images(budget=10 ** 6):
                                   DiscriminantForm(X.gram), budget=budget)
     assert images is not None, "no anti-isometry found for the Coxeter model"
     return images
+
+
+def k_vector_uniqueness(p):
+    """The square multiset of k is the only one summing to 0 in F_p.
+
+    Exhausts all multisets of nonzero squares of length nu. For p = 2
+    there is nothing to check and the report says so.
+    """
+    if p == 2:
+        return {"p": 2, "vacuous": True}
+    k = nikulin.K_VECTORS[p]
+    nu = len(k)
+    squares = sorted({(x * x) % p for x in range(1, p)})
+    target = sorted((x * x) % p for x in k)
+    solutions = [list(c)
+                 for c in itertools.combinations_with_replacement(squares, nu)
+                 if sum(c) % p == 0]
+    report = {"p": p, "vacuous": False, "solutions": solutions,
+              "expected": target,
+              "unique": solutions == [target]}
+    assert report["unique"], report
+    return report
+
+
+def hermitian_pairing_smoke(fam, samples=6):
+    """Orbit sums u . sigma^j u' vanish: the sesquilinear pairing built
+    from the rotation takes values in the augmentation ideal."""
+    n = len(fam.sigma_L)
+    powers = [identity_matrix(n)]
+    for _ in range(fam.p - 1):
+        powers.append(mat_mul(powers[-1], fam.sigma_L))
+    G = fam.L.gram
+    totals = []
+    for a in range(min(samples, n)):
+        for b in range(min(samples, n)):
+            u = [1 if t == a else 0 for t in range(n)]
+            v = [1 if t == b else 0 for t in range(n)]
+            totals.append(sum(dot(vec_mat(u, G), vec_mat(v, P))
+                              for P in powers))
+    all_zero = not any(totals)
+    fam.checks["hermitian_orbit_sums_vanish"] = all_zero
+    return {"p": fam.p, "pairs_checked": len(totals), "all_zero": all_zero}
+
+
+def build_full(p, aut_budget=10 ** 6):
+    """Build the whole family at p and record every report in fam.checks;
+    returns the family object, built afresh rather than the shared cached
+    one, since the reports are written into it."""
+    fam = nikulin.family(p)
+    k_vector_uniqueness(p)
+    hermitian_pairing_smoke(fam)
+    if p in (3, 5, 7):
+        fam.checks["genus"] = nikulin.genus_check_lambda_G(p, fam)
+    fam.checks["aut_search"] = nikulin.aut_trivial_on_disc_search(
+        fam, aut_budget)
+    return fam

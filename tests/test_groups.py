@@ -27,6 +27,7 @@ from k3lat.matrix import (
     matrix_order,
     to_int_matrix,
     transpose,
+    vec_mat,
 )
 from k3lat.polys import cyclotomic
 from k3lat.standard import k3_lattice, reflection, reflection_general
@@ -154,6 +155,46 @@ def test_o_plus_matches_reflection_parity_and_cartan_dieudonne():
         assert cartan_dieudonne_o_plus(K3, g) is expect
 
 
+def _random_e8_root(rng, block):
+    # a simple root of the E8(-1) block starting at slot `block`, moved by
+    # a few simple reflections
+    v = [0] * N
+    v[block + rng.randrange(8)] = 1
+    for _ in range(rng.randint(0, 3)):
+        s = [0] * N
+        s[block + rng.randrange(8)] = 1
+        v = vec_mat(v, reflection(K3.gram, s))
+    return v
+
+
+def test_cyclic_coinvariant_refuses_exactly_outside_o_plus():
+    # g = (twist or 1) * (-1 on the first k hyperbolic planes) * words of
+    # reflections in E8(-1) roots on each block; orders up to 12
+    rng = random.Random(3)
+    outcomes = {"refused": 0, "pointwise-fixed-3-plane": 0,
+                "rotation-on-3-plane": 0}
+    while sum(outcomes.values()) < 40:
+        k = rng.randint(0, 3)
+        g = [[-x if i < 2 * k else x for x in row]
+             for i, row in enumerate(I22)]
+        if rng.random() < 0.5:
+            g = mat_mul(_u2_twist(), g)
+        for block in (6, 14):
+            for _ in range(rng.randint(1, 4)):
+                root = _random_e8_root(rng, block)
+                g = mat_mul(g, reflection(K3.gram, root))
+        if matrix_order(g, cap=12) is None:
+            continue
+        G = IsometryGroup(K3, [g])
+        if spinor_plus_membership(K3, g):
+            outcomes[coinvariant_L_G(G).mode] += 1
+        else:
+            with pytest.raises(ValueError, match="does not lie in O"):
+                coinvariant_L_G(G)
+            outcomes["refused"] += 1
+    assert min(outcomes.values()) >= 3, outcomes
+
+
 def test_pointwise_reflection_coinvariant():
     root = [0] * N
     root[6] = 1
@@ -170,8 +211,7 @@ def test_order_twelve_rotation_coinvariant():
     assert G12.order() == 12
     res = coinvariant_L_G(G12)
     assert res.mode == "rotation-on-3-plane"
-    assert res.p_types == ["trivial", "rotation(d=4,k=1)"]
-    assert len(res.variants) == 1
+    assert res.p_types == ["trivial", "rotation(d=4)"]
     assert res.L_G.rank == 2
     gram = res.L_G.gram()
     assert gram in ([[-2, 1], [1, -2]], [[-2, -1], [-1, -2]])
@@ -181,7 +221,7 @@ def test_order_four_rotation_has_zero_coinvariant():
     G4 = IsometryGroup(K3, [_u2_twist()])
     res = coinvariant_L_G(G4)
     assert res.L_G.rank == 0
-    assert res.p_types == ["trivial", "rotation(d=4,k=1)"]
+    assert res.p_types == ["trivial", "rotation(d=4)"]
 
 
 def test_noncyclic_group_needs_isotypic_data():

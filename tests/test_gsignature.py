@@ -107,19 +107,13 @@ def test_noether_identity_on_point_configurations():
 
 
 def test_fixed_point_predictions_fields():
-    pred = fixed_point_predictions(3, 6, tcr=(4, 0, 6))
+    pred = fixed_point_predictions(3, 6)
     assert pred.euler == 24 - 18 == 6
     assert pred.quotient_signature == -4
     assert pred.moduli_dimension == 21
-    assert pred.edmonds_b0_plus_b2 == 6
-    assert pred.edmonds_b1 == 0
     pred5 = fixed_point_predictions(5, 4)
     assert pred5.euler == 4
     assert pred5.quotient_signature == 0
     assert pred5.total_defect == 16
     with pytest.raises(RankOverflow):
         fixed_point_predictions(3, 10)
-    with pytest.raises(AssertionError):
-        fixed_point_predictions(3, 6, tcr=(3, 0, 6))
-    with pytest.raises(AssertionError):
-        fixed_point_predictions(3, 6, tcr=(4, 1, 6))

@@ -23,10 +23,7 @@ from k3lat.nikulin import (
     _flat_rho,
     _pair,
     aut_trivial_on_disc_search,
-    build_full,
     genus_check_lambda_G,
-    hermitian_pairing_smoke,
-    k_vector_uniqueness,
 )
 from k3lat.shortvec import (
     enumerate_vectors,
@@ -38,7 +35,13 @@ from k3lat.standard import hyperbolic_plane, root_lattice
 from k3lat.lattice import rescale
 
 from conftest import family
-from oracles import naive_enumerate_up_to, to_fraction_matrix
+from oracles import (
+    build_full,
+    hermitian_pairing_smoke,
+    k_vector_uniqueness,
+    naive_enumerate_up_to,
+    to_fraction_matrix,
+)
 
 PRIMES = (2, 3, 5, 7)
 
