@@ -21,7 +21,7 @@ from .matrix import (
     inverse,
     is_integral,
     mat_mul,
-    row_hnf,
+    rank as qrank,
     snf,
     solve_rows,
     to_int_matrix,
@@ -97,21 +97,6 @@ def signature_of_gram(gram):
 def express_in_basis(rows, basis):
     """Coefficient matrix X with X * basis == rows over Q, or None."""
     return solve_rows(basis, rows)
-
-
-def in_rowspan_z(basis, vec):
-    """Whether vec lies in the integer row span of basis."""
-    H, _ = row_hnf(basis)
-    H = [row for row in H if any(row)]
-    v = list(vec)
-    for row in H:
-        j = next(i for i, x in enumerate(row) if x)
-        if v[j] % row[j]:
-            return False
-        q = v[j] // row[j]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
 
 
 class Lattice:
@@ -209,8 +194,8 @@ class Sublattice:
         self.basis = [list(map(int, row)) for row in basis]
         for row in self.basis:
             assert len(row) == ambient.rank
-        from .matrix import rank as qrank
-        assert qrank(self.basis) == len(self.basis), "basis rows must be independent"
+        if qrank(self.basis) != len(self.basis):
+            raise ValueError("sublattice basis rows must be independent")
 
     @property
     def rank(self):

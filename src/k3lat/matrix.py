@@ -4,10 +4,14 @@ Everything here works with plain lists of lists holding ints or Fractions.
 Vectors are rows throughout the package: a matrix acts on the right of a
 row vector, so composition of actions reads left to right.
 
-Products run in integers. A rational matrix reaches the integer product
-only through `_scaled`, as one integer matrix d*A and its common
-denominator d; `mat_mul` divides by the denominators once per entry at
-the end, and `char_poly` once per coefficient.
+Products and elimination both run in integers, and Fractions appear only
+in the output. A rational matrix reaches the integer kernels only through
+`_scaled`, as one integer matrix d*A and its common denominator d.
+`mat_mul` divides by the denominators once per entry at the end, and
+`char_poly` once per coefficient. `det`, `rank` and `solve_rows` share
+one fraction-free (Bareiss) elimination, `_echelon`: `det` divides its
+last pivot by d^n, and `solve_rows` builds one Fraction per entry of its
+solution.
 """
 
 from fractions import Fraction
@@ -125,16 +129,22 @@ def to_int_matrix(A):
 
 
 def _echelon(M, ncols):
-    """Forward elimination over Q on the first ncols columns, in place.
+    """Fraction-free (Bareiss) forward elimination on the first ncols
+    columns of the integer rows M, in place.
 
-    M is a list of Fraction rows; columns past ncols ride along. Returns
-    (pivot columns, number of row swaps): afterwards row i has its pivot
-    at pivots[i] with zeros below it, and rows from len(pivots) on vanish
-    on the first ncols columns.
+    Columns past ncols ride along. Returns (pivot columns, number of row
+    swaps): afterwards row i has its pivot at pivots[i] with zeros below
+    it, and rows from len(pivots) on vanish on the first ncols columns.
+    Below the pivot rows, an entry in column c is the minor of the input
+    on the pivot rows plus its own row and the pivot columns plus c, so
+    the division by the previous pivot in each update is exact (Bareiss,
+    Math. Comp. 22, 1968), and the last pivot is the minor on the pivot
+    rows and columns. A remainder raises ArithmeticError.
     """
     m = len(M)
     pivots = []
     swaps = 0
+    prev = 1
     for col in range(ncols):
         r = len(pivots)
         if r == m:
@@ -145,35 +155,49 @@ def _echelon(M, ncols):
         if piv != r:
             M[r], M[piv] = M[piv], M[r]
             swaps += 1
-        prow = M[r]
-        inv = 1 / prow[col]
-        support = [c for c in range(col, len(prow)) if prow[c]]
+        prow = M[r][col:]
+        p = prow[0]
         for i in range(r + 1, m):
             row = M[i]
-            if row[col]:
-                f = row[col] * inv
-                for c in support:
-                    row[c] -= f * prow[c]
+            f = row[col]
+            if f:
+                num = [p * a - f * b for a, b in zip(row[col:], prow)]
+            else:
+                num = [p * a for a in row[col:]]
+            if prev != 1:
+                q = [x // prev for x in num]
+                # floor remainders all share the sign of prev, so they
+                # vanish exactly when their sum does
+                if sum(num) != prev * sum(q):
+                    x = next(x for x in num if x % prev)
+                    raise ArithmeticError(
+                        "Bareiss: entry %d in row %d at pivot column %d is "
+                        "not divisible by the previous pivot %d"
+                        % (x, i, col, prev))
+                num = q
+            row[col:] = num
         pivots.append(col)
+        prev = p
     return pivots, swaps
 
 
 def det(A):
-    """Determinant by fraction Gaussian elimination. Returns int for int input."""
+    """Determinant: the signed last Bareiss pivot of d*A over d^n, with d
+    the common denominator of A. Returns an int whenever it is an integer."""
     n = len(A)
     if n == 0:
         return 1
     assert all(len(row) == n for row in A), "det needs a square matrix"
-    M = [list(map(Fraction, row)) for row in A]
+    d, M = _scaled(A)
+    M = copy_matrix(M)
     pivots, swaps = _echelon(M, n)
     if len(pivots) < n:
         return 0
-    d = Fraction(-1 if swaps % 2 else 1)
-    for i in range(n):
-        d *= M[i][i]
-    if d.denominator == 1:
-        return int(d)
-    return d
+    D = -M[-1][-1] if swaps % 2 else M[-1][-1]
+    if d is None:
+        return D
+    q, r = divmod(D, d ** n)
+    return Fraction(D, d ** n) if r else q
 
 
 def inverse(A):
@@ -185,11 +209,11 @@ def inverse(A):
 
 
 def rank(A):
-    """Rank over Q."""
+    """Rank over Q: the number of Bareiss pivots of d*A."""
     if not A or not A[0]:
         return 0
-    M = [list(map(Fraction, row)) for row in A]
-    return len(_echelon(M, len(M[0]))[0])
+    _, M = _scaled(A)
+    return len(_echelon(copy_matrix(M), len(M[0]))[0])
 
 
 def solve_rows(A, B):
@@ -197,30 +221,35 @@ def solve_rows(A, B):
 
     Row i of X is a row vector x with x A = B[i]; A may be rectangular,
     and coordinates off the pivots are set to 0. None when some row of B
-    is not in the row span of A. One elimination of [A^T | B^T] serves
-    every row of B.
+    is not in the row span of A. One elimination of d*[A^T | B^T] serves
+    every row of B. With D the last pivot, the minor of the pivot rows and
+    columns, y = D*x is integral by Cramer's rule, so back-substitution
+    runs on y in integers and the Fractions y/D appear only in X.
     """
     m = len(A)
     k = len(B)
     n = len(A[0]) if A else (len(B[0]) if B else 0)
     assert all(len(b) == n for b in B)
-    M = [[Fraction(A[i][j]) for i in range(m)]
-         + [Fraction(B[t][j]) for t in range(k)] for j in range(n)]
+    _, M = _scaled([list(col) for col in zip(*A, *B)])
     pivots, _ = _echelon(M, m)
     r = len(pivots)
     if any(any(row[m:]) for row in M[r:]):
         return None
+    D = M[r - 1][pivots[-1]] if r else 1
+    later = [[c for c in pivots[i + 1:] if M[i][c]] for i in range(r)]
     X = []
     for t in range(m, m + k):
-        x = [Fraction(0)] * m
+        y = [0] * m
         for i in range(r - 1, -1, -1):
             row = M[i]
-            s = row[t]
-            for col in pivots[i + 1:]:
-                if row[col]:
-                    s -= row[col] * x[col]
-            x[pivots[i]] = s / row[pivots[i]]
-        X.append(x)
+            s = D * row[t] - sum([row[c] * y[c] for c in later[i]])
+            q, rem = divmod(s, row[pivots[i]])
+            if rem:
+                raise ArithmeticError(
+                    "back-substitution: %d in row %d is not divisible by "
+                    "the pivot %d" % (s, i, row[pivots[i]]))
+            y[pivots[i]] = q
+        X.append([Fraction(v, D) for v in y])
     return X
 
 

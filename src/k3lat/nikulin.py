@@ -155,12 +155,8 @@ def build_family(p):
     # no new roots appear in the overlattice
     roots_N = enumerate_vectors(N, -2)
     assert 2 * len(roots_N) == nu * p * (p - 1)
-    in_H2D = 0
-    for v in roots_N:
-        w = vec_mat(v, basis_N)
-        if all(x.denominator == 1 for x in w):
-            in_H2D += 1
-    assert in_H2D == len(roots_N), "roots of N_p must all lie in H2D"
+    assert is_integral(mat_mul(roots_N, basis_N)), \
+        "roots of N_p must all lie in H2D"
     fam.checks["root_count_N"] = 2 * len(roots_N)
     return fam
 
@@ -433,8 +429,7 @@ def _flat_rho(fam):
 def _flat_L_basis(fam):
     """j(L_p) inside K_p: x + (-(rho.x)/p) f, integral exactly on L_p."""
     rows = []
-    for lrow in fam.L_basis_in_N:
-        x_D = vec_mat(lrow, fam.basis_N)
+    for lrow, x_D in zip(fam.L_basis_in_N, fam.L_basis_in_D):
         val = _pair(fam.gram_D, fam.rho, x_D) / fam.p
         assert val.denominator == 1
         rows.append([Fraction(c) for c in lrow] + [-val, Fraction(0)])

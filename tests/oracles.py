@@ -1,9 +1,10 @@
 """Test oracles and pin re-derivers.
 
 Entrywise Fraction references for the integer kernels of k3lat.matrix
-and k3lat.lattice (product, Faddeev-LeVerrier, congruence
-diagonalization, discriminant-form pairing), an independent box
-enumerator to check Fincke-Pohst against, a constructive
+and k3lat.lattice (product, Faddeev-LeVerrier, Gaussian elimination
+under det, rank and solve_rows, congruence diagonalization,
+discriminant-form pairing), integer row-span membership, an independent
+box enumerator to check Fincke-Pohst against, a constructive
 Cartan-Dieudonne to check O^+ membership against, and the searches
 that first produced the data pinned in k3lat.realize: the A_3 + A_3
 chain embedding into E8 and the discriminant glue images. Also the
@@ -32,6 +33,7 @@ from k3lat.matrix import (
     inverse,
     mat_eq,
     mat_mul,
+    row_hnf,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -103,6 +105,107 @@ def fraction_diagonalize(gram):
                 M[k][c] -= f * M[piv][c]
             T[k] = [a - f * b for a, b in zip(T[k], T[piv])]
     return rows, norms, len(active)
+
+
+def fraction_echelon(M, ncols):
+    """Forward elimination over Q on the first ncols columns, in place.
+
+    M is a list of Fraction rows; columns past ncols ride along. Returns
+    (pivot columns, number of row swaps): afterwards row i has its pivot
+    at pivots[i] with zeros below it, and rows from len(pivots) on vanish
+    on the first ncols columns.
+    """
+    m = len(M)
+    pivots = []
+    swaps = 0
+    for col in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if M[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            swaps += 1
+        prow = M[r]
+        inv = 1 / prow[col]
+        support = [c for c in range(col, len(prow)) if prow[c]]
+        for i in range(r + 1, m):
+            row = M[i]
+            if row[col]:
+                f = row[col] * inv
+                for c in support:
+                    row[c] -= f * prow[c]
+        pivots.append(col)
+    return pivots, swaps
+
+
+def fraction_det(A):
+    """Determinant by Fraction elimination; an int whenever integral."""
+    n = len(A)
+    if n == 0:
+        return 1
+    M = to_fraction_matrix(A)
+    pivots, swaps = fraction_echelon(M, n)
+    if len(pivots) < n:
+        return 0
+    d = Fraction(-1 if swaps % 2 else 1)
+    for i in range(n):
+        d *= M[i][i]
+    if d.denominator == 1:
+        return int(d)
+    return d
+
+
+def fraction_rank(A):
+    """Rank over Q by Fraction elimination."""
+    if not A or not A[0]:
+        return 0
+    M = to_fraction_matrix(A)
+    return len(fraction_echelon(M, len(M[0]))[0])
+
+
+def fraction_solve_rows(A, B):
+    """X with X A = B over Q by Fraction elimination of [A^T | B^T] and
+    back-substitution, coordinates off the pivots 0; None when some row
+    of B is not in the row span of A."""
+    m = len(A)
+    k = len(B)
+    n = len(A[0]) if A else (len(B[0]) if B else 0)
+    M = [[Fraction(A[i][j]) for i in range(m)]
+         + [Fraction(B[t][j]) for t in range(k)] for j in range(n)]
+    pivots, _ = fraction_echelon(M, m)
+    r = len(pivots)
+    if any(any(row[m:]) for row in M[r:]):
+        return None
+    X = []
+    for t in range(m, m + k):
+        x = [Fraction(0)] * m
+        for i in range(r - 1, -1, -1):
+            row = M[i]
+            s = row[t]
+            for col in pivots[i + 1:]:
+                if row[col]:
+                    s -= row[col] * x[col]
+            x[pivots[i]] = s / row[pivots[i]]
+        X.append(x)
+    return X
+
+
+def in_rowspan_z(basis, vec):
+    """Whether vec lies in the integer row span of basis."""
+    H, _ = row_hnf(basis)
+    H = [row for row in H if any(row)]
+    v = list(vec)
+    for row in H:
+        j = next(i for i, x in enumerate(row) if x)
+        if v[j] % row[j]:
+            return False
+        q = v[j] // row[j]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 def fraction_lift_pairing(D, x, y):

@@ -19,7 +19,6 @@ from k3lat.lattice import (
     direct_sum,
     express_in_basis,
     gram_of_rows,
-    in_rowspan_z,
     rescale,
     signature_of_gram,
     sublattice_index,
@@ -52,7 +51,7 @@ from k3lat.shortvec import (
 from k3lat.standard import hyperbolic_plane, k3_lattice, reflection, root_lattice
 
 from conftest import family
-from oracles import naive_enumerate_up_to, to_fraction_matrix
+from oracles import in_rowspan_z, naive_enumerate_up_to, to_fraction_matrix
 
 NU = {2: 8, 3: 6, 5: 4, 7: 3}
 

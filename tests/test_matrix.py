@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,31 +25,18 @@ from k3lat.matrix import (
     rank_mod_p,
     snf_diagonal,
     solve_right,
+    solve_rows,
     to_int_matrix,
     vec_mat,
 )
-from oracles import fraction_char_poly, fraction_mat_mul, to_fraction_matrix
-
-
-def _det_by_elimination(A):
-    """Fraction Gaussian elimination, written independently of det()."""
-    M = [[Fraction(x) for x in row] for row in A]
-    n = len(M)
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            f = M[r][col] / M[col][col]
-            M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= M[i][i]
-    return out
+from oracles import (
+    fraction_char_poly,
+    fraction_det,
+    fraction_mat_mul,
+    fraction_rank,
+    fraction_solve_rows,
+    to_fraction_matrix,
+)
 
 
 def test_det_matches_elimination_oracle():
@@ -56,7 +44,7 @@ def test_det_matches_elimination_oracle():
     for _ in range(60):
         n = rng.randint(1, 5)
         A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert Fraction(det(A)) == _det_by_elimination(A)
+        assert Fraction(det(A)) == fraction_det(A)
 
 
 def test_inverse_round_trips():
@@ -183,7 +171,7 @@ def test_char_poly_ascending_and_at_integers():
         for t in (-2, -1, 0, 1, 2, 3):
             tIA = [[t * (i == j) - A[i][j] for j in range(n)]
                    for i in range(n)]
-            direct = _det_by_elimination(tIA)
+            direct = fraction_det(tIA)
             via = sum(Fraction(c) * t ** k for k, c in enumerate(cp))
             assert via == direct
 
@@ -320,3 +308,103 @@ def test_char_poly_rejects_a_corrupted_trace_under_python_O():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised"), proc.stdout
+
+
+def _combination(rng, A, n, rational):
+    """A random Q-combination of the rows of A (the zero row of width n
+    when A has none)."""
+    out = [0] * n
+    for row in A:
+        c = _entry(rng, rational)
+        out = [x + c * a for x, a in zip(out, row)]
+    return out
+
+
+def test_elimination_matches_fraction_oracle():
+    """det, rank, solve_rows and inverse against the Fraction elimination
+    they replaced: same values, same types, and X A = B."""
+    rng = random.Random(89)
+    seen = Counter()
+    for trial in range(1200):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        if trial % 3 == 0:
+            n = m
+        rational = trial % 2 == 1
+        if trial % 4 == 0 and min(m, n) > 1:
+            # a product through a narrower middle has deficient rank
+            k = rng.randint(1, min(m, n) - 1)
+            C, E = _matrix(rng, m, k, rational), _matrix(rng, k, n, rational)
+            A = [[sum(c * e for c, e in zip(row, col)) for col in zip(*E)]
+                 for row in C]
+        else:
+            A = _matrix(rng, m, n, rational)
+        r = rank(A)
+        assert r == fraction_rank(A) and type(r) is int
+        seen["square" if m == n else "rectangular"] += 1
+        seen["rank-deficient"] += r < min(m, n)
+        seen["empty"] += m * n == 0
+        seen["1x1"] += m == n == 1
+        seen["mixed denominators"] += len({x.denominator for row in A
+                                          for x in row
+                                          if isinstance(x, Fraction)}) > 1
+        if m == n:
+            d = det(A)
+            want = fraction_det(A)
+            assert d == want and type(d) is type(want), (A, d, want)
+            want = fraction_solve_rows(A, identity_matrix(n))
+            if want is None:
+                with pytest.raises(ZeroDivisionError):
+                    inverse(A)
+            else:
+                Ainv = inverse(A)
+                assert Ainv == want
+                assert all(type(x) is Fraction for row in Ainv for x in row)
+        B = [_combination(rng, A, n, rational)
+             for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.5:
+            B.insert(rng.randint(0, len(B)), _matrix(rng, 1, n, rational)[0])
+        X = solve_rows(A, B)
+        assert X == fraction_solve_rows(A, B), (A, B)
+        if X is None:
+            seen["outside the row span"] += 1
+            continue
+        assert len(X) == len(B)
+        assert all(type(x) is Fraction for row in X for x in row)
+        assert all(len(row) == m for row in X)
+        if m:
+            assert mat_mul(X, A) == B
+        else:
+            assert not any(any(b) for b in B)
+    assert sum(seen[k] for k in ("square", "rectangular")) == 1200
+    for kind in ("square", "rectangular", "rank-deficient", "empty", "1x1",
+                 "mixed denominators", "outside the row span"):
+        assert seen[kind] >= 30, seen
+
+
+def test_elimination_rejects_a_remainder_under_python_O():
+    # with the scaling switched off, rational entries reach the integer
+    # kernel and leave remainders: the exactness checks of the Bareiss
+    # step and of the back-substitution must fire with asserts stripped
+    code = (
+        "from fractions import Fraction as F\n"
+        "import k3lat.matrix as m\n"
+        "m._scaled = lambda A: (None, A)\n"
+        "A = [[F(1, 2), F(1, 3), 0], [F(1, 5), 1, F(1, 7)], [0, F(1, 3), 1]]\n"
+        "for call in (lambda: m.det(A),\n"
+        "             lambda: m.solve_rows([[F(2, 3)]], [[F(1, 2)]])):\n"
+        "    try:\n"
+        "        call()\n"
+        "        print('accepted')\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('raised', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    assert lines[0].startswith("raised Bareiss:"), lines[0]
+    assert lines[1].startswith("raised back-substitution:"), lines[1]

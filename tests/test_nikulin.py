@@ -38,6 +38,7 @@ from conftest import family
 from oracles import (
     build_full,
     hermitian_pairing_smoke,
+    in_rowspan_z,
     k_vector_uniqueness,
     naive_enumerate_up_to,
     to_fraction_matrix,
@@ -70,7 +71,6 @@ def test_overlattice_and_kernel_indices(p):
     # L_p is the kernel of pairing against rho mod p, again index p
     assert sublattice_index(fam.L_basis_in_N, unit_rows) == p
     # rho itself lies in the kernel
-    from k3lat.lattice import in_rowspan_z
     assert in_rowspan_z(fam.L_basis_in_N, fam.rho_in_N)
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -119,3 +122,27 @@ def test_group_from_obj_validates_isometries():
     }
     with pytest.raises((SerializationError, ValueError)):
         group_from_obj(bad)
+
+
+def test_dependent_sublattice_basis_is_refused_also_under_python_O():
+    # independence is a check, not an assert: -O keeps it
+    obj = sublattice_to_obj(hyperbolic_plane().full_sublattice())
+    obj["basis"] = [[1, 2], [2, 4]]
+    with pytest.raises(ValueError, match="independent"):
+        sublattice_from_obj(obj)
+    script = (
+        "from k3lat.serialize import sublattice_from_obj\n"
+        "try:\n"
+        "    sublattice_from_obj(%r)\n"
+        "    print('accepted')\n"
+        "except ValueError as exc:\n"
+        "    print('raised', exc)\n" % (obj,)
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised"), proc.stdout
+    assert "independent" in proc.stdout
