@@ -23,9 +23,9 @@ the search, its budget and the nodes it spent. The environment variable
 K3R_BUDGET supplies a default search budget; --seed is accepted for
 search-order experimentation and never affects verdicts or reports.
 
-The modules realize, nikulin and gsignature are imported inside the
-verbs and scenarios that call them, so a fresh process compiles and
-loads them only when the command runs them.
+The modules realize, nikulin, gsignature and groups (and with groups,
+polys) are imported inside the verbs and scenarios that call them, so a
+fresh process compiles and loads them only when the command runs them.
 """
 
 import argparse
@@ -39,7 +39,6 @@ from .matrix import identity_matrix
 from .lattice import DiscriminantForm, Lattice, direct_sum, express_in_basis, \
     rescale, sublattice_index
 from .standard import hyperbolic_plane, root_lattice
-from .groups import NeedIsotypicData
 from .shortvec import SearchBudgetExceeded, lattice_isometry, \
     min_norm_and_kissing
 
@@ -472,6 +471,7 @@ def _cmd_scenario(args):
 
 
 def _cmd_decide(args):
+    from .groups import NeedIsotypicData
     from .realize import decide_complex
     group = _load_group(args.group)
     iso = _load_isotypic(args.isotypic) if args.isotypic else None

@@ -10,10 +10,11 @@ basis P, which is never 0.
 """
 
 from fractions import Fraction
+from itertools import chain
 import math
+from operator import mul
 
 from .matrix import (
-    _scaled,
     det,
     identity_matrix,
     int_kernel,
@@ -208,11 +209,12 @@ def zg_decomposition(g, p):
     return dec
 
 
-def regular_summand_discriminant_check(ambient, g, p):
+def regular_summand_discriminant_check(ambient, g, dec):
     """For c = 0 elements: im(g-1) is a direct summand, and the complement
     of the fixed lattice has discriminant (Z/p)^r when ambient is unimodular.
+    dec is the zg_decomposition of g.
     """
-    dec = zg_decomposition(g, p)
+    p = dec.p
     if dec.c != 0:
         raise ValueError("check applies only when no cyclotomic summand occurs")
     n = ambient.rank
@@ -365,8 +367,9 @@ def _projector_coinvariant(group, projectors, fixed):
     # E E = E iff Z Z = D Z, and the other identities scale alike
     D = math.lcm(*[x.denominator for E in F for row in E for x in row])
     Z = [[[int(x * D) for x in row] for row in E] for E in F]
+    DI = mat_scale(D, identity_matrix(n))
     total = [[sum(E[i][j] for E in Z) for j in range(n)] for i in range(n)]
-    if not mat_eq(total, mat_scale(D, identity_matrix(n))):
+    if not mat_eq(total, DI):
         raise ValueError("projectors must sum to 1")
     for idx, E in enumerate(Z):
         if not mat_eq(mat_mul(E, E), mat_scale(D, E)):
@@ -379,30 +382,23 @@ def _projector_coinvariant(group, projectors, fixed):
             if not mat_eq(mat_mul(gmat, E), mat_mul(E, gmat)):
                 raise ValueError("projector %d is not equivariant" % idx)
 
+    # E is equivariant, so G acts on its image with character
+    # chi(g) = tr(g E) = tr(g Z)/D: no change of basis per element
     elements = group.elements()
+    squares = [mat_mul(g, g) for g in elements]
     order = len(elements)
     keep = []
     p_types = []
-    for idx, E in enumerate(F):
+    for idx, E in enumerate(Z):
         # integral saturated basis of (image of E) cap lattice
-        _, Mint = _scaled(mat_sub(identity_matrix(n), E))
-        basis = int_kernel(transpose(Mint))
+        basis = int_kernel(transpose(mat_sub(DI, E)))
         if not basis:
             continue
-        traces = []
-        for gmat in elements:
-            R = express_in_basis([vec_mat(row, gmat) for row in basis], basis)
-            assert R is not None
-            traces.append(R)
-        m = len(basis)
-        # Frobenius-Schur indicator (1/|G|) sum chi(g^2), with
-        # chi(g^2) = tr(R R) = sum_ij R_ij R_ji
-        s = Fraction(sum(sum(R[i][j] * R[j][i] for i in range(m)
-                             for j in range(m)) for R in traces)) / order
+        # Frobenius-Schur indicator (1/|G|) sum chi(g^2)
+        s = sum(_character(squares, E, D)) / order
         # <chi, chi> = (1/|G|) sum chi(g) chi(g^-1); chi is rational-valued
-        # here, so chi(g^-1) = conj chi(g) = chi(g) and the sum is of tr(R)^2
-        char_sq = sum(sum(R[i][i] for i in range(m)) ** 2 for R in traces)
-        i_val = Fraction(char_sq) / order
+        # here, so chi(g^-1) = conj chi(g) = chi(g) and the sum is of chi^2
+        i_val = sum(c * c for c in _character(elements, E, D)) / order
         if s <= 0:
             raise UnsupportedSchurType(
                 "component %d has non-real Schur type (indicator %s)"
@@ -423,6 +419,14 @@ def _projector_coinvariant(group, projectors, fixed):
     res = CoinvariantResult(L, fixed, "supplied-isotypic", p_types)
     _check_coinvariant(group, res)
     return res
+
+
+def _character(elements, Z, D):
+    """tr(g Z)/D for each g: the character of G on the image of the
+    equivariant projector Z/D."""
+    Zt = list(chain.from_iterable(zip(*Z)))
+    return [Fraction(sum(map(mul, chain.from_iterable(g), Zt)), D)
+            for g in elements]
 
 
 def _check_coinvariant(group, res):

@@ -1,9 +1,13 @@
 """Equivariant signature-defect arithmetic for prime-order actions.
 
-Point defects are evaluated exactly in Q[x]/Phi_p(x); the final value of
-every defect sum is asserted to be a degree-zero (rational) element. Also
-houses the signature balance, the maximal-defect statement, the adjunction
-style point/surface count identity, and fixed-point-count predictions.
+A point defect is one field trace: the sum over the nontrivial p-th
+roots of unity z of (1+z)(1+z^q)/((1-z)(1-z^q)) is Tr_{Q(z)/Q} of that
+element, reduced once in Q[x]/Phi_p(x), and the trace of sum a_k x^k is
+p*a_0 - sum a_k, since Tr(1) = p - 1 and Tr(z^k) = -1 for 0 < k < p.
+Its exactness checks raise ArithmeticError, so they survive python -O.
+Also houses the signature balance, the maximal-defect statement, the
+adjunction style point/surface count identity, and fixed-point-count
+predictions.
 """
 
 from fractions import Fraction
@@ -47,9 +51,11 @@ def _phi_reduce(poly, phi):
     return poly_divmod(poly, phi)[1]
 
 
-def _phi_inverse(poly, phi):
+def _phi_inverse(poly, phi, p, q):
     g, u, _ = poly_xgcd(poly, phi)
-    assert len(poly_trim(g)) == 1, "element not invertible mod Phi_p"
+    if len(poly_trim(g)) != 1:
+        raise ArithmeticError("defect_point(%d, %d): (1-x)(1-x^%d) is not "
+                              "invertible mod Phi_%d" % (p, q, q, p))
     c = g[0]
     return [x / c for x in u]
 
@@ -67,26 +73,15 @@ def defect_point(p, q):
     if p == 2:
         return Fraction(0)
     phi = cyclotomic(p)
-    total = [Fraction(0)]
-
-    def x_pow(k):
-        out = [Fraction(0)] * (k % p) + [Fraction(1)]
-        return _phi_reduce(out, phi)
-
-    for j in range(1, p):
-        zj = x_pow(j)
-        zjq = x_pow((j * q) % p)
-        num = poly_mul(poly_add(zj, [1]), poly_add(zjq, [1]))
-        den = poly_mul(poly_sub([1], zj), poly_sub([1], zjq))
-        num = _phi_reduce(num, phi)
-        den = _phi_reduce(den, phi)
-        term = _phi_reduce(poly_mul(num, _phi_inverse(den, phi)), phi)
-        total = _phi_reduce(poly_add(total, term), phi)
-    total = poly_trim(total)
-    assert len(total) <= 1, "defect sum failed to be rational"
-    val = total[0] if total else Fraction(0)
-    assert (Fraction(val) * 3 * (p - 1)).denominator == 1
-    return Fraction(val)
+    xq = [0] * q + [1]
+    num = _phi_reduce(poly_mul([1, 1], poly_add([1], xq)), phi)
+    den = _phi_reduce(poly_mul([1, -1], poly_sub([1], xq)), phi)
+    alpha = _phi_reduce(poly_mul(num, _phi_inverse(den, phi, p, q)), phi)
+    val = Fraction(p * alpha[0] - sum(alpha)) if alpha else Fraction(0)
+    if (val * 3 * (p - 1)).denominator != 1:
+        raise ArithmeticError("defect_point(%d, %d): 3(p-1) * %s is not an "
+                              "integer" % (p, q, val))
+    return val
 
 
 def defect_surface(p, self_int):

@@ -303,6 +303,7 @@ class DiscriminantForm:
         n = len(gram)
         self.orders = []
         self.lifts = []
+        self._snf_U = U
         self._snf_V = V
         self._snf_diag = [S[i][i] for i in range(n)]
         self._gen_idx = []
@@ -332,20 +333,22 @@ class DiscriminantForm:
     def _tables(self):
         # generator pairing table times the exponent e of the group, which
         # clears every denominator (b(x_i, x_j) lies in (1/gcd(s_i, s_j))Z):
-        # everything downstream is integer table lookups
+        # everything downstream is integer table lookups. x_i lifts to
+        # u_i/s_i, u_i an SNF row, so e b(x_i, x_j) = e u_i G u_j^T/(s_i s_j)
         if self._pair_table is None:
             e = math.lcm(*self.orders)
-            k = len(self.orders)
-            bil = [[0] * k for _ in range(k)]
-            for i in range(k):
-                gi = vec_mat(self.lifts[i], self.gram)
-                for j in range(k):
-                    b = e * dot(gi, self.lifts[j])
-                    if b.denominator != 1:
+            rows = [self._snf_U[i] for i in self._gen_idx]
+            P = mat_mul(mat_mul(rows, self.gram), transpose(rows))
+            bil = []
+            for i, (s_i, row) in enumerate(zip(self.orders, P)):
+                bil.append([])
+                for j, (s_j, x) in enumerate(zip(self.orders, row)):
+                    b, r = divmod(e * x, s_i * s_j)
+                    if r:
                         raise ArithmeticError(
                             "e * b(x_%d, x_%d) = %s is not integral"
-                            % (i, j, b))
-                    bil[i][j] = b.numerator
+                            % (i, j, Fraction(e * x, s_i * s_j)))
+                    bil[i].append(b)
             self._pair_table = (e, bil)
         return self._pair_table
 

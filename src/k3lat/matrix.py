@@ -7,17 +7,17 @@ row vector, so composition of actions reads left to right.
 Products and elimination both run in integers, and Fractions appear only
 in the output. A rational matrix reaches the integer kernels only through
 `_scaled`, as one integer matrix d*A and its common denominator d.
-`mat_mul` divides by the denominators once per entry at the end, and
-`char_poly` once per coefficient. `det`, `rank` and `solve_rows` share
-one fraction-free (Bareiss) elimination, `_echelon`: `det` divides its
-last pivot by d^n, and `solve_rows` builds one Fraction per entry of its
-solution.
+`mat_mul` builds row i of A*B from the rows of B weighted by the nonzero
+entries of row i of A, then divides by the denominators once per entry;
+`char_poly` divides once per coefficient. `det`, `rank` and `solve_rows`
+share one fraction-free (Bareiss) elimination, `_echelon`: `det` divides
+its last pivot by d^n, and `solve_rows` builds one Fraction per entry of
+its solution.
 """
 
 from fractions import Fraction
 from itertools import chain
 import math
-from operator import mul
 
 
 def zero_matrix(m, n):
@@ -57,8 +57,14 @@ def mat_mul(A, B):
         return [[] for _ in A]
     dA, A = _scaled(A)
     dB, B = _scaled(B)
-    Bt = list(zip(*B))
-    P = [[sum(map(mul, row, col)) for col in Bt] for row in A]
+    n = len(B[0])
+    P = []
+    for row in A:
+        acc = [0] * n
+        for a, brow in zip(row, B):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, brow)]
+        P.append(acc)
     if dA is None and dB is None:
         return P
     d = (dA or 1) * (dB or 1)

@@ -248,14 +248,15 @@ def _is_odd_prime(p):
     return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, p, 2))
 
 
-def classify_dichotomy(group, budget=None, coinvariant=None):
+def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
     """Sort an odd prime order action into Nikulin or Coxeter kind.
 
     Requires a positive 3-plane inside the fixed sublattice and no
     cyclotomic summands; violations of either hypothesis raise. A third
     verdict, kind = violation, covers root data matching neither shape.
     A caller that already holds the group's CoinvariantResult passes it
-    as coinvariant, so the fixed sublattice and L_G are not recomputed.
+    as coinvariant, so the fixed sublattice and L_G are not recomputed,
+    and likewise the zg_decomposition of its generator as dec.
     """
     group, _ = _resolve_group(group, None)
     p = group.order()
@@ -268,7 +269,7 @@ def classify_dichotomy(group, budget=None, coinvariant=None):
     if sig_plus != 3:
         raise HypothesisViolated(
             "fixed sublattice carries sig_plus = %d, need 3" % sig_plus)
-    dec = zg_decomposition(g, p)
+    dec = dec or zg_decomposition(g, p)
     if dec.c != 0:
         raise HypothesisViolated(
             "cyclotomic summands present (c = %d)" % dec.c)
@@ -444,15 +445,12 @@ def build_a4_example():
     group = IsometryGroup(k3, gens)
     in_o_plus = all(spinor_plus_membership(k3, g) for g in gens)
 
+    # the Reynolds projector (1/|G|) sum g, summed in integers
     elements = group.elements()
     order = len(elements)
-    n = k3.rank
-    E = [[Fraction(0)] * n for _ in range(n)]
-    for g in elements:
-        for i in range(n):
-            for j in range(n):
-                E[i][j] += Fraction(g[i][j], order)
-    projectors = [E, mat_sub(identity_matrix(n), E)]
+    E = [[Fraction(sum(col), order) for col in zip(*rows)]
+         for rows in zip(*elements)]
+    projectors = [E, mat_sub(identity_matrix(k3.rank), E)]
 
     report = decide_complex(group, projectors)
     L = report.coinvariant.L_G
@@ -507,7 +505,7 @@ def build_nikulin_involution():
 
     dec = zg_decomposition(g, 2)
     tcr = (dec.t, dec.c, dec.r)
-    reg = regular_summand_discriminant_check(k3, g, 2)
+    reg = regular_summand_discriminant_check(k3, g, dec)
 
     report = decide_complex(group)
     res = report.coinvariant
@@ -808,7 +806,7 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
 
     dec = zg_decomposition(S, p)
     tcr = (dec.t, dec.c, dec.r)
-    reg = regular_summand_discriminant_check(lam, S, p)
+    reg = regular_summand_discriminant_check(lam, S, dec)
     assert reg["image_is_direct_summand"]
     assert reg["disc_is_Fp_space_of_dim_r"]
 
@@ -862,7 +860,7 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
         certificates["fixed_disc_matches_swap_fixed"] = \
             prof_fixed == prof_swap
     else:
-        dich = classify_dichotomy(group, coinvariant=res)
+        dich = classify_dichotomy(group, coinvariant=res, dec=dec)
         assert dich.nu == fam.nu
         cand = GENUS_CANDIDATES[p]()
         cand_match = cand.signature() == fixed_sig and disc_form_isometry(

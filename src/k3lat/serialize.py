@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .lattice import Lattice, Sublattice
 from .standard import NamedLattice
-from .groups import IsometryGroup
 
 SCHEMA = "k3lat/1"
 
@@ -121,6 +120,7 @@ def group_to_obj(G):
 
 
 def group_from_obj(obj):
+    from .groups import IsometryGroup
     _require(isinstance(obj, dict), "group must be an object")
     _require("ambient" in obj and "generators" in obj,
              "group needs ambient and generators")

@@ -18,6 +18,7 @@ from .matrix import (
     mat_eq,
     mat_mul,
     rank as qrank,
+    row_hnf,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -536,6 +537,16 @@ def lattice_isometry(gram1, gram2, budget=10 ** 7):
     return T
 
 
+def _generates(images, orders):
+    """Whether the images generate Z/o_1 x ... x Z/o_k: with the relation
+    rows diag(o_i) they must span Z^k, so every row HNF pivot is 1."""
+    k = len(orders)
+    relations = [[o if i == j else 0 for j in range(k)]
+                 for i, o in enumerate(orders)]
+    H, _ = row_hnf(list(images) + relations)
+    return all(H[i][i] == 1 for i in range(k))
+
+
 def disc_form_isometry(D1, D2, budget=10 ** 6, return_images=False):
     """Isomorphism test for finite discriminant forms.
 
@@ -575,27 +586,10 @@ def disc_form_isometry(D1, D2, budget=10 ** 6, return_images=False):
     chosen = []
     nodes = 0
 
-    def generates(images):
-        # BFS closure; images must generate the whole group
-        seen = {D2.zero()}
-        frontier = [D2.zero()]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in images:
-                    y = D2.add(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-            if len(seen) == D2.group_order:
-                return True
-        return len(seen) == D2.group_order
-
     def backtrack(i):
         nonlocal nodes
         if i == k:
-            return generates(chosen)
+            return _generates(chosen, D2.orders)
         for t in cands[i]:
             nodes += 1
             if nodes > budget:

@@ -3,8 +3,11 @@
 Entrywise Fraction references for the integer kernels of k3lat.matrix
 and k3lat.lattice (product, Faddeev-LeVerrier, Gaussian elimination
 under det, rank and solve_rows, congruence diagonalization,
-discriminant-form pairing), integer row-span membership, an independent
-box enumerator to check Fincke-Pohst against, a constructive
+discriminant-form pairing), integer row-span membership, the brute-force
+loops behind the closed forms of the group layer (point defects summed
+over p - 1 conjugates, characters from one change of basis per element,
+generation of a finite abelian group by breadth-first closure), an
+independent box enumerator to check Fincke-Pohst against, a constructive
 Cartan-Dieudonne to check O^+ membership against, and the searches
 that first produced the data pinned in k3lat.realize: the A_3 + A_3
 chain embedding into E8 and the discriminant glue images. Also the
@@ -37,6 +40,15 @@ from k3lat.matrix import (
     to_int_matrix,
     transpose,
     vec_mat,
+)
+from k3lat.polys import (
+    cyclotomic,
+    poly_add,
+    poly_divmod,
+    poly_mul,
+    poly_sub,
+    poly_trim,
+    poly_xgcd,
 )
 from k3lat.realize import GLUE_PARTNERS, _coxeter_partner
 from k3lat.shortvec import (
@@ -216,6 +228,62 @@ def fraction_lift_pairing(D, x, y):
     n = len(D.gram)
     return sum((lx[i] * D.gram[i][j] * ly[j]
                 for i in range(n) for j in range(n)), Fraction(0))
+
+
+def bfs_generates(images, orders):
+    """Whether images generate Z/o_1 x ... x Z/o_k, by breadth-first
+    closure over the whole group."""
+    zero = tuple(0 for _ in orders)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in images:
+                y = tuple((a + b) % o for a, b, o in zip(x, g, orders))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen) == math.prod(orders)
+
+
+def basis_characters(elements, basis):
+    """(tr R, tr R^2) for each g, R the matrix of g on the G-stable row
+    span of basis, from one express_in_basis solve per element."""
+    out = []
+    for g in elements:
+        R = express_in_basis([vec_mat(row, g) for row in basis], basis)
+        m = len(basis)
+        out.append((sum(R[i][i] for i in range(m)),
+                    sum(R[i][j] * R[j][i] for i in range(m)
+                        for j in range(m))))
+    return out
+
+
+def defect_point_by_conjugates(p, q):
+    """Sum over j = 1..p-1 of (1+z^j)(1+z^jq)/((1-z^j)(1-z^jq)), each term
+    reduced and inverted in Q[x]/Phi_p(x); the sum must be rational."""
+    phi = cyclotomic(p)
+
+    def reduce(poly):
+        return poly_divmod(poly, phi)[1]
+
+    def x_pow(k):
+        return reduce([0] * (k % p) + [1])
+
+    total = []
+    for j in range(1, p):
+        zj, zjq = x_pow(j), x_pow(j * q)
+        num = reduce(poly_mul(poly_add(zj, [1]), poly_add(zjq, [1])))
+        den = reduce(poly_mul(poly_sub([1], zj), poly_sub([1], zjq)))
+        g, u, _ = poly_xgcd(den, phi)
+        assert len(g) == 1, "not invertible mod Phi_p"
+        total = reduce(poly_add(total, reduce(
+            poly_mul(num, [c / g[0] for c in u]))))
+    total = poly_trim(total)
+    assert len(total) <= 1, "defect sum failed to be rational"
+    return Fraction(total[0]) if total else Fraction(0)
 
 
 def naive_enumerate_up_to(gram, bound, prune=True):

@@ -35,6 +35,19 @@ def test_scenario_dehn_twist_structured(capsys):
         assert set(c) >= {"name", "status", "expected", "computed", "anchor"}
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "bench", "golden")
+
+
+@pytest.mark.parametrize("name", sorted(
+    f[:-len(".json")] for f in os.listdir(GOLDEN) if f.endswith(".json")))
+def test_structured_scenario_matches_its_golden_bytes(capsys, name):
+    code, out, _ = _run(capsys, ["--format", "structured", "scenario", name])
+    assert code == 0
+    with open(os.path.join(GOLDEN, name + ".json"), "rb") as f:
+        assert out.encode() == f.read()
+
+
 def test_structured_output_is_deterministic(capsys):
     code1, out1, _ = _run(capsys, ["--format", "structured",
                                    "scenario", "defect-table"])
@@ -319,7 +332,7 @@ def test_internal_assert_is_not_reported_as_bad_input(capsys, monkeypatch):
 
 # modules a verb must not load when it does not call them
 LAZY = ("dataclasses", "k3lat.realize", "k3lat.nikulin",
-        "k3lat.gsignature")
+        "k3lat.gsignature", "k3lat.groups", "k3lat.polys")
 
 
 def _loaded_by(argv):
@@ -346,9 +359,11 @@ def test_verbs_load_only_the_modules_they_call():
     e8 = os.path.join(inputs, "e8-minus-1.json")
     assert _loaded_by(["compute", "enumerate", "--lattice", e8,
                        "--norm", "-2"]) == set()
+    assert _loaded_by(["scenario", "nikulin-family-p3"]) == \
+        {"k3lat.nikulin", "k3lat.polys"}
     involution = os.path.join(inputs, "nikulin-involution-group.json")
     assert _loaded_by(["decide", "--group", involution]) == \
-        {"k3lat.realize"}
+        {"k3lat.realize", "k3lat.groups", "k3lat.polys"}
     model = os.path.join(inputs, "model-prime-3-group.json")
     assert _loaded_by(["dichotomy", "--group", model]) == \
-        {"k3lat.realize"}
+        {"k3lat.realize", "k3lat.groups", "k3lat.polys"}

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ from k3lat.groups import (
     NeedIsotypicData,
     NotAnIsometry,
     NotFinite,
+    _character,
     coinvariant_L_G,
     fixed_sublattice,
     regular_summand_discriminant_check,
@@ -31,7 +33,8 @@ from k3lat.matrix import (
 )
 from k3lat.polys import cyclotomic
 from k3lat.standard import k3_lattice, reflection, reflection_general
-from oracles import cartan_dieudonne_o_plus
+from conftest import a4_example
+from oracles import basis_characters, cartan_dieudonne_o_plus
 
 K3 = k3_lattice()
 N = 22
@@ -92,7 +95,7 @@ def test_swap_involution_module_shape():
     swap = _swap_matrix()
     dec = zg_decomposition(swap, 2)
     assert (dec.t, dec.c, dec.r) == (6, 0, 8)
-    rep = regular_summand_discriminant_check(K3, swap, 2)
+    rep = regular_summand_discriminant_check(K3, swap, dec)
     assert rep["image_is_direct_summand"]
     assert rep["disc_is_Fp_space_of_dim_r"]
 
@@ -167,13 +170,11 @@ def _random_e8_root(rng, block):
     return v
 
 
-def test_cyclic_coinvariant_refuses_exactly_outside_o_plus():
+def _random_finite_isometry(rng):
     # g = (twist or 1) * (-1 on the first k hyperbolic planes) * words of
-    # reflections in E8(-1) roots on each block; orders up to 12
-    rng = random.Random(3)
-    outcomes = {"refused": 0, "pointwise-fixed-3-plane": 0,
-                "rotation-on-3-plane": 0}
-    while sum(outcomes.values()) < 40:
+    # reflections in E8(-1) roots on each block; redrawn until its order
+    # is at most 12
+    while True:
         k = rng.randint(0, 3)
         g = [[-x if i < 2 * k else x for x in row]
              for i, row in enumerate(I22)]
@@ -183,8 +184,16 @@ def test_cyclic_coinvariant_refuses_exactly_outside_o_plus():
             for _ in range(rng.randint(1, 4)):
                 root = _random_e8_root(rng, block)
                 g = mat_mul(g, reflection(K3.gram, root))
-        if matrix_order(g, cap=12) is None:
-            continue
+        if matrix_order(g, cap=12) is not None:
+            return g
+
+
+def test_cyclic_coinvariant_refuses_exactly_outside_o_plus():
+    rng = random.Random(3)
+    outcomes = {"refused": 0, "pointwise-fixed-3-plane": 0,
+                "rotation-on-3-plane": 0}
+    while sum(outcomes.values()) < 40:
+        g = _random_finite_isometry(rng)
         G = IsometryGroup(K3, [g])
         if spinor_plus_membership(K3, g):
             outcomes[coinvariant_L_G(G).mode] += 1
@@ -193,6 +202,40 @@ def test_cyclic_coinvariant_refuses_exactly_outside_o_plus():
                 coinvariant_L_G(G)
             outcomes["refused"] += 1
     assert min(outcomes.values()) >= 3, outcomes
+
+
+def _complement(Z, D):
+    # D*I - Z, the integral form of 1 - E for E = Z/D
+    return [[D * a - z for a, z in zip(ra, rz)] for ra, rz in zip(I22, Z)]
+
+
+def test_characters_match_the_change_of_basis_traces():
+    # tr(g Z)/D and tr(g^2 Z)/D against the traces of the matrices of g
+    # and g^2 on the image of E = Z/D: on A_4's E and 1 - E and on the
+    # Reynolds projectors (1/|G|) sum g of seeded cyclic groups and their
+    # complements
+    act = a4_example()
+    cases = []
+    for E in act.projectors:
+        D = math.lcm(*[x.denominator for row in E for x in row])
+        cases.append((act.group.elements(),
+                      [[int(x * D) for x in row] for row in E], D))
+    rng = random.Random(17)
+    for _ in range(6):
+        elements = IsometryGroup(K3, [_random_finite_isometry(rng)]).elements()
+        Z = [[sum(col) for col in zip(*rows)] for rows in zip(*elements)]
+        D = len(elements)
+        cases += [(elements, Z, D), (elements, _complement(Z, D), D)]
+    ranks = []
+    for elements, Z, D in cases:
+        basis = int_kernel(transpose(_complement(Z, D)))
+        ranks.append(len(basis))
+        squares = [mat_mul(g, g) for g in elements]
+        expect = basis_characters(elements, basis)
+        assert _character(elements, Z, D) == [c for c, _ in expect]
+        assert _character(squares, Z, D) == [c2 for _, c2 in expect]
+    assert ranks[:2] == [4, 18]
+    assert len(set(ranks)) > 4, ranks
 
 
 def test_pointwise_reflection_coinvariant():
@@ -293,7 +336,7 @@ def test_order_three_rotation_glues_to_regular_summand():
     C3 = _c3_rotation()
     dec3 = zg_decomposition(C3, 3)
     assert (dec3.t, dec3.c, dec3.r) == (19, 0, 1)
-    rep3 = regular_summand_discriminant_check(K3, C3, 3)
+    rep3 = regular_summand_discriminant_check(K3, C3, dec3)
     assert rep3["image_is_direct_summand"]
     assert rep3["disc_is_Fp_space_of_dim_r"]
     assert rep3["complement_disc_orders"] == [3]

@@ -1,4 +1,7 @@
 import cmath
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +19,7 @@ from k3lat.gsignature import (
     signature_balance,
     total_defect,
 )
+from oracles import defect_point_by_conjugates
 
 
 def _defect_point_float(p, q):
@@ -35,6 +39,42 @@ def test_defect_point_matches_float_oracle():
             approx = _defect_point_float(p, q)
             assert abs(float(exact) - approx) < 1e-9
     assert defect_point(2, 1) == 0
+
+
+def test_defect_point_trace_matches_the_sum_of_conjugates():
+    # the one field trace against the p - 1 terms of the defect sum
+    for p in (3, 5, 7, 11, 13, 17, 19):
+        for q in range(1, p):
+            assert defect_point(p, q) == defect_point_by_conjugates(p, q)
+
+
+def test_defect_checks_raise_under_python_O():
+    # a denominator that does not invert, and a value off the lattice
+    # (1/(3(p-1)))Z: both checks must fire with asserts stripped
+    code = (
+        "from fractions import Fraction\n"
+        "import k3lat.gsignature as g\n"
+        "def run():\n"
+        "    try:\n"
+        "        print('accepted', g.defect_point(5, 1))\n"
+        "    except ArithmeticError as exc:\n"
+        "        print('raised', exc)\n"
+        "g.poly_xgcd = lambda a, b: ([1, 1], [1], [0])\n"
+        "run()\n"
+        "g._phi_inverse = lambda poly, phi, p, q: [Fraction(1, 11)]\n"
+        "run()\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised defect_point(5, 1): (1-x)(1-x^1) is not invertible mod "
+        "Phi_5",
+        "raised defect_point(5, 1): 3(p-1) * 1/11 is not an integer",
+    ], proc.stdout
 
 
 def test_defect_point_is_symmetric_in_q_and_inverse():

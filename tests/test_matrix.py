@@ -29,6 +29,7 @@ from k3lat.matrix import (
     to_int_matrix,
     vec_mat,
 )
+from conftest import a4_example
 from oracles import (
     fraction_char_poly,
     fraction_det,
@@ -268,6 +269,36 @@ def test_mat_mul_and_vec_mat_match_fraction_reference():
                    for row in P for x in row)
         for row in A:
             assert vec_mat(row, B) == fraction_mat_mul([row], B)[0]
+    # sparse operands, whose zero entries the product skips: signed
+    # permutations, block diagonals, matrices with zero rows and columns,
+    # and the elements of the A_4 example with and without its projector
+    sparse = []
+    for trial in range(18):
+        rational = trial % 2 == 1
+        if trial % 3 == 0:
+            s = rng.sample(range(6), 6)
+            M = [[rng.choice((1, -1)) if j == s[i] else 0 for j in range(6)]
+                 for i in range(6)]
+        elif trial % 3 == 1:
+            cut = rng.randint(1, 5)
+            M = [[_entry(rng, rational) if (i < cut) == (j < cut) else 0
+                  for j in range(6)] for i in range(6)]
+        else:
+            M = _matrix(rng, 6, 6, rational)
+            zero_rows = rng.sample(range(6), 2)
+            zero_cols = rng.sample(range(6), 2)
+            M = [[0 if i in zero_rows or j in zero_cols else x
+                  for j, x in enumerate(row)] for i, row in enumerate(M)]
+        sparse.append(M)
+    act = a4_example()
+    elements = act.group.elements()
+    pairs = [(A, B) for A in sparse for B in sparse]
+    pairs += [(elements[i], elements[j]) for i, j in ((1, 2), (5, 7), (11, 3))]
+    pairs += [(elements[4], act.projectors[0]),
+              (act.projectors[1], elements[9])]
+    for A, B in pairs:
+        assert mat_mul(A, B) == fraction_mat_mul(A, B)
+        assert vec_mat(A[-1], B) == fraction_mat_mul(A[-1:], B)[0]
     assert mat_mul([], [[1, 2]]) == []
     assert mat_mul([[], []], []) == [[], []]
     assert mat_mul([[Fraction(1, 2)], [3]], [[], ]) == [[], []]

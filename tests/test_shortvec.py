@@ -16,6 +16,7 @@ from k3lat.matrix import (
 )
 from k3lat.shortvec import (
     SearchBudgetExceeded,
+    _generates,
     _level_range,
     classify_root_system,
     disc_form_isometry,
@@ -29,7 +30,7 @@ from k3lat.shortvec import (
 from k3lat.standard import cartan_matrix, root_lattice
 
 from conftest import family
-from oracles import naive_enumerate_up_to
+from oracles import bfs_generates, naive_enumerate_up_to
 
 
 def _random_unimodular(rng, n, moves):
@@ -272,6 +273,20 @@ def test_disc_form_isometry_images_transport_q():
         for xi, img in zip(x, images):
             y = DB.add(y, DB.scale(xi, img))
         assert DA.q(x) == DB.q(y)
+
+
+def test_generation_by_hnf_matches_breadth_first_closure():
+    # k random images in Z/o_1 x ... x Z/o_k, generating and not
+    rng = random.Random(23)
+    for orders in ([2, 4, 12], [3] * 4, [2] * 6):
+        outcomes = {True: 0, False: 0}
+        for _ in range(80):
+            images = [tuple(rng.randrange(o) for o in orders)
+                      for _ in orders]
+            expect = bfs_generates(images, orders)
+            assert _generates(images, orders) is expect, (orders, images)
+            outcomes[expect] += 1
+        assert min(outcomes.values()) >= 10, (orders, outcomes)
 
 
 def test_has_minus_two_vector():
