@@ -23,6 +23,7 @@ from .matrix import (
     mat_mul,
     mat_scale,
     mat_sub,
+    matrix_order,
     rank as qrank,
     rank_mod_p,
     transpose,
@@ -108,22 +109,11 @@ class IsometryGroup:
     def order(self):
         return len(self.elements())
 
-    def validate(self):
-        """Closure report: order and element matrices."""
-        els = self.elements()
-        return {"order": len(els), "elements": els}
-
     def cyclic_generator(self):
         """An element of order |G| if one exists, else None."""
         n = self.order()
-        I = identity_matrix(self.ambient.rank)
         for g in self.elements():
-            k = 1
-            p = g
-            while not mat_eq(p, I):
-                p = mat_mul(p, g)
-                k += 1
-            if k == n:
+            if matrix_order(g, cap=n) == n:
                 return g
         return None
 

@@ -12,6 +12,7 @@ import math
 
 from .matrix import (
     _scaled,
+    block_diag,
     copy_matrix,
     det,
     dot,
@@ -143,9 +144,6 @@ class Lattice:
             self._inv = inverse(self.gram)
         return self._inv
 
-    def is_unimodular(self):
-        return abs(self.determinant()) == 1
-
     def discriminant_group(self):
         return DiscriminantForm(self)
 
@@ -165,25 +163,10 @@ def rescale(lat, c):
     return Lattice([[c * x for x in row] for row in lat.gram])
 
 
-def direct_sum(
-    *lattices,
-):
-    grams = [l.gram for l in lattices]
-    n = sum(len(g) for g in grams)
-    out = [[0] * n for _ in range(n)]
-    ofs = 0
-    labels = []
-    have_labels = all(l.labels for l in lattices)
-    for l in lattices:
-        g = l.gram
-        k = len(g)
-        for i in range(k):
-            for j in range(k):
-                out[ofs + i][ofs + j] = g[i][j]
-        if have_labels:
-            labels.extend(l.labels)
-        ofs += k
-    return Lattice(out, labels=labels if have_labels else None)
+def direct_sum(*lattices):
+    labels = [x for l in lattices for x in l.labels] \
+        if all(l.labels for l in lattices) else None
+    return Lattice(block_diag(*[l.gram for l in lattices]), labels=labels)
 
 
 class Sublattice:
@@ -299,13 +282,11 @@ class DiscriminantForm:
         self.gram = copy_matrix(gram)
         # quadratic values mod 2 exist only for even source lattices
         self.even = all(gram[i][i] % 2 == 0 for i in range(len(gram)))
-        S, U, V = snf(gram)
+        S, U, _ = snf(gram)
         n = len(gram)
         self.orders = []
         self.lifts = []
         self._snf_U = U
-        self._snf_V = V
-        self._snf_diag = [S[i][i] for i in range(n)]
         self._gen_idx = []
         for i in range(n):
             s = S[i][i]
@@ -388,15 +369,6 @@ class DiscriminantForm:
                     out[j] += xi * l[j]
         return out
 
-    def zero(self):
-        return tuple([0] * len(self.orders))
-
-    def add(self, x, y):
-        return tuple((a + b) % o for a, b, o in zip(x, y, self.orders))
-
-    def scale(self, c, x):
-        return tuple((c * a) % o for a, o in zip(x, self.orders))
-
     def element_order(self, x):
         out = 1
         for a, o in zip(x, self.orders):
@@ -405,17 +377,6 @@ class DiscriminantForm:
 
     def elements(self):
         return itertools.product(*[range(o) for o in self.orders])
-
-    def reduce(self, rational_vec):
-        """Class of a dual vector (rational source coordinates) as a tuple.
-
-        The vector must pair integrally with the source lattice.
-        """
-        y = vec_mat(rational_vec, self.gram)
-        if not all(c.denominator == 1 for c in y):
-            raise ValueError("vector does not pair integrally with the lattice")
-        t_full = vec_mat([int(c) for c in y], self._snf_V)
-        return tuple(t_full[i] % self._snf_diag[i] for i in self._gen_idx)
 
     def __repr__(self):
         return "DiscriminantForm(orders=%s)" % (self.orders,)

@@ -28,6 +28,18 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def block_diag(*mats):
+    """The square matrix with the square matrices mats along its diagonal."""
+    n = sum(len(M) for M in mats)
+    out = []
+    off = 0
+    for M in mats:
+        for row in M:
+            out.append([0] * off + list(row) + [0] * (n - off - len(M)))
+        off += len(M)
+    return out
+
+
 def copy_matrix(A):
     return [row[:] for row in A]
 
@@ -456,12 +468,6 @@ def snf(A):
             U[t] = [-x for x in U[t]]
         t += 1
     return S, U, V
-
-
-def snf_diagonal(A):
-    """The diagonal of the Smith normal form, including zeros, length min(m,n)."""
-    S, _, _ = snf(A)
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
 
 
 def char_poly(A):

@@ -7,13 +7,16 @@ with the Weyl-type vector rho, and extend by an isotropic direction to
 reach K_p = N_p + U. Each stage asserts, in exact arithmetic, the facts
 the later stages rely on, and records the identities the paper states as
 computed values in fam.checks; the scenario rows of k3lat.cli compare
-them with the claimed constants.
+them with the claimed constants. The two searches here, the genus
+candidate's discriminant-form match and the isometries of L_p trivial on
+disc(L_p), both run on the one backtracking kernel of k3lat.shortvec.
 """
 
 from fractions import Fraction
 
 from .matrix import (
     _scaled,
+    block_diag,
     char_poly,
     det,
     dot,
@@ -40,7 +43,7 @@ from .lattice import (
 from .polys import cyclotomic, poly_divmod, poly_trim
 from .standard import cartan_matrix, cycle_coxeter_matrix, hyperbolic_plane, root_lattice
 from .shortvec import (
-    SearchBudgetExceeded,
+    _fill_slots,
     disc_form_isometry,
     enumerate_vectors,
     lll_gram,
@@ -105,11 +108,7 @@ def build_family(p):
     m = nu * (p - 1)
     block = [[-x for x in row] for row in cartan_matrix("A", p - 1)] \
         if p > 2 else [[-2]]
-    gram_D = [[0] * m for _ in range(m)]
-    for i in range(nu):
-        for a in range(p - 1):
-            for b in range(p - 1):
-                gram_D[i * (p - 1) + a][i * (p - 1) + b] = block[a][b]
+    gram_D = block_diag(*[block] * nu)
     labels = ["D_%d_%d" % (i + 1, j + 1)
               for i in range(nu) for j in range(p - 1)]
 
@@ -210,17 +209,15 @@ def build_Lp(fam):
 
 def build_sigma(fam):
     """The blockwise Coxeter rotation sigma = (sigma_1^{k_1}, ...)."""
-    p, nu = fam.p, fam.nu
-    m = nu * (p - 1)
+    p = fam.p
     C = cycle_coxeter_matrix(p - 1)
-    sigma_D = [[0] * m for _ in range(m)]
-    for i in range(nu):
+    blocks = []
+    for k in fam.k:
         Ck = identity_matrix(p - 1)
-        for _ in range(fam.k[i] % p):
+        for _ in range(k % p):
             Ck = mat_mul(Ck, C)
-        for a in range(p - 1):
-            for b in range(p - 1):
-                sigma_D[i * (p - 1) + a][i * (p - 1) + b] = Ck[a][b]
+        blocks.append(Ck)
+    sigma_D = block_diag(*blocks)
     assert mat_eq(mat_mul(mat_mul(sigma_D, fam.gram_D), transpose(sigma_D)),
                   fam.gram_D)
 
@@ -284,6 +281,7 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     C = p * Ginv (integral since the discriminant has exponent p), each
     row must satisfy (s_i - e_i) C = 0 mod p, and transposing any complete
     solution gives a Gram isometry trivial on the discriminant.
+    The kernel returns every complete filling.
     Completes for p = 2, 3 and reports the group; may exhaust the budget
     for p = 5, 7, and then raises SearchBudgetExceeded (from the pool
     enumeration or the backtracking, each naming its stage).
@@ -304,46 +302,25 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     norms = sorted({C[i][i] for i in range(n)})
     pool = {}
     for t in norms:
-        vecs = enumerate_vectors(Lattice(C), t, budget=budget)
+        vecs = enumerate_vectors(C, t, budget=budget)
         # each pool vector with its image under C, computed once
         imgs = [vec_mat(v, C) for v in vecs]
         pool[t] = list(zip(vecs, imgs)) + [
             ([-x for x in v], [-x for x in w]) for v, w in zip(vecs, imgs)]
 
-    found = []
-    chosen = []
-    chosen_c = []
-    nodes = 0
+    def fits(i, c, chosen):
+        wv, wc = c
+        # (w - e_i) pairs into p Z^n against the dual basis
+        if any((wc[k] - C[i][k]) % p for k in range(n)):
+            return False
+        return all(dot(chosen[j][1], wv) == C[j][i] for j in range(i))
 
-    def backtrack(i):
-        nonlocal nodes
-        if i == n:
-            found.append([list(v) for v in chosen])
-            return
-        for wv, wc in pool[C[i][i]]:
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded("aut search", nodes, budget)
-            # (w - e_i) pairs into p Z^n against the dual basis
-            if any((wc[k] - C[i][k]) % p for k in range(n)):
-                continue
-            ok = True
-            for j in range(i):
-                if dot(chosen_c[j], wv) != C[j][i]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            chosen.append(wv)
-            chosen_c.append(wc)
-            backtrack(i + 1)
-            chosen.pop()
-            chosen_c.pop()
-
-    backtrack(0)
+    found, nodes = _fill_slots([pool[C[i][i]] for i in range(n)], fits,
+                               budget, "aut search", every=True)
 
     mats = []
-    for Sp in found:
+    for filling in found:
+        Sp = [wv for wv, _ in filling]
         S = to_int_matrix(mat_mul(mat_mul(Hinv, Sp), H))
         T = transpose(S)
         assert mat_eq(mat_mul(mat_mul(T, G), transpose(T)), G)

@@ -24,6 +24,7 @@ import itertools
 from fractions import Fraction
 
 from .matrix import (
+    block_diag,
     char_poly,
     det,
     dot,
@@ -141,34 +142,12 @@ class ExampleAction:
         return self.group.ambient
 
 
-def _block_diag(*mats):
-    n = sum(len(M) for M in mats)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for M in mats:
-        k = len(M)
-        for i in range(k):
-            for j in range(k):
-                out[off + i][off + j] = M[i][j]
-        off += k
-    return out
-
-
-def _resolve_group(group, isotypic_data):
-    if isinstance(group, ExampleAction):
-        if isotypic_data is None:
-            isotypic_data = group.projectors
-        group = group.group
-    return group, isotypic_data
-
-
 def decide_metric(group, isotypic_data=None, budget=None):
     """(verdict, witness, coinvariant result) for the metric question.
 
     yes iff L_G contains no vector of square -2; on no, the witness is
     such a vector in ambient coordinates.
     """
-    group, isotypic_data = _resolve_group(group, isotypic_data)
     res = coinvariant_L_G(group, isotypic_data)
     if res.L_G.rank == 0:
         return "yes", None, res
@@ -187,7 +166,6 @@ def decide_complex(group, isotypic_data=None, budget=None):
     complex is yes iff metric is yes and the fixed sublattice meets the
     saturation of L_G-perp in a nonzero vector (a trivial summand there).
     """
-    group, isotypic_data = _resolve_group(group, isotypic_data)
     verdict, wit, res = decide_metric(group, isotypic_data, budget=budget)
     if verdict == "no":
         return RealizabilityReport("no", wit, "no", "no-minus-two-failed",
@@ -258,7 +236,6 @@ def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
     as coinvariant, so the fixed sublattice and L_G are not recomputed,
     and likewise the zg_decomposition of its generator as dec.
     """
-    group, _ = _resolve_group(group, None)
     p = group.order()
     if not _is_odd_prime(p):
         raise ValueError("group must have odd prime order, got %d" % p)
@@ -401,7 +378,7 @@ def _a4_e8_matrix(img, basis_rows):
     the complement pointwise; lands in W(E8), hence is integral.
     """
     M = _a3_weyl(img)
-    D = _block_diag(M, M, identity_matrix(2))
+    D = block_diag(M, M, identity_matrix(2))
     T = mat_mul(mat_mul(inverse(basis_rows), D), basis_rows)
     assert is_integral(T)
     T = to_int_matrix(T)
@@ -441,7 +418,7 @@ def build_a4_example():
     for img in A4_GENERATOR_PERMUTATIONS:
         X = _contragredient_interleaved(_a3_weyl(img))
         T = _a4_e8_matrix(img, basis_rows)
-        gens.append(_block_diag(X, T, T))
+        gens.append(block_diag(X, T, T))
     group = IsometryGroup(k3, gens)
     in_o_plus = all(spinor_plus_membership(k3, g) for g in gens)
 
@@ -525,7 +502,7 @@ def build_nikulin_involution():
         expected_fixed.append(row)
     P = express_in_basis(expected_fixed, fixed.basis)
     e8m2 = [[2 * x for x in row] for row in root_lattice("E", 8, -1).gram]
-    target = _block_diag(direct_sum(hyperbolic_plane(), hyperbolic_plane(),
+    target = block_diag(direct_sum(hyperbolic_plane(), hyperbolic_plane(),
                                     hyperbolic_plane()).gram, e8m2)
     fixed_matches = (
         fixed.rank == len(expected_fixed) and P is not None
@@ -604,7 +581,7 @@ def glue_unimodular(K, W, images, p):
     DW = DiscriminantForm(W.gram)
     _verify_anti_isometry(DK, DW, images, p)
     nk, nw = K.rank, W.rank
-    amb = _block_diag(K.gram, W.gram)
+    amb = block_diag(K.gram, W.gram)
     rows = identity_matrix(nk + nw)
     for lift, img in zip(DK.lifts, images):
         rows.append(lift + DW.lift(img))
@@ -662,7 +639,7 @@ def build_coxeter_model():
     assert lam.is_even() and abs(lam.determinant()) == 1
 
     c = coxeter_element("A", 2)
-    M = _block_diag(*([c] * 6 + [identity_matrix(X.rank)]))
+    M = block_diag(*([c] * 6 + [identity_matrix(X.rank)]))
     S = transport_action(B, M)
     group = IsometryGroup(lam, [S])
     order = group.order()
@@ -793,7 +770,7 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
     images = MODEL_GLUE_IMAGES[p]
     lam, B, embed_K = glue_unimodular(K, W, images, p)
 
-    M = _block_diag(fam.sigma_K, identity_matrix(W.rank))
+    M = block_diag(fam.sigma_K, identity_matrix(W.rank))
     S = transport_action(B, M)
     group = IsometryGroup(lam, [S])
     in_o_plus = spinor_plus_membership(lam, S)

@@ -1,12 +1,19 @@
 """Definite-lattice enumeration and isometry testing.
 
 Integral LLL reduction of Gram matrices, Fincke-Pohst enumeration in
-integers on the reduced basis, root-system classification, and two
-backtracking searches: lattice isometry on definite Gram matrices and
-isomorphism of finite discriminant forms. The tests check the enumeration
-against an independent box enumerator of their own.
+integers on the reduced basis (each vector comes with its norm, read off
+the enumeration's own remainder), and root-system classification. One
+slot-filling backtrack, _fill_slots, runs the three searches over
+candidate lists: lattice isometry on definite Gram matrices, isomorphism
+of finite discriminant forms, and nikulin's automorphisms of L_p trivial
+on its discriminant. Each search supplies only its candidates per slot,
+its fit test against the earlier slots and, for discriminant forms, the
+leaf test that the images generate; the kernel counts the nodes and
+enforces the budget. The tests check the enumeration against an
+independent box enumerator of their own.
 """
 
+from collections import Counter
 from fractions import Fraction
 import math
 
@@ -145,7 +152,8 @@ def _is_canonical(vec):
 
 
 def fincke_pohst_up_to(gram, bound, budget=None):
-    """All x with 0 < x*gram*x^T <= bound, one per +- pair, lex sorted.
+    """All x with 0 < x*gram*x^T <= bound, one per +- pair, lex sorted,
+    each paired with its norm: a list of (x, x*gram*x^T).
 
     gram must be positive definite; rational entries are fine. The search
     runs in integers on the LLL-reduced basis: after scaling gram by the
@@ -154,8 +162,10 @@ def fincke_pohst_up_to(gram, bound, budget=None):
     lam[j][i] y_j)^2 for M = lcm(d[i] d[i+1]) and w_i = M / (d[i] d[i+1]).
     Only y whose last nonzero coordinate is positive are visited; each hit
     is mapped back by x = y H and signed so its first nonzero entry is
-    positive. The budget counts coordinate assignments (in the reduced
-    basis) and raises SearchBudgetExceeded.
+    positive. Its norm is the part of the scaled bound the levels used up,
+    over M * den: an int when integral, else a Fraction. The budget counts
+    coordinate assignments (in the reduced basis) and raises
+    SearchBudgetExceeded.
     """
     n = len(gram)
     if n == 0 or bound <= 0:
@@ -172,18 +182,21 @@ def fincke_pohst_up_to(gram, bound, budget=None):
     # the nonzero lam[j][i], j > i, that shift level i
     shifts = [[(j, lam[j][i]) for j in range(i + 1, n) if lam[j][i]]
               for i in range(n)]
+    scale = M * den
+    start = math.floor(Fraction(bound) * den) * M
     out = []
     y = [0] * n
     nodes = 0
 
-    def hit():
+    def hit(rem):
         x = [0] * n
         for yj, h in zip(y, H):
             if yj:
                 x = [a + yj * b for a, b in zip(x, h)]
         if not _is_canonical(x):
             x = [-a for a in x]
-        out.append(tuple(x))
+        q, r = divmod(start - rem, scale)
+        out.append((tuple(x), Fraction(start - rem, scale) if r else q))
 
     def descend(i, rem, top):
         # top: every y[j], j > i, is zero, so y[i] >= 0 fixes the sign
@@ -201,17 +214,17 @@ def fincke_pohst_up_to(gram, bound, budget=None):
             if budget is not None and nodes > budget:
                 raise SearchBudgetExceeded("enumeration", nodes, budget)
             y[i] = yi
+            t = D * yi + s
             if i == 0:
                 if yi or not top:
-                    hit()
+                    hit(rem - w[0] * t * t)
             else:
-                t = D * yi + s
                 descend(i - 1, rem - w[i] * t * t, top and not yi)
         y[i] = 0
 
-    descend(n - 1, math.floor(Fraction(bound) * den) * M, True)
+    descend(n - 1, start, True)
     out.sort()
-    return [list(v) for v in out]
+    return [(list(v), q) for v, q in out]
 
 
 def _definite_sign(gram):
@@ -242,25 +255,20 @@ def enumerate_vectors(L, target_norm, budget=None):
     if (target_norm > 0) != (sign > 0):
         raise ValueError("norm sign does not match the definite form")
     work = gram if sign > 0 else [[-x for x in row] for row in gram]
-    vecs = fincke_pohst_up_to(work, abs(target_norm), budget=budget)
-    n = len(gram)
-    out = []
-    for v in vecs:
-        val = sum(work[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
-        if val == abs(target_norm):
-            out.append(v)
-    return out
+    t = abs(target_norm)
+    return [v for v, q in fincke_pohst_up_to(work, t, budget=budget)
+            if q == t]
 
 
 def has_minus_two_vector(L, budget=None):
-    """(flag, witness): does a negative definite lattice contain v.v = -2?"""
-    gram = _as_gram(L)
-    if len(gram) == 0:
+    """(flag, witness): does a negative definite lattice contain v.v = -2?
+
+    Rank 0 has none; enumerate_vectors raises ValueError unless the form
+    is negative definite.
+    """
+    if not _as_gram(L):
         return False, None
-    p, m, z = signature_of_gram(gram)
-    if p != 0 or z != 0:
-        raise ValueError("lattice must be negative definite")
-    vecs = enumerate_vectors(Lattice(gram), -2, budget=budget)
+    vecs = enumerate_vectors(L, -2, budget=budget)
     if vecs:
         return True, vecs[0]
     return False, None
@@ -269,18 +277,15 @@ def has_minus_two_vector(L, budget=None):
 def min_norm_and_kissing(L, budget=None):
     """(minimal |norm|, number of vectors attaining it, counting both signs)."""
     gram = _as_gram(L)
-    n = len(gram)
-    assert n >= 1, "rank-0 lattice has no minimum"
+    assert gram, "rank-0 lattice has no minimum"
     sign = _definite_sign(gram)
     work = gram if sign > 0 else [[-x for x in row] for row in gram]
     bound = 2
     while True:
         vecs = fincke_pohst_up_to(work, bound, budget=budget)
         if vecs:
-            norms = [sum(work[i][j] * v[i] * v[j]
-                         for i in range(n) for j in range(n)) for v in vecs]
-            m = min(norms)
-            return m, 2 * sum(1 for t in norms if t == m)
+            m = min(q for _, q in vecs)
+            return m, 2 * sum(1 for _, q in vecs if q == m)
         bound *= 2
 
 
@@ -376,7 +381,7 @@ def classify_root_system(L, budget=None):
     n = len(gram)
     if n == 0:
         return RootSystem([], [], [], True)
-    roots_half = enumerate_vectors(Lattice(gram), -2, budget=budget)
+    roots_half = enumerate_vectors(gram, -2, budget=budget)
     if not roots_half:
         return RootSystem([], [], [], n == 0)
     roots = roots_half + [[-x for x in v] for v in roots_half]
@@ -437,6 +442,43 @@ def classify_root_system(L, budget=None):
     return RootSystem(roots_half, components, simple_roots, spanning)
 
 
+def _fill_slots(cands, fits, budget, stage, accept=None, every=False):
+    """The backtracking kernel of the searches over candidate lists.
+
+    Slot i takes a candidate c from cands[i], in order, when
+    fits(i, c, chosen) holds against the candidates chosen for the slots
+    before it. One node is counted per candidate tried; past budget nodes
+    SearchBudgetExceeded names stage. A complete filling is kept when
+    accept(filling) holds (always, without accept). Returns
+    (fillings, nodes): fillings holds the first kept filling, or every
+    kept one when every is set.
+    """
+    chosen = []
+    found = []
+    nodes = 0
+
+    def fill(i):
+        nonlocal nodes
+        if i == len(cands):
+            if accept is None or accept(chosen):
+                found.append(list(chosen))
+                return not every
+            return False
+        for c in cands[i]:
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(stage, nodes, budget)
+            if fits(i, c, chosen):
+                chosen.append(c)
+                if fill(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    fill(0)
+    return found, nodes
+
+
 def lattice_isometry(gram1, gram2, budget=10 ** 7):
     """An integer matrix T with T * gram2 * T^t == gram1, or None.
 
@@ -466,72 +508,41 @@ def lattice_isometry(gram1, gram2, budget=10 ** 7):
     even2 = all(gram2[i][i] % 2 == 0 for i in range(n))
     if even1 != even2:
         return None
-    if min_norm_and_kissing(gram1, budget=budget) != \
-            min_norm_and_kissing(gram2, budget=budget):
-        return None
 
     B, G1p = lll_gram(gram1)[:2]
 
+    # equal norm histograms up to the largest reduced diagonal include
+    # equal minimum and kissing number
     max_norm = max(G1p[i][i] for i in range(n))
     cand1 = fincke_pohst_up_to(gram1, max_norm, budget=budget)
     cand2 = fincke_pohst_up_to(gram2, max_norm, budget=budget)
-
-    def histogram(vs, g):
-        h = {}
-        for v in vs:
-            t = sum(g[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
-            h[t] = h.get(t, 0) + 1
-        return h
-
-    if histogram(cand1, gram1) != histogram(cand2, gram2):
+    hist2 = Counter(q for _, q in cand2)
+    if Counter(q for _, q in cand1) != hist2:
         return None
 
     # slot order: most-constrained (fewest same-norm candidates) first
-    hist2 = histogram(cand2, gram2)
-    perm = sorted(range(n), key=lambda i: hist2.get(G1p[i][i], 0))
+    perm = sorted(range(n), key=lambda i: hist2[G1p[i][i]])
     Gq = [[G1p[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
 
+    # both signs of every candidate, with its image under gram2
     by_norm = {}
-    for v in cand2:
-        t = sum(gram2[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
+    for v, q in cand2:
         for w in (v, [-x for x in v]):
-            by_norm.setdefault(t, []).append((w, vec_mat(w, gram2)))
+            by_norm.setdefault(q, []).append((w, vec_mat(w, gram2)))
 
-    chosen = []
-    chosen_wg = []
-    nodes = 0
+    def fits(slot, c, chosen):
+        if slot == 0 and not _is_canonical(c[0]):
+            return False  # -identity symmetry: fix the first slot's sign
+        return all(dot(chosen[j][1], c[0]) == Gq[slot][j]
+                   for j in range(slot))
 
-    def backtrack(slot):
-        nonlocal nodes
-        if slot == n:
-            return True
-        want_norm = Gq[slot][slot]
-        for w, wg in by_norm.get(want_norm, []):
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded("isometry", nodes, budget)
-            if slot == 0 and not _is_canonical(w):
-                continue  # -identity symmetry: fix the first slot's sign
-            ok = True
-            for j in range(slot):
-                if dot(chosen_wg[j], w) != Gq[slot][j]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            chosen.append(w)
-            chosen_wg.append(wg)
-            if backtrack(slot + 1):
-                return True
-            chosen.pop()
-            chosen_wg.pop()
-        return False
-
-    if not backtrack(0):
+    found, _ = _fill_slots([by_norm.get(Gq[i][i], []) for i in range(n)],
+                           fits, budget, "isometry")
+    if not found:
         return None
     W = [None] * n
-    for i in range(n):
-        W[perm[i]] = chosen[i]
+    for i, (w, _) in zip(perm, found[0]):
+        W[i] = w
     T = mat_mul(to_int_matrix(inverse(B)), W)
     assert mat_eq(mat_mul(mat_mul(T, gram2), transpose(T)), gram1)
     return T
@@ -571,45 +582,19 @@ def disc_form_isometry(D1, D2, budget=10 ** 6, return_images=False):
     want_b = [[D1.bilinear(gens1[i], gens1[j]) for j in range(k)]
               for i in range(k)]
 
-    elements = [t for t in D2.elements() if any(t)]
-    info = []
-    for t in elements:
-        o = D2.element_order(t)
-        val = D2.q(t) if use_q else None
-        info.append((t, o, val))
-    cands = []
-    for i in range(k):
-        need_order = D1.orders[i]
-        cands.append([t for (t, o, val) in info
-                      if o == need_order and (not use_q or val == want_q[i])])
+    info = [(t, D2.element_order(t), D2.q(t) if use_q else None)
+            for t in D2.elements() if any(t)]
+    cands = [[t for (t, o, val) in info
+              if o == need and (not use_q or val == want)]
+             for need, want in zip(D1.orders, want_q)]
 
-    chosen = []
-    nodes = 0
+    def fits(i, t, chosen):
+        return (all(D2.bilinear(chosen[j], t) == want_b[j][i]
+                    for j in range(i))
+                and D2.bilinear(t, t) == want_b[i][i])
 
-    def backtrack(i):
-        nonlocal nodes
-        if i == k:
-            return _generates(chosen, D2.orders)
-        for t in cands[i]:
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded("discriminant-form isometry",
-                                           nodes, budget)
-            ok = True
-            for j in range(i):
-                if D2.bilinear(chosen[j], t) != want_b[j][i]:
-                    ok = False
-                    break
-            if ok and D2.bilinear(t, t) != want_b[i][i]:
-                ok = False
-            if not ok:
-                continue
-            chosen.append(t)
-            if backtrack(i + 1):
-                return True
-            chosen.pop()
-        return False
-
-    if backtrack(0):
-        return list(chosen) if return_images else True
+    found, _ = _fill_slots(cands, fits, budget, "discriminant-form isometry",
+                           accept=lambda chosen: _generates(chosen, D2.orders))
+    if found:
+        return found[0] if return_images else True
     return None if return_images else False

@@ -116,27 +116,6 @@ def k3_lattice():
     return NamedLattice(gram, "K3", dist, labels=labels)
 
 
-def e8_coordinate_simple_roots():
-    """Simple roots of E8 in the even coordinate model of R^8.
-
-    Rows pair under the standard dot product to the Cartan matrix of E8;
-    half-integer entries are Fractions. Useful as a second, independent
-    construction of the E8 Gram matrix (and, scaled by -2, of E8(-2)).
-    """
-    h = Fraction(1, 2)
-    rows = [
-        [h, -h, -h, -h, -h, -h, -h, h],
-        [1, 1, 0, 0, 0, 0, 0, 0],
-        [-1, 1, 0, 0, 0, 0, 0, 0],
-        [0, -1, 1, 0, 0, 0, 0, 0],
-        [0, 0, -1, 1, 0, 0, 0, 0],
-        [0, 0, 0, -1, 1, 0, 0, 0],
-        [0, 0, 0, 0, -1, 1, 0, 0],
-        [0, 0, 0, 0, 0, -1, 1, 0],
-    ]
-    return rows
-
-
 def reflection_general(gram, v):
     """Matrix of x -> x - 2 (x.v)/(v.v) v acting on row vectors.
 

@@ -13,6 +13,9 @@ that first produced the data pinned in k3lat.realize: the A_3 + A_3
 chain embedding into E8 and the discriminant glue images. Also the
 family checks that no verb runs: uniqueness of the k-vector squares, the
 Hermitian orbit-sum smoke test and the whole-family integration build.
+And the small helpers only tests use: discriminant-group arithmetic
+(the class of a dual vector, linear combinations of classes), the Smith
+diagonal, and E8 simple roots in the even coordinate model of R^8.
 """
 
 from fractions import Fraction
@@ -37,6 +40,7 @@ from k3lat.matrix import (
     mat_eq,
     mat_mul,
     row_hnf,
+    snf,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -57,6 +61,53 @@ from k3lat.shortvec import (
     enumerate_vectors,
 )
 from k3lat.standard import cartan_matrix, root_lattice
+
+
+def snf_diagonal(A):
+    """The diagonal of the Smith normal form, including zeros, length min(m,n)."""
+    S, _, _ = snf(A)
+    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
+
+
+def e8_coordinate_simple_roots():
+    """Simple roots of E8 in the even coordinate model of R^8.
+
+    Rows pair under the standard dot product to the Cartan matrix of E8;
+    half-integer entries are Fractions. A second, independent construction
+    of the E8 Gram matrix.
+    """
+    h = Fraction(1, 2)
+    return [
+        [h, -h, -h, -h, -h, -h, -h, h],
+        [1, 1, 0, 0, 0, 0, 0, 0],
+        [-1, 1, 0, 0, 0, 0, 0, 0],
+        [0, -1, 1, 0, 0, 0, 0, 0],
+        [0, 0, -1, 1, 0, 0, 0, 0],
+        [0, 0, 0, -1, 1, 0, 0, 0],
+        [0, 0, 0, 0, -1, 1, 0, 0],
+        [0, 0, 0, 0, 0, -1, 1, 0],
+    ]
+
+
+def disc_reduce(D, rational_vec):
+    """Class in D of a dual vector (rational source coordinates), as a
+    tuple of residues against D.orders. The vector must pair integrally
+    with the source lattice: with U A V = S the Smith form of the source
+    Gram A, the class of y = x A is (y V)_i mod s_i over the s_i > 1."""
+    S, _, V = snf(D.gram)
+    y = vec_mat(rational_vec, D.gram)
+    if not all(Fraction(c).denominator == 1 for c in y):
+        raise ValueError("vector does not pair integrally with the lattice")
+    t = vec_mat([int(c) for c in y], V)
+    return tuple(t[i] % S[i][i] for i in range(len(S)) if S[i][i] > 1)
+
+
+def disc_combination(D, coeffs, elems):
+    """sum_j coeffs[j] * elems[j] in the group of D, as a tuple."""
+    acc = [0] * len(D.orders)
+    for c, e in zip(coeffs, elems):
+        acc = [(a + c * x) % o for a, x, o in zip(acc, e, D.orders)]
+    return tuple(acc)
 
 
 def to_fraction_matrix(A):
@@ -331,7 +382,7 @@ def naive_enumerate_up_to(gram, bound, prune=True):
         if i == n:
             val = quad(G, x, n)
             if 0 < val <= bound and _is_canonical(x):
-                out.append(tuple(x))
+                out.append((tuple(x), val))
             return
         for xi in range(-boxes[i], boxes[i] + 1):
             x[i] = xi
@@ -343,7 +394,7 @@ def naive_enumerate_up_to(gram, bound, prune=True):
 
     walk(0)
     out.sort()
-    return [list(v) for v in out]
+    return [(list(v), q) for v, q in out]
 
 
 def cartan_dieudonne_o_plus(ambient, g):
@@ -467,14 +518,8 @@ def anti_isometry_images(D_src, D_dst, budget=10 ** 6):
     imgs = disc_form_isometry(Dop, D_dst, budget=budget, return_images=True)
     if imgs is None:
         return None
-    out = []
-    for lift in D_src.lifts:
-        t = Dop.reduce(lift)
-        acc = D_dst.zero()
-        for tj, im in zip(t, imgs):
-            acc = D_dst.add(acc, D_dst.scale(tj, im))
-        out.append(tuple(acc))
-    return out
+    return [disc_combination(D_dst, disc_reduce(Dop, lift), imgs)
+            for lift in D_src.lifts]
 
 
 def derive_model_glue_images(p, budget=10 ** 6):

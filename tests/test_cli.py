@@ -184,22 +184,31 @@ def test_budget_exhaustion_is_inconclusive(capsys):
 
 
 def test_family_scenarios_at_small_budgets_pass_or_are_inconclusive(capsys):
-    # the aut search runs out of budget between 1000 and 10000 nodes; that
-    # must read as inconclusive, never as a failed group-order check
-    stages = set()
-    for p in (2, 3):
-        for budget in (10, 1000, 3000, 10000, 100000):
+    # each budget runs out in one fixed stage (None: the run completes);
+    # an exhausted search reads as inconclusive, never as a failed check
+    stages = [
+        ("nikulin-family-p2", {10: "enumeration", 1000: "aut search",
+                               3000: "aut search", 10000: None}),
+        ("nikulin-family-p3", {10: "enumeration", 1000: "enumeration",
+                               3000: "aut search", 10000: "aut search",
+                               100000: None}),
+        ("genus-check", {100: "discriminant-form isometry (group order 729)"}),
+    ]
+    for name, by_budget in stages:
+        for budget, stage in by_budget.items():
             code, out, err = _run(capsys, [
                 "--format", "structured", "--budget", str(budget),
-                "scenario", "nikulin-family-p%d" % p])
-            assert code == 0 and err == "", (p, budget, err)
+                "scenario", name])
+            assert code == 0 and err == "", (name, budget, err)
             doc = json.loads(out)
-            if doc.get("status") == "inconclusive":
-                assert doc["budget"] == budget and doc["nodes"] > budget
-                stages.add(doc["stage"])
-            else:
+            if stage is None:
+                assert "status" not in doc, (name, budget, doc)
                 assert all(c["status"] == "pass" for c in doc["checks"])
-    assert "aut search" in stages
+                continue
+            # a search refused before it starts spends no node
+            nodes = 0 if name == "genus-check" else budget + 1
+            assert (doc["status"], doc["stage"], doc["budget"],
+                    doc["nodes"]) == ("inconclusive", stage, budget, nodes)
 
 
 def test_orientation_check_reports_the_computed_value(capsys, monkeypatch):

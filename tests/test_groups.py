@@ -79,7 +79,7 @@ def test_group_order_and_validation():
     with pytest.raises(NotAnIsometry):
         bad = identity_matrix(N)
         bad[0][1] = 1  # shears e into f, breaks the form
-        IsometryGroup(K3, [bad]).validate()
+        IsometryGroup(K3, [bad])
 
 
 def test_infinite_group_is_rejected():

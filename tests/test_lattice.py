@@ -16,7 +16,7 @@ from k3lat.lattice import (
 )
 from k3lat.matrix import det, identity_matrix, rank
 from k3lat.standard import hyperbolic_plane, k3_lattice, root_lattice
-from oracles import fraction_diagonalize, fraction_lift_pairing
+from oracles import disc_reduce, fraction_diagonalize, fraction_lift_pairing
 
 
 def _random_symmetric(rng, n, lo=-4, hi=4):
@@ -108,7 +108,7 @@ def test_discriminant_form_known_values():
 
     e8 = root_lattice("E", 8)
     assert DiscriminantForm(e8).cyclic_orders == []
-    assert e8.is_unimodular() and e8.is_even()
+    assert abs(e8.determinant()) == 1 and e8.is_even()
 
     u2 = rescale(hyperbolic_plane(), 2)
     D2 = DiscriminantForm(u2)
@@ -162,7 +162,7 @@ def test_reduce_and_lift_round_trip():
     D = DiscriminantForm(a3)
     for x in D.elements():
         v = D.lift(x)
-        assert D.reduce(v) == tuple(x)
+        assert disc_reduce(D, v) == tuple(x)
 
 
 def test_direct_sum_and_rescale():
@@ -224,9 +224,8 @@ def test_gram_of_rows_is_restriction():
 
 def test_even_unimodular_checks():
     u = hyperbolic_plane()
-    assert u.is_even() and u.is_unimodular()
+    assert u.is_even() and abs(u.determinant()) == 1
     k3 = k3_lattice()
-    assert k3.is_even() and k3.is_unimodular()
-    assert abs(k3.determinant()) == 1
+    assert k3.is_even() and abs(k3.determinant()) == 1
     odd = Lattice([[1]])
     assert not odd.is_even()

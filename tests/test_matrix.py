@@ -23,7 +23,6 @@ from k3lat.matrix import (
     matrix_order,
     rank,
     rank_mod_p,
-    snf_diagonal,
     solve_right,
     solve_rows,
     to_int_matrix,
@@ -36,6 +35,7 @@ from oracles import (
     fraction_mat_mul,
     fraction_rank,
     fraction_solve_rows,
+    snf_diagonal,
     to_fraction_matrix,
 )
 

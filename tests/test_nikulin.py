@@ -217,9 +217,9 @@ def test_L3_minimum_and_kissing_with_independent_enumerator():
     assert min_norm_and_kissing(fam.L.gram) == (4, 756)
     neg = [[-x for x in row] for row in fam.L.gram]
     vecs = naive_enumerate_up_to(neg, 4, prune=True)
-    norms = sorted(set(_pair(neg, v, v) for v in vecs if any(v)))
+    norms = sorted(set(_pair(neg, v, v) for v, _ in vecs if any(v)))
     assert norms == [4]
-    assert 2 * sum(1 for v in vecs if any(v)) == 756
+    assert 2 * sum(1 for v, _ in vecs if any(v)) == 756
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat.lattice import Lattice, direct_sum
+from k3lat.lattice import DiscriminantForm, Lattice, direct_sum, rescale
 from k3lat.matrix import (
     det,
     identity_matrix,
@@ -27,10 +27,11 @@ from k3lat.shortvec import (
     lll_gram,
     min_norm_and_kissing,
 )
-from k3lat.standard import cartan_matrix, root_lattice
+from k3lat.realize import two_elementary_profile
+from k3lat.standard import cartan_matrix, hyperbolic_plane, root_lattice
 
 from conftest import family
-from oracles import bfs_generates, naive_enumerate_up_to
+from oracles import bfs_generates, disc_combination, naive_enumerate_up_to
 
 
 def _random_unimodular(rng, n, moves):
@@ -128,11 +129,11 @@ def test_level_range_is_exactly_the_fitting_integers():
 
 def _mapped(vecs, Uinv):
     out = []
-    for x in vecs:
+    for x, q in vecs:
         v = vec_mat(x, Uinv)
         if next(a for a in v if a) < 0:
             v = [-a for a in v]
-        out.append(v)
+        out.append((v, q))
     return sorted(out)
 
 
@@ -156,8 +157,13 @@ def test_fincke_pohst_does_not_depend_on_the_basis():
 def test_fincke_pohst_scales_rational_grams():
     G = root_lattice("D", 5).gram
     quarter = [[Fraction(x, 4) for x in row] for row in G]
-    assert fincke_pohst_up_to(quarter, Fraction(3, 2)) == \
-        fincke_pohst_up_to(G, 6)
+    got = fincke_pohst_up_to(quarter, Fraction(3, 2))
+    ref = fincke_pohst_up_to(G, 6)
+    assert [v for v, _ in got] == [v for v, _ in ref]
+    # norms are ints where integral and Fractions otherwise
+    assert all(type(q) is int for _, q in ref)
+    assert [q for _, q in got] == [Fraction(q, 4) for _, q in ref]
+    assert {type(q) for _, q in got} == {int, Fraction}
 
 
 def test_fincke_pohst_on_L3_finds_378_short_vectors():
@@ -165,7 +171,7 @@ def test_fincke_pohst_on_L3_finds_378_short_vectors():
     vecs = fincke_pohst_up_to(G, 4)
     assert len(vecs) == 378
     assert vecs == sorted(vecs)
-    assert all(next(a for a in v if a) > 0 for v in vecs)
+    assert all(next(a for a in v if a) > 0 and q == 4 for v, q in vecs)
 
 
 def test_root_counts_one_per_sign_pair():
@@ -248,6 +254,22 @@ def test_lattice_isometry_skewed_basis():
     assert mat_eq(mat_mul(mat_mul(T, A3s), transpose(T)), A3)
 
 
+def test_lattice_isometry_on_random_unimodular_conjugates():
+    rng = random.Random(59)
+    for kind, n in [("A", 1), ("A", 3), ("A", 5), ("D", 4), ("D", 5),
+                    ("E", 6), ("E", 7), ("E", 8)]:
+        for sign in (1, -1):
+            G1 = root_lattice(kind, n, sign).gram
+            for _ in range(2):
+                U, _ = _random_unimodular(rng, n, 3 * n)
+                G2 = mat_mul(mat_mul(U, G1), transpose(U))
+                T = lattice_isometry(G1, G2)
+                assert T is not None, (kind, n, sign, U)
+                assert mat_eq(mat_mul(mat_mul(T, G2), transpose(T)), G1)
+    # same rank, determinant 15 and parity, different minimum
+    assert lattice_isometry([[2, 1], [1, 8]], [[4, 1], [1, 4]]) is None
+
+
 def test_disc_form_isometry_cases():
     A3 = cartan_matrix("A", 3)
     U = [[1, 2, 1], [0, 1, 3], [0, 0, 1]]
@@ -262,6 +284,46 @@ def test_disc_form_isometry_cases():
                                   Lattice([[-2]]).discriminant_group())
 
 
+def _skewed_form(rng, blocks):
+    """Discriminant form of the direct sum of blocks, on a basis changed by
+    a random unimodular matrix, so its generators are not the blocks'."""
+    G = direct_sum(*blocks).gram
+    U, _ = _random_unimodular(rng, len(G), 2 * len(G))
+    return DiscriminantForm(mat_mul(mat_mul(U, G), transpose(U)))
+
+
+def test_disc_form_isometry_agrees_with_two_elementary_profile():
+    # even type only (every q integral), where the profile is complete:
+    # U(2) gives u, D4(+-1) give v, E8(+-2) gives u^4, and v + v = u + u.
+    # Random sums of one or two small blocks give both outcomes. Telling a
+    # non-isometric pair of groups of order 64 or more apart is an
+    # exhaustive search of seconds, so E8(+-2) meets only E8(+-2) or sums
+    # of four small blocks with an even number of v, six times
+    rng = random.Random(47)
+    small = [hyperbolic_plane(2), root_lattice("D", 4),
+             root_lattice("D", 4, -1)]
+    e8s = [rescale(root_lattice("E", 8), 2),
+           rescale(root_lattice("E", 8), -2)]
+    pairs = []
+    for _ in range(6):
+        nv = rng.choice([0, 2, 4])
+        quad = [small[0]] * (4 - nv) + \
+            [rng.choice(small[1:]) for _ in range(nv)]
+        rng.shuffle(quad)
+        pairs.append(([rng.choice(e8s)], rng.choice([quad, [e8s[0]]])))
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 30:
+        if not pairs:
+            pairs.append(tuple([rng.choice(small)
+                                for _ in range(rng.choice([1, 2]))]
+                               for _ in range(2)))
+        pair = pairs.pop()
+        D1, D2 = (_skewed_form(rng, blocks) for blocks in pair)
+        same = two_elementary_profile(D1) == two_elementary_profile(D2)
+        assert bool(disc_form_isometry(D1, D2)) is same, pair
+        seen[same] += 1
+
+
 def test_disc_form_isometry_images_transport_q():
     LA = root_lattice("A", 3, sign=-1)
     DA = LA.discriminant_group()
@@ -269,10 +331,7 @@ def test_disc_form_isometry_images_transport_q():
     images = disc_form_isometry(DA, DB, return_images=True)
     assert images
     for x in DA.elements():
-        y = DB.zero()
-        for xi, img in zip(x, images):
-            y = DB.add(y, DB.scale(xi, img))
-        assert DA.q(x) == DB.q(y)
+        assert DA.q(x) == DB.q(disc_combination(DB, x, images))
 
 
 def test_generation_by_hnf_matches_breadth_first_closure():

@@ -8,12 +8,13 @@ from k3lat.standard import (
     cartan_matrix,
     coxeter_element,
     cycle_coxeter_matrix,
-    e8_coordinate_simple_roots,
     hyperbolic_plane,
     k3_lattice,
     reflection,
     root_lattice,
 )
+
+from oracles import e8_coordinate_simple_roots
 
 
 def test_cartan_determinants():
