@@ -44,6 +44,9 @@ from .shortvec import SearchBudgetExceeded, lattice_isometry, \
 
 SCHEMA = serialize.SCHEMA
 
+# nu at each prime p of the family: nu(p + 1) = 24
+NU = {2: 8, 3: 6, 5: 4, 7: 3}
+
 
 def _jsonable(v):
     if isinstance(v, Fraction):
@@ -250,7 +253,7 @@ def _scenario_defect(budget):
     from .gsignature import defect_point, fixed_point_predictions, \
         max_defect_check
     checks = []
-    for p, nu in ((2, 8), (3, 6), (5, 4), (7, 3)):
+    for p, nu in NU.items():
         closure = nu * defect_point(p, p - 1)
         expected = Fraction((p - 1) * (nu * p - 16))
         checks.append(_check("closure-p%d" % p, expected, closure,
@@ -306,7 +309,7 @@ def _scenario_genus(budget):
     checks = []
     for p in (3, 5, 7):
         rep = genus_check_lambda_G(p, budget=budget or 10 ** 6)
-        nu = {3: 6, 5: 4, 7: 3}[p]
+        nu = NU[p]
         checks.append(_check("candidate-rank-p%d" % p,
                              22 - nu * (p - 1), rep["candidate_rank"],
                              "invariant-lattice candidate has rank "
@@ -324,7 +327,7 @@ def _scenario_genus(budget):
 
 def _model_checks(p, act):
     certs = act.certificates
-    nu = {2: 8, 3: 6, 5: 4, 7: 3}[p]
+    nu = NU[p]
     m = nu * (p - 1)
     rows = [
         ("ambient-unimodular", "ambient_even_unimodular", True,
@@ -515,7 +518,7 @@ def _cmd_example(args):
     if name == "prime-p":
         if args.p is None:
             return _fail("example prime-p requires --p")
-        if args.p not in (2, 3, 5, 7):
+        if args.p not in NU:
             return _fail("unsupported-prime: no embedding data for p = %d"
                          % args.p)
         act = build_model_prime_action(args.p,
@@ -526,13 +529,10 @@ def _cmd_example(args):
         act = build_a4_example()
         checks = _a4_checks(act)
         stem = "a4"
-    elif name == "nikulin-involution":
+    else:
         act = build_nikulin_involution()
         checks = _involution_checks(act)
         stem = "nikulin-involution"
-    else:
-        return _fail("unknown example %r; choose from: %s" % (
-            name, ", ".join(EXAMPLES)))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     files = []

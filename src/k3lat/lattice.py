@@ -272,13 +272,11 @@ class DiscriminantForm:
     generator, in lattice coordinates of the source.
     """
 
-    def __init__(self, lattice_or_gram, _negate=False):
+    def __init__(self, lattice_or_gram):
         if isinstance(lattice_or_gram, Lattice):
             gram = lattice_or_gram.gram
         else:
             gram = lattice_or_gram
-        if _negate:
-            gram = [[-x for x in row] for row in gram]
         self.gram = copy_matrix(gram)
         # quadratic values mod 2 exist only for even source lattices
         self.even = all(gram[i][i] % 2 == 0 for i in range(len(gram)))
@@ -309,7 +307,7 @@ class DiscriminantForm:
         return out
 
     def opposite(self):
-        return DiscriminantForm(self.gram, _negate=True)
+        return DiscriminantForm([[-x for x in row] for row in self.gram])
 
     def _tables(self):
         # generator pairing table times the exponent e of the group, which

@@ -156,7 +156,6 @@ def build_family(p):
     assert 2 * len(roots_N) == nu * p * (p - 1)
     assert is_integral(mat_mul(roots_N, basis_N)), \
         "roots of N_p must all lie in H2D"
-    fam.checks["root_count_N"] = 2 * len(roots_N)
     return fam
 
 

@@ -272,7 +272,7 @@ def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
     M = to_int_matrix(M)
     certificates = []
     phi = [int(x) for x in cyclotomic(p)]
-    for simple in rs.simple_roots:
+    for simple, part in zip(rs.simple_roots, rs.component_roots):
         imgs = [vec_mat(r, M) for r in simple]
         C = express_in_basis(imgs, simple)
         if C is None:
@@ -280,11 +280,7 @@ def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
             return DichotomyReport(p, nu, "violation", evidence)
         assert is_integral(C)
         C = to_int_matrix(C)
-        comp_roots = set()
-        for r in rs.roots:
-            if express_in_basis([r], simple) is not None:
-                comp_roots.add(tuple(r))
-                comp_roots.add(tuple(-x for x in r))
+        comp_roots = {tuple(s * x for x in r) for r in part for s in (1, -1)}
         moved = all(tuple(vec_mat(list(r), M)) in comp_roots
                     for r in comp_roots)
         cert = {"char_poly_is_cyclotomic": [int(x) for x in char_poly(C)] == phi,

@@ -2,14 +2,16 @@
 
 Integral LLL reduction of Gram matrices, Fincke-Pohst enumeration in
 integers on the reduced basis (each vector comes with its norm, read off
-the enumeration's own remainder), and root-system classification. One
-slot-filling backtrack, _fill_slots, runs the three searches over
-candidate lists: lattice isometry on definite Gram matrices, isomorphism
-of finite discriminant forms, and nikulin's automorphisms of L_p trivial
-on its discriminant. Each search supplies only its candidates per slot,
-its fit test against the earlier slots and, for discriminant forms, the
-leaf test that the images generate; the kernel counts the nodes and
-enforces the budget. The tests check the enumeration against an
+the enumeration's own remainder), and root-system classification: each
+irreducible component's type is read off its rank and root count and
+certified by one determinant, and its simple roots come in discovery
+order. One slot-filling backtrack, _fill_slots, runs the three searches
+over candidate lists: lattice isometry on definite Gram matrices,
+isomorphism of finite discriminant forms, and nikulin's automorphisms of
+L_p trivial on its discriminant. Each search supplies only its candidates
+per slot, its fit test against the earlier slots and, for discriminant
+forms, the leaf test that the images generate; the kernel counts the
+nodes and enforces the budget. The tests check the enumeration against an
 independent box enumerator of their own.
 """
 
@@ -289,23 +291,32 @@ def min_norm_and_kissing(L, budget=None):
         bound *= 2
 
 
-ROOT_COUNTS = {"A": lambda n: n * (n + 1), "D": lambda n: 2 * n * (n - 1),
-               "E": lambda n: {6: 72, 7: 126, 8: 240}[n]}
+# roots of the irreducible simply-laced systems, both signs counted, None
+# off a type's ranks (Bourbaki, Lie Groups and Lie Algebras, Ch. VI,
+# Plates I-VII); at each rank the counts differ (D_3 = A_3 is why D starts
+# at 4), so rank and root count fix the type
+ROOT_COUNTS = {"A": lambda m: m * (m + 1),
+               "D": lambda m: 2 * m * (m - 1) if m >= 4 else None,
+               "E": lambda m: {6: 72, 7: 126, 8: 240}.get(m)}
 
 
 class RootSystem:
     """(-2)-root data of a negative definite lattice.
 
-    roots: one vector per +- pair. components: (label, rank) pairs.
-    simple_roots: per component, ordered to match cartan_matrix(label, rank)
-    exactly (so their Gram is the negated Cartan matrix). spanning: whether
-    the roots span the ambient rational span.
+    roots: one vector per +- pair. components: (label, rank) pairs, each
+    type certified by its rank, root count and determinant. simple_roots:
+    per component, its simple roots in discovery order.
+    component_roots: per component, the vectors of roots that lie in it, a
+    partition of roots. spanning: whether the roots span the ambient
+    rational span.
     """
 
-    def __init__(self, roots, components, simple_roots, spanning):
+    def __init__(self, roots, components, simple_roots, component_roots,
+                 spanning):
         self.roots = roots
         self.components = components
         self.simple_roots = simple_roots
+        self.component_roots = component_roots
         self.spanning = spanning
 
     def is_empty(self):
@@ -315,75 +326,25 @@ class RootSystem:
         return "RootSystem(%s, spanning=%s)" % (self.components, self.spanning)
 
 
-def _order_component(nodes, adj):
-    """Order a connected ADE Dynkin graph to our cartan_matrix numbering.
-
-    Returns (label, rank, ordered node list). adj maps node -> set of nodes.
-    """
-    n = len(nodes)
-    degs = {v: len(adj[v] & set(nodes)) for v in nodes}
-    branch = [v for v in nodes if degs[v] >= 3]
-    if any(degs[v] > 3 for v in nodes) or len(branch) > 1:
-        raise ValueError("root graph is not of ADE shape")
-
-    def walk(start, first):
-        # path from start through first, away from start
-        seq = [start, first]
-        while True:
-            nxt = [u for u in adj[seq[-1]] & set(nodes) if u != seq[-2]]
-            if not nxt:
-                return seq
-            if len(nxt) > 1:
-                raise ValueError("root graph is not of ADE shape")
-            seq.append(nxt[0])
-
-    if not branch:
-        if n == 1:
-            return "A", 1, list(nodes)
-        ends = [v for v in nodes if degs[v] == 1]
-        if len(ends) != 2:
-            raise ValueError("root graph is not of ADE shape")
-        start = ends[0]
-        first = next(iter(adj[start] & set(nodes)))
-        seq = walk(start, first)
-        assert len(seq) == n
-        return "A", n, seq
-
-    b = branch[0]
-    arms = []
-    for first in adj[b] & set(nodes):
-        seq = walk(b, first)[1:]  # exclude the branch node itself
-        arms.append(seq)
-    assert len(arms) == 3
-    arms.sort(key=len)
-    a1, a2, a3 = arms
-    if len(a1) == 1 and len(a2) == 1:
-        # D_n: long arm from its far end, then branch, then the two forks
-        order = list(reversed(a3)) + [b] + [a2[0], a1[0]]
-        return "D", n, order
-    if len(a1) == 1 and len(a2) == 2:
-        if len(a3) not in (2, 3, 4):
-            raise ValueError("root graph is not of ADE shape")
-        # E_n numbering: far/near of the 2-arm at slots 0/2, short arm slot 1
-        order = [a2[1], a1[0], a2[0], b] + a3
-        return "E", n, order
-    raise ValueError("root graph is not of ADE shape")
-
-
 def classify_root_system(L, budget=None):
     """Type the (-2)-vectors of a negative definite lattice.
 
-    Certified output: the ordered simple roots of each component reproduce
-    the negated Cartan matrix entry by entry, and the total root count
-    matches the component types.
+    The simple roots are the positive roots, for a generic functional,
+    that are no sum of two positive roots; they split into the connected
+    components of their pairing graph, each kept in discovery order. The
+    roots of a component are those pairing non-trivially with one of its
+    simple roots. Its type is the one (label, rank) whose ROOT_COUNTS entry
+    is its root count, certified by det of its simple roots' Gram being
+    det(-Cartan); that failing, or the components missing roots, raises
+    AssertionError (also under python -O) naming rank and root count.
     """
     gram = _as_gram(L)
     n = len(gram)
     if n == 0:
-        return RootSystem([], [], [], True)
+        return RootSystem([], [], [], [], True)
     roots_half = enumerate_vectors(gram, -2, budget=budget)
     if not roots_half:
-        return RootSystem([], [], [], n == 0)
+        return RootSystem([], [], [], [], False)
     roots = roots_half + [[-x for x in v] for v in roots_half]
     # generic integer functional: base-N digits can't cancel
     maxc = max(abs(x) for v in roots for x in v)
@@ -391,29 +352,19 @@ def classify_root_system(L, budget=None):
     weights = [base ** i for i in range(n)]
     pos = [v for v in roots if dot(v, weights) > 0]
     pos_set = set(map(tuple, pos))
-    simple = []
-    for r in pos:
-        decomposable = False
-        for q in pos:
-            d = tuple(a - b for a, b in zip(r, q))
-            if d != tuple([0] * n) and d in pos_set:
-                decomposable = True
-                break
-        if not decomposable:
-            simple.append(r)
+    # simple: no difference with another positive root is positive (r - r
+    # = 0 is no root)
+    simple = [r for r in pos if not any(
+        tuple(a - b for a, b in zip(r, q)) in pos_set for q in pos)]
     # pairing graph on simple roots
+    images = [vec_mat(s, gram) for s in simple]
     k = len(simple)
-    adj = {i: set() for i in range(k)}
-    for i in range(k):
-        gi = vec_mat(simple[i], gram)
-        for j in range(i + 1, k):
-            if dot(gi, simple[j]) != 0:
-                adj[i].add(j)
-                adj[j].add(i)
+    adj = [[j for j in range(k) if j != i and dot(images[i], simple[j])]
+           for i in range(k)]
     seen = set()
     components = []
     simple_roots = []
-    total = 0
+    component_roots = []
     for i in range(k):
         if i in seen:
             continue
@@ -427,19 +378,27 @@ def classify_root_system(L, budget=None):
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
-        label, m, order = _order_component(comp, adj)
-        ordered = [simple[v] for v in order]
-        C = cartan_matrix(label, m)
-        got = mat_mul(mat_mul(ordered, gram), transpose(ordered))
-        assert mat_eq(got, [[-x for x in row] for row in C]), \
-            "simple roots do not reproduce the Cartan matrix"
-        components.append((label, m))
+        comp.sort()
+        part = [r for r in roots_half if any(dot(images[v], r) for v in comp)]
+        m, count = len(comp), 2 * len(part)
+        labels = [t for t, f in ROOT_COUNTS.items() if f(m) == count]
+        ordered = [simple[v] for v in comp]
+        got = det(mat_mul(mat_mul(ordered, gram), transpose(ordered)))
+        # det(-Cartan) = (-1)^m det(Cartan)
+        if len(labels) != 1 or got != (-1) ** m * det(
+                cartan_matrix(labels[0], m)):
+            raise AssertionError("a rank %d root component with %d roots "
+                                 "has no certified ADE type" % (m, count))
+        components.append((labels[0], m))
         simple_roots.append(ordered)
-        total += ROOT_COUNTS[label](m)
-    assert total == len(roots), "component root counts do not add up"
-    all_simple = [r for comp in simple_roots for r in comp]
-    spanning = qrank(all_simple) == n
-    return RootSystem(roots_half, components, simple_roots, spanning)
+        component_roots.append(part)
+    total = sum(ROOT_COUNTS[t](m) for t, m in components)
+    if total != len(roots):
+        raise AssertionError("root components of rank %d hold %d of the %d "
+                             "roots" % (k, total, len(roots)))
+    spanning = qrank(simple) == n
+    return RootSystem(roots_half, components, simple_roots, component_roots,
+                      spanning)
 
 
 def _fill_slots(cands, fits, budget, stage, accept=None, every=False):

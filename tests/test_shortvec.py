@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from k3lat.matrix import (
     vec_mat,
 )
 from k3lat.shortvec import (
+    ROOT_COUNTS,
     SearchBudgetExceeded,
     _generates,
     _level_range,
@@ -226,6 +230,51 @@ def test_classification_reducible():
     sub = A3.sublattice([[1, 0, 0], [0, 0, 1]])
     rs2 = classify_root_system(sub.as_lattice().gram)
     assert sorted(rs2.components) == [("A", 1), ("A", 1)]
+
+
+def test_classification_of_skewed_mixed_sums():
+    # planted direct sums of mixed types, each in a random unimodular basis
+    rng = random.Random(2104)
+    kinds = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4),
+             ("D", 5), ("E", 6), ("E", 7), ("E", 8)]
+    for _ in range(60):
+        planted = []
+        while True:
+            kind = rng.choice(kinds)
+            if sum(m for _, m in planted) + kind[1] > 12:
+                break
+            planted.append(kind)
+        G = direct_sum(*[root_lattice(t, m, sign=-1)
+                         for t, m in planted]).gram
+        U, _ = _random_unimodular(rng, len(G), 3 * len(G))
+        rs = classify_root_system(mat_mul(mat_mul(U, G), transpose(U)))
+        assert sorted(rs.components) == sorted(planted)
+        assert rs.spanning
+        parts = [tuple(r) for part in rs.component_roots for r in part]
+        assert sorted(parts) == sorted(map(tuple, rs.roots))
+        assert len(set(parts)) == len(parts)
+        for (t, m), part in zip(rs.components, rs.component_roots):
+            assert 2 * len(part) == ROOT_COUNTS[t](m)
+
+
+def test_root_type_certificate_holds_under_python_O():
+    script = (
+        "import k3lat.shortvec as sv\n"
+        "from k3lat.standard import root_lattice\n"
+        "sv.ROOT_COUNTS['A'] = lambda m: m * (m + 1) + 2\n"
+        "try:\n"
+        "    sv.classify_root_system(root_lattice('A', 2, -1).gram)\n"
+        "    print('returned')\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert "rank 2" in proc.stdout and "6 roots" in proc.stdout, proc.stdout
 
 
 def test_min_norm_and_kissing_e8():
