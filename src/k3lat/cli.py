@@ -474,15 +474,10 @@ def _cmd_scenario(args):
 
 
 def _cmd_decide(args):
-    from .groups import NeedIsotypicData
     from .realize import decide_complex
     group = _load_group(args.group)
     iso = _load_isotypic(args.isotypic) if args.isotypic else None
-    try:
-        rep = decide_complex(group, iso, budget=args.budget)
-    except NeedIsotypicData:
-        return _fail("need-isotypic-data: the group is non-cyclic; "
-                     "pass --isotypic <file> with rational projectors")
+    rep = decide_complex(group, iso, budget=args.budget)
     obj = {"schema": SCHEMA, "kind": "realizability",
            "metric": rep.metric,
            "metric_witness": rep.metric_witness,
@@ -592,6 +587,10 @@ def _cmd_compute(args):
     return _fail("unknown compute subcommand %r" % sub)
 
 
+ISOTYPIC_HELP = ("optional file of rational projectors, checked against "
+                 "the computed isotypic components")
+
+
 def _build_parser():
     top = argparse.ArgumentParser(
         prog="k3lat",
@@ -614,7 +613,7 @@ def _build_parser():
     de = subs.add_parser("decide", help="realizability verdicts for a "
                                         "group file")
     de.add_argument("--group", required=True)
-    de.add_argument("--isotypic", default=None)
+    de.add_argument("--isotypic", default=None, help=ISOTYPIC_HELP)
 
     di = subs.add_parser("dichotomy", help="Nikulin/Coxeter classification "
                                            "of an odd prime order action")
@@ -632,7 +631,7 @@ def _build_parser():
                              "decide"))
     co.add_argument("--lattice", default=None)
     co.add_argument("--group", default=None)
-    co.add_argument("--isotypic", default=None)
+    co.add_argument("--isotypic", default=None, help=ISOTYPIC_HELP)
     co.add_argument("--norm", type=int, default=None)
     co.add_argument("--p", type=int, default=None)
     co.add_argument("--q", type=int, default=None)

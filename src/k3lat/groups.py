@@ -1,8 +1,9 @@
 """Finite isometry groups of a lattice and their homological invariants.
 
-Covers group validation/closure, fixed sublattices, the coinvariant
-sublattice L_G (pointwise-fixed, cyclic, and projector-supplied modes),
-module decomposition counts (t, c, r) for prime-order elements, the
+Covers group validation/closure, fixed sublattices, rational classes and
+the Q-isotypic components their class sums split the lattice into, the
+coinvariant sublattice L_G (one rule for every finite group), module
+decomposition counts (t, c, r) for prime-order elements, the
 direct-summand check for the regular part, and membership in O^+, the
 isometries preserving the orientation of positive-definite 3-planes:
 the sign of one small determinant, det(P g G P^T) for a positive-definite
@@ -10,30 +11,29 @@ basis P, which is never 0.
 """
 
 from fractions import Fraction
-from itertools import chain
 import math
-from operator import mul
 
 from .matrix import (
+    char_poly,
     det,
     identity_matrix,
     int_kernel,
+    inverse,
     is_integral,
     mat_eq,
     mat_mul,
     mat_scale,
     mat_sub,
-    matrix_order,
     rank as qrank,
     rank_mod_p,
+    to_int_matrix,
     transpose,
-    vec_mat,
-    zero_matrix,
 )
 from .lattice import (
     Sublattice,
     diagonalize,
     express_in_basis,
+    gram_of_rows,
     signature_of_gram,
 )
 from .polys import cyclotomic, poly_eval_matrix
@@ -44,14 +44,6 @@ class NotAnIsometry(ValueError):
 
 
 class NotFinite(ValueError):
-    pass
-
-
-class NeedIsotypicData(ValueError):
-    pass
-
-
-class UnsupportedSchurType(ValueError):
     pass
 
 
@@ -108,14 +100,6 @@ class IsometryGroup:
 
     def order(self):
         return len(self.elements())
-
-    def cyclic_generator(self):
-        """An element of order |G| if one exists, else None."""
-        n = self.order()
-        for g in self.elements():
-            if matrix_order(g, cap=n) == n:
-                return g
-        return None
 
     def fixed_sublattice(self):
         return fixed_sublattice(self.ambient, self.generators)
@@ -256,177 +240,170 @@ def spinor_plus_membership(ambient, g):
 class CoinvariantResult:
     """L_G and how it was determined.
 
-    mode is one of pointwise-fixed-3-plane, rotation-on-3-plane,
-    supplied-isotypic. p_types labels the components that meet an
-    invariant positive 3-plane (those with a positive part); L_G is the
-    saturated span of the other components.
+    mode is pointwise-fixed-3-plane when the fixed lattice holds a
+    positive 3-plane, supplied-isotypic when caller projectors were
+    checked against the components, and rotation-on-3-plane otherwise.
+    pieces holds the sorted (rank, sig_+) pairs L_G was built from: the
+    fixed lattice and its complement in pointwise mode, else the
+    Q-isotypic components. L_G is the saturated span of the pieces with
+    sig_+ = 0.
     """
 
-    def __init__(self, L_G, fixed, mode, p_types):
+    def __init__(self, L_G, fixed, mode, pieces):
         self.L_G, self.fixed, self.mode = L_G, fixed, mode
-        self.p_types = p_types
+        self.pieces = pieces
 
 
 def coinvariant_L_G(group, isotypic_data=None):
     """The coinvariant sublattice L_G of a finite isometry group on K3.
 
-    One rule in every mode: of the Q-isotypic components of H_2, those
-    with a positive part meet an invariant positive 3-plane, and L_G is
-    the saturated span of the others. The components come from a
-    pointwise-fixed positive 3-plane (the fixed lattice and its
-    complement), from the cyclotomic kernels of a cyclic generator, or
-    from caller-supplied rational isotypic projectors for non-cyclic
-    groups. A cyclic group outside O^+ is refused with ValueError.
+    One rule: of the Q-isotypic components of H_2, those with a positive
+    part meet an invariant positive 3-plane, and L_G is the saturated span
+    of the others. A group whose fixed lattice holds a positive 3-plane
+    needs no components: L_G is that lattice's complement. Any other group
+    is split into its components by its rational class sums, and refused
+    with ValueError when a generator lies outside O^+. Optional rational
+    projectors (isotypic_data) must sum to 1 and act on every component
+    as 0 or 1; they play no part in computing L_G.
     """
     ambient = group.ambient
+    n = ambient.rank
     if ambient.signature() != (3, 19, 0):
         raise ValueError(
             "coinvariant analysis is specific to the K3 lattice signature")
     fixed = group.fixed_sublattice()
-    if fixed.rank:
-        fp, fm, fz = signature_of_gram(fixed.gram())
-    else:
-        fp = fm = fz = 0
-    if fp == 3:
+    if fixed.rank and signature_of_gram(fixed.gram())[0] == 3:
         L = fixed.orthogonal_complement()
-        res = CoinvariantResult(L, fixed, "pointwise-fixed-3-plane",
-                                ["trivial"])
+        pieces = sorted(p for p in [(fixed.rank, 3), (L.rank, 0)] if p[0])
+        res = CoinvariantResult(L, fixed, "pointwise-fixed-3-plane", pieces)
         _check_coinvariant(group, res)
         return res
 
-    gen = group.cyclic_generator()
-    if gen is not None:
-        return _cyclic_coinvariant(group, gen, fixed)
-    if isotypic_data is None:
-        raise NeedIsotypicData(
-            "non-cyclic group: supply rational isotypic projectors")
-    return _projector_coinvariant(group, isotypic_data, fixed)
-
-
-def _cyclic_coinvariant(group, g, fixed):
-    """L_G from the saturated cyclotomic kernels K_d = ker Phi_d(g).
-
-    The K_d are mutually orthogonal, so an invariant positive 3-plane
-    splits along them and the positive parts a_d = sig_+(K_d) sum to 3.
-    g acts on that plane with determinant (-1)^{a_2}, since the rotation
-    parts (d >= 3) have determinant +1, so g lies in O^+ iff a_2 is even.
-    """
-    ambient = group.ambient
-    N = group.order()
-    comps = {}
-    for d in range(1, N + 1):
-        if N % d:
-            continue
-        M = poly_eval_matrix(cyclotomic(d), g)
-        basis = int_kernel(transpose(M))
-        if basis:
-            comps[d] = basis
-    assert sum(len(b) for b in comps.values()) == ambient.rank
-
-    a_plus = {}
-    for d, basis in comps.items():
-        plus, minus, zero = signature_of_gram(
-            mat_mul(mat_mul(basis, ambient.gram), transpose(basis)))
-        assert zero == 0
-        a_plus[d] = plus
-    assert sum(a_plus.values()) == 3, "positive part bookkeeping failed"
-    if a_plus.get(2, 0) % 2:
+    if isotypic_data is not None and any(
+            len(E) != n or any(len(r) != n for r in E) for E in isotypic_data):
+        raise ValueError("projectors must be %d x %d matrices" % (n, n))
+    if not all(spinor_plus_membership(ambient, g) for g in group.generators):
         raise ValueError("no orientation-compatible invariant positive "
                          "3-plane: the group does not lie in O^+")
-
-    p_types = []
-    for d, a in sorted(a_plus.items()):
-        # one label per positive line (d <= 2) or positive plane (d >= 3)
-        name = {1: "trivial", 2: "sign"}.get(d, "rotation(d=%d)" % d)
-        p_types.extend([name] * (a if d <= 2 else a // 2))
-    keep = [row for d, b in sorted(comps.items()) if not a_plus[d]
-            for row in b]
+    comps = isotypic_components(group)
+    sigs = [signature_of_gram(gram_of_rows(B, ambient.gram)) for B in comps]
+    rank, plus = sum(map(len, comps)), sum(p for p, _, _ in sigs)
+    if rank != n or plus != 3 or any(z for _, _, z in sigs):
+        raise AssertionError(
+            "isotypic components must be nondegenerate with ranks summing "
+            "to %d and sig_+ to 3, got %d and %d" % (n, rank, plus))
+    keep = [row for B, (p, _, _) in zip(comps, sigs) if not p for row in B]
     L = Sublattice(ambient, keep).saturation()
-    res = CoinvariantResult(L, fixed, "rotation-on-3-plane", p_types)
+    mode = "rotation-on-3-plane"
+    if isotypic_data is not None:
+        _check_projectors(isotypic_data, comps)
+        mode = "supplied-isotypic"
+    pieces = sorted((len(B), p) for B, (p, _, _) in zip(comps, sigs))
+    res = CoinvariantResult(L, fixed, mode, pieces)
     _check_coinvariant(group, res)
     return res
 
 
-def _projector_coinvariant(group, projectors, fixed):
-    ambient = group.ambient
-    n = ambient.rank
-    if any(len(E) != n or any(len(r) != n for r in E) for E in projectors):
-        raise ValueError("projectors must be %d x %d matrices" % (n, n))
+def rational_classes(group):
+    """The rational classes of G, each a list of matrices.
+
+    g and h are rationally conjugate when <g> and <h> are conjugate, so
+    the class of x is the conjugation orbit of the generators x^k of <x>,
+    k prime to the order of x. The orbit closes under conjugation by the
+    group generators alone, since G is finite.
+    """
+    n = group.ambient.rank
+    I = identity_matrix(n)
+    conj = [(to_int_matrix(inverse(g)), g) for g in group.generators]
+    seen = set()
+    classes = []
+    for x in group.elements():
+        if _key(x) in seen:
+            continue
+        powers = [x]
+        while not mat_eq(powers[-1], I):
+            powers.append(mat_mul(powers[-1], x))
+        m = len(powers)
+        orbit = {_key(p): p for k, p in enumerate(powers, 1)
+                 if math.gcd(k, m) == 1}
+        stack = list(orbit.values())
+        while stack:
+            y = stack.pop()
+            for gi, g in conj:
+                z = mat_mul(mat_mul(gi, y), g)
+                if _key(z) not in orbit:
+                    orbit[_key(z)] = z
+                    stack.append(z)
+        seen.update(orbit)
+        classes.append(list(orbit.values()))
+    return classes
+
+
+def isotypic_components(group):
+    """Saturated bases of the Q-isotypic components of the ambient lattice.
+
+    The rational class sums S_C span the Galois-fixed centre of Q[G],
+    which holds every central primitive idempotent (Serre, Linear
+    Representations of Finite Groups, 12-13). So S_C acts on each
+    component as an integer of absolute value at most |C|, and the joint
+    eigenspaces of the S_C are the components. Each piece is split by one
+    integer kernel per root of the characteristic polynomial of S_C on it.
+    """
+    pieces = [identity_matrix(group.ambient.rank)]
+    # the first class is {1}, which splits nothing
+    for C in rational_classes(group)[1:]:
+        S = [[sum(col) for col in zip(*rows)] for rows in zip(*C)]
+        pieces = [part for B in pieces
+                  for part in _eigenspaces(B, S, len(C))]
+    return pieces
+
+
+def _eigenspaces(B, S, bound):
+    """The span of B split by the integer eigenvalues of S, |lam| <= bound."""
+    BS = mat_mul(B, S)
+    # S is scalar on the span iff B S is the multiple BS[0][j] / B[0][j]
+    # of B, for a nonzero B[0][j]: tested in integers, with no solve
+    j = next(j for j, x in enumerate(B[0]) if x)
+    if all(a * B[0][j] == BS[0][j] * b
+           for ra, rb in zip(BS, B) for a, b in zip(ra, rb)):
+        return [B]
+    cp = char_poly(express_in_basis(BS, B))
+    return [mat_mul(int_kernel(transpose(mat_sub(BS, mat_scale(lam, B)))), B)
+            for lam in range(-bound, bound + 1)
+            if sum(c * lam ** i for i, c in enumerate(cp)) == 0]
+
+
+def _check_projectors(projectors, comps):
+    """Supplied projectors must sum to 1 and act on every component as 0
+    or 1, which makes each one idempotent and equivariant, and any two
+    annihilate each other."""
+    n = len(comps[0][0])
     F = [[list(map(Fraction, row)) for row in E] for E in projectors]
-    # the checks run on the integral Z = D E, D a common denominator:
-    # E E = E iff Z Z = D Z, and the other identities scale alike
+    # the checks run on the integral Z = D E, D a common denominator
     D = math.lcm(*[x.denominator for E in F for row in E for x in row])
     Z = [[[int(x * D) for x in row] for row in E] for E in F]
-    DI = mat_scale(D, identity_matrix(n))
     total = [[sum(E[i][j] for E in Z) for j in range(n)] for i in range(n)]
-    if not mat_eq(total, DI):
+    if not mat_eq(total, mat_scale(D, identity_matrix(n))):
         raise ValueError("projectors must sum to 1")
     for idx, E in enumerate(Z):
-        if not mat_eq(mat_mul(E, E), mat_scale(D, E)):
-            raise ValueError("projector %d is not idempotent" % idx)
-        for jdx in range(idx + 1, len(Z)):
-            if not mat_eq(mat_mul(E, Z[jdx]), zero_matrix(n, n)):
-                raise ValueError("projectors %d,%d do not annihilate"
-                                 % (idx, jdx))
-        for gmat in group.generators:
-            if not mat_eq(mat_mul(gmat, E), mat_mul(E, gmat)):
-                raise ValueError("projector %d is not equivariant" % idx)
-
-    # E is equivariant, so G acts on its image with character
-    # chi(g) = tr(g E) = tr(g Z)/D: no change of basis per element
-    elements = group.elements()
-    squares = [mat_mul(g, g) for g in elements]
-    order = len(elements)
-    keep = []
-    p_types = []
-    for idx, E in enumerate(Z):
-        # integral saturated basis of (image of E) cap lattice
-        basis = int_kernel(transpose(mat_sub(DI, E)))
-        if not basis:
-            continue
-        # Frobenius-Schur indicator (1/|G|) sum chi(g^2)
-        s = sum(_character(squares, E, D)) / order
-        # <chi, chi> = (1/|G|) sum chi(g) chi(g^-1); chi is rational-valued
-        # here, so chi(g^-1) = conj chi(g) = chi(g) and the sum is of chi^2
-        i_val = sum(c * c for c in _character(elements, E, D)) / order
-        if s <= 0:
-            raise UnsupportedSchurType(
-                "component %d has non-real Schur type (indicator %s)"
-                % (idx, s))
-        mult = i_val / s
-        z = s * s / i_val
-        if mult.denominator != 1 or z != 1:
-            raise UnsupportedSchurType(
-                "component %d is not a single real-type isotypic piece" % idx)
-        plus, minus, zero = signature_of_gram(
-            mat_mul(mat_mul(basis, ambient.gram), transpose(basis)))
-        assert zero == 0
-        if plus:
-            p_types.append("component-%d" % idx)
-        else:
-            keep.extend(basis)
-    L = Sublattice(ambient, keep).saturation()
-    res = CoinvariantResult(L, fixed, "supplied-isotypic", p_types)
-    _check_coinvariant(group, res)
-    return res
-
-
-def _character(elements, Z, D):
-    """tr(g Z)/D for each g: the character of G on the image of the
-    equivariant projector Z/D."""
-    Zt = list(chain.from_iterable(zip(*Z)))
-    return [Fraction(sum(map(mul, chain.from_iterable(g), Zt)), D)
-            for g in elements]
+        for B in comps:
+            BE = mat_mul(B, E)
+            if any(map(any, BE)) and not mat_eq(BE, mat_scale(D, B)):
+                if not mat_eq(mat_mul(BE, E), mat_scale(D, BE)):
+                    raise ValueError("projector %d is not idempotent" % idx)
+                raise ValueError("projector %d acts on the isotypic "
+                                 "component of rank %d neither as 0 nor as 1"
+                                 % (idx, len(B)))
 
 
 def _check_coinvariant(group, res):
     L = res.L_G
     if L.rank == 0:
         return
-    gram = L.gram()
-    p, m, z = signature_of_gram(gram)
-    assert p == 0 and z == 0, "L_G must be negative definite or zero"
+    p, m, z = signature_of_gram(L.gram())
+    if p or z:
+        raise AssertionError("L_G must be negative definite or zero")
     for g in group.generators:
-        imgs = [vec_mat(row, g) for row in L.basis]
-        X = express_in_basis(imgs, L.basis)
-        assert X is not None and is_integral(X), "L_G must be G-invariant"
+        X = express_in_basis(mat_mul(L.basis, g), L.basis)
+        if X is None or not is_integral(X):
+            raise AssertionError("L_G must be G-invariant")

@@ -128,8 +128,9 @@ class DichotomyReport:
 class ExampleAction:
     """A constructed group plus everything needed to analyze it.
 
-    projectors carries rational isotypic projectors when the group is
-    non-cyclic; certificates records every identity verified during
+    projectors, when set, carries rational isotypic projectors, which
+    decide accepts with --isotypic and checks against the components it
+    computes; certificates records every identity verified during
     construction, for report emission.
     """
 
@@ -155,7 +156,9 @@ def decide_metric(group, isotypic_data=None, budget=None):
     if flag:
         amb = vec_mat(wit, res.L_G.basis)
         gv = vec_mat(amb, group.ambient.gram)
-        assert dot(gv, amb) == -2
+        if dot(gv, amb) != -2:
+            raise AssertionError("metric witness must have square -2, got %d"
+                                 % dot(gv, amb))
         return "no", [int(x) for x in amb], res
     return "yes", None, res
 
@@ -239,8 +242,8 @@ def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
     p = group.order()
     if not _is_odd_prime(p):
         raise ValueError("group must have odd prime order, got %d" % p)
-    g = group.cyclic_generator()
-    assert g is not None
+    # every element but 1 generates a group of prime order
+    g = next(h for h in group.generators if h != identity_matrix(len(h)))
     fixed = coinvariant.fixed if coinvariant else group.fixed_sublattice()
     sig_plus = signature_of_gram(fixed.gram())[0] if fixed.rank else 0
     if sig_plus != 3:

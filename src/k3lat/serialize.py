@@ -11,7 +11,7 @@ the line and column of the offending byte.
 import json
 from fractions import Fraction
 
-from .lattice import Lattice, Sublattice
+from .lattice import Lattice
 from .standard import NamedLattice
 
 SCHEMA = "k3lat/1"
@@ -98,20 +98,6 @@ def lattice_from_obj(obj):
         return NamedLattice(gram, obj["name"], distinguished=dist,
                             labels=labels)
     return Lattice(gram, labels=labels)
-
-
-def sublattice_to_obj(S):
-    obj = lattice_to_obj(S.ambient)
-    obj["basis"] = [list(r) for r in S.basis]
-    return obj
-
-
-def sublattice_from_obj(obj):
-    _require(isinstance(obj, dict) and "basis" in obj,
-             "sublattice needs a basis")
-    ambient = lattice_from_obj(obj)
-    basis = _int_matrix(obj["basis"], "basis", cols=ambient.rank)
-    return Sublattice(ambient, basis)
 
 
 def group_to_obj(G):

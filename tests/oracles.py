@@ -8,7 +8,10 @@ loops behind the closed forms of the group layer (point defects summed
 over p - 1 conjugates, characters from one change of basis per element,
 generation of a finite abelian group by breadth-first closure), an
 independent box enumerator to check Fincke-Pohst against, a constructive
-Cartan-Dieudonne to check O^+ membership against, and the searches
+Cartan-Dieudonne to check O^+ membership against, two independent
+routes to L_G (the cyclotomic kernels of a cyclic generator, and
+supplied projectors with their Frobenius-Schur checks and characters
+tr(g Z)/D) to check the class-sum components against, and the searches
 that first produced the data pinned in k3lat.realize: the A_3 + A_3
 chain embedding into E8 and the discriminant glue images. Also the
 family checks that no verb runs: uniqueness of the k-vector squares, the
@@ -21,15 +24,18 @@ diagonal, and E8 simple roots in the even coordinate model of R^8.
 from fractions import Fraction
 import itertools
 import math
+import operator
 
 from conftest import family
 from k3lat import nikulin
 from k3lat.lattice import (
     DiscriminantForm,
     Lattice,
+    Sublattice,
     direct_sum,
     express_in_basis,
     gram_of_rows,
+    signature_of_gram,
 )
 from k3lat.matrix import (
     det,
@@ -39,6 +45,7 @@ from k3lat.matrix import (
     inverse,
     mat_eq,
     mat_mul,
+    matrix_order,
     row_hnf,
     snf,
     to_int_matrix,
@@ -47,6 +54,7 @@ from k3lat.matrix import (
 )
 from k3lat.polys import (
     cyclotomic,
+    poly_eval_matrix,
     poly_add,
     poly_divmod,
     poly_mul,
@@ -310,6 +318,104 @@ def basis_characters(elements, basis):
                     sum(R[i][j] * R[j][i] for i in range(m)
                         for j in range(m))))
     return out
+
+
+def cyclic_generator(group):
+    """An element of order |G| if one exists, else None."""
+    n = group.order()
+    for g in group.elements():
+        if matrix_order(g, cap=n) == n:
+            return g
+    return None
+
+
+def cyclic_coinvariant(group):
+    """L_G of a cyclic group from the saturated cyclotomic kernels
+    K_d = ker Phi_d(g) of a generator g, or None outside O^+.
+
+    The K_d are mutually orthogonal, so an invariant positive 3-plane
+    splits along them and the positive parts a_d = sig_+(K_d) sum to 3.
+    g acts on that plane with determinant (-1)^{a_2}, since the rotation
+    parts (d >= 3) have determinant +1, so g lies in O^+ iff a_2 is even.
+    L_G is the saturated span of the K_d with a_d = 0.
+    """
+    ambient = group.ambient
+    g = cyclic_generator(group)
+    N = group.order()
+    comps = {}
+    for d in range(1, N + 1):
+        if N % d == 0:
+            basis = int_kernel(transpose(poly_eval_matrix(cyclotomic(d), g)))
+            if basis:
+                comps[d] = basis
+    assert sum(len(b) for b in comps.values()) == ambient.rank
+    a_plus = {}
+    for d, basis in comps.items():
+        plus, _, zero = signature_of_gram(gram_of_rows(basis, ambient.gram))
+        assert zero == 0
+        a_plus[d] = plus
+    assert sum(a_plus.values()) == 3
+    if a_plus.get(2, 0) % 2:
+        return None
+    keep = [row for d, b in sorted(comps.items()) if not a_plus[d]
+            for row in b]
+    return Sublattice(ambient, keep).saturation()
+
+
+def projector_character(elements, Z, D):
+    """tr(g Z)/D for each g: the character of G on the image of the
+    equivariant projector Z/D."""
+    Zt = list(itertools.chain.from_iterable(zip(*Z)))
+    return [Fraction(sum(map(operator.mul, itertools.chain.from_iterable(g),
+                             Zt)), D)
+            for g in elements]
+
+
+def projector_coinvariant(group, projectors):
+    """L_G from rational isotypic projectors, each checked to be an
+    idempotent, equivariant, mutually annihilating projector onto one
+    real-type isotypic piece by its Frobenius-Schur indicator and
+    <chi, chi>; ValueError otherwise. L_G is the saturated span of the
+    images without a positive part."""
+    ambient = group.ambient
+    n = ambient.rank
+    F = [[list(map(Fraction, row)) for row in E] for E in projectors]
+    D = math.lcm(*[x.denominator for E in F for row in E for x in row])
+    Z = [[[int(x * D) for x in row] for row in E] for E in F]
+    DI = [[D * x for x in row] for row in identity_matrix(n)]
+    if [[sum(E[i][j] for E in Z) for j in range(n)]
+            for i in range(n)] != DI:
+        raise ValueError("projectors must sum to 1")
+    for idx, E in enumerate(Z):
+        if mat_mul(E, E) != [[D * x for x in row] for row in E]:
+            raise ValueError("projector %d is not idempotent" % idx)
+        for E2 in Z[idx + 1:]:
+            if any(map(any, mat_mul(E, E2))):
+                raise ValueError("projectors do not annihilate")
+        for g in group.generators:
+            if mat_mul(g, E) != mat_mul(E, g):
+                raise ValueError("projector %d is not equivariant" % idx)
+    elements = group.elements()
+    squares = [mat_mul(g, g) for g in elements]
+    keep = []
+    for idx, E in enumerate(Z):
+        basis = int_kernel(transpose([[a - z for a, z in zip(ra, rz)]
+                                      for ra, rz in zip(DI, E)]))
+        if not basis:
+            continue
+        # Frobenius-Schur indicator (1/|G|) sum chi(g^2) and <chi, chi>;
+        # chi is rational-valued, so chi(g^-1) = chi(g)
+        s = sum(projector_character(squares, E, D)) / len(elements)
+        i_val = sum(c * c for c in projector_character(elements, E, D)) \
+            / len(elements)
+        if s <= 0 or (i_val / s).denominator != 1 or s * s != i_val:
+            raise ValueError("component %d is not a single real-type "
+                             "isotypic piece" % idx)
+        plus, _, zero = signature_of_gram(gram_of_rows(basis, ambient.gram))
+        assert zero == 0
+        if not plus:
+            keep.extend(basis)
+    return Sublattice(ambient, keep).saturation()
 
 
 def defect_point_by_conjugates(p, q):

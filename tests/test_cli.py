@@ -126,8 +126,8 @@ def test_decide_needs_group(capsys):
     assert code == 2
 
 
-def test_decide_need_isotypic_exits_2(tmp_path, capsys):
-    # non-cyclic group without projector data
+def test_decide_noncyclic_group_without_projectors(tmp_path, capsys):
+    # C4 x C2 needs no projector data: its rank-1 L_G holds a root
     from k3lat.groups import IsometryGroup
     from k3lat.standard import reflection
     k3 = k3_lattice()
@@ -143,9 +143,11 @@ def test_decide_need_isotypic_exits_2(tmp_path, capsys):
     G = IsometryGroup(k3, [M, reflection(k3.gram, root)])
     path = str(tmp_path / "grp.json")
     serialize.write_json_file(path, serialize.group_to_obj(G))
-    code, _, err = _run(capsys, ["decide", "--group", path])
-    assert code == 2
-    assert "need-isotypic-data" in err
+    code, out, _ = _run(capsys, ["--format", "structured", "decide",
+                                 "--group", path])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["metric"], doc["L_G_rank"]) == ("no", 1)
 
 
 def test_example_emission_round_trip(tmp_path, capsys):

@@ -9,12 +9,11 @@ import pytest
 
 from k3lat.groups import (
     IsometryGroup,
-    NeedIsotypicData,
     NotAnIsometry,
     NotFinite,
-    _character,
     coinvariant_L_G,
     fixed_sublattice,
+    rational_classes,
     regular_summand_discriminant_check,
     spinor_plus_membership,
     zg_decomposition,
@@ -34,8 +33,15 @@ from k3lat.matrix import (
 from k3lat.polys import cyclotomic
 from k3lat.standard import k3_lattice, reflection, reflection_general
 from conftest import a4_example
-from oracles import basis_characters, cartan_dieudonne_o_plus
+from oracles import (
+    basis_characters,
+    cartan_dieudonne_o_plus,
+    cyclic_coinvariant,
+    projector_character,
+    projector_coinvariant,
+)
 
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 K3 = k3_lattice()
 N = 22
 I22 = identity_matrix(N)
@@ -170,7 +176,14 @@ def _random_e8_root(rng, block):
     return v
 
 
-def _random_finite_isometry(rng):
+def _reflection_word(rng, g, block):
+    # g times a word of 1-4 reflections in E8(-1) roots of one block
+    for _ in range(rng.randint(1, 4)):
+        g = mat_mul(g, reflection(K3.gram, _random_e8_root(rng, block)))
+    return g
+
+
+def _random_finite_isometry(rng, blocks=(6, 14)):
     # g = (twist or 1) * (-1 on the first k hyperbolic planes) * words of
     # reflections in E8(-1) roots on each block; redrawn until its order
     # is at most 12
@@ -180,28 +193,76 @@ def _random_finite_isometry(rng):
              for i, row in enumerate(I22)]
         if rng.random() < 0.5:
             g = mat_mul(_u2_twist(), g)
-        for block in (6, 14):
-            for _ in range(rng.randint(1, 4)):
-                root = _random_e8_root(rng, block)
-                g = mat_mul(g, reflection(K3.gram, root))
+        for block in blocks:
+            g = _reflection_word(rng, g, block)
         if matrix_order(g, cap=12) is not None:
             return g
 
 
 def test_cyclic_coinvariant_refuses_exactly_outside_o_plus():
+    # and the class-sum L_G equals the cyclotomic-kernel oracle's
     rng = random.Random(3)
     outcomes = {"refused": 0, "pointwise-fixed-3-plane": 0,
                 "rotation-on-3-plane": 0}
     while sum(outcomes.values()) < 40:
         g = _random_finite_isometry(rng)
         G = IsometryGroup(K3, [g])
+        expect = cyclic_coinvariant(G)
         if spinor_plus_membership(K3, g):
-            outcomes[coinvariant_L_G(G).mode] += 1
+            res = coinvariant_L_G(G)
+            outcomes[res.mode] += 1
+            assert res.L_G.basis == expect.basis
         else:
+            assert expect is None
             with pytest.raises(ValueError, match="does not lie in O"):
                 coinvariant_L_G(G)
             outcomes["refused"] += 1
     assert min(outcomes.values()) >= 3, outcomes
+
+
+def test_noncyclic_products_match_the_cyclic_oracle():
+    # G = <a> x <b>: a acts on U^3 + E8(-1), b is a reflection word on the
+    # second E8(-1) block, a negative-definite summand. So the components
+    # of G are those of <a> and <b>, and L_G = saturation(L_<a> + L_<b>)
+    rng = random.Random(23)
+    outcomes = {"refused": 0, "pointwise-fixed-3-plane": 0,
+                "rotation-on-3-plane": 0}
+    orders = set()
+    while sum(outcomes.values()) < 12:
+        a = _random_finite_isometry(rng, blocks=(6,))
+        b = _reflection_word(rng, I22, 14)
+        oa, ob = matrix_order(a, cap=12), matrix_order(b, cap=12)
+        if ob is None or math.gcd(oa, ob) == 1:
+            continue
+        G = IsometryGroup(K3, [a, b])
+        orders.add(G.order())
+        La = cyclic_coinvariant(IsometryGroup(K3, [a]))
+        Lb = cyclic_coinvariant(IsometryGroup(K3, [b]))
+        if not (spinor_plus_membership(K3, a)
+                and spinor_plus_membership(K3, b)):
+            assert La is None or Lb is None
+            with pytest.raises(ValueError, match="does not lie in O"):
+                coinvariant_L_G(G)
+            outcomes["refused"] += 1
+            continue
+        rows = La.basis + Lb.basis
+        res = coinvariant_L_G(G)
+        outcomes[res.mode] += 1
+        assert res.L_G.basis == (int_kernel(int_kernel(rows)) if rows
+                                 else [])
+    assert min(outcomes.values()) >= 2, outcomes
+    assert len(orders) > 3, orders
+
+
+def test_a4_components_match_the_projector_oracle():
+    act = a4_example()
+    expect = projector_coinvariant(act.group, act.projectors)
+    for projectors, mode in ((None, "rotation-on-3-plane"),
+                             (act.projectors, "supplied-isotypic")):
+        res = coinvariant_L_G(act.group, projectors)
+        assert res.mode == mode
+        assert res.pieces == [(4, 0), (18, 3)]
+        assert res.L_G.basis == expect.basis
 
 
 def _complement(Z, D):
@@ -232,8 +293,8 @@ def test_characters_match_the_change_of_basis_traces():
         ranks.append(len(basis))
         squares = [mat_mul(g, g) for g in elements]
         expect = basis_characters(elements, basis)
-        assert _character(elements, Z, D) == [c for c, _ in expect]
-        assert _character(squares, Z, D) == [c2 for _, c2 in expect]
+        assert projector_character(elements, Z, D) == [c for c, _ in expect]
+        assert projector_character(squares, Z, D) == [c2 for _, c2 in expect]
     assert ranks[:2] == [4, 18]
     assert len(set(ranks)) > 4, ranks
 
@@ -254,7 +315,7 @@ def test_order_twelve_rotation_coinvariant():
     assert G12.order() == 12
     res = coinvariant_L_G(G12)
     assert res.mode == "rotation-on-3-plane"
-    assert res.p_types == ["trivial", "rotation(d=4)"]
+    assert res.pieces == [(2, 0), (4, 2), (16, 1)]
     assert res.L_G.rank == 2
     gram = res.L_G.gram()
     assert gram in ([[-2, 1], [1, -2]], [[-2, -1], [-1, -2]])
@@ -264,16 +325,39 @@ def test_order_four_rotation_has_zero_coinvariant():
     G4 = IsometryGroup(K3, [_u2_twist()])
     res = coinvariant_L_G(G4)
     assert res.L_G.rank == 0
-    assert res.p_types == ["trivial", "rotation(d=4)"]
+    assert res.pieces == [(4, 2), (18, 1)]
 
 
-def test_noncyclic_group_needs_isotypic_data():
+def _c4_c2():
     root = [0] * N
     root[6] = 1
-    Gnc = IsometryGroup(K3, [_u2_twist(), reflection(K3.gram, root)])
+    return IsometryGroup(K3, [_u2_twist(), reflection(K3.gram, root)])
+
+
+def test_noncyclic_group_splits_by_rational_class_sums():
+    Gnc = _c4_c2()
     assert Gnc.order() == 8
-    with pytest.raises(NeedIsotypicData):
-        coinvariant_L_G(Gnc)
+    assert len(rational_classes(Gnc)) == 6
+    res = coinvariant_L_G(Gnc)
+    assert res.mode == "rotation-on-3-plane"
+    assert res.pieces == [(1, 0), (4, 2), (17, 1)]
+    assert res.L_G.gram() == [[-2]]
+
+
+def test_coarse_projectors_are_checked_against_the_components():
+    # the Reynolds projector E and 1 - E: 1 - E spans the rank-1 and the
+    # complex-type rank-4 component, which the projector oracle refuses
+    Gnc = _c4_c2()
+    elements = Gnc.elements()
+    E = [[Fraction(sum(col), len(elements)) for col in zip(*rows)]
+         for rows in zip(*elements)]
+    projectors = [E, [[a - e for a, e in zip(ra, re)]
+                      for ra, re in zip(I22, E)]]
+    with pytest.raises(ValueError, match="real-type"):
+        projector_coinvariant(Gnc, projectors)
+    res = coinvariant_L_G(Gnc, projectors)
+    assert res.mode == "supplied-isotypic"
+    assert res.L_G.basis == coinvariant_L_G(Gnc).L_G.basis
 
 
 def test_bad_isotypic_projectors_are_rejected():
@@ -297,6 +381,30 @@ def test_projectors_of_the_wrong_size_are_rejected():
     Gnc = IsometryGroup(K3, [_u2_twist(), reflection(K3.gram, root)])
     with pytest.raises(ValueError, match="22 x 22"):
         coinvariant_L_G(Gnc, [identity_matrix(2)])
+
+
+def test_coinvariant_certificates_hold_under_python_O():
+    # a saturation that returns the whole lattice must be caught by a
+    # check that names the claim, not by an assert that -O strips
+    script = (
+        "from k3lat import lattice, serialize\n"
+        "from k3lat.groups import coinvariant_L_G\n"
+        "G = serialize.group_from_obj(serialize.read_json_file(%r))\n"
+        "lattice.Sublattice.saturation = (\n"
+        "    lambda self: self.ambient.full_sublattice())\n"
+        "try:\n"
+        "    coinvariant_L_G(G)\n"
+        "    print('accepted')\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n" % os.path.join(ROOT, "bench", "inputs",
+                                       "rotation12-group.json")
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ,
+                                   PYTHONPATH=os.path.join(ROOT, "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "L_G must be negative definite or zero"
 
 
 def test_bad_isotypic_projectors_are_rejected_under_python_O():

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,7 +7,14 @@ from fractions import Fraction
 import pytest
 
 from k3lat.groups import IsometryGroup
-from k3lat.lattice import Lattice
+from k3lat.lattice import Lattice, Sublattice
+from k3lat.matrix import (
+    identity_matrix,
+    inverse,
+    mat_mul,
+    to_int_matrix,
+    transpose,
+)
 from k3lat.serialize import (
     SerializationError,
     dumps_canonical,
@@ -18,11 +26,13 @@ from k3lat.serialize import (
     lattice_to_obj,
     loads,
     read_json_file,
-    sublattice_from_obj,
-    sublattice_to_obj,
     write_json_file,
 )
 from k3lat.standard import hyperbolic_plane, k3_lattice, root_lattice
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src")
+INPUTS = os.path.join(ROOT, "bench", "inputs")
 
 
 def test_lattice_round_trip():
@@ -40,15 +50,6 @@ def test_named_lattice_keeps_name_and_distinguished():
     assert back.name == "U"
     assert back.distinguished["e"] == [1, 0]
     assert back.distinguished["f"] == [0, 1]
-
-
-def test_sublattice_round_trip():
-    k3 = k3_lattice()
-    S = k3.sublattice([[1, 0] + [0] * 20, [0, 1] + [0] * 20])
-    obj = sublattice_to_obj(S)
-    back = sublattice_from_obj(obj)
-    assert back.basis == S.basis
-    assert back.gram() == S.gram()
 
 
 def test_group_round_trip():
@@ -126,23 +127,60 @@ def test_group_from_obj_validates_isometries():
 
 def test_dependent_sublattice_basis_is_refused_also_under_python_O():
     # independence is a check, not an assert: -O keeps it
-    obj = sublattice_to_obj(hyperbolic_plane().full_sublattice())
-    obj["basis"] = [[1, 2], [2, 4]]
     with pytest.raises(ValueError, match="independent"):
-        sublattice_from_obj(obj)
+        Sublattice(hyperbolic_plane(), [[1, 2], [2, 4]])
     script = (
-        "from k3lat.serialize import sublattice_from_obj\n"
+        "from k3lat.lattice import Sublattice\n"
+        "from k3lat.standard import hyperbolic_plane\n"
         "try:\n"
-        "    sublattice_from_obj(%r)\n"
+        "    Sublattice(hyperbolic_plane(), [[1, 2], [2, 4]])\n"
         "    print('accepted')\n"
         "except ValueError as exc:\n"
-        "    print('raised', exc)\n" % (obj,)
+        "    print('raised', exc)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "src")
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+                          env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised"), proc.stdout
     assert "independent" in proc.stdout
+
+
+def _random_unimodular(rng, n):
+    U = identity_matrix(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return U
+
+
+def _round_trip(to_obj, from_obj, x):
+    text = dumps_canonical(to_obj(x))
+    assert dumps_canonical(loads(text)) == text
+    return from_obj(loads(text))
+
+
+def test_seeded_groups_and_projectors_survive_the_round_trip():
+    # the bench input groups and the A_4 projectors, each base-changed by
+    # seeded unimodular U: gram U G U^T, generators U g U^-1, projectors
+    # U E U^-1
+    rng = random.Random(29)
+    names = ("a4", "nikulin-involution", "model-prime-3", "coxeter",
+             "rotation12")
+    groups = [group_from_obj(read_json_file(os.path.join(
+        INPUTS, name + "-group.json"))) for name in names]
+    projectors = isotypic_from_obj(read_json_file(os.path.join(
+        INPUTS, "a4-isotypic.json")))
+    for k in range(2 * len(names)):
+        G = groups[k % len(names)]
+        U = _random_unimodular(rng, 22)
+        Ui = to_int_matrix(inverse(U))
+        gram = mat_mul(mat_mul(U, G.ambient.gram), transpose(U))
+        gens = [mat_mul(mat_mul(U, g), Ui) for g in G.generators]
+        skewed = IsometryGroup(Lattice(gram), gens)
+        back = _round_trip(group_to_obj, group_from_obj, skewed)
+        assert back.ambient.gram == gram
+        assert back.generators == gens
+        P = [mat_mul(mat_mul(U, E), Ui) for E in projectors]
+        assert _round_trip(isotypic_to_obj, isotypic_from_obj, P) == P
