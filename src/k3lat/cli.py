@@ -17,11 +17,14 @@ Exit status: 0 when no check failed (inconclusive does not fail), 1 when
 a check failed, in a scenario or an example, or when an internal
 consistency check of the library failed ("internal check failed", naming
 the file and line when the check carries no message), 2 for usage errors
-and bad input (unreadable or malformed files, invalid data). A search
-that runs out of its budget gives an inconclusive report (exit 0) naming
-the search, its budget and the nodes it spent. The environment variable
-K3R_BUDGET supplies a default search budget; --seed is accepted for
-search-order experimentation and never affects verdicts or reports.
+and bad input (unreadable or malformed files, invalid data). The
+budgeted searches are enumeration (Fincke-Pohst), lattice isometry and
+the aut search of the family scenarios; discriminant forms are decided
+by their q-value counts, with no search. A search that runs out of its
+budget gives an inconclusive report (exit 0) naming the search, its
+budget and the nodes it spent. The environment variable K3R_BUDGET
+supplies a default search budget; --seed is accepted for search-order
+experimentation and never affects verdicts or reports.
 
 The modules realize, nikulin, gsignature and groups (and with groups,
 polys) are imported inside the verbs and scenarios that call them, so a
@@ -37,7 +40,7 @@ from fractions import Fraction
 from . import serialize
 from .matrix import identity_matrix
 from .lattice import DiscriminantForm, Lattice, direct_sum, express_in_basis, \
-    rescale, sublattice_index
+    rescale, sublattice_index, two_elementary_profile
 from .standard import hyperbolic_plane, root_lattice
 from .shortvec import SearchBudgetExceeded, lattice_isometry, \
     min_norm_and_kissing
@@ -117,7 +120,6 @@ def _scenario_a4(budget):
 
 
 def _involution_checks(act):
-    from .realize import two_elementary_profile
     rows = [
         ("group-order", "order", 2, "the swap is an involution"),
         ("generators-orientation", "in_O_plus", True,
@@ -216,7 +218,6 @@ def _scenario_family(p, budget):
     ])
 
     if p == 2:
-        from .realize import two_elementary_profile
         e8m2 = [[2 * x for x in row]
                 for row in root_lattice("E", 8, -1).gram]
         T = lattice_isometry(fam.L.gram, e8m2,
@@ -308,7 +309,7 @@ def _scenario_genus(budget):
     from .nikulin import genus_check_lambda_G
     checks = []
     for p in (3, 5, 7):
-        rep = genus_check_lambda_G(p, budget=budget or 10 ** 6)
+        rep = genus_check_lambda_G(p)
         nu = NU[p]
         checks.append(_check("candidate-rank-p%d" % p,
                              22 - nu * (p - 1), rep["candidate_rank"],
@@ -599,8 +600,11 @@ def _build_parser():
     top.add_argument("--format", choices=("human", "structured"),
                      default="human", help="report rendering")
     top.add_argument("--budget", type=int, default=None,
-                     help="search budget in nodes (default: K3R_BUDGET "
-                          "or library defaults)")
+                     help="node budget of the searches: enumeration, "
+                          "lattice isometry and the aut search "
+                          "(discriminant forms are decided by q-value "
+                          "counts, with no search); default: K3R_BUDGET "
+                          "or library defaults")
     top.add_argument("--seed", type=int, default=None,
                      help="search-order seed; never affects verdicts or "
                           "report contents")
@@ -668,7 +672,7 @@ def main(argv=None):
         return _fail("cannot read %s" % e.filename)
     except ValueError as e:
         return _fail("invalid input: %s" % e)
-    except AssertionError as e:
+    except (AssertionError, ArithmeticError) as e:
         msg = str(e)
         if not msg:
             import traceback

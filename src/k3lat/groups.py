@@ -260,11 +260,12 @@ def coinvariant_L_G(group, isotypic_data=None):
     One rule: of the Q-isotypic components of H_2, those with a positive
     part meet an invariant positive 3-plane, and L_G is the saturated span
     of the others. A group whose fixed lattice holds a positive 3-plane
-    needs no components: L_G is that lattice's complement. Any other group
-    is split into its components by its rational class sums, and refused
-    with ValueError when a generator lies outside O^+. Optional rational
-    projectors (isotypic_data) must sum to 1 and act on every component
-    as 0 or 1; they play no part in computing L_G.
+    needs no components when no projectors come with it: L_G is that
+    lattice's complement. Any other input is split into its components by
+    its rational class sums, and refused with ValueError when a generator
+    lies outside O^+. Optional rational projectors (isotypic_data) must
+    sum to 1 and act on every component as 0 or 1; they play no part in
+    computing L_G.
     """
     ambient = group.ambient
     n = ambient.rank
@@ -272,7 +273,8 @@ def coinvariant_L_G(group, isotypic_data=None):
         raise ValueError(
             "coinvariant analysis is specific to the K3 lattice signature")
     fixed = group.fixed_sublattice()
-    if fixed.rank and signature_of_gram(fixed.gram())[0] == 3:
+    if isotypic_data is None and fixed.rank and \
+            signature_of_gram(fixed.gram())[0] == 3:
         L = fixed.orthogonal_complement()
         pieces = sorted(p for p in [(fixed.rank, 3), (L.rank, 0)] if p[0])
         res = CoinvariantResult(L, fixed, "pointwise-fixed-3-plane", pieces)

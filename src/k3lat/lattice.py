@@ -3,9 +3,12 @@
 A lattice here is Z^n equipped with a symmetric integer Gram matrix; basis
 vectors are rows and an isometry acts on the right of a row vector. A
 Sublattice is a row span inside an ambient lattice. A DiscriminantForm is
-the finite quadratic form on dual-quotient of a nondegenerate even lattice.
+the finite quadratic form on dual-quotient of a nondegenerate even lattice;
+two p-elementary ones are isometric iff their orders and q-value counts
+agree.
 """
 
+from collections import Counter
 from fractions import Fraction
 import itertools
 import math
@@ -376,5 +379,39 @@ class DiscriminantForm:
     def elements(self):
         return itertools.product(*[range(o) for o in self.orders])
 
+    def q_value_counts(self):
+        """Counter of q(x) over the group of a p-elementary form.
+
+        With the orders it is a complete isometry invariant: for odd p
+        the counts fix the rank and the discriminant square class (Serre,
+        A Course in Arithmetic, IV 1.7), for p = 2 the rank, the parity
+        and, through Milgram's Gauss sum, the signature mod 8 (Nikulin,
+        Integral symmetric bilinear forms, 1979, 3.6). Raises ValueError
+        naming the orders when the group is not p-elementary or the
+        source lattice is not even.
+        """
+        p = self.orders[0] if self.orders else 2
+        if any(o != p for o in self.orders) or any(
+                p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise ValueError("q-value counts decide p-elementary forms "
+                             "only, got orders %s" % (self.orders,))
+        if not self.even:
+            raise ValueError("q-value counts need an even lattice, got "
+                             "orders %s" % (self.orders,))
+        return Counter(self.q(x) for x in self.elements())
+
     def __repr__(self):
         return "DiscriminantForm(orders=%s)" % (self.orders,)
+
+
+def two_elementary_profile(D):
+    """(dimension, all q integral, count of q = 0) for a 2-elementary form,
+    read off D.q_value_counts(); for forms of even type (every q integral)
+    the triple is complete, since the building blocks satisfy
+    v + v = u + u."""
+    if any(o != 2 for o in D.orders):
+        raise ValueError("profile needs a 2-elementary group, got orders %s"
+                         % (D.orders,))
+    counts = D.q_value_counts()
+    return (len(D.orders), all(v.denominator == 1 for v in counts),
+            counts[0])

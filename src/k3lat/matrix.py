@@ -132,16 +132,15 @@ def is_integral(A):
 
 
 def to_int_matrix(A):
-    """Convert a matrix of integral Fractions/ints to plain ints."""
+    """Convert a matrix of integral Fractions/ints to plain ints; a
+    non-integral Fraction raises ArithmeticError (also under python -O)."""
     out = []
     for row in A:
         r = []
         for a in row:
-            if isinstance(a, Fraction):
-                assert a.denominator == 1, "entry %s is not an integer" % (a,)
-                r.append(int(a))
-            else:
-                r.append(int(a))
+            if isinstance(a, Fraction) and a.denominator != 1:
+                raise ArithmeticError("entry %s is not an integer" % (a,))
+            r.append(int(a))
         out.append(r)
     return out
 

@@ -7,9 +7,10 @@ with the Weyl-type vector rho, and extend by an isotropic direction to
 reach K_p = N_p + U. Each stage asserts, in exact arithmetic, the facts
 the later stages rely on, and records the identities the paper states as
 computed values in fam.checks; the scenario rows of k3lat.cli compare
-them with the claimed constants. The two searches here, the genus
-candidate's discriminant-form match and the isometries of L_p trivial on
-disc(L_p), both run on the one backtracking kernel of k3lat.shortvec.
+them with the claimed constants. The one search here, the isometries of
+L_p trivial on disc(L_p), runs on the backtracking kernel of
+k3lat.shortvec under a node budget; the genus candidate's discriminant
+form is matched by its q-value counts, with no search.
 """
 
 from fractions import Fraction
@@ -481,9 +482,11 @@ GENUS_CANDIDATES = {
 }
 
 
-def genus_check_lambda_G(p, fam=None, budget=10 ** 6):
+def genus_check_lambda_G(p, fam=None):
     """The listed invariant-lattice candidate has the right signature and
-    its discriminant form is the opposite of disc(L_p)."""
+    its discriminant form is the opposite of disc(L_p). Both forms are
+    p-elementary, so they are compared by their q-value counts, with no
+    search and no budget."""
     if p not in (3, 5, 7):
         raise UnsupportedPrime("genus candidates listed for p in {3,5,7}")
     if fam is None:
@@ -491,8 +494,8 @@ def genus_check_lambda_G(p, fam=None, budget=10 ** 6):
     cand = GENUS_CANDIDATES[p]()
     Dc = cand.discriminant_group()
     DL = fam.L.discriminant_group()
-    match = disc_form_isometry(Dc, DL.opposite(), budget=budget)
+    match = disc_form_isometry(Dc, DL.opposite())
     return {"p": p, "candidate_rank": cand.rank,
             "candidate_signature": cand.signature(),
             "disc_orders": Dc.cyclic_orders,
-            "opposite_disc_match": bool(match)}
+            "opposite_disc_match": match}

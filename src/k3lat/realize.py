@@ -53,6 +53,7 @@ from .lattice import (
     signature_of_gram,
     span_intersection,
     sublattice_index,
+    two_elementary_profile,
 )
 from .standard import (
     cartan_matrix,
@@ -727,24 +728,6 @@ def _transported_family_isometry(fam, embed_K, L_G):
     return inverse(X)
 
 
-def two_elementary_profile(D):
-    """(dimension, all q integral, count of q = 0) for an exponent-2 form.
-
-    For forms of even type this triple is a complete isomorphism
-    invariant, since the building blocks satisfy v + v = u + u.
-    """
-    assert all(o == 2 for o in D.orders), "profile needs a 2-elementary group"
-    zero = 0
-    integral = True
-    for x in D.elements():
-        qx = D.q(list(x))
-        if qx.denominator != 1:
-            integral = False
-        elif qx % 2 == 0:
-            zero += 1
-    return (len(D.orders), integral, zero)
-
-
 def build_model_prime_action(p, iso_budget=10 ** 7):
     """Glued unimodular model of the order-p family rotation.
 
@@ -752,10 +735,12 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
     (3, 19) by gluing against the pinned partner, extends sigma by the
     identity and records: order p, O^+ membership, sig_plus(fixed), and
     how far L_G is certified isometric to the family lattice, staged:
-    signature and parity, then the discriminant form, then an explicit
-    definite isometry transported through the glue (no search, so the
-    strongest level is reached at every rank; the report states the
-    level).
+    signature and parity, then the discriminant form, decided by its
+    q-value counts, then an explicit definite isometry transported
+    through the glue (no search, so the strongest level is reached at
+    every rank; the report states the level). The one budgeted search
+    is the lattice isometry of L_G onto E8(-2) at p = 2, under
+    iso_budget nodes.
     """
     from .gsignature import fixed_point_predictions
     from .nikulin import GENUS_CANDIDATES, family
@@ -843,7 +828,7 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
             DiscriminantForm(cand.gram), DiscriminantForm(fixed.gram()))
         certificates["dichotomy_kind"] = dich.kind
         certificates["nu"] = dich.nu
-        certificates["fixed_matches_genus_candidate"] = bool(cand_match)
+        certificates["fixed_matches_genus_candidate"] = cand_match
 
     certificates["metric"] = report.metric
     certificates["complex"] = report.complex_verdict

@@ -1,18 +1,21 @@
-"""Definite-lattice enumeration and isometry testing.
+"""Definite-lattice enumeration, isometry testing and the discriminant-form
+decision.
 
 Integral LLL reduction of Gram matrices, Fincke-Pohst enumeration in
 integers on the reduced basis (each vector comes with its norm, read off
 the enumeration's own remainder), and root-system classification: each
 irreducible component's type is read off its rank and root count and
 certified by one determinant, and its simple roots come in discovery
-order. One slot-filling backtrack, _fill_slots, runs the three searches
-over candidate lists: lattice isometry on definite Gram matrices,
-isomorphism of finite discriminant forms, and nikulin's automorphisms of
-L_p trivial on its discriminant. Each search supplies only its candidates
-per slot, its fit test against the earlier slots and, for discriminant
-forms, the leaf test that the images generate; the kernel counts the
-nodes and enforces the budget. The tests check the enumeration against an
-independent box enumerator of their own.
+order. One slot-filling backtrack, _fill_slots, runs the two searches
+over candidate lists: lattice isometry on definite Gram matrices and
+nikulin's automorphisms of L_p trivial on its discriminant. Each search
+supplies only its candidates per slot and its fit test against the
+earlier slots; the kernel counts the nodes and enforces the budget.
+Enumeration, lattice isometry and the aut search are the budgeted
+searches; discriminant forms are decided by their q-value counts, with
+no search. The tests check the enumeration against an independent box
+enumerator and the discriminant-form decision against a search of their
+own.
 """
 
 from collections import Counter
@@ -27,7 +30,6 @@ from .matrix import (
     mat_eq,
     mat_mul,
     rank as qrank,
-    row_hnf,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -401,16 +403,15 @@ def classify_root_system(L, budget=None):
                       spanning)
 
 
-def _fill_slots(cands, fits, budget, stage, accept=None, every=False):
+def _fill_slots(cands, fits, budget, stage, every=False):
     """The backtracking kernel of the searches over candidate lists.
 
     Slot i takes a candidate c from cands[i], in order, when
     fits(i, c, chosen) holds against the candidates chosen for the slots
     before it. One node is counted per candidate tried; past budget nodes
-    SearchBudgetExceeded names stage. A complete filling is kept when
-    accept(filling) holds (always, without accept). Returns
-    (fillings, nodes): fillings holds the first kept filling, or every
-    kept one when every is set.
+    SearchBudgetExceeded names stage. Returns (fillings, nodes):
+    fillings holds the first complete filling, or every one when every
+    is set.
     """
     chosen = []
     found = []
@@ -419,10 +420,8 @@ def _fill_slots(cands, fits, budget, stage, accept=None, every=False):
     def fill(i):
         nonlocal nodes
         if i == len(cands):
-            if accept is None or accept(chosen):
-                found.append(list(chosen))
-                return not every
-            return False
+            found.append(list(chosen))
+            return not every
         for c in cands[i]:
             nodes += 1
             if nodes > budget:
@@ -507,53 +506,9 @@ def lattice_isometry(gram1, gram2, budget=10 ** 7):
     return T
 
 
-def _generates(images, orders):
-    """Whether the images generate Z/o_1 x ... x Z/o_k: with the relation
-    rows diag(o_i) they must span Z^k, so every row HNF pivot is 1."""
-    k = len(orders)
-    relations = [[o if i == j else 0 for j in range(k)]
-                 for i, o in enumerate(orders)]
-    H, _ = row_hnf(list(images) + relations)
-    return all(H[i][i] == 1 for i in range(k))
-
-
-def disc_form_isometry(D1, D2, budget=10 ** 6, return_images=False):
-    """Isomorphism test for finite discriminant forms.
-
-    True iff some group isomorphism matches bilinear (and quadratic, for
-    even sources) values. With return_images, gives the generator images
-    (tuples in D2) instead of True. Group order is capped by the budget.
-    """
-    if D1.orders != D2.orders:
-        return None if return_images else False
-    if D1.even != D2.even:
-        return None if return_images else False
-    k = len(D1.orders)
-    if k == 0:
-        return [] if return_images else True
-    if D1.group_order > budget:
-        # the search is refused before it starts: no node is spent
-        raise SearchBudgetExceeded("discriminant-form isometry (group "
-                                   "order %d)" % D1.group_order, 0, budget)
-    use_q = D1.even
-    gens1 = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-    want_q = [D1.q(g) if use_q else None for g in gens1]
-    want_b = [[D1.bilinear(gens1[i], gens1[j]) for j in range(k)]
-              for i in range(k)]
-
-    info = [(t, D2.element_order(t), D2.q(t) if use_q else None)
-            for t in D2.elements() if any(t)]
-    cands = [[t for (t, o, val) in info
-              if o == need and (not use_q or val == want)]
-             for need, want in zip(D1.orders, want_q)]
-
-    def fits(i, t, chosen):
-        return (all(D2.bilinear(chosen[j], t) == want_b[j][i]
-                    for j in range(i))
-                and D2.bilinear(t, t) == want_b[i][i])
-
-    found, _ = _fill_slots(cands, fits, budget, "discriminant-form isometry",
-                           accept=lambda chosen: _generates(chosen, D2.orders))
-    if found:
-        return found[0] if return_images else True
-    return None if return_images else False
+def disc_form_isometry(D1, D2):
+    """Whether two p-elementary discriminant forms of even lattices are
+    isometric: their orders and q-value counts agree. Any other form
+    raises ValueError from DiscriminantForm.q_value_counts."""
+    counts = D1.q_value_counts(), D2.q_value_counts()
+    return D1.orders == D2.orders and counts[0] == counts[1]

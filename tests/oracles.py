@@ -11,9 +11,12 @@ independent box enumerator to check Fincke-Pohst against, a constructive
 Cartan-Dieudonne to check O^+ membership against, two independent
 routes to L_G (the cyclotomic kernels of a cyclic generator, and
 supplied projectors with their Frobenius-Schur checks and characters
-tr(g Z)/D) to check the class-sum components against, and the searches
-that first produced the data pinned in k3lat.realize: the A_3 + A_3
-chain embedding into E8 and the discriminant glue images. Also the
+tr(g Z)/D) to check the class-sum components against, the backtracking
+isomorphism search of discriminant forms, with its generator images and
+its generation test by one row HNF, to check the q-value count decision
+against, and the searches that first produced the data pinned in
+k3lat.realize: the A_3 + A_3 chain embedding into E8 and the
+discriminant glue images. Also the
 family checks that no verb runs: uniqueness of the k-vector squares, the
 Hermitian orbit-sum smoke test and the whole-family integration build.
 And the small helpers only tests use: discriminant-group arithmetic
@@ -64,8 +67,8 @@ from k3lat.polys import (
 )
 from k3lat.realize import GLUE_PARTNERS, _coxeter_partner
 from k3lat.shortvec import (
+    _fill_slots,
     _is_canonical,
-    disc_form_isometry,
     enumerate_vectors,
 )
 from k3lat.standard import cartan_matrix, root_lattice
@@ -305,6 +308,49 @@ def bfs_generates(images, orders):
                     nxt.append(y)
         frontier = nxt
     return len(seen) == math.prod(orders)
+
+
+def hnf_generates(images, orders):
+    """Whether images generate Z/o_1 x ... x Z/o_k: with the relation
+    rows diag(o_i) they must span Z^k, so every row HNF pivot is 1."""
+    k = len(orders)
+    relations = [[o if i == j else 0 for j in range(k)]
+                 for i, o in enumerate(orders)]
+    H, _ = row_hnf(list(images) + relations)
+    return all(H[i][i] == 1 for i in range(k))
+
+
+def disc_form_isometry_images(D1, D2, budget=10 ** 6):
+    """Generator images (tuples in D2) of an isomorphism of finite
+    discriminant forms D1 -> D2, or None, by backtracking search.
+
+    Images match D1's generator orders, bilinear values and, for even
+    sources, quadratic values; a complete filling must generate D2. The
+    reference for the q-value count decision of k3lat.shortvec, on any
+    finite form: budget nodes, then SearchBudgetExceeded.
+    """
+    if D1.orders != D2.orders or D1.even != D2.even:
+        return None
+    k = len(D1.orders)
+    use_q = D1.even
+    gens1 = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
+    want_q = [D1.q(g) if use_q else None for g in gens1]
+    want_b = [[D1.bilinear(gens1[i], gens1[j]) for j in range(k)]
+              for i in range(k)]
+    info = [(t, D2.element_order(t), D2.q(t) if use_q else None)
+            for t in D2.elements() if any(t)]
+    cands = [[t for (t, o, val) in info
+              if o == need and (not use_q or val == want)]
+             for need, want in zip(D1.orders, want_q)]
+
+    def fits(i, t, chosen):
+        return (all(D2.bilinear(chosen[j], t) == want_b[j][i]
+                    for j in range(i))
+                and D2.bilinear(t, t) == want_b[i][i]
+                and (i < k - 1 or hnf_generates(chosen + [t], D2.orders)))
+
+    found, _ = _fill_slots(cands, fits, budget, "discriminant-form isometry")
+    return found[0] if found else None
 
 
 def basis_characters(elements, basis):
@@ -621,7 +667,7 @@ def anti_isometry_images(D_src, D_dst, budget=10 ** 6):
     it through the identity-on-cosets map.
     """
     Dop = D_src.opposite()
-    imgs = disc_form_isometry(Dop, D_dst, budget=budget, return_images=True)
+    imgs = disc_form_isometry_images(Dop, D_dst, budget=budget)
     if imgs is None:
         return None
     return [disc_combination(D_dst, disc_reduce(Dop, lift), imgs)

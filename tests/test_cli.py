@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -150,6 +151,21 @@ def test_decide_noncyclic_group_without_projectors(tmp_path, capsys):
     assert (doc["metric"], doc["L_G_rank"]) == ("no", 1)
 
 
+def test_decide_checks_projectors_of_a_pointwise_group(tmp_path, capsys):
+    # the involution fixes a positive 3-plane pointwise; supplied
+    # projectors still meet the isotypic components, so I/2 + I/2 is
+    # refused as for any other group
+    group = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                         "inputs", "nikulin-involution-group.json")
+    half = [[Fraction(int(i == j), 2) for j in range(22)] for i in range(22)]
+    path = str(tmp_path / "half.json")
+    serialize.write_json_file(path, serialize.isotypic_to_obj([half, half]))
+    code, _, err = _run(capsys, ["decide", "--group", group,
+                                 "--isotypic", path])
+    assert code == 2
+    assert "projector 0 is not idempotent" in err
+
+
 def test_example_emission_round_trip(tmp_path, capsys):
     out_dir = str(tmp_path)
     code, out, _ = _run(capsys, ["example", "nikulin-involution",
@@ -194,7 +210,8 @@ def test_family_scenarios_at_small_budgets_pass_or_are_inconclusive(capsys):
         ("nikulin-family-p3", {10: "enumeration", 1000: "enumeration",
                                3000: "aut search", 10000: "aut search",
                                100000: None}),
-        ("genus-check", {100: "discriminant-form isometry (group order 729)"}),
+        # discriminant forms are decided by q-value counts, with no budget
+        ("genus-check", {100: None}),
     ]
     for name, by_budget in stages:
         for budget, stage in by_budget.items():
@@ -207,10 +224,9 @@ def test_family_scenarios_at_small_budgets_pass_or_are_inconclusive(capsys):
                 assert "status" not in doc, (name, budget, doc)
                 assert all(c["status"] == "pass" for c in doc["checks"])
                 continue
-            # a search refused before it starts spends no node
-            nodes = 0 if name == "genus-check" else budget + 1
             assert (doc["status"], doc["stage"], doc["budget"],
-                    doc["nodes"]) == ("inconclusive", stage, budget, nodes)
+                    doc["nodes"]) == ("inconclusive", stage, budget,
+                                      budget + 1)
 
 
 def test_orientation_check_reports_the_computed_value(capsys, monkeypatch):
@@ -339,6 +355,14 @@ def test_internal_assert_is_not_reported_as_bad_input(capsys, monkeypatch):
     code, out, err = _run(capsys, ["scenario", "a4-example"])
     assert (code, out) == (1, "")
     assert err.startswith("error: internal check failed: realize.py line ")
+    # an exactness check raises ArithmeticError, reported the same way
+    monkeypatch.undo()
+    from k3lat.matrix import to_int_matrix
+    monkeypatch.setattr(realize, "build_a4_example",
+                        lambda: to_int_matrix([[Fraction(1, 2)]]))
+    code, out, err = _run(capsys, ["scenario", "a4-example"])
+    assert (code, out) == (1, "")
+    assert err == "error: internal check failed: entry 1/2 is not an integer\n"
 
 
 # modules a verb must not load when it does not call them
@@ -370,8 +394,9 @@ def test_verbs_load_only_the_modules_they_call():
     e8 = os.path.join(inputs, "e8-minus-1.json")
     assert _loaded_by(["compute", "enumerate", "--lattice", e8,
                        "--norm", "-2"]) == set()
-    assert _loaded_by(["scenario", "nikulin-family-p3"]) == \
-        {"k3lat.nikulin", "k3lat.polys"}
+    for family in ("nikulin-family-p2", "nikulin-family-p3"):
+        assert _loaded_by(["scenario", family]) == \
+            {"k3lat.nikulin", "k3lat.polys"}
     involution = os.path.join(inputs, "nikulin-involution-group.json")
     assert _loaded_by(["decide", "--group", involution]) == \
         {"k3lat.realize", "k3lat.groups", "k3lat.polys"}

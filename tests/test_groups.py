@@ -375,6 +375,24 @@ def test_bad_isotypic_projectors_are_rejected():
             coinvariant_L_G(Gnc, projectors)
 
 
+def test_projectors_of_a_pointwise_group_meet_its_components():
+    # supplied projectors take the class-sum path also when the group
+    # fixes a positive 3-plane pointwise: the span of L_G is the same,
+    # and so are its HNF bytes
+    from k3lat import serialize
+    G = serialize.group_from_obj(serialize.read_json_file(os.path.join(
+        ROOT, "bench", "inputs", "nikulin-involution-group.json")))
+    plain = coinvariant_L_G(G)
+    assert plain.mode == "pointwise-fixed-3-plane"
+    res = coinvariant_L_G(G, [I22])
+    assert res.mode == "supplied-isotypic"
+    assert res.L_G.basis == plain.L_G.basis
+    assert res.pieces == plain.pieces == [(8, 0), (14, 3)]
+    half = [[Fraction(x, 2) for x in row] for row in I22]
+    with pytest.raises(ValueError, match="projector 0 is not idempotent"):
+        coinvariant_L_G(G, [half, half])
+
+
 def test_projectors_of_the_wrong_size_are_rejected():
     root = [0] * N
     root[6] = 1

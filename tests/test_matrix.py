@@ -439,3 +439,24 @@ def test_elimination_rejects_a_remainder_under_python_O():
     assert len(lines) == 2, proc.stdout
     assert lines[0].startswith("raised Bareiss:"), lines[0]
     assert lines[1].startswith("raised back-substitution:"), lines[1]
+
+
+def test_non_integral_entry_is_refused_also_under_python_O():
+    # to_int_matrix must not truncate a Fraction when asserts are stripped
+    with pytest.raises(ArithmeticError, match="1/2 is not an integer"):
+        to_int_matrix([[Fraction(1, 2), Fraction(7, 3)]])
+    code = (
+        "from fractions import Fraction as F\n"
+        "from k3lat.matrix import to_int_matrix\n"
+        "try:\n"
+        "    print('accepted', to_int_matrix([[F(1, 2), F(7, 3)]]))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised entry 1/2 is not an integer"

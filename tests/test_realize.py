@@ -23,10 +23,9 @@ from k3lat.realize import (
     decide_metric,
     dehn_twist_obstruction,
     glue_unimodular,
-    two_elementary_profile,
 )
 from k3lat.standard import k3_lattice, reflection, root_lattice
-from k3lat.lattice import rescale
+from k3lat.lattice import rescale, two_elementary_profile
 
 from oracles import (
     anti_isometry_images,

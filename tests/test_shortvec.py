@@ -2,11 +2,18 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from k3lat.lattice import DiscriminantForm, Lattice, direct_sum, rescale
+from k3lat.lattice import (
+    DiscriminantForm,
+    Lattice,
+    direct_sum,
+    rescale,
+    two_elementary_profile,
+)
 from k3lat.matrix import (
     det,
     identity_matrix,
@@ -20,7 +27,6 @@ from k3lat.matrix import (
 from k3lat.shortvec import (
     ROOT_COUNTS,
     SearchBudgetExceeded,
-    _generates,
     _level_range,
     classify_root_system,
     disc_form_isometry,
@@ -31,11 +37,16 @@ from k3lat.shortvec import (
     lll_gram,
     min_norm_and_kissing,
 )
-from k3lat.realize import two_elementary_profile
 from k3lat.standard import cartan_matrix, hyperbolic_plane, root_lattice
 
 from conftest import family
-from oracles import bfs_generates, disc_combination, naive_enumerate_up_to
+from oracles import (
+    bfs_generates,
+    disc_combination,
+    disc_form_isometry_images,
+    hnf_generates,
+    naive_enumerate_up_to,
+)
 
 
 def _random_unimodular(rng, n, moves):
@@ -320,6 +331,8 @@ def test_lattice_isometry_on_random_unimodular_conjugates():
 
 
 def test_disc_form_isometry_cases():
+    # Z/4 (A_3) is not p-elementary: the q-value counts refuse it, naming
+    # the orders, and only the search oracle decides the pair
     A3 = cartan_matrix("A", 3)
     U = [[1, 2, 1], [0, 1, 3], [0, 0, 1]]
     A3s = mat_mul(mat_mul(U, A3), transpose(U))
@@ -327,7 +340,14 @@ def test_disc_form_isometry_cases():
     DA = LA.discriminant_group()
     assert DA.cyclic_orders == [4]
     DB = Lattice([[-x for x in row] for row in A3s]).discriminant_group()
-    assert disc_form_isometry(DA, DB)
+    assert disc_form_isometry_images(DA, DB)
+    with pytest.raises(ValueError, match=r"p-elementary .* orders \[4\]"):
+        DA.q_value_counts()
+    with pytest.raises(ValueError, match=r"orders \[4\]"):
+        disc_form_isometry(DA, DB)
+    # Z/3 of the odd lattice [3] has no quadratic refinement
+    with pytest.raises(ValueError, match=r"even lattice, got orders \[3\]"):
+        Lattice([[3]]).discriminant_group().q_value_counts()
     # (Z/2, q=1/2) vs (Z/2, q=-1/2) are not isometric
     assert not disc_form_isometry(Lattice([[2]]).discriminant_group(),
                                   Lattice([[-2]]).discriminant_group())
@@ -344,10 +364,11 @@ def _skewed_form(rng, blocks):
 def test_disc_form_isometry_agrees_with_two_elementary_profile():
     # even type only (every q integral), where the profile is complete:
     # U(2) gives u, D4(+-1) give v, E8(+-2) gives u^4, and v + v = u + u.
-    # Random sums of one or two small blocks give both outcomes. Telling a
-    # non-isometric pair of groups of order 64 or more apart is an
-    # exhaustive search of seconds, so E8(+-2) meets only E8(+-2) or sums
-    # of four small blocks with an even number of v, six times
+    # Random sums of one or two small blocks give both outcomes. The
+    # pairs suit an exhaustive search too, which takes seconds to tell
+    # groups of order 64 or more apart: E8(+-2) meets only E8(+-2) or
+    # sums of four small blocks with an even number of v, six times. The
+    # q-value counts decide any order at once
     rng = random.Random(47)
     small = [hyperbolic_plane(2), root_lattice("D", 4),
              root_lattice("D", 4, -1)]
@@ -373,11 +394,83 @@ def test_disc_form_isometry_agrees_with_two_elementary_profile():
         seen[same] += 1
 
 
+# even lattices whose discriminant groups are (Z/p)^r, r = 1 or 2: at
+# p = 2 the odd-type <1/2>, <-1/2> and the even-type u = U(2), v = D4
+P_BLOCKS = {
+    2: [Lattice([[2]]), Lattice([[-2]]), hyperbolic_plane(2),
+        root_lattice("D", 4), root_lattice("D", 4, -1)],
+    3: [root_lattice("A", 2), root_lattice("A", 2, -1), hyperbolic_plane(3)],
+    5: [root_lattice("A", 4), root_lattice("A", 4, -1),
+        Lattice([[2, 1], [1, -2]]), hyperbolic_plane(5)],
+    7: [root_lattice("A", 6), root_lattice("A", 6, -1),
+        Lattice([[2, 1], [1, 4]]), Lattice([[-2, -1], [-1, -4]]),
+        hyperbolic_plane(7)],
+}
+# largest discriminant rank drawn at each p, so the search oracle stays
+# fast also when it has to exhaust its space
+P_MAX_RANK = {2: 5, 3: 3, 5: 3, 7: 3}
+
+
+def _p_blocks(rng, p, r):
+    """Blocks of P_BLOCKS[p] whose discriminant ranks sum to r."""
+    out = []
+    while r:
+        block = rng.choice([b for b in P_BLOCKS[p]
+                            if len(b.discriminant_group().orders) <= r])
+        out.append(block)
+        r -= len(block.discriminant_group().orders)
+    return out
+
+
+def test_disc_form_isometry_agrees_with_the_search_oracle():
+    # 60 pairs at each p of sums of the blocks with equal discriminant
+    # rank, each on a random basis; the counts decide, the search
+    # confirms with images that carry q across, or exhausts its space
+    rng = random.Random(71)
+    for p in (2, 3, 5, 7):
+        seen = {True: 0, False: 0}
+        # isometric pairs of different blocks, and pairs of odd type
+        rewritten = odd_type = 0
+        for _ in range(60):
+            r = rng.randint(1, P_MAX_RANK[p])
+            pair = [_p_blocks(rng, p, r) for _ in range(2)]
+            D1, D2 = (_skewed_form(rng, blocks) for blocks in pair)
+            same = disc_form_isometry(D1, D2)
+            images = disc_form_isometry_images(D1, D2)
+            assert same is (images is not None), (p, pair)
+            if same:
+                for x in D1.elements():
+                    assert D1.q(x) == D2.q(disc_combination(D2, x, images))
+                rewritten += sorted(map(id, pair[0])) != \
+                    sorted(map(id, pair[1]))
+            seen[same] += 1
+            odd_type += any(v.denominator == 2
+                            for v in D1.q_value_counts())
+        assert min(seen.values()) >= 15 and rewritten >= 5, \
+            (p, seen, rewritten)
+        if p == 2:
+            assert odd_type >= 15, odd_type
+
+
+def test_disc_form_isometry_refuses_at_once():
+    # U(2)^4 and U(2)^3 + D4(-1) share orders (2^8) but not q-value
+    # counts; an exhaustive isomorphism search runs for minutes on them
+    rng = random.Random(5)
+    u2 = hyperbolic_plane(2)
+    D1 = _skewed_form(rng, [u2] * 4)
+    D2 = _skewed_form(rng, [u2] * 3 + [root_lattice("D", 4, -1)])
+    t0 = time.perf_counter()
+    assert D1.orders == D2.orders == [2] * 8
+    assert not disc_form_isometry(D1, D2)
+    assert disc_form_isometry(D1, _skewed_form(rng, [u2] * 4))
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_disc_form_isometry_images_transport_q():
     LA = root_lattice("A", 3, sign=-1)
     DA = LA.discriminant_group()
     DB = root_lattice("A", 3, sign=-1).discriminant_group()
-    images = disc_form_isometry(DA, DB, return_images=True)
+    images = disc_form_isometry_images(DA, DB)
     assert images
     for x in DA.elements():
         assert DA.q(x) == DB.q(disc_combination(DB, x, images))
@@ -392,7 +485,7 @@ def test_generation_by_hnf_matches_breadth_first_closure():
             images = [tuple(rng.randrange(o) for o in orders)
                       for _ in orders]
             expect = bfs_generates(images, orders)
-            assert _generates(images, orders) is expect, (orders, images)
+            assert hnf_generates(images, orders) is expect, (orders, images)
             outcomes[expect] += 1
         assert min(outcomes.values()) >= 10, (orders, outcomes)
 
