@@ -23,8 +23,7 @@ the aut search of the family scenarios; discriminant forms are decided
 by their q-value counts, with no search. A search that runs out of its
 budget gives an inconclusive report (exit 0) naming the search, its
 budget and the nodes it spent. The environment variable K3R_BUDGET
-supplies a default search budget; --seed is accepted for search-order
-experimentation and never affects verdicts or reports.
+supplies a default search budget.
 
 The modules realize, nikulin, gsignature and groups (and with groups,
 polys) are imported inside the verbs and scenarios that call them, so a
@@ -581,15 +580,7 @@ def _cmd_compute(args):
         val = defect_point(args.p, args.q)
         sys.stdout.write("%s\n" % val)
         return 0
-    if sub == "decide":
-        if args.group is None:
-            return _fail("compute decide requires --group")
-        return _cmd_decide(args)
     return _fail("unknown compute subcommand %r" % sub)
-
-
-ISOTYPIC_HELP = ("optional file of rational projectors, checked against "
-                 "the computed isotypic components")
 
 
 def _build_parser():
@@ -605,9 +596,6 @@ def _build_parser():
                           "(discriminant forms are decided by q-value "
                           "counts, with no search); default: K3R_BUDGET "
                           "or library defaults")
-    top.add_argument("--seed", type=int, default=None,
-                     help="search-order seed; never affects verdicts or "
-                          "report contents")
     subs = top.add_subparsers(dest="verb")
 
     sc = subs.add_parser("scenario", help="run a named reproduction "
@@ -617,7 +605,9 @@ def _build_parser():
     de = subs.add_parser("decide", help="realizability verdicts for a "
                                         "group file")
     de.add_argument("--group", required=True)
-    de.add_argument("--isotypic", default=None, help=ISOTYPIC_HELP)
+    de.add_argument("--isotypic", default=None,
+                    help="optional file of rational projectors, checked "
+                         "against the computed isotypic components")
 
     di = subs.add_parser("dichotomy", help="Nikulin/Coxeter classification "
                                            "of an odd prime order action")
@@ -631,11 +621,8 @@ def _build_parser():
 
     co = subs.add_parser("compute", help="one-shot library computations")
     co.add_argument("subcommand",
-                    choices=("signature", "disc", "enumerate", "defect",
-                             "decide"))
+                    choices=("signature", "disc", "enumerate", "defect"))
     co.add_argument("--lattice", default=None)
-    co.add_argument("--group", default=None)
-    co.add_argument("--isotypic", default=None, help=ISOTYPIC_HELP)
     co.add_argument("--norm", type=int, default=None)
     co.add_argument("--p", type=int, default=None)
     co.add_argument("--q", type=int, default=None)

@@ -36,7 +36,7 @@ from .lattice import (
     gram_of_rows,
     signature_of_gram,
 )
-from .polys import cyclotomic, poly_eval_matrix
+from .polys import poly_eval_matrix
 
 
 class NotAnIsometry(ValueError):
@@ -133,10 +133,12 @@ class ZGDecomposition:
 
 
 def zg_decomposition(g, p):
-    """Detect the (t, c, r) summand counts of an order-p (or 1) isometry.
+    """Detect the (t, c, r) summand counts of an isometry of prime order
+    p (or 1).
 
     Works mod p via the Jordan partition of the nilpotent g-1 and
-    cross-checks against rational kernel dimensions.
+    cross-checks against rational kernel dimensions, the kernel of
+    Phi_p(g) = 1 + g + ... + g^(p-1) among them.
     """
     n = len(g)
     I = identity_matrix(n)
@@ -175,7 +177,7 @@ def zg_decomposition(g, p):
         r = blocks.get(p, 0)
         if dim_fix != t + r:
             raise NotAZGLattice("rational fixed rank disagrees with profile")
-        phi_rank = n - qrank(poly_eval_matrix(cyclotomic(p), g))
+        phi_rank = n - qrank(poly_eval_matrix([1] * p, g))
         if phi_rank != (c + r) * (p - 1):
             raise NotAZGLattice("cyclotomic kernel disagrees with profile")
     dec = ZGDecomposition(p, t, c, r, blocks)

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .matrix import (
     _scaled,
     block_diag,
-    char_poly,
     det,
     dot,
     hnf_basis,
@@ -30,6 +29,7 @@ from .matrix import (
     mat_mul,
     mat_sub,
     matrix_order,
+    rank,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -41,7 +41,6 @@ from .lattice import (
     gram_of_rows,
     group_generated_by,
 )
-from .polys import cyclotomic, poly_divmod, poly_trim
 from .standard import cartan_matrix, cycle_coxeter_matrix, hyperbolic_plane, root_lattice
 from .shortvec import (
     _fill_slots,
@@ -208,7 +207,12 @@ def build_Lp(fam):
 
 
 def build_sigma(fam):
-    """The blockwise Coxeter rotation sigma = (sigma_1^{k_1}, ...)."""
+    """The blockwise Coxeter rotation sigma = (sigma_1^{k_1}, ...).
+
+    Its restriction sigma_L to L_p has checked order p, so its minimal
+    polynomial divides x^p - 1 = (x - 1) Phi_p, and its char poly is
+    Phi_p^nu exactly when it fixes no vector: rank(sigma_L - 1) = n.
+    """
     p = fam.p
     C = cycle_coxeter_matrix(p - 1)
     blocks = []
@@ -240,30 +244,21 @@ def build_sigma(fam):
 
     # trivial action on the discriminant group of L_p
     n = len(sigma_L)
+    sigma_L_minus_1 = mat_sub(sigma_L, identity_matrix(n))
     Ginv = fam.L.gram_inverse()
-    shift = mat_mul(Ginv, mat_sub(sigma_L, identity_matrix(n)))
+    shift = mat_mul(Ginv, sigma_L_minus_1)
     fam.checks["sigma_trivial_on_disc"] = is_integral(shift)
 
     # (sigma - 1)(rho / p) lands in L_p
     rho_in_L = express_in_basis([fam.rho_in_N], fam.L_basis_in_N)[0]
     frac = [x / fam.p for x in rho_in_L]
-    moved = vec_mat(frac, mat_sub(sigma_L, identity_matrix(n)))
+    moved = vec_mat(frac, sigma_L_minus_1)
     fam.checks["sigma_shift_of_rho_over_p"] = all(
         x.denominator == 1 for x in moved)
 
-    # char poly on L_p is a power of the p-th cyclotomic polynomial
-    phi = cyclotomic(p)
-    quo = char_poly(sigma_L)
-    power = 0
-    while True:
-        q, r = poly_divmod(quo, phi)
-        if poly_trim(r):
-            break
-        quo = q
-        power += 1
+    # char poly on L_p is Phi_p^nu: no fixed vector, and Phi_p irreducible
+    power = n // (p - 1) if rank(sigma_L_minus_1) == n else 0
     assert power == fam.nu, "char poly must be Phi_p^nu"
-    assert not poly_trim(poly_divmod(quo, [1])[1]) and len(
-        poly_trim(quo)) == 1
     fam.checks["sigma_char_poly_power"] = power
 
     fam.sigma_D = sigma_D

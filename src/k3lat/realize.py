@@ -78,7 +78,6 @@ from .groups import (
     spinor_plus_membership,
     zg_decomposition,
 )
-from .polys import cyclotomic
 
 
 TEICHMUELLER_CAVEAT = (
@@ -275,7 +274,6 @@ def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
     assert M is not None and is_integral(M)
     M = to_int_matrix(M)
     certificates = []
-    phi = [int(x) for x in cyclotomic(p)]
     for simple, part in zip(rs.simple_roots, rs.component_roots):
         imgs = [vec_mat(r, M) for r in simple]
         C = express_in_basis(imgs, simple)
@@ -287,7 +285,7 @@ def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
         comp_roots = {tuple(s * x for x in r) for r in part for s in (1, -1)}
         moved = all(tuple(vec_mat(list(r), M)) in comp_roots
                     for r in comp_roots)
-        cert = {"char_poly_is_cyclotomic": [int(x) for x in char_poly(C)] == phi,
+        cert = {"char_poly_is_cyclotomic": char_poly(C) == [1] * p,
                 "permutes_component_roots": moved,
                 "root_pairs": len(comp_roots) // 2}
         certificates.append(cert)

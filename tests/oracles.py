@@ -5,8 +5,9 @@ and k3lat.lattice (product, Faddeev-LeVerrier, Gaussian elimination
 under det, rank and solve_rows, congruence diagonalization,
 discriminant-form pairing), integer row-span membership, the brute-force
 loops behind the closed forms of the group layer (point defects summed
-over p - 1 conjugates, characters from one change of basis per element,
-generation of a finite abelian group by breadth-first closure), an
+over p - 1 conjugates in Q[x]/Phi_p against the Dedekind sum,
+characters from one change of basis per element, generation of a
+finite abelian group by breadth-first closure), an
 independent box enumerator to check Fincke-Pohst against, a constructive
 Cartan-Dieudonne to check O^+ membership against, two independent
 routes to L_G (the cyclotomic kernels of a cyclic generator, and
@@ -18,8 +19,11 @@ against, and the searches that first produced the data pinned in
 k3lat.realize: the A_3 + A_3 chain embedding into E8 and the
 discriminant glue images. Also the
 family checks that no verb runs: uniqueness of the k-vector squares, the
-Hermitian orbit-sum smoke test and the whole-family integration build.
-And the small helpers only tests use: discriminant-group arithmetic
+Hermitian orbit-sum smoke test and the whole-family integration build,
+and the defect identities that no verb runs: the signature balance, the
+total defect of points and surfaces, and the Noether-type count. And the
+small helpers only tests use: polynomial arithmetic over Q (division,
+extended Euclid, the general cyclotomic), discriminant-group arithmetic
 (the class of a dual vector, linear combinations of classes), the Smith
 diagonal, and E8 simple roots in the even coordinate model of R^8.
 """
@@ -55,16 +59,8 @@ from k3lat.matrix import (
     transpose,
     vec_mat,
 )
-from k3lat.polys import (
-    cyclotomic,
-    poly_eval_matrix,
-    poly_add,
-    poly_divmod,
-    poly_mul,
-    poly_sub,
-    poly_trim,
-    poly_xgcd,
-)
+from k3lat.gsignature import InvalidCharacter, defect_point
+from k3lat.polys import poly_eval_matrix
 from k3lat.realize import GLUE_PARTNERS, _coxeter_partner
 from k3lat.shortvec import (
     _fill_slots,
@@ -464,6 +460,110 @@ def projector_coinvariant(group, projectors):
     return Sublattice(ambient, keep).saturation()
 
 
+# polynomial arithmetic over Q: lists of coefficients, constant term first,
+# ints where possible and Fractions otherwise
+
+def poly_trim(p):
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    out = [0] * n
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return poly_trim(out)
+
+
+def poly_sub(p, q):
+    n = max(len(p), len(q))
+    out = [0] * n
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] -= c
+    return poly_trim(out)
+
+
+def poly_mul(p, q):
+    p = poly_trim(p)
+    q = poly_trim(q)
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def poly_divmod(p, q):
+    """Quotient and remainder over Q."""
+    p = [Fraction(c) for c in poly_trim(p)]
+    q = [Fraction(c) for c in poly_trim(q)]
+    assert q, "division by the zero polynomial"
+    if len(p) < len(q):
+        return [], poly_trim(p)
+    quot = [Fraction(0)] * (len(p) - len(q) + 1)
+    lead = q[-1]
+    while len(p) >= len(q) and p:
+        k = len(p) - len(q)
+        c = p[-1] / lead
+        quot[k] = c
+        for i in range(len(q)):
+            p[k + i] -= c * q[i]
+        p = poly_trim(p)
+    return poly_trim(quot), p
+
+
+def poly_exact_div(p, q):
+    """Exact division for integer polynomials; asserts zero remainder."""
+    quot, rem = poly_divmod(p, q)
+    assert not rem, "division was not exact"
+    out = []
+    for c in quot:
+        assert c.denominator == 1
+        out.append(int(c))
+    return out
+
+
+_CYCLO_CACHE = {1: [-1, 1]}
+
+
+def cyclotomic(d):
+    """The d-th cyclotomic polynomial with integer coefficients."""
+    assert d >= 1
+    if d in _CYCLO_CACHE:
+        return _CYCLO_CACHE[d]
+    num = [0] * d + [1]
+    num[0] = -1  # x^d - 1
+    for e in range(1, d):
+        if d % e == 0:
+            num = poly_exact_div(num, cyclotomic(e))
+    _CYCLO_CACHE[d] = num
+    return num
+
+
+def poly_xgcd(a, b):
+    """(g, u, v) with u*a + v*b = g = gcd(a, b), over the rationals."""
+    a = [Fraction(x) for x in poly_trim(a)]
+    b = [Fraction(x) for x in poly_trim(b)]
+    r0, r1 = a, b
+    u0, u1 = [Fraction(1)], [Fraction(0)]
+    v0, v1 = [Fraction(0)], [Fraction(1)]
+    while poly_trim(r1):
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, poly_sub(u0, poly_mul(q, u1))
+        v0, v1 = v1, poly_sub(v0, poly_mul(q, v1))
+    return poly_trim(r0), poly_trim(u0), poly_trim(v0)
+
+
 def defect_point_by_conjugates(p, q):
     """Sum over j = 1..p-1 of (1+z^j)(1+z^jq)/((1-z^j)(1-z^jq)), each term
     reduced and inverted in Q[x]/Phi_p(x); the sum must be rational."""
@@ -487,6 +587,62 @@ def defect_point_by_conjugates(p, q):
     total = poly_trim(total)
     assert len(total) <= 1, "defect sum failed to be rational"
     return Fraction(total[0]) if total else Fraction(0)
+
+
+class DefectInput:
+    """Local fixed-point data for one prime-order action.
+
+    points: the q of each isolated point with local weights (1, q).
+    surfaces: (self_intersection, euler_characteristic) per fixed surface.
+    """
+
+    def __init__(self, p, points, surfaces):
+        for q in points:
+            if q % p == 0:
+                raise InvalidCharacter("point weight q must be a unit mod p")
+        self.p, self.points, self.surfaces = p, points, surfaces
+
+
+def defect_surface(p, self_int):
+    """(p^2 - 1)/3 times the self-intersection: the surface defect."""
+    return Fraction((p * p - 1) * self_int, 3)
+
+
+def total_defect(data):
+    """Sum of all point and surface defects of a DefectInput."""
+    s = Fraction(0)
+    for q in data.points:
+        s += defect_point(data.p, q)
+    for self_int, _euler in data.surfaces:
+        s += defect_surface(data.p, self_int)
+    return s
+
+
+def signature_balance(p, sigma_N, sigma_quotient, data):
+    """Check p * sigma(N/G) == sigma(N) + total defect, exactly."""
+    assert data.p == p
+    rhs = Fraction(sigma_N) + total_defect(data)
+    lhs = Fraction(p * sigma_quotient)
+    return {
+        "p": p,
+        "lhs": lhs,
+        "rhs": rhs,
+        "balanced": lhs == rhs,
+        "discrepancy": lhs - rhs,
+    }
+
+
+def noether_identity_check(p, points, surfaces):
+    """Evaluate m + (1/(p-1)) sum of point defects
+    + sum over surfaces of (euler + (p+1)/3 * self_int); compare with 8.
+    """
+    m = len(points)
+    val = Fraction(m)
+    for q in points:
+        val += defect_point(p, q) / (p - 1)
+    for self_int, euler in surfaces:
+        val += euler + Fraction((p + 1) * self_int, 3)
+    return {"p": p, "value": val, "equals_8": val == 8}
 
 
 def naive_enumerate_up_to(gram, bound, prune=True):

@@ -34,7 +34,6 @@ from k3lat.matrix import (
     transpose,
 )
 from k3lat.nikulin import VARPI_NORMS, _flat_rho, _pair, genus_check_lambda_G
-from k3lat.polys import cyclotomic
 from k3lat.realize import (
     build_a4_example,
     build_nikulin_involution,
@@ -51,6 +50,7 @@ from k3lat.standard import hyperbolic_plane, k3_lattice, reflection, root_lattic
 
 from conftest import family
 from oracles import (
+    cyclotomic,
     in_rowspan_z,
     naive_enumerate_up_to,
     snf_diagonal,

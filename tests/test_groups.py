@@ -30,13 +30,13 @@ from k3lat.matrix import (
     transpose,
     vec_mat,
 )
-from k3lat.polys import cyclotomic
 from k3lat.standard import k3_lattice, reflection, reflection_general
 from conftest import a4_example
 from oracles import (
     basis_characters,
     cartan_dieudonne_o_plus,
     cyclic_coinvariant,
+    cyclotomic,
     projector_character,
     projector_coinvariant,
 )

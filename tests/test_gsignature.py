@@ -7,19 +7,21 @@ from fractions import Fraction
 import pytest
 
 from k3lat.gsignature import (
-    DefectInput,
     InvalidCharacter,
     RankOverflow,
     defect_point,
-    defect_surface,
     defect_table,
     fixed_point_predictions,
     max_defect_check,
+)
+from oracles import (
+    DefectInput,
+    defect_point_by_conjugates,
+    defect_surface,
     noether_identity_check,
     signature_balance,
     total_defect,
 )
-from oracles import defect_point_by_conjugates
 
 
 def _defect_point_float(p, q):
@@ -32,36 +34,43 @@ def _defect_point_float(p, q):
     return s
 
 
+PRIMES_BELOW_100 = [p for p in range(2, 100)
+                    if all(p % d for d in range(2, p))]
+
+
 def test_defect_point_matches_float_oracle():
-    for p in (3, 5, 7, 11, 13):
+    # the Dedekind sum against the defect sum in floating point, for every
+    # prime p < 100 and every unit q
+    for p in PRIMES_BELOW_100:
         for q in range(1, p):
             exact = defect_point(p, q)
+            assert isinstance(exact, Fraction)
             approx = _defect_point_float(p, q)
-            assert abs(float(exact) - approx) < 1e-9
+            assert abs(float(exact) - approx) < 1e-9 * max(1, abs(approx))
     assert defect_point(2, 1) == 0
 
 
 def test_defect_point_trace_matches_the_sum_of_conjugates():
-    # the one field trace against the p - 1 terms of the defect sum
+    # the Dedekind sum against the p - 1 terms of the defect sum, each
+    # reduced and inverted in Q[x]/Phi_p
     for p in (3, 5, 7, 11, 13, 17, 19):
         for q in range(1, p):
             assert defect_point(p, q) == defect_point_by_conjugates(p, q)
 
 
 def test_defect_checks_raise_under_python_O():
-    # a denominator that does not invert, and a value off the lattice
-    # (1/(3(p-1)))Z: both checks must fire with asserts stripped
+    # a value off the lattice (1/(3(p-1)))Z must fire the check with
+    # asserts stripped: shadow the builtin sum inside the module so the
+    # Dedekind sum comes out as 1, and defect_point(5, 1) as -1/5
     code = (
-        "from fractions import Fraction\n"
         "import k3lat.gsignature as g\n"
         "def run():\n"
         "    try:\n"
         "        print('accepted', g.defect_point(5, 1))\n"
         "    except ArithmeticError as exc:\n"
         "        print('raised', exc)\n"
-        "g.poly_xgcd = lambda a, b: ([1, 1], [1], [0])\n"
         "run()\n"
-        "g._phi_inverse = lambda poly, phi, p, q: [Fraction(1, 11)]\n"
+        "g.sum = lambda terms: 1\n"
         "run()\n"
     )
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -71,9 +80,8 @@ def test_defect_checks_raise_under_python_O():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "raised defect_point(5, 1): (1-x)(1-x^1) is not invertible mod "
-        "Phi_5",
-        "raised defect_point(5, 1): 3(p-1) * 1/11 is not an integer",
+        "accepted -4",
+        "raised defect_point(5, 1): 3(p-1) * -1/5 is not an integer",
     ], proc.stdout
 
 

@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 from k3lat.matrix import matrix_order
-from k3lat.polys import (
+from k3lat.polys import poly_eval_matrix
+from oracles import (
     cyclotomic,
     poly_divmod,
-    poly_eval_matrix,
     poly_exact_div,
     poly_mul,
     poly_sub,

@@ -12,7 +12,6 @@ from k3lat.lattice import (
     Lattice,
     direct_sum,
     rescale,
-    two_elementary_profile,
 )
 from k3lat.matrix import (
     det,
@@ -361,14 +360,25 @@ def _skewed_form(rng, blocks):
     return DiscriminantForm(mat_mul(mat_mul(U, G), transpose(U)))
 
 
-def test_disc_form_isometry_agrees_with_two_elementary_profile():
-    # even type only (every q integral), where the profile is complete:
-    # U(2) gives u, D4(+-1) give v, E8(+-2) gives u^4, and v + v = u + u.
-    # Random sums of one or two small blocks give both outcomes. The
-    # pairs suit an exhaustive search too, which takes seconds to tell
-    # groups of order 64 or more apart: E8(+-2) meets only E8(+-2) or
-    # sums of four small blocks with an even number of v, six times. The
-    # q-value counts decide any order at once
+def _even_type_invariants(blocks):
+    """(discriminant rank, signature mod 8) of the direct sum of blocks,
+    read off the lattice, not its discriminant form: complete for
+    2-elementary forms of even type (Nikulin, Integral symmetric bilinear
+    forms, 1979, 3.6)."""
+    L = direct_sum(*blocks)
+    plus, minus, _ = L.signature()
+    return len(L.discriminant_group().orders), (plus - minus) % 8
+
+
+def test_disc_form_isometry_agrees_with_rank_and_signature_mod_8():
+    # even type only (every q integral), where the rank and the signature
+    # mod 8 are complete: U(2) gives u (signature 0), D4(+-1) give v
+    # (signature 4 mod 8), E8(+-2) gives u^4, and v + v = u + u. Random
+    # sums of one or two small blocks give both outcomes. The pairs suit
+    # an exhaustive search too, which takes seconds to tell groups of
+    # order 64 or more apart: E8(+-2) meets only E8(+-2) or sums of four
+    # small blocks with an even number of v, six times. The q-value
+    # counts decide any order at once
     rng = random.Random(47)
     small = [hyperbolic_plane(2), root_lattice("D", 4),
              root_lattice("D", 4, -1)]
@@ -389,7 +399,8 @@ def test_disc_form_isometry_agrees_with_two_elementary_profile():
                                for _ in range(2)))
         pair = pairs.pop()
         D1, D2 = (_skewed_form(rng, blocks) for blocks in pair)
-        same = two_elementary_profile(D1) == two_elementary_profile(D2)
+        same = _even_type_invariants(pair[0]) == _even_type_invariants(
+            pair[1])
         assert bool(disc_form_isometry(D1, D2)) is same, pair
         seen[same] += 1
 
