@@ -314,11 +314,16 @@ def rational_classes(group):
     g and h are rationally conjugate when <g> and <h> are conjugate, so
     the class of x is the conjugation orbit of the generators x^k of <x>,
     k prime to the order of x. The orbit closes under conjugation by the
-    group generators alone, since G is finite.
+    group generators alone, since G is finite. When the generators
+    commute pairwise, as one generator does, G is abelian and each class
+    is the power orbit alone, so no conjugation is computed.
     """
     n = group.ambient.rank
     I = identity_matrix(n)
-    conj = [(to_int_matrix(inverse(g)), g) for g in group.generators]
+    gens = group.generators
+    abelian = all(mat_eq(mat_mul(g, h), mat_mul(h, g))
+                  for i, g in enumerate(gens) for h in gens[i + 1:])
+    conj = [] if abelian else [(to_int_matrix(inverse(g)), g) for g in gens]
     seen = set()
     classes = []
     for x in group.elements():

@@ -389,6 +389,12 @@ class DiscriminantForm:
         Integral symmetric bilinear forms, 1979, 3.6). Raises ValueError
         naming the orders when the group is not p-elementary or the
         source lattice is not even.
+
+        The group is walked one generator at a time, in the order of
+        elements(): with e the table scale, e q(x + t x_j) = e q(x) +
+        t^2 e q(x_j) + 2t e b(x, x_j) mod 2e, and each element carries
+        e b(x, x_m) mod e for the generators m still to come, so an
+        element costs O(k) table entries, not O(k^2).
         """
         p = self.orders[0] if self.orders else 2
         if any(o != p for o in self.orders) or any(
@@ -398,7 +404,22 @@ class DiscriminantForm:
         if not self.even:
             raise ValueError("q-value counts need an even lattice, got "
                              "orders %s" % (self.orders,))
-        return Counter(self.q(x) for x in self.elements())
+        e, bil = self._tables()
+
+        def extend(layer, j, o):
+            # (e q(x) mod 2e, [e b(x, x_m) mod e for m >= j]) for each x
+            # of layer, plus t x_j for t in range(o)
+            qj, rest = bil[j][j], bil[j][j + 1:]
+            for acc, pair in layer:
+                for t in range(o):
+                    yield ((acc + t * (t * qj + 2 * pair[0])) % (2 * e),
+                           [(b + t * r) % e for b, r in zip(pair[1:], rest)])
+
+        layer = iter([(0, [0] * len(self.orders))])
+        for j, o in enumerate(self.orders):
+            layer = extend(layer, j, o)
+        counts = Counter(acc for acc, _ in layer)
+        return Counter({Fraction(acc, e): n for acc, n in counts.items()})
 
     def __repr__(self):
         return "DiscriminantForm(orders=%s)" % (self.orders,)

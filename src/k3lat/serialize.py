@@ -5,16 +5,13 @@ object twice gives byte-identical files. Integer entries stay plain
 decimal integers; rational entries (isotypic projectors) are exact
 fraction strings such as "3/4" or "2". Parsing is strict: shape or type
 errors raise SerializationError with a message, and syntax errors keep
-the line and column of the offending byte.
+the line and column of the offending byte. The lattice and group codecs
+import their classes when they run, so writing a report loads json and
+fractions alone.
 """
 
 import json
 from fractions import Fraction
-
-from .lattice import Lattice
-from .standard import NamedLattice
-
-SCHEMA = "k3lat/1"
 
 
 class SerializationError(ValueError):
@@ -70,6 +67,7 @@ def _int_matrix(obj, what, rows=None, cols=None):
 
 
 def lattice_to_obj(L):
+    from .standard import NamedLattice
     obj = {"rank": L.rank, "gram": [list(r) for r in L.gram]}
     if L.labels:
         obj["labels"] = list(L.labels)
@@ -81,6 +79,8 @@ def lattice_to_obj(L):
 
 
 def lattice_from_obj(obj):
+    from .lattice import Lattice
+    from .standard import NamedLattice
     _require(isinstance(obj, dict), "lattice must be an object")
     _require("rank" in obj and "gram" in obj, "lattice needs rank and gram")
     n = obj["rank"]

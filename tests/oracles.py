@@ -5,8 +5,9 @@ and k3lat.lattice (product, Faddeev-LeVerrier, Gaussian elimination
 under det, rank and solve_rows, congruence diagonalization,
 discriminant-form pairing), integer row-span membership, the brute-force
 loops behind the closed forms of the group layer (point defects summed
-over p - 1 conjugates in Q[x]/Phi_p against the Dedekind sum,
-characters from one change of basis per element, generation of a
+over p - 1 conjugates in Z[x]/(x^p - 1) against the Dedekind sum,
+characters from one change of basis per element, rational classes closed
+under conjugation also when the generators commute, generation of a
 finite abelian group by breadth-first closure), an
 independent box enumerator to check Fincke-Pohst against, a constructive
 Cartan-Dieudonne to check O^+ membership against, two independent
@@ -59,6 +60,7 @@ from k3lat.matrix import (
     transpose,
     vec_mat,
 )
+from k3lat.groups import _key
 from k3lat.gsignature import InvalidCharacter, defect_point
 from k3lat.polys import poly_eval_matrix
 from k3lat.realize import GLUE_PARTNERS, _coxeter_partner
@@ -404,6 +406,36 @@ def cyclic_coinvariant(group):
     return Sublattice(ambient, keep).saturation()
 
 
+def rational_classes_by_conjugation(group):
+    """The rational classes of G as the orbits of the power classes
+    {x^k : gcd(k, ord x) = 1} under conjugation by every generator, with
+    no shortcut for commuting generators."""
+    I = identity_matrix(group.ambient.rank)
+    conj = [(to_int_matrix(inverse(g)), g) for g in group.generators]
+    seen = set()
+    classes = []
+    for x in group.elements():
+        if _key(x) in seen:
+            continue
+        powers = [x]
+        while not mat_eq(powers[-1], I):
+            powers.append(mat_mul(powers[-1], x))
+        m = len(powers)
+        orbit = {_key(p): p for k, p in enumerate(powers, 1)
+                 if math.gcd(k, m) == 1}
+        stack = list(orbit.values())
+        while stack:
+            y = stack.pop()
+            for gi, g in conj:
+                z = mat_mul(mat_mul(gi, y), g)
+                if _key(z) not in orbit:
+                    orbit[_key(z)] = z
+                    stack.append(z)
+        seen.update(orbit)
+        classes.append(list(orbit.values()))
+    return classes
+
+
 def projector_character(elements, Z, D):
     """tr(g Z)/D for each g: the character of G on the image of the
     equivariant projector Z/D."""
@@ -565,28 +597,41 @@ def poly_xgcd(a, b):
 
 
 def defect_point_by_conjugates(p, q):
-    """Sum over j = 1..p-1 of (1+z^j)(1+z^jq)/((1-z^j)(1-z^jq)), each term
-    reduced and inverted in Q[x]/Phi_p(x); the sum must be rational."""
-    phi = cyclotomic(p)
+    """Sum over j = 1..p-1 of (1+z^j)(1+z^jq)/((1-z^j)(1-z^jq)), in
+    integers in Z[x]/(x^p - 1), using 1/(1 - z^a) = -(1/p) sum_{k<p}
+    k z^(ak). Reducing mod Phi_p subtracts the coefficient of x^(p-1)
+    from every other one, so the sum is rational exactly when all its
+    non-constant coefficients are equal."""
 
-    def reduce(poly):
-        return poly_divmod(poly, phi)[1]
+    def mul(a, b):
+        out = [0] * p
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[(i + j) % p] += x * y
+        return out
 
-    def x_pow(k):
-        return reduce([0] * (k % p) + [1])
+    def sum_k_zk(a):
+        # sum_{k<p} k x^(ak), p times the inverse of -(1 - x^a)
+        out = [0] * p
+        for k in range(p):
+            out[a * k % p] += k
+        return out
 
-    total = []
+    def one_plus(a):
+        out = [1] + [0] * (p - 1)
+        out[a % p] += 1
+        return out
+
+    total = [0] * p
     for j in range(1, p):
-        zj, zjq = x_pow(j), x_pow(j * q)
-        num = reduce(poly_mul(poly_add(zj, [1]), poly_add(zjq, [1])))
-        den = reduce(poly_mul(poly_sub([1], zj), poly_sub([1], zjq)))
-        g, u, _ = poly_xgcd(den, phi)
-        assert len(g) == 1, "not invertible mod Phi_p"
-        total = reduce(poly_add(total, reduce(
-            poly_mul(num, [c / g[0] for c in u]))))
-    total = poly_trim(total)
-    assert len(total) <= 1, "defect sum failed to be rational"
-    return Fraction(total[0]) if total else Fraction(0)
+        term = mul(mul(one_plus(j), one_plus(j * q)),
+                   mul(sum_k_zk(j), sum_k_zk(j * q)))
+        total = [a + b for a, b in zip(total, term)]
+    top = total[-1]
+    assert len(set(total[1:])) == 1, "defect sum failed to be rational"
+    # the two inverses contribute (-1/p)^2
+    return Fraction(total[0] - top, p * p)
 
 
 class DefectInput:

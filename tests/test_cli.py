@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from k3lat import serialize
-from k3lat.cli import SCENARIOS, main
+from k3lat.cli import main
+from k3lat.scenarios import SCENARIOS
 from k3lat.standard import hyperbolic_plane, k3_lattice
 
 
@@ -83,6 +84,13 @@ def test_compute_defect(capsys):
     code, out, _ = _run(capsys, ["compute", "defect", "--p", "3", "--q", "1"])
     assert code == 0
     assert out.strip().splitlines()[-1] == "-2/3"
+
+
+def test_unknown_compute_subcommand_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_compute_signature_and_disc(tmp_path, capsys):
@@ -364,8 +372,17 @@ def test_internal_assert_is_not_reported_as_bad_input(capsys, monkeypatch):
 
 
 # modules a verb must not load when it does not call them
-LAZY = ("dataclasses", "k3lat.realize", "k3lat.nikulin",
+LAZY = ("dataclasses", "fractions", "json", "k3lat.scenarios",
+        "k3lat.serialize", "k3lat.matrix", "k3lat.lattice", "k3lat.standard",
+        "k3lat.shortvec", "k3lat.realize", "k3lat.nikulin",
         "k3lat.gsignature", "k3lat.groups", "k3lat.polys")
+# what reading a lattice file loads
+LATTICE_FILE = {"json", "fractions", "k3lat.serialize", "k3lat.matrix",
+                "k3lat.lattice", "k3lat.standard"}
+# the layers under the builders of realize and nikulin
+LIBRARY = {"fractions", "k3lat.matrix", "k3lat.lattice", "k3lat.standard",
+           "k3lat.shortvec"}
+REALIZE = LIBRARY | {"k3lat.realize", "k3lat.groups", "k3lat.polys"}
 
 
 def _loaded_by(argv):
@@ -388,16 +405,28 @@ def _loaded_by(argv):
 def test_verbs_load_only_the_modules_they_call():
     inputs = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                           "inputs")
+    # the front end alone: no library module, no fractions, no json
     assert _loaded_by(None) == set()
+    assert _loaded_by(["compute", "defect", "--p", "7", "--q", "6"]) == \
+        {"k3lat.gsignature", "fractions"}
     e8 = os.path.join(inputs, "e8-minus-1.json")
+    assert _loaded_by(["compute", "signature", "--lattice", e8]) == \
+        LATTICE_FILE
     assert _loaded_by(["compute", "enumerate", "--lattice", e8,
-                       "--norm", "-2"]) == set()
+                       "--norm", "-2"]) == LATTICE_FILE | {"k3lat.shortvec"}
     for family in ("nikulin-family-p2", "nikulin-family-p3"):
-        assert _loaded_by(["scenario", family]) == {"k3lat.nikulin"}
-    assert _loaded_by(["scenario", "defect-table"]) == {"k3lat.gsignature"}
+        assert _loaded_by(["scenario", family]) == \
+            LIBRARY | {"k3lat.scenarios", "k3lat.nikulin"}
+    assert _loaded_by(["scenario", "defect-table"]) == \
+        {"k3lat.scenarios", "k3lat.gsignature", "fractions"}
+    # a structured report costs json and serialize, not the lattice layer
+    assert _loaded_by(["--format", "structured", "scenario",
+                       "defect-table"]) == \
+        {"k3lat.scenarios", "k3lat.gsignature", "fractions", "json",
+         "k3lat.serialize"}
     involution = os.path.join(inputs, "nikulin-involution-group.json")
     assert _loaded_by(["decide", "--group", involution]) == \
-        {"k3lat.realize", "k3lat.groups", "k3lat.polys"}
+        REALIZE | {"json", "k3lat.serialize"}
     model = os.path.join(inputs, "model-prime-3-group.json")
     assert _loaded_by(["dichotomy", "--group", model]) == \
-        {"k3lat.realize", "k3lat.groups", "k3lat.polys"}
+        REALIZE | {"json", "k3lat.serialize"}

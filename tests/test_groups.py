@@ -39,6 +39,7 @@ from oracles import (
     cyclotomic,
     projector_character,
     projector_coinvariant,
+    rational_classes_by_conjugation,
 )
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -342,6 +343,28 @@ def test_noncyclic_group_splits_by_rational_class_sums():
     assert res.mode == "rotation-on-3-plane"
     assert res.pieces == [(1, 0), (4, 2), (17, 1)]
     assert res.L_G.gram() == [[-2]]
+
+
+def test_rational_classes_match_the_conjugation_closure(monkeypatch):
+    # commuting generators skip conjugation, and no generator inverse is
+    # taken; the classes keep the lists and the order of the closure
+    import k3lat.groups as groups
+    real = groups.inverse
+    inverted = []
+    monkeypatch.setattr(groups, "inverse",
+                        lambda A: inverted.append(1) or real(A))
+    rng = random.Random(3)
+    cyclic = [IsometryGroup(K3, [_random_finite_isometry(rng)])
+              for _ in range(8)]
+    for G in cyclic + [_c4_c2()]:
+        assert rational_classes(G) == rational_classes_by_conjugation(G)
+    assert not inverted
+    assert sorted(G.order() for G in cyclic) != [1] * len(cyclic)
+    # a non-abelian group still closes under conjugation
+    A4 = a4_example().group
+    inverted.clear()
+    assert rational_classes(A4) == rational_classes_by_conjugation(A4)
+    assert len(inverted) == len(A4.generators)
 
 
 def test_coarse_projectors_are_checked_against_the_components():

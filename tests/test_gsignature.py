@@ -52,7 +52,7 @@ def test_defect_point_matches_float_oracle():
 
 def test_defect_point_trace_matches_the_sum_of_conjugates():
     # the Dedekind sum against the p - 1 terms of the defect sum, each
-    # reduced and inverted in Q[x]/Phi_p
+    # multiplied out in integers in Z[x]/(x^p - 1) and read in Q[x]/Phi_p
     for p in (3, 5, 7, 11, 13, 17, 19):
         for q in range(1, p):
             assert defect_point(p, q) == defect_point_by_conjugates(p, q)

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -461,6 +462,28 @@ def test_disc_form_isometry_agrees_with_the_search_oracle():
             (p, seen, rewritten)
         if p == 2:
             assert odd_type >= 15, odd_type
+
+
+def test_q_value_counts_match_the_element_by_element_values():
+    # the forms of the test above, drawn from the same seed: the walk one
+    # generator at a time gives the Counter of q over elements(), with
+    # its values first seen in the same order
+    rng = random.Random(71)
+    sizes = set()
+    for p in (2, 3, 5, 7):
+        for _ in range(60):
+            r = rng.randint(1, P_MAX_RANK[p])
+            pair = [_p_blocks(rng, p, r) for _ in range(2)]
+            for D in (_skewed_form(rng, blocks) for blocks in pair):
+                counts = D.q_value_counts()
+                expect = Counter(D.q(x) for x in D.elements())
+                assert list(counts.items()) == list(expect.items()), \
+                    (p, D.orders)
+                sizes.add((p, len(D.orders)))
+    assert len(sizes) == sum(P_MAX_RANK.values()), sizes
+    # the trivial form of a unimodular lattice has the one value 0
+    assert DiscriminantForm(hyperbolic_plane().gram).q_value_counts() == \
+        Counter({Fraction(0): 1})
 
 
 def test_disc_form_isometry_refuses_at_once():
