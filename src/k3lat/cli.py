@@ -32,19 +32,7 @@ import os
 import sys
 import time
 
-# the schema tag of every report envelope
-SCHEMA = "k3lat/1"
-
-
-def _jsonable(v):
-    # Fractions, like any value JSON has no type for, become strings
-    if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
-        return v
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    return str(v)
+from . import SCHEMA, jsonable
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +131,7 @@ def _cmd_dichotomy(args):
     except HypothesisViolated as e:
         return _fail("hypothesis-violated: %s" % e)
     obj = {"schema": SCHEMA, "kind": "dichotomy", "p": rep.p, "nu": rep.nu,
-           "dichotomy": rep.kind, "evidence": _jsonable(rep.evidence)}
+           "dichotomy": rep.kind, "evidence": jsonable(rep.evidence)}
     _print_report(obj, args.format)
     return 0
 
@@ -188,7 +176,7 @@ def _cmd_example(args):
                                   serialize.isotypic_to_obj(act.projectors))
         files.append(ipath)
     obj = {"schema": SCHEMA, "kind": "example", "example": name,
-           "files": files, "verification": _jsonable(act.certificates)}
+           "files": files, "verification": jsonable(act.certificates)}
     _print_report(obj, args.format)
     failed = _failed(checks)
     for c in failed:
@@ -206,6 +194,8 @@ def _cmd_compute(args):
         val = defect_point(args.p, args.q)
         sys.stdout.write("%s\n" % val)
         return 0
+    if args.lattice is None:
+        return _fail("compute %s requires --lattice" % sub)
     lat = _load_lattice(args.lattice)
     if sub == "signature":
         p, m, z = lat.signature()

@@ -196,7 +196,7 @@ def regular_summand_discriminant_check(ambient, g, dec):
     n = ambient.rank
     N = mat_sub(g, identity_matrix(n))
     from .matrix import snf
-    S, _, _ = snf(N)
+    S, _ = snf(N)
     divisors = [S[i][i] for i in range(n)]
     summand = all(d in (0, 1) for d in divisors)
     report = {

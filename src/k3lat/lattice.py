@@ -19,13 +19,13 @@ from .matrix import (
     copy_matrix,
     det,
     dot,
-    hnf_basis,
     identity_matrix,
     int_kernel,
     inverse,
     is_integral,
     mat_mul,
     rank as qrank,
+    row_hnf,
     snf,
     solve_rows,
     to_int_matrix,
@@ -206,7 +206,7 @@ class Sublattice:
     def index_in_saturation(self):
         if not self.basis:
             return 1
-        S, _, _ = snf(self.basis)
+        S, _ = snf(self.basis)
         out = 1
         for i in range(min(len(S), len(S[0]))):
             if S[i][i]:
@@ -247,7 +247,7 @@ def group_generated_by(rows):
     if not rows:
         return []
     d, ints = _scaled(rows)
-    return [[Fraction(x, d or 1) for x in row] for row in hnf_basis(ints)]
+    return [[Fraction(x, d or 1) for x in row] for row in row_hnf(ints)]
 
 
 def gram_of_rows(rows, ambient_gram):
@@ -283,7 +283,7 @@ class DiscriminantForm:
         self.gram = copy_matrix(gram)
         # quadratic values mod 2 exist only for even source lattices
         self.even = all(gram[i][i] % 2 == 0 for i in range(len(gram)))
-        S, U, _ = snf(gram)
+        S, U = snf(gram)
         n = len(gram)
         self.orders = []
         self.lifts = []

@@ -13,6 +13,12 @@ entries of row i of A, then divides by the denominators once per entry;
 share one fraction-free (Bareiss) elimination, `_echelon`: `det` divides
 its last pivot by d^n, and `solve_rows` builds one Fraction per entry of
 its solution.
+
+Over Z, `row_hnf` returns the canonical Hermite basis of a row span and
+builds no transform. `int_kernel` reads the kernel lattice off one
+`row_hnf` of the rows [col_j(A) | e_j], and `snf` returns the Smith form
+with its row transform U alone, whose rows are the discriminant-form
+lifts of `lattice`.
 """
 
 from fractions import Fraction
@@ -303,117 +309,84 @@ def rank_mod_p(A, p):
 
 
 def row_hnf(A):
-    """Row Hermite normal form with transform.
+    """Row Hermite normal form: the canonical basis of the row span of the
+    integer matrix A over Z.
 
-    Returns (H, U) with U unimodular, U*A == H, H in row echelon form with
-    positive pivots and entries above each pivot reduced into [0, pivot).
-    Zero rows of H are collected at the bottom.
+    Returns the nonzero rows of the HNF, in row echelon form with positive
+    pivots and every entry above a pivot reduced into [0, pivot), so two
+    matrices with the same row span get the same rows. No transform is
+    kept. Each column is cleared below its pivot by Euclid's algorithm run
+    on all its rows at once: the row with the least nonzero entry reduces
+    every other one to a remainder of at most half its entry, so the
+    entries stay small also on badly skewed inputs.
+    """
+    H = [list(map(int, row)) for row in A]
+    m = len(H)
+    row = 0
+    for col in range(len(H[0]) if H else 0):
+        live = [i for i in range(row, m) if H[i][col]]
+        if not live:
+            continue
+        while len(live) > 1:
+            piv = min(live, key=lambda i: abs(H[i][col]))
+            prow = H[piv]
+            p = prow[col]
+            for i in live:
+                if i != piv:
+                    # the nearest integer to H[i][col] / p
+                    q = (2 * H[i][col] + p) // (2 * p)
+                    H[i] = [a - q * b for a, b in zip(H[i], prow)]
+            live = [i for i in live if H[i][col]]
+        H[row], H[live[0]] = H[live[0]], H[row]
+        if H[row][col] < 0:
+            H[row] = [-x for x in H[row]]
+        # reduce entries above the pivot into [0, pivot)
+        prow = H[row]
+        p = prow[col]
+        for i in range(row):
+            q = H[i][col] // p
+            if q:
+                H[i] = [a - q * b for a, b in zip(H[i], prow)]
+        row += 1
+        if row == m:
+            break
+    return H[:row]
+
+
+def int_kernel(A):
+    """Basis of the integer solutions x (rows) of A * x^T = 0, in row HNF.
+
+    One row HNF of the rows [col_j(A) | e_j], j < n (Cohen, GTM 138,
+    §2.4): the rows it returns come from these by a unimodular transform,
+    so the ones whose A-part vanishes have e-parts spanning the kernel
+    over Z, which is therefore saturated in Z^n, and they come last and
+    already form its HNF.
+    """
+    if not A or not A[0]:
+        return []
+    m, n = len(A), len(A[0])
+    H = row_hnf([list(col) + [int(i == j) for i in range(n)]
+                 for j, col in enumerate(zip(*A))])
+    return [row[m:] for row in H if not any(row[:m])]
+
+
+def snf(A):
+    """Smith normal form with its row transform.
+
+    Returns (S, U) with U unimodular and U*A*V == S for some unimodular V,
+    S diagonal with nonnegative entries satisfying s1 | s2 | ... along the
+    diagonal. No pivot choice reads V, so it is not built.
     """
     if not A:
         return [], []
     m, n = len(A), len(A[0])
-    H = [list(map(int, row)) for row in A]
-    U = identity_matrix(m)
-    row = 0
-    for col in range(n):
-        # find a nonzero entry at or below `row`
-        piv = None
-        for i in range(row, m):
-            if H[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            H[row], H[piv] = H[piv], H[row]
-            U[row], U[piv] = U[piv], U[row]
-        # clear the column below with gcd steps
-        for i in range(row + 1, m):
-            while H[i][col] != 0:
-                if abs(H[i][col]) < abs(H[row][col]):
-                    H[row], H[i] = H[i], H[row]
-                    U[row], U[i] = U[i], U[row]
-                q = H[i][col] // H[row][col]
-                for c in range(n):
-                    H[i][c] -= q * H[row][c]
-                for c in range(m):
-                    U[i][c] -= q * U[row][c]
-        if H[row][col] < 0:
-            H[row] = [-x for x in H[row]]
-            U[row] = [-x for x in U[row]]
-        # reduce entries above the pivot
-        p = H[row][col]
-        for i in range(row):
-            q = H[i][col] // p
-            if q:
-                for c in range(n):
-                    H[i][c] -= q * H[row][c]
-                for c in range(m):
-                    U[i][c] -= q * U[row][c]
-        row += 1
-        if row == m:
-            break
-    return H, U
-
-
-def hnf_basis(A):
-    """Nonzero rows of the row HNF of A: a canonical basis of the row span."""
-    H, _ = row_hnf(A)
-    return [row for row in H if any(row)]
-
-
-def int_kernel(A):
-    """Basis of the integer solutions x (rows) of A * x^T = 0.
-
-    The returned rows span a saturated subgroup of Z^n (n = columns of A),
-    because they arise as part of a unimodular transform.
-    """
-    if not A:
-        return []
-    n = len(A[0])
-    if n == 0:
-        return []
-    At = transpose(A)  # n x m; left kernel of A^T is what we want
-    H, U = row_hnf(At)
-    ker = [U[i] for i in range(n) if not any(H[i])]
-    return hnf_basis(ker)
-
-
-def snf(A):
-    """Smith normal form with transforms.
-
-    Returns (S, U, V) with U*A*V == S, U and V unimodular, S diagonal with
-    nonnegative entries satisfying s1 | s2 | ... along the diagonal.
-    """
-    if not A:
-        return [], [], []
-    m, n = len(A), len(A[0])
     S = [list(map(int, row)) for row in A]
     U = identity_matrix(m)
-    V = identity_matrix(n)
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, q):
         # row dst -= q * row src
-        for c in range(n):
-            S[dst][c] -= q * S[src][c]
-        for c in range(m):
-            U[dst][c] -= q * U[src][c]
-
-    def add_col(src, dst, q):
-        for row in S:
-            row[dst] -= q * row[src]
-        for row in V:
-            row[dst] -= q * row[src]
+        S[dst] = [a - q * b for a, b in zip(S[dst], S[src])]
+        U[dst] = [a - q * b for a, b in zip(U[dst], U[src])]
 
     t = 0
     size = min(m, n)
@@ -430,35 +403,29 @@ def snf(A):
         if piv is None:
             break
         i, j = piv
-        if i != t:
-            swap_rows(i, t)
-        if j != t:
-            swap_cols(j, t)
+        S[i], S[t] = S[t], S[i]
+        U[i], U[t] = U[t], U[i]
+        for row in S:
+            row[j], row[t] = row[t], row[j]
         dirty = False
         for i in range(t + 1, m):
             if S[i][t]:
-                q = S[i][t] // S[t][t]
-                add_row(t, i, q)
+                add_row(t, i, S[i][t] // S[t][t])
                 if S[i][t]:
                     dirty = True
         for j in range(t + 1, n):
             if S[t][j]:
                 q = S[t][j] // S[t][t]
-                add_col(t, j, q)
+                for row in S:
+                    row[j] -= q * row[t]
                 if S[t][j]:
                     dirty = True
         if dirty:
             continue  # smaller remainders appeared, repick the pivot
         # pivot must divide the rest of the block
         p = S[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, m)
+                         if any(S[i][j] % p for j in range(t + 1, n))), None)
         if offender is not None:
             add_row(offender, t, -1)  # fold the offending row into the pivot row
             continue
@@ -466,7 +433,7 @@ def snf(A):
             S[t] = [-x for x in S[t]]
             U[t] = [-x for x in U[t]]
         t += 1
-    return S, U, V
+    return S, U
 
 
 def char_poly(A):

@@ -20,7 +20,6 @@ from .matrix import (
     block_diag,
     det,
     dot,
-    hnf_basis,
     identity_matrix,
     int_kernel,
     inverse,
@@ -30,6 +29,7 @@ from .matrix import (
     mat_sub,
     matrix_order,
     rank,
+    row_hnf,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -182,7 +182,7 @@ def build_Lp(fam):
             e[t] = 1
             e[t0] = -((w[t] * inv) % p)
             rows.append(e)
-    L_in_N = hnf_basis(rows)
+    L_in_N = row_hnf(rows)
     gram_L = to_int_matrix(gram_of_rows(L_in_N, fam.N.gram))
     # rebase on the LLL-reduced basis, which sigma_L and every later
     # search are written in; the reduced Gram is -R
@@ -276,10 +276,12 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     C = p * Ginv (integral since the discriminant has exponent p), each
     row must satisfy (s_i - e_i) C = 0 mod p, and transposing any complete
     solution gives a Gram isometry trivial on the discriminant.
-    The kernel returns every complete filling.
-    Completes for p = 2, 3 and reports the group; may exhaust the budget
-    for p = 5, 7, and then raises SearchBudgetExceeded (from the pool
-    enumeration or the backtracking, each naming its stage).
+    The pool vectors w and their negatives are bucketed once by
+    (norm, w C mod p), and slot i draws from the bucket of
+    (C_ii, C_i mod p), so the backtracking tests only the Gram rows.
+    The kernel returns every complete filling. Past its budget the pool
+    enumeration or the backtracking raises SearchBudgetExceeded naming
+    its stage.
     """
     G = fam.L.gram
     n = len(G)
@@ -294,24 +296,26 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     H, R = lll_gram([[-x for x in row] for row in C])[:2]
     Hinv = to_int_matrix(inverse(H))
     C = [[-x for x in row] for row in R]
-    norms = sorted({C[i][i] for i in range(n)})
-    pool = {}
-    for t in norms:
+    buckets = {}
+    for t in sorted({C[i][i] for i in range(n)}):
         vecs = enumerate_vectors(C, t, budget=budget)
         # each pool vector with its image under C, computed once
         imgs = [vec_mat(v, C) for v in vecs]
-        pool[t] = list(zip(vecs, imgs)) + [
+        pool = list(zip(vecs, imgs)) + [
             ([-x for x in v], [-x for x in w]) for v, w in zip(vecs, imgs)]
+        for wv, wc in pool:
+            key = (t, tuple(x % p for x in wc))
+            buckets.setdefault(key, []).append((wv, wc))
 
     def fits(i, c, chosen):
-        wv, wc = c
-        # (w - e_i) pairs into p Z^n against the dual basis
-        if any((wc[k] - C[i][k]) % p for k in range(n)):
-            return False
+        # the bucket has (w - e_i) C in p Z^n; the Gram row remains
+        wv = c[0]
         return all(dot(chosen[j][1], wv) == C[j][i] for j in range(i))
 
-    found, nodes = _fill_slots([pool[C[i][i]] for i in range(n)], fits,
-                               budget, "aut search", every=True)
+    slots = [buckets.get((C[i][i], tuple(x % p for x in C[i])), [])
+             for i in range(n)]
+    found, nodes = _fill_slots(slots, fits, budget, "aut search",
+                               every=True)
 
     mats = []
     for filling in found:

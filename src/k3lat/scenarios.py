@@ -13,14 +13,14 @@ defect-table, say, loads gsignature and no lattice code.
 
 from fractions import Fraction
 
-from .cli import SCHEMA, _jsonable
+from . import SCHEMA, jsonable
 
 # nu at each prime p of the family: nu(p + 1) = 24
 NU = {2: 8, 3: 6, 5: 4, 7: 3}
 
 
 def _check(name, expected, computed, anchor="plumbing"):
-    expected, computed = _jsonable(expected), _jsonable(computed)
+    expected, computed = jsonable(expected), jsonable(computed)
     status = "pass" if expected == computed else "fail"
     return {"name": name, "status": status, "expected": expected,
             "computed": computed, "anchor": anchor}

@@ -74,7 +74,7 @@ from k3lat.standard import cartan_matrix, root_lattice
 
 def snf_diagonal(A):
     """The diagonal of the Smith normal form, including zeros, length min(m,n)."""
-    S, _, _ = snf(A)
+    S, _ = snf(A)
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
 
 
@@ -98,12 +98,20 @@ def e8_coordinate_simple_roots():
     ]
 
 
+def snf_transforms(A):
+    """(S, U, V) with U A V = S for a nondegenerate square integer A: S
+    and U from k3lat's snf, and V = A^-1 U^-1 S, the one column transform
+    that fits them; to_int_matrix refuses a V that is not integral."""
+    S, U = snf(A)
+    return S, U, to_int_matrix(mat_mul(mat_mul(inverse(A), inverse(U)), S))
+
+
 def disc_reduce(D, rational_vec):
     """Class in D of a dual vector (rational source coordinates), as a
     tuple of residues against D.orders. The vector must pair integrally
     with the source lattice: with U A V = S the Smith form of the source
     Gram A, the class of y = x A is (y V)_i mod s_i over the s_i > 1."""
-    S, _, V = snf(D.gram)
+    S, _, V = snf_transforms(D.gram)
     y = vec_mat(rational_vec, D.gram)
     if not all(Fraction(c).denominator == 1 for c in y):
         raise ValueError("vector does not pair integrally with the lattice")
@@ -267,10 +275,8 @@ def fraction_solve_rows(A, B):
 
 def in_rowspan_z(basis, vec):
     """Whether vec lies in the integer row span of basis."""
-    H, _ = row_hnf(basis)
-    H = [row for row in H if any(row)]
     v = list(vec)
-    for row in H:
+    for row in row_hnf(basis):
         j = next(i for i, x in enumerate(row) if x)
         if v[j] % row[j]:
             return False
@@ -314,7 +320,7 @@ def hnf_generates(images, orders):
     k = len(orders)
     relations = [[o if i == j else 0 for j in range(k)]
                  for i, o in enumerate(orders)]
-    H, _ = row_hnf(list(images) + relations)
+    H = row_hnf(list(images) + relations)
     return all(H[i][i] == 1 for i in range(k))
 
 

@@ -86,6 +86,18 @@ def test_compute_defect(capsys):
     assert out.strip().splitlines()[-1] == "-2/3"
 
 
+def test_compute_without_its_inputs_exits_2(capsys):
+    # a missing option is a usage error naming it, never a traceback
+    for argv, message in (
+            (["defect", "--q", "1"], "compute defect requires --p and --q"),
+            (["signature"], "compute signature requires --lattice"),
+            (["disc"], "compute disc requires --lattice"),
+            (["enumerate", "--norm", "-2"],
+             "compute enumerate requires --lattice")):
+        code, out, err = _run(capsys, ["compute"] + argv)
+        assert (code, out, err) == (2, "", "error: %s\n" % message), argv
+
+
 def test_unknown_compute_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "bogus"])
@@ -209,13 +221,14 @@ def test_budget_exhaustion_is_inconclusive(capsys):
 
 def test_family_scenarios_at_small_budgets_pass_or_are_inconclusive(capsys):
     # each budget runs out in one fixed stage (None: the run completes);
-    # an exhausted search reads as inconclusive, never as a failed check
+    # an exhausted search reads as inconclusive, never as a failed check.
+    # The aut search fills its slots in at most 102 nodes, fewer than any
+    # pool enumeration spends, so enumeration is the stage that runs out
     stages = [
-        ("nikulin-family-p2", {10: "enumeration", 1000: "aut search",
-                               3000: "aut search", 10000: None}),
+        ("nikulin-family-p2", {10: "enumeration", 1000: None, 3000: None,
+                               10000: None}),
         ("nikulin-family-p3", {10: "enumeration", 1000: "enumeration",
-                               3000: "aut search", 10000: "aut search",
-                               100000: None}),
+                               3000: None, 10000: None, 100000: None}),
         # discriminant forms are decided by q-value counts, with no budget
         ("genus-check", {100: None}),
     ]
@@ -400,6 +413,16 @@ def _loaded_by(argv):
                           env=_env())
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
+
+
+def test_scenarios_leave_the_front_end_unloaded():
+    # under `python -m k3lat.cli` the front end runs as __main__, so a
+    # scenarios module importing k3lat.cli would run cli.py a second time
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, k3lat.scenarios\n"
+                               "sys.exit('k3lat.cli' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verbs_load_only_the_modules_they_call():

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import os
 import random
 import subprocess
@@ -12,7 +14,6 @@ from k3lat.lattice import express_in_basis
 from k3lat.matrix import (
     char_poly,
     det,
-    hnf_basis,
     identity_matrix,
     int_kernel,
     inverse,
@@ -23,9 +24,11 @@ from k3lat.matrix import (
     matrix_order,
     rank,
     rank_mod_p,
+    row_hnf,
     solve_right,
     solve_rows,
     to_int_matrix,
+    transpose,
     vec_mat,
 )
 from conftest import a4_example
@@ -36,6 +39,7 @@ from oracles import (
     fraction_rank,
     fraction_solve_rows,
     snf_diagonal,
+    snf_transforms,
     to_fraction_matrix,
 )
 
@@ -208,9 +212,9 @@ def test_int_kernel_dimension_membership_saturation():
             assert all(abs(x) == 1 for x in snf_diagonal(K) if x)
 
 
-def test_hnf_basis_spans_same_row_group():
+def test_row_hnf_spans_same_row_group():
     rows = [[2, 4, 0], [0, 6, 2], [2, 10, 2]]
-    H = hnf_basis(rows)
+    H = row_hnf(rows)
     assert rank(H) == rank(rows)
     for r in rows:
         x = solve_right(H, r)
@@ -220,6 +224,104 @@ def test_hnf_basis_spans_same_row_group():
         x = solve_right(rows, h)
         assert x is not None
         assert all(v.denominator == 1 for v in x)
+
+
+INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                      "inputs")
+BENCH_GROUPS = ("a4", "coxeter", "model-prime-3", "nikulin-involution",
+                "rotation12")
+
+
+def _unimodular(n, moves, rng):
+    """(U, U^-1) for a product of moves seeded elementary row moves."""
+    U, Uinv = identity_matrix(n), identity_matrix(n)
+    for _ in range(moves):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        U[i] = [a + s * b for a, b in zip(U[i], U[j])]
+        for row in Uinv:
+            row[j] -= s * row[i]
+    return U, Uinv
+
+
+def _elementary_divisor_product(A):
+    """Product of the nonzero Smith invariants: the gcd of the minors of
+    size rank(A), the index of the row span of A in its saturation."""
+    return math.prod(x for x in snf_diagonal(A) if x)
+
+
+def _assert_canonical_hnf(H, A):
+    """H is in row HNF and spans the same Z-module as the rows of A."""
+    last = -1
+    for k, row in enumerate(H):
+        c = next(j for j, x in enumerate(row) if x)
+        assert c > last and row[c] > 0, (k, row)
+        assert all(0 <= H[i][c] < row[c] for i in range(k)), (k, c)
+        last = c
+    # the rows of A lie in the Z-span of the independent rows H, and the
+    # two modules have the same rank and covolume, so they are equal
+    assert len(H) == rank(A)
+    X = solve_rows(H, A) if H else []
+    assert X is not None and is_integral(X)
+    assert _elementary_divisor_product(H) == _elementary_divisor_product(A)
+
+
+def _kernel_inputs():
+    """Seeded (name, integer matrix A, Gram or None) triples: A = (g - 1)^T
+    for the generators g of the bench groups, as given and conjugated by
+    24- and 200-move unimodular base changes, with the ambient Gram in the
+    same basis; and 24-move conjugates U D V of small random D."""
+    rng = random.Random(1000)
+    for name in BENCH_GROUPS:
+        with open(os.path.join(INPUTS, name + "-group.json")) as fh:
+            obj = json.load(fh)
+        n = obj["ambient"]["rank"]
+        for moves in (0, 24, 200):
+            U, Uinv = _unimodular(n, moves, rng)
+            gram = mat_mul(mat_mul(U, obj["ambient"]["gram"]), transpose(U))
+            for k, g in enumerate(obj["generators"]):
+                h = mat_mul(mat_mul(U, g), Uinv)
+                yield ("%s g%d, %d moves" % (name, k, moves),
+                       [[h[j][i] - (i == j) for j in range(n)]
+                        for i in range(n)], gram)
+    for trial in range(24):
+        m = rng.randint(2, 6)
+        n = m if trial % 2 else rng.randint(2, 6)
+        D = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0
+              for _ in range(n)] for _ in range(m)]
+        yield ("random %d" % trial,
+               mat_mul(mat_mul(_unimodular(m, 24, rng)[0], D),
+                       _unimodular(n, 24, rng)[0]), None)
+
+
+def _assert_smith_form(A):
+    S, U, V = snf_transforms(A)
+    n = len(A)
+    assert mat_mul(mat_mul(U, A), V) == S
+    assert abs(det(U)) == abs(det(V)) == 1
+    d = [S[i][i] for i in range(n)]
+    assert S == [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    assert all(x > 0 for x in d)
+    assert all(d[i + 1] % d[i] == 0 for i in range(n - 1))
+
+
+def test_kernels_on_skewed_inputs():
+    # row_hnf is the canonical basis of the row span, int_kernel a
+    # saturated HNF basis of the kernel, and snf's S and U extend to a
+    # Smith form U A V = S with an integral unimodular V
+    for name, A, gram in _kernel_inputs():
+        _assert_canonical_hnf(row_hnf(A), A)
+        K = int_kernel(A)
+        assert len(K) == len(A[0]) - rank(A), name
+        assert not any(any(row) for row in mat_mul(A, transpose(K))), name
+        assert K == row_hnf(K), name
+        assert all(x == 1 for x in snf_diagonal(K)), name
+        if gram is not None and K:
+            # the vectors fixed by a finite-order isometry span a
+            # nondegenerate sublattice
+            _assert_smith_form(mat_mul(mat_mul(K, gram), transpose(K)))
+        elif gram is None and len(A) == len(A[0]) and det(A):
+            _assert_smith_form(A)
 
 
 def test_matrix_order_known_cases():

@@ -165,6 +165,15 @@ def test_disc_trivial_automorphisms_exhaust_to_sigma(p):
     assert rep["equals_sigma_cyclic"]
 
 
+@pytest.mark.parametrize("p, order", ((5, 10), (7, 21)))
+def test_disc_trivial_automorphisms_outgrow_sigma(p, order):
+    # at p = 5 and 7 the group is D_10 and C_7 x| C_3, with sigma of
+    # index 2 and 3
+    rep = aut_trivial_on_disc_search(family(p))
+    assert rep["group_order"] == order
+    assert not rep["equals_sigma_cyclic"]
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_Lp_basis_is_LLL_reduced(p):
     # build_Lp rebases on the LLL basis, so reducing again changes nothing;
