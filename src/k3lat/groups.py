@@ -18,15 +18,12 @@ from .matrix import (
     det,
     identity_matrix,
     int_kernel,
-    inverse,
-    is_integral,
     mat_eq,
     mat_mul,
     mat_scale,
     mat_sub,
     rank as qrank,
     rank_mod_p,
-    to_int_matrix,
     transpose,
 )
 from .lattice import (
@@ -323,7 +320,9 @@ def rational_classes(group):
     gens = group.generators
     abelian = all(mat_eq(mat_mul(g, h), mat_mul(h, g))
                   for i, g in enumerate(gens) for h in gens[i + 1:])
-    conj = [] if abelian else [(to_int_matrix(inverse(g)), g) for g in gens]
+    conj = [] if abelian else [
+        (express_in_basis(I, g, "a group element must be invertible over Z"),
+         g) for g in gens]
     seen = set()
     classes = []
     for x in group.elements():
@@ -376,7 +375,8 @@ def _eigenspaces(B, S, bound):
     if all(a * B[0][j] == BS[0][j] * b
            for ra, rb in zip(BS, B) for a, b in zip(ra, rb)):
         return [B]
-    cp = char_poly(express_in_basis(BS, B))
+    cp = char_poly(express_in_basis(
+        BS, B, "a class sum must preserve each isotypic piece"))
     return [mat_mul(int_kernel(transpose(mat_sub(BS, mat_scale(lam, B)))), B)
             for lam in range(-bound, bound + 1)
             if sum(c * lam ** i for i, c in enumerate(cp)) == 0]
@@ -413,6 +413,5 @@ def _check_coinvariant(group, res):
     if p or z:
         raise AssertionError("L_G must be negative definite or zero")
     for g in group.generators:
-        X = express_in_basis(mat_mul(L.basis, g), L.basis)
-        if X is None or not is_integral(X):
-            raise AssertionError("L_G must be G-invariant")
+        express_in_basis(mat_mul(L.basis, g), L.basis,
+                         "L_G must be G-invariant")

@@ -15,6 +15,7 @@ import math
 
 from .matrix import (
     _scaled,
+    _solve_int,
     block_diag,
     copy_matrix,
     det,
@@ -22,13 +23,10 @@ from .matrix import (
     identity_matrix,
     int_kernel,
     inverse,
-    is_integral,
     mat_mul,
     rank as qrank,
     row_hnf,
     snf,
-    solve_rows,
-    to_int_matrix,
     transpose,
     vec_mat,
 )
@@ -98,9 +96,19 @@ def signature_of_gram(gram):
     return plus, len(norms) - plus, nullity
 
 
-def express_in_basis(rows, basis):
-    """Coefficient matrix X with X * basis == rows over Q, or None."""
-    return solve_rows(basis, rows)
+def express_in_basis(rows, basis, claim=None):
+    """The integer X with X * basis == rows, or None when a row is outside
+    the Z-span of basis: outside its Q-span, or with a `_solve_int`
+    solution y = D*x that D does not divide. With claim, such a row raises
+    ArithmeticError(claim). Dependent basis rows raise ValueError."""
+    S = _solve_int(basis, rows, independent=True)
+    if S is not None:
+        D, Y = S
+        if not any(v % D for y in Y for v in y):
+            return [[v // D for v in y] for y in Y]
+    if claim is not None:
+        raise ArithmeticError(claim)
+    return None
 
 
 class Lattice:
@@ -230,11 +238,11 @@ class Sublattice:
 
 def sublattice_index(sub_basis, sup_basis):
     """Index [sup : sub] for two bases of the same rational span."""
-    C = express_in_basis(sub_basis, sup_basis)
-    assert C is not None, "first span must lie inside the second"
-    assert is_integral(C), "first lattice must be a subgroup of the second"
-    d = det(to_int_matrix(C))
-    assert d != 0
+    C = express_in_basis(sub_basis, sup_basis,
+                         "first lattice must be a subgroup of the second")
+    d = det(C) if len(C) == len(sup_basis) else 0
+    if d == 0:
+        raise ValueError("the two bases must span the same rational space")
     return abs(d)
 
 

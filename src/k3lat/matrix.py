@@ -9,10 +9,11 @@ in the output. A rational matrix reaches the integer kernels only through
 `_scaled`, as one integer matrix d*A and its common denominator d.
 `mat_mul` builds row i of A*B from the rows of B weighted by the nonzero
 entries of row i of A, then divides by the denominators once per entry;
-`char_poly` divides once per coefficient. `det`, `rank` and `solve_rows`
+`char_poly` divides once per coefficient. `det`, `rank` and `_solve_int`
 share one fraction-free (Bareiss) elimination, `_echelon`: `det` divides
-its last pivot by d^n, and `solve_rows` builds one Fraction per entry of
-its solution.
+its last pivot by d^n, and `_solve_int` returns y = D*x for x A = b in
+integers: `solve_rows` divides y by D into Fractions, and
+`lattice.express_in_basis` into integer coordinates or None.
 
 Over Z, `row_hnf` returns the canonical Hermite basis of a row span and
 builds no transform. `int_kernel` reads the kernel lattice off one
@@ -239,29 +240,29 @@ def rank(A):
     return len(_echelon(copy_matrix(M), len(M[0]))[0])
 
 
-def solve_rows(A, B):
-    """Solve X A = B over Q for a matrix X, or return None.
-
-    Row i of X is a row vector x with x A = B[i]; A may be rectangular,
-    and coordinates off the pivots are set to 0. None when some row of B
-    is not in the row span of A. One elimination of d*[A^T | B^T] serves
-    every row of B. With D the last pivot, the minor of the pivot rows and
-    columns, y = D*x is integral by Cramer's rule, so back-substitution
-    runs on y in integers and the Fractions y/D appear only in X.
+def _solve_int(A, B, independent=False):
+    """(D, Y) with Y A = D B in integers, or None when some row of B is
+    not in the row span of A. So X = Y / D solves X A = B; coordinates
+    off the pivots are 0, and with independent, dependent rows of A raise
+    ValueError. One elimination of d*[A^T | B^T] serves every row of B.
+    D is its last pivot, the minor of the pivot rows and columns, so y =
+    D*x is integral by Cramer's rule and back-substitution runs on y.
     """
     m = len(A)
-    k = len(B)
     n = len(A[0]) if A else (len(B[0]) if B else 0)
-    assert all(len(b) == n for b in B)
+    if any(len(row) != n for row in chain(A, B)):
+        raise ValueError("all rows must have length %d" % n)
     _, M = _scaled([list(col) for col in zip(*A, *B)])
     pivots, _ = _echelon(M, m)
     r = len(pivots)
+    if independent and r < m:
+        raise ValueError("basis rows must be independent")
     if any(any(row[m:]) for row in M[r:]):
         return None
     D = M[r - 1][pivots[-1]] if r else 1
     later = [[c for c in pivots[i + 1:] if M[i][c]] for i in range(r)]
-    X = []
-    for t in range(m, m + k):
+    Y = []
+    for t in range(m, m + len(B)):
         y = [0] * m
         for i in range(r - 1, -1, -1):
             row = M[i]
@@ -272,8 +273,18 @@ def solve_rows(A, B):
                     "back-substitution: %d in row %d is not divisible by "
                     "the pivot %d" % (s, i, row[pivots[i]]))
             y[pivots[i]] = q
-        X.append([Fraction(v, D) for v in y])
-    return X
+        Y.append(y)
+    return D, Y
+
+
+def solve_rows(A, B):
+    """Solve X A = B over Q for a matrix X, or return None: X = Y / D
+    with (D, Y) from `_solve_int`, one Fraction per entry."""
+    S = _solve_int(A, B)
+    if S is None:
+        return None
+    D, Y = S
+    return [[Fraction(v, D) for v in y] for y in Y]
 
 
 def solve_right(A, b):

@@ -6,11 +6,11 @@ vector k to get the overlattice N_p, cut out the index-p sublattice L_p
 with the Weyl-type vector rho, and extend by an isotropic direction to
 reach K_p = N_p + U. Each stage asserts, in exact arithmetic, the facts
 the later stages rely on, and records the identities the paper states as
-computed values in fam.checks; the scenario rows of k3lat.cli compare
-them with the claimed constants. The one search here, the isometries of
-L_p trivial on disc(L_p), runs on the backtracking kernel of
-k3lat.shortvec under a node budget; the genus candidate's discriminant
-form is matched by its q-value counts, with no search.
+computed values in fam.checks; the scenario rows of k3lat.scenarios
+compare them with the claimed constants. The one search here, the
+isometries of L_p trivial on disc(L_p), runs on the backtracking kernel
+of k3lat.shortvec under a node budget; the genus candidate's
+discriminant form is matched by its q-value counts, with no search.
 """
 
 from fractions import Fraction
@@ -22,7 +22,6 @@ from .matrix import (
     dot,
     identity_matrix,
     int_kernel,
-    inverse,
     is_integral,
     mat_eq,
     mat_mul,
@@ -183,7 +182,7 @@ def build_Lp(fam):
             e[t0] = -((w[t] * inv) % p)
             rows.append(e)
     L_in_N = row_hnf(rows)
-    gram_L = to_int_matrix(gram_of_rows(L_in_N, fam.N.gram))
+    gram_L = gram_of_rows(L_in_N, fam.N.gram)
     # rebase on the LLL-reduced basis, which sigma_L and every later
     # search are written in; the reduced Gram is -R
     H, R = lll_gram([[-x for x in row] for row in gram_L])[:2]
@@ -193,9 +192,8 @@ def build_Lp(fam):
     assert (plus, zero) == (0, 0) and minus == fam.nu * (p - 1)
     assert L.is_even()
 
-    rho_in_N = express_in_basis([fam.rho], fam.basis_N)[0]
-    assert all(x.denominator == 1 for x in rho_in_N)
-    rho_in_N = [int(x) for x in rho_in_N]
+    rho_in_N = express_in_basis([fam.rho], fam.basis_N,
+                                "rho must lie in N_p")[0]
 
     fam.L_basis_in_N = L_in_N
     fam.L = L
@@ -227,17 +225,14 @@ def build_sigma(fam):
 
     # restrict to N_p (must be integral: sigma preserves the overlattice)
     imgs = mat_mul(fam.basis_N, sigma_D)
-    sigma_N = express_in_basis(imgs, fam.basis_N)
-    assert sigma_N is not None and is_integral(sigma_N)
-    sigma_N = to_int_matrix(sigma_N)
+    sigma_N = express_in_basis(imgs, fam.basis_N, "sigma must preserve N_p")
     assert mat_eq(mat_mul(mat_mul(sigma_N, fam.N.gram), transpose(sigma_N)),
                   fam.N.gram)
     assert matrix_order(sigma_N, cap=2 * p) == p
 
     imgs = mat_mul(fam.L_basis_in_N, sigma_N)
-    sigma_L = express_in_basis(imgs, fam.L_basis_in_N)
-    assert sigma_L is not None and is_integral(sigma_L)
-    sigma_L = to_int_matrix(sigma_L)
+    sigma_L = express_in_basis(imgs, fam.L_basis_in_N,
+                               "sigma must preserve L_p")
     assert mat_eq(mat_mul(mat_mul(sigma_L, fam.L.gram), transpose(sigma_L)),
                   fam.L.gram)
     assert matrix_order(sigma_L, cap=2 * p) == p
@@ -249,12 +244,11 @@ def build_sigma(fam):
     shift = mat_mul(Ginv, sigma_L_minus_1)
     fam.checks["sigma_trivial_on_disc"] = is_integral(shift)
 
-    # (sigma - 1)(rho / p) lands in L_p
-    rho_in_L = express_in_basis([fam.rho_in_N], fam.L_basis_in_N)[0]
-    frac = [x / fam.p for x in rho_in_L]
-    moved = vec_mat(frac, sigma_L_minus_1)
-    fam.checks["sigma_shift_of_rho_over_p"] = all(
-        x.denominator == 1 for x in moved)
+    # rho lies in L_p, and (sigma - 1)(rho / p) lands in L_p there
+    rho_in_L = express_in_basis([fam.rho_in_N], fam.L_basis_in_N)
+    in_L = fam.checks["rho_in_L"] = rho_in_L is not None
+    fam.checks["sigma_shift_of_rho_over_p"] = in_L and not any(
+        x % p for x in vec_mat(rho_in_L[0], sigma_L_minus_1))
 
     # char poly on L_p is Phi_p^nu: no fixed vector, and Phi_p irreducible
     power = n // (p - 1) if rank(sigma_L_minus_1) == n else 0
@@ -294,7 +288,8 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     # the pools explode; the congruence (S - 1) C = 0 mod p is covariant
     # under the unimodular change H
     H, R = lll_gram([[-x for x in row] for row in C])[:2]
-    Hinv = to_int_matrix(inverse(H))
+    Hinv = express_in_basis(identity_matrix(n), H,
+                            "an LLL transform must be unimodular")
     C = [[-x for x in row] for row in R]
     buckets = {}
     for t in sorted({C[i][i] for i in range(n)}):
@@ -320,7 +315,7 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     mats = []
     for filling in found:
         Sp = [wv for wv, _ in filling]
-        S = to_int_matrix(mat_mul(mat_mul(Hinv, Sp), H))
+        S = mat_mul(mat_mul(Hinv, Sp), H)
         T = transpose(S)
         assert mat_eq(mat_mul(mat_mul(T, G), transpose(T)), G)
         shift = mat_mul(Ginv, mat_sub(T, identity_matrix(n)))
@@ -434,20 +429,20 @@ def Lp_complement_in_Kp(fam):
 
     # same Z-span: complement == <e', f>
     ef = [[int(x) for x in eprime], [int(x) for x in f]]
-    X = express_in_basis(ef, comp)
-    Y = express_in_basis(comp, ef)
     gram_ef = gram_of_rows(ef, gram_K)
     fam.checks["complement_is_Up"] = (
-        X is not None and Y is not None and is_integral(X)
-        and is_integral(Y) and gram_ef == [[0, p], [p, 0]])
+        express_in_basis(ef, comp) is not None
+        and express_in_basis(comp, ef) is not None
+        and gram_ef == [[0, p], [p, 0]])
 
     # extension of sigma fixing e' and f
     P = jL + ef
     B = [row + [0, 0] for row in fam.sigma_L] + identity_matrix(m + 2)[m:]
-    sig_hat = mat_mul(mat_mul(inverse(P), B), P)
-    extends = is_integral(sig_hat)
+    # sig_hat = P^-1 B P, the integer solution of P X = B P, if any
+    sig_hat = express_in_basis(transpose(mat_mul(B, P)), transpose(P))
+    extends = sig_hat is not None
     if extends:
-        sig_hat = to_int_matrix(sig_hat)
+        sig_hat = transpose(sig_hat)
         extends = (
             mat_eq(mat_mul(mat_mul(sig_hat, gram_K), transpose(sig_hat)),
                    gram_K)

@@ -15,9 +15,9 @@ Search-discovered data (discriminant glue images, the A_3 + A_3 chain
 embedding into E8) is pinned as module constants. A builder asserts the
 intermediate facts its later steps rely on, and records each identity
 the paper states as the value it computed, in its certificates; the
-scenario rows of k3lat.cli compare those values with the claims, once.
-The searches that first produced the pins live with the tests, which
-re-derive them.
+scenario rows of k3lat.scenarios compare those values with the claims,
+once. The searches that first produced the pins live with the tests,
+which re-derive them.
 """
 
 import itertools
@@ -30,14 +30,12 @@ from .matrix import (
     dot,
     identity_matrix,
     int_kernel,
-    inverse,
     is_integral,
     mat_eq,
     mat_mul,
     mat_sub,
     matrix_order,
     rank_mod_p,
-    solve_rows,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -270,9 +268,8 @@ def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
     if rs.components != [("A", p - 1)] * nu or not rs.spanning:
         return DichotomyReport(p, nu, "violation", evidence)
     # restriction of g to L_G (saturated and stable, hence integral)
-    M = express_in_basis([vec_mat(row, g) for row in L.basis], L.basis)
-    assert M is not None and is_integral(M)
-    M = to_int_matrix(M)
+    M = express_in_basis([vec_mat(row, g) for row in L.basis], L.basis,
+                         "g must preserve L_G")
     certificates = []
     for simple, part in zip(rs.simple_roots, rs.component_roots):
         imgs = [vec_mat(r, M) for r in simple]
@@ -280,8 +277,6 @@ def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
         if C is None:
             evidence["component_permuted"] = True
             return DichotomyReport(p, nu, "violation", evidence)
-        assert is_integral(C)
-        C = to_int_matrix(C)
         comp_roots = {tuple(s * x for x in r) for r in part for s in (1, -1)}
         moved = all(tuple(vec_mat(list(r), M)) in comp_roots
                     for r in comp_roots)
@@ -341,7 +336,8 @@ def _contragredient_interleaved(M):
     on three hyperbolic planes: e-slots carry M, f-slots its inverse
     transpose, so all evaluation pairings are preserved.
     """
-    Minvt = transpose(to_int_matrix(inverse(M)))
+    Minvt = transpose(express_in_basis(identity_matrix(3), M,
+                                       "a Weyl element must be unimodular"))
     X = [[0] * 6 for _ in range(6)]
     for i in range(3):
         for j in range(3):
@@ -356,8 +352,8 @@ def _verify_a3a3(data):
     C = cartan_matrix("E", 8)
     chain1, chain2, comp = data["chain1"], data["chain2"], data["complement"]
     A3 = cartan_matrix("A", 3)
-    assert mat_eq(to_int_matrix(gram_of_rows(chain1, C)), A3)
-    assert mat_eq(to_int_matrix(gram_of_rows(chain2, C)), A3)
+    assert mat_eq(gram_of_rows(chain1, C), A3)
+    assert mat_eq(gram_of_rows(chain2, C), A3)
     for x in chain1:
         gx = vec_mat(x, C)
         assert all(dot(gx, y) == 0 for y in chain2)
@@ -366,7 +362,7 @@ def _verify_a3a3(data):
     assert sublattice_index(comp, K) == 1, "complement rows must span the kernel"
     B = stacked + [list(r) for r in comp]
     assert abs(det(B)) == 16
-    return B, to_int_matrix(gram_of_rows(comp, C))
+    return B, gram_of_rows(comp, C)
 
 
 def _a4_e8_matrix(img, basis_rows):
@@ -377,9 +373,10 @@ def _a4_e8_matrix(img, basis_rows):
     """
     M = _a3_weyl(img)
     D = block_diag(M, M, identity_matrix(2))
-    T = mat_mul(mat_mul(inverse(basis_rows), D), basis_rows)
-    assert is_integral(T)
-    T = to_int_matrix(T)
+    # T = P^-1 D P for P = basis_rows: the integer solution of P T = D P
+    T = transpose(express_in_basis(
+        transpose(mat_mul(D, basis_rows)), transpose(basis_rows),
+        "the A_3 + A_3 action must be integral on E8"))
     C = cartan_matrix("E", 8)
     assert mat_eq(mat_mul(mat_mul(T, C), transpose(T)), C)
     return T
@@ -410,7 +407,7 @@ def build_a4_example():
         P6[2 * i + 1][3 + i] = 1    # w_i to slot 2i+1
     u3 = direct_sum(hyperbolic_plane(), hyperbolic_plane(),
                     hyperbolic_plane()).gram
-    pairing_is_u3 = to_int_matrix(gram_of_rows(P6, G6)) == u3
+    pairing_is_u3 = gram_of_rows(P6, G6) == u3
 
     gens = []
     for img in A4_GENERATOR_PERMUTATIONS:
@@ -504,8 +501,8 @@ def build_nikulin_involution():
                                     hyperbolic_plane()).gram, e8m2)
     fixed_matches = (
         fixed.rank == len(expected_fixed) and P is not None
-        and is_integral(P) and abs(det(P)) == 1
-        and to_int_matrix(gram_of_rows(expected_fixed, k3.gram)) == target)
+        and abs(det(P)) == 1
+        and gram_of_rows(expected_fixed, k3.gram) == target)
 
     # anti-diagonal basis: (0, x, -x); Gram is E8(-2) on the nose
     expected_L = []
@@ -518,8 +515,8 @@ def build_nikulin_involution():
     # Q conjugates the computed Gram onto E8(-2): an explicit isometry
     L_matches = (
         L.rank == len(expected_L) and Q is not None
-        and is_integral(Q) and abs(det(Q)) == 1
-        and to_int_matrix(gram_of_rows(expected_L, k3.gram)) == e8m2
+        and abs(det(Q)) == 1
+        and gram_of_rows(expected_L, k3.gram) == e8m2
         and mat_eq(mat_mul(mat_mul(Q, L.gram()), transpose(Q)), e8m2))
 
     pred = fixed_point_predictions(2, 8)
@@ -590,21 +587,17 @@ def glue_unimodular(K, W, images, p):
     lam = Lattice(G)
     assert sublattice_index(identity_matrix(nk + nw), B) == DK.group_order
 
-    embed_K = express_in_basis(identity_matrix(nk + nw)[:nk], B)
-    assert embed_K is not None and is_integral(embed_K)
-    embed_K = to_int_matrix(embed_K)
-    assert to_int_matrix(gram_of_rows(embed_K, G)) == [
-        [int(x) for x in row] for row in K.gram]
+    embed_K = express_in_basis(identity_matrix(nk + nw)[:nk], B,
+                               "K must lie in the glued lattice")
+    assert gram_of_rows(embed_K, G) == K.gram
     return lam, B, embed_K
 
 
 def transport_action(B, M):
     """Conjugate the frame action M into the glued basis B; must be
     integral, which is exactly invariance of the glue group."""
-    S = solve_rows(B, mat_mul(B, M))
-    assert S is not None and is_integral(S), \
-        "action does not preserve the glue"
-    return to_int_matrix(S)
+    return express_in_basis(mat_mul(B, M), B,
+                            "action does not preserve the glue")
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +714,10 @@ def _transported_family_isometry(fam, embed_K, L_G):
         rows_K.append(y)
     assert gram_of_rows(rows_K, GK) == fam.L.gram
     R = mat_mul(rows_K, embed_K)
-    X = express_in_basis(R, L_G.basis)
-    assert X is not None and is_integral(X) and abs(det(X)) == 1
-    return inverse(X)
+    # X and its inverse are integral exactly when R is a basis of L_G
+    X = express_in_basis(R, L_G.basis, "the corrected rows must lie in L_G")
+    return express_in_basis(identity_matrix(L_G.rank), X,
+                            "the corrected rows must span L_G")
 
 
 def build_model_prime_action(p, iso_budget=10 ** 7):

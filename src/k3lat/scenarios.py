@@ -119,7 +119,7 @@ def _scenario_involution(budget):
 
 def _scenario_family(p, budget):
     from .lattice import DiscriminantForm, Lattice, direct_sum, \
-        express_in_basis, sublattice_index, two_elementary_profile
+        sublattice_index, two_elementary_profile
     from .matrix import identity_matrix
     from .nikulin import VARPI_NORMS, _flat_rho, _pair, \
         aut_trivial_on_disc_search, family
@@ -143,12 +143,8 @@ def _scenario_family(p, budget):
                          sublattice_index(fam.L_basis_in_N,
                                           identity_matrix(m)),
                          "L_p has index p in N_p"))
-    rho_in_L = express_in_basis([fam.rho_in_N], fam.L_basis_in_N)
-    checks.append(_check("rho-in-L", True,
-                         rho_in_L is not None and
-                         all(x.denominator == 1 for x in rho_in_L[0]),
-                         "rho lies in L_p"))
     checks += _cert_checks(fam.checks, [
+        ("rho-in-L", "rho_in_L", True, "rho lies in L_p"),
         ("L-disc-orders", "disc_L_orders", [p] * fam.nu,
          "disc(L_p) is (Z/p)^nu"),
         ("L-root-free", "L_has_no_roots", True,

@@ -26,15 +26,13 @@ from .matrix import (
     det,
     dot,
     identity_matrix,
-    inverse,
     mat_eq,
     mat_mul,
     rank as qrank,
-    to_int_matrix,
     transpose,
     vec_mat,
 )
-from .lattice import Lattice, signature_of_gram
+from .lattice import Lattice, express_in_basis, signature_of_gram
 from .standard import cartan_matrix
 
 
@@ -501,7 +499,8 @@ def lattice_isometry(gram1, gram2, budget=10 ** 7):
     W = [None] * n
     for i, (w, _) in zip(perm, found[0]):
         W[i] = w
-    T = mat_mul(to_int_matrix(inverse(B)), W)
+    T = mat_mul(express_in_basis(identity_matrix(n), B,
+                                 "an LLL transform must be unimodular"), W)
     assert mat_eq(mat_mul(mat_mul(T, gram2), transpose(T)), gram1)
     return T
 

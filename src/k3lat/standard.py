@@ -5,10 +5,7 @@ distinguished coordinate vectors (e and f for U, simple roots for the ADE
 types, block generators for K3).
 """
 
-from fractions import Fraction
-
 from .lattice import Lattice, direct_sum
-from .matrix import is_integral, to_int_matrix
 
 
 class UnsupportedRootSystem(ValueError):
@@ -120,21 +117,21 @@ def reflection_general(gram, v):
     """Matrix of x -> x - 2 (x.v)/(v.v) v acting on row vectors.
 
     Works for any anisotropic v for which the result is integral (norm +-2
-    vectors of an even lattice always qualify; asserts otherwise).
+    vectors of an even lattice always qualify); any other v raises
+    ValueError.
     """
     if isinstance(gram, Lattice):
         gram = gram.gram
-    n = len(gram)
-    vv = sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
-    assert vv != 0
-    R = []
-    for i in range(n):
-        ev = sum(gram[i][j] * v[j] for j in range(n))  # e_i . v
-        row = [Fraction(-2 * ev * v[j], vv) for j in range(n)]
-        row[i] += 1
-        R.append(row)
-    assert is_integral(R), "reflection is not defined over Z for this vector"
-    return to_int_matrix(R)
+    gv = [sum(g * x for g, x in zip(row, v)) for row in gram]  # e_i . v
+    vv = sum(a * b for a, b in zip(gv, v))
+    if vv == 0:
+        raise ValueError("no reflection in the isotropic vector %s" % (v,))
+    # entry (i, j) is [i == j] - q_ij for 2 (e_i . v) v_j = q_ij (v . v)
+    qr = [[divmod(2 * a * b, vv) for b in v] for a in gv]
+    if any(r for row in qr for _, r in row):
+        raise ValueError("the reflection in %s is not defined over Z" % (v,))
+    return [[(i == j) - q for j, (q, _) in enumerate(row)]
+            for i, row in enumerate(qr)]
 
 
 def reflection(ambient, v):

@@ -56,6 +56,7 @@ from k3lat.matrix import (
     matrix_order,
     row_hnf,
     snf,
+    solve_rows,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -805,7 +806,8 @@ def cartan_dieudonne_o_plus(ambient, g):
         if not K:
             break
         KF = to_fraction_matrix(K)
-        A = express_in_basis([vec_mat(row, A) for row in KF], KF)
+        # the restriction is rational: solve over Q
+        A = solve_rows(KF, [vec_mat(row, A) for row in KF])
         assert A is not None
         gram = mat_mul(mat_mul(KF, gram), transpose(KF))
     return positive % 2 == 0

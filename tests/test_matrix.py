@@ -89,37 +89,57 @@ def _rows(rng, k, n, lo=-3, hi=3):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(k)]
 
 
-def test_express_in_basis_batch_equals_solve_right_per_row():
+def _in_z_span(basis, row):
+    """HNF oracle: row lies in the Z-span of basis iff adjoining it leaves
+    the row HNF unchanged; both sides scaled by one common denominator."""
+    d = math.lcm(*[Fraction(x).denominator for r in basis + [row] for x in r])
+    B = [[int(x * d) for x in r] for r in basis]
+    return row_hnf(B + [[int(x * d) for x in row]]) == row_hnf(B)
+
+
+def test_express_in_basis_decides_z_span_membership_like_hnf():
     rng = random.Random(29)
     outcomes = set()
-    for trial in range(90):
+    for trial in range(120):
         n = rng.randint(1, 5)
-        basis = _rows(rng, rng.randint(1, 4), n)
-        if trial % 3 == 0:
-            # rank-deficient: one more row inside the span of the others
-            basis.append([a - b for a, b in zip(basis[0], basis[-1])])
-        elif trial % 3 == 1:
+        basis = _rows(rng, rng.randint(1, n), n)
+        if trial % 3 == 1:
             basis = [[Fraction(x, rng.randint(1, 4)) for x in row]
                      for row in basis]
+        elif trial % 3 == 2:
+            # one more row inside the Q-span of the others
+            basis.append([a - b for a, b in zip(basis[0], basis[-1])])
         m = len(basis)
-        k = rng.randint(1, 4)
-        rows = [[sum(c[i] * basis[i][j] for i in range(m))
-                 for j in range(n)] for c in _rows(rng, k, m)]
-        if trial % 2:
-            rows[rng.randrange(k)] = _rows(rng, 1, n)[0]
-        per_row = [solve_right(basis, r) for r in rows]
+        if rank(basis) < m:
+            with pytest.raises(ValueError, match="independent"):
+                express_in_basis(_rows(rng, 1, n), basis)
+            outcomes.add("dependent")
+            continue
+
+        def combination(den):
+            c = [Fraction(x, den) for x in _rows(rng, 1, m)[0]]
+            return [sum(ci * b[j] for ci, b in zip(c, basis))
+                    for j in range(n)]
+        # an integer combination, a half-integer one (in the Q-span, and
+        # in the Z-span only when the halves cancel) and an arbitrary row
+        rows = [combination(1), combination(2), _rows(rng, 1, n)[0]]
+        for row in rows:
+            in_z = _in_z_span(basis, row)
+            in_q = rank(basis + [row]) == m
+            X = express_in_basis([row], basis)
+            assert (X is not None) == in_z, (basis, row)
+            if X is not None:
+                assert all(type(x) is int for x in X[0])
+                assert mat_mul(X, basis) == [row]
+            outcomes.add((trial % 3, in_z, in_q))
         X = express_in_basis(rows, basis)
-        in_span = [rank(basis + [r]) == rank(basis) for r in rows]
-        if all(in_span):
-            assert X == per_row
-            assert mat_eq(mat_mul(X, to_fraction_matrix(basis)),
-                          to_fraction_matrix(rows))
+        if all(_in_z_span(basis, row) for row in rows):
+            assert mat_mul(X, basis) == rows
         else:
             assert X is None
-            assert all((x is None) == (not ok)
-                       for x, ok in zip(per_row, in_span))
-        outcomes.add((trial % 3, X is None))
-    assert len(outcomes) == 6, outcomes
+    assert {(0, True, True), (0, False, True), (0, False, False),
+            (1, True, True), (1, False, True), (1, False, False),
+            "dependent"} <= outcomes, outcomes
 
 
 def _row_space_size(A, p):

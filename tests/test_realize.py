@@ -114,6 +114,34 @@ def test_report_invariants_enforced_under_python_O():
     assert proc.stdout.split() == ["raised"] * 3
 
 
+def test_integrality_claims_raise_under_python_O():
+    # a row outside the Z-span (outside the Q-span, or in it with a
+    # denominator) fails the claim it breaks, by name, also under -O; so
+    # does a row too long for the basis, which zip would truncate
+    script = (
+        "from k3lat.lattice import express_in_basis, sublattice_index\n"
+        "from k3lat.realize import transport_action\n"
+        "for f in [lambda: sublattice_index([[1, 0]], [[0, 1]]),\n"
+        "          lambda: sublattice_index([[1, 0]], [[2, 0]]),\n"
+        "          lambda: transport_action([[2, 0], [0, 1]],\n"
+        "                                   [[0, 1], [1, 0]]),\n"
+        "          lambda: express_in_basis([[1, 0, 5]], [[1, 0], [0, 1]])]:\n"
+        "    try:\n"
+        "        print('accepted', f())\n"
+        "    except (ArithmeticError, ValueError) as e:\n"
+        "        print(e)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "first lattice must be a subgroup of the second"] * 2 + [
+        "action does not preserve the glue", "all rows must have length 2"]
+
+
 def test_dehn_twist_obstruction_fields():
     v = [0] * N
     v[6] = 1
