@@ -14,7 +14,6 @@ import itertools
 import math
 
 from .matrix import (
-    _scaled,
     _solve_int,
     block_diag,
     copy_matrix,
@@ -25,7 +24,6 @@ from .matrix import (
     inverse,
     mat_mul,
     rank as qrank,
-    row_hnf,
     snf,
     transpose,
     vec_mat,
@@ -33,30 +31,28 @@ from .matrix import (
 
 
 def diagonalize(gram):
-    """Congruence diagonalization of a rational symmetric matrix.
+    """Congruence diagonalization of an integer symmetric matrix.
 
     Returns (rows, norms, nullity): integer row vectors with
-    rows * gram * rows^T = diag(norms), every norm nonzero, and the
-    dimension of the radical, so len(rows) + nullity = n. The rows come
-    from an invertible change of basis, so the signs of norms are the
+    rows * gram * rows^T = diag(norms), every norm a nonzero integer, and
+    the dimension of the radical, so len(rows) + nullity = n. The rows
+    come from an invertible change of basis, so the signs of norms are the
     inertia. Each pivot updates only the still-active block: rows and
     columns already split off are zero off the diagonal and stay so.
 
-    The elimination is fraction-free (Bareiss) on den * gram, den > 0 the
-    common denominator. After pivots P, an active entry M[k][c] is the
-    minor of den * gram on rows P + [k] and columns P + [c], and T[k] is
-    the previous pivot prev times the rational row, integral by Cramer's
-    rule; so the division by prev in each update is exact. The pair step
-    e_i += e_j is a unimodular change of the basis that leaves the pivot
-    rows alone, and minors are linear in rows, so it keeps both facts.
-    The row of a pivot d then has norm d * prev / den.
+    The elimination is fraction-free (Bareiss). After pivots P, an active
+    entry M[k][c] is the minor of gram on rows P + [k] and columns
+    P + [c], and T[k] is the previous pivot prev times the rational row,
+    integral by Cramer's rule; so the division by prev in each update is
+    exact. The pair step e_i += e_j is a unimodular change of the basis
+    that leaves the pivot rows alone, and minors are linear in rows, so
+    it keeps both facts. The row of a pivot d then has norm d * prev.
     """
     n = len(gram)
     for i in range(n):
         for j in range(i):
             assert gram[i][j] == gram[j][i], "Gram matrix must be symmetric"
-    den, M = _scaled(gram)
-    M = [row[:] for row in M]
+    M = [row[:] for row in gram]
     T = identity_matrix(n)
     active = list(range(n))
     rows, norms = [], []
@@ -79,7 +75,7 @@ def diagonalize(gram):
         active.remove(piv)
         d, Mp, Tp = M[piv][piv], M[piv], T[piv]
         rows.append(Tp)
-        norms.append(d * prev if den is None else Fraction(d * prev, den))
+        norms.append(d * prev)
         for k in active:
             Mk, f = M[k], M[k][piv]
             for c in active:
@@ -90,17 +86,18 @@ def diagonalize(gram):
 
 
 def signature_of_gram(gram):
-    """Inertia (n_plus, n_minus, n_zero) of a rational symmetric matrix."""
+    """Inertia (n_plus, n_minus, n_zero) of an integer symmetric matrix."""
     _, norms, nullity = diagonalize(gram)
     plus = sum(1 for d in norms if d > 0)
     return plus, len(norms) - plus, nullity
 
 
 def express_in_basis(rows, basis, claim=None):
-    """The integer X with X * basis == rows, or None when a row is outside
-    the Z-span of basis: outside its Q-span, or with a `_solve_int`
-    solution y = D*x that D does not divide. With claim, such a row raises
-    ArithmeticError(claim). Dependent basis rows raise ValueError."""
+    """The integer X with X * basis == rows for integer rows and basis, or
+    None when a row is outside the Z-span of basis: outside its Q-span,
+    or with a `_solve_int` solution y = D*x that D does not divide. With
+    claim, such a row raises ArithmeticError(claim). Dependent basis rows
+    raise ValueError."""
     S = _solve_int(basis, rows, independent=True)
     if S is not None:
         D, Y = S
@@ -246,21 +243,19 @@ def sublattice_index(sub_basis, sup_basis):
     return abs(d)
 
 
-def group_generated_by(rows):
-    """Basis of the subgroup of Q^n generated by rational row vectors.
-
-    Returned rows are Fractions (integral entries stay integral Fractions);
-    the common-denominator trick reduces to an integer HNF.
-    """
-    if not rows:
-        return []
-    d, ints = _scaled(rows)
-    return [[Fraction(x, d or 1) for x in row] for row in row_hnf(ints)]
-
-
-def gram_of_rows(rows, ambient_gram):
-    """Gram matrix rows * ambient_gram * rows^T (rational entries allowed)."""
-    return mat_mul(mat_mul(rows, ambient_gram), transpose(rows))
+def gram_of_rows(rows, ambient_gram, den=1,
+                 claim="the rows must span an integral lattice"):
+    """The Gram matrix rows * ambient_gram * rows^T / den^2 of the integer
+    rows over the common denominator den, as ints. A remainder raises
+    ArithmeticError naming claim."""
+    G = mat_mul(mat_mul(rows, ambient_gram), transpose(rows))
+    if den == 1:
+        return G
+    d2 = den * den
+    if any(x % d2 for row in G for x in row):
+        raise ArithmeticError("%s: a Gram entry is not divisible by %d^2"
+                              % (claim, den))
+    return [[x // d2 for x in row] for row in G]
 
 
 def span_intersection(basis1, basis2):

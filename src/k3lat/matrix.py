@@ -1,19 +1,20 @@
-"""Exact integer/rational matrix routines used by the lattice layer.
+"""Exact integer matrix routines used by the lattice layer.
 
-Everything here works with plain lists of lists holding ints or Fractions.
-Vectors are rows throughout the package: a matrix acts on the right of a
-row vector, so composition of actions reads left to right.
+Everything here works with plain lists of lists. The kernels take
+integer matrices only, and Fractions appear only in the output of the
+rational solves `solve_rows`, `solve_right` and `inverse`. Vectors are
+rows throughout the package: a matrix acts on the right of a row
+vector, so composition of actions reads left to right.
 
-Products and elimination both run in integers, and Fractions appear only
-in the output. A rational matrix reaches the integer kernels only through
-`_scaled`, as one integer matrix d*A and its common denominator d.
 `mat_mul` builds row i of A*B from the rows of B weighted by the nonzero
-entries of row i of A, then divides by the denominators once per entry;
-`char_poly` divides once per coefficient. `det`, `rank` and `_solve_int`
-share one fraction-free (Bareiss) elimination, `_echelon`: `det` divides
-its last pivot by d^n, and `_solve_int` returns y = D*x for x A = b in
-integers: `solve_rows` divides y by D into Fractions, and
-`lattice.express_in_basis` into integer coordinates or None.
+entries of row i of A. Its plain loop also multiplies a Fraction matrix
+exactly, which is how the integrality tests of `Lattice.gram_inverse`
+run, but no kernel below it scales one. `det`, `rank` and `_solve_int`
+share one fraction-free (Bareiss) elimination, `_echelon`, and
+`_solve_int` returns y = D*x for x A = b in integers: `solve_rows`
+divides y by D into Fractions, and `lattice.express_in_basis` into
+integer coordinates or None. `char_poly` runs Faddeev-LeVerrier with
+one exact integer division per coefficient.
 
 Over Z, `row_hnf` returns the canonical Hermite basis of a row span and
 builds no transform. `int_kernel` reads the kernel lattice off one
@@ -24,7 +25,6 @@ lifts of `lattice`.
 
 from fractions import Fraction
 from itertools import chain
-import math
 
 
 def zero_matrix(m, n):
@@ -57,25 +57,15 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def _scaled(A):
-    """(d, d*A as ints) with d the least common denominator of A, or
-    (None, A) when A holds no Fraction."""
-    if Fraction not in set(map(type, chain.from_iterable(A))):
-        return None, A
-    d = math.lcm(*{x.denominator for x in chain.from_iterable(A)})
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in A]
-
-
 def mat_mul(A, B):
-    """A * B; Fraction entries when either side holds a Fraction."""
-    if A and B:
-        assert len(A[0]) == len(B), "inner dimensions must agree"
+    """A * B for integer matrices, summed over the nonzero entries of A."""
+    if A and B and len(A[0]) != len(B):
+        raise ValueError("mat_mul: %d x %d times %d x %d"
+                         % (len(A), len(A[0]), len(B), len(B[0])))
     if not A:
         return []
     if not B:
         return [[] for _ in A]
-    dA, A = _scaled(A)
-    dB, B = _scaled(B)
     n = len(B[0])
     P = []
     for row in A:
@@ -84,10 +74,7 @@ def mat_mul(A, B):
             if a:
                 acc = [x + a * y for x, y in zip(acc, brow)]
         P.append(acc)
-    if dA is None and dB is None:
-        return P
-    d = (dA or 1) * (dB or 1)
-    return [[Fraction(x, d) for x in row] for row in P]
+    return P
 
 
 def mat_add(A, B):
@@ -111,7 +98,9 @@ def mat_eq(A, B):
 
 def vec_mat(x, A):
     """Row vector times matrix."""
-    assert len(x) == len(A)
+    if len(x) != len(A):
+        raise ValueError("vec_mat: vector of length %d times %d x %d"
+                         % (len(x), len(A), len(A[0]) if A else 0))
     n = len(A[0]) if A else 0
     out = [0] * n
     for xi, row in zip(x, A):
@@ -122,7 +111,9 @@ def vec_mat(x, A):
 
 
 def dot(x, y):
-    assert len(x) == len(y)
+    if len(x) != len(y):
+        raise ValueError("dot: vectors of lengths %d and %d"
+                         % (len(x), len(y)))
     return sum(a * b for a, b in zip(x, y))
 
 
@@ -206,26 +197,23 @@ def _echelon(M, ncols):
 
 
 def det(A):
-    """Determinant: the signed last Bareiss pivot of d*A over d^n, with d
-    the common denominator of A. Returns an int whenever it is an integer."""
+    """Determinant of an integer matrix: the signed last Bareiss pivot."""
     n = len(A)
     if n == 0:
         return 1
-    assert all(len(row) == n for row in A), "det needs a square matrix"
-    d, M = _scaled(A)
-    M = copy_matrix(M)
+    if any(len(row) != n for row in A):
+        raise ValueError("det needs a square matrix, got %d rows of lengths "
+                         "%s" % (n, sorted({len(row) for row in A})))
+    M = copy_matrix(A)
     pivots, swaps = _echelon(M, n)
     if len(pivots) < n:
         return 0
-    D = -M[-1][-1] if swaps % 2 else M[-1][-1]
-    if d is None:
-        return D
-    q, r = divmod(D, d ** n)
-    return Fraction(D, d ** n) if r else q
+    return -M[-1][-1] if swaps % 2 else M[-1][-1]
 
 
 def inverse(A):
-    """Inverse as a Fraction matrix. Raises ZeroDivisionError if singular."""
+    """Inverse of an integer matrix, as a Fraction matrix. Raises
+    ZeroDivisionError if singular."""
     X = solve_rows(A, identity_matrix(len(A)))
     if X is None:
         raise ZeroDivisionError("matrix is singular")
@@ -233,18 +221,18 @@ def inverse(A):
 
 
 def rank(A):
-    """Rank over Q: the number of Bareiss pivots of d*A."""
+    """Rank over Q of an integer matrix: the number of its Bareiss pivots."""
     if not A or not A[0]:
         return 0
-    _, M = _scaled(A)
-    return len(_echelon(copy_matrix(M), len(M[0]))[0])
+    return len(_echelon(copy_matrix(A), len(A[0]))[0])
 
 
 def _solve_int(A, B, independent=False):
     """(D, Y) with Y A = D B in integers, or None when some row of B is
     not in the row span of A. So X = Y / D solves X A = B; coordinates
     off the pivots are 0, and with independent, dependent rows of A raise
-    ValueError. One elimination of d*[A^T | B^T] serves every row of B.
+    ValueError. A and B are integer matrices, and one elimination of
+    [A^T | B^T] serves every row of B.
     D is its last pivot, the minor of the pivot rows and columns, so y =
     D*x is integral by Cramer's rule and back-substitution runs on y.
     """
@@ -252,7 +240,7 @@ def _solve_int(A, B, independent=False):
     n = len(A[0]) if A else (len(B[0]) if B else 0)
     if any(len(row) != n for row in chain(A, B)):
         raise ValueError("all rows must have length %d" % n)
-    _, M = _scaled([list(col) for col in zip(*A, *B)])
+    M = [list(col) for col in zip(*A, *B)]
     pivots, _ = _echelon(M, m)
     r = len(pivots)
     if independent and r < m:
@@ -278,8 +266,9 @@ def _solve_int(A, B, independent=False):
 
 
 def solve_rows(A, B):
-    """Solve X A = B over Q for a matrix X, or return None: X = Y / D
-    with (D, Y) from `_solve_int`, one Fraction per entry."""
+    """Solve X A = B over Q for a matrix X, given integer A and B, or
+    return None: X = Y / D with (D, Y) from `_solve_int`, one Fraction
+    per entry."""
     S = _solve_int(A, B)
     if S is None:
         return None
@@ -448,36 +437,29 @@ def snf(A):
 
 
 def char_poly(A):
-    """Characteristic polynomial det(x*I - A) by Faddeev-LeVerrier.
+    """Characteristic polynomial det(x*I - A) of an integer matrix by
+    Faddeev-LeVerrier.
 
-    Returns coefficients [c0, c1, ..., cn] with cn == 1, as ints when A is
-    integral. The recursion runs on the integer matrix N = d*A, where
-    c_{n-k} = -tr(M_k)/k is an exact integer division; coefficient i of
-    det(x*I - A) is then that of det(x*I - N) divided by d^(n-i).
+    Returns integer coefficients [c0, c1, ..., cn] with cn == 1. In the
+    recursion c_{n-k} = -tr(M_k)/k is an exact integer division; a
+    remainder raises ArithmeticError.
     """
     n = len(A)
-    d, N = _scaled(A)
     coeffs = [0] * n + [1]
     M = zero_matrix(n, n)
     for k in range(1, n + 1):
-        # M_k = N * (M_{k-1} + c_{n-k+1} I)
+        # M_k = A * (M_{k-1} + c_{n-k+1} I)
         ck = coeffs[n - k + 1]
         for i in range(n):
             M[i][i] += ck
-        M = mat_mul(N, M)
+        M = mat_mul(A, M)
         tr = sum(M[i][i] for i in range(n))
         if tr % k:
             raise ArithmeticError(
                 "Faddeev-LeVerrier: trace %d of M_%d is not divisible by %d"
                 % (tr, k, k))
         coeffs[n - k] = -tr // k
-    if d is None:
-        return coeffs
-    out = []
-    for i, c in enumerate(coeffs):
-        q, r = divmod(c, d ** (n - i))
-        out.append(Fraction(c, d ** (n - i)) if r else q)
-    return out
+    return coeffs
 
 
 def matrix_order(M, cap=10000):

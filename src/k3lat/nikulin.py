@@ -16,7 +16,6 @@ discriminant form is matched by its q-value counts, with no search.
 from fractions import Fraction
 
 from .matrix import (
-    _scaled,
     block_diag,
     det,
     dot,
@@ -25,6 +24,7 @@ from .matrix import (
     is_integral,
     mat_eq,
     mat_mul,
+    mat_scale,
     mat_sub,
     matrix_order,
     rank,
@@ -38,7 +38,6 @@ from .lattice import (
     direct_sum,
     express_in_basis,
     gram_of_rows,
-    group_generated_by,
 )
 from .standard import cartan_matrix, cycle_coxeter_matrix, hyperbolic_plane, root_lattice
 from .shortvec import (
@@ -60,45 +59,47 @@ VARPI_NORMS = {2: -4, 3: -4, 5: -8, 7: -12}
 class NikulinFamily:
     """All distinguished data of the family at one prime.
 
-    Vectors (varpi, rho, the D_{i,j}) are stored in the D-coordinate frame
-    where H2D is the orthogonal sum of negated Cartan blocks; N_p and L_p
-    carry their own Gram matrices plus basis rows in that frame.
+    varpi and rho are stored in the D-coordinate frame, where H2D is the
+    orthogonal sum of negated Cartan blocks. N_p is held in integers over
+    the one denominator p: the rows of p_basis_N are p times a basis of
+    N_p in the D frame, its Gram is theirs over p^2, and every later
+    vector (rho_in_N, the L_p basis, the K_p frame) is in integer N_p
+    coordinates.
     """
 
-    def __init__(self, p, nu, k, labels, gram_D, varpi, rho, basis_N, N,
-                 L_basis_in_N=None, L=None, L_basis_in_D=None, rho_in_N=None,
-                 sigma_D=None, sigma_N=None, sigma_L=None, K=None,
-                 sigma_K=None, K_eprime=None, checks=None):
-        self.p, self.nu, self.k, self.labels = p, nu, k, labels
+    def __init__(self, p, nu, k, gram_D, varpi, rho, p_basis_N, N,
+                 L_basis_in_N=None, L=None, rho_in_N=None, sigma_L=None,
+                 K=None, sigma_K=None, K_eprime=None, checks=None):
+        self.p, self.nu, self.k = p, nu, k
         self.gram_D, self.varpi, self.rho = gram_D, varpi, rho
-        self.basis_N = basis_N      # rows, D frame, denominators divide p
+        self.p_basis_N = p_basis_N  # rows, D frame, times p
         self.N = N
         self.L_basis_in_N, self.L = L_basis_in_N, L
-        self.L_basis_in_D, self.rho_in_N = L_basis_in_D, rho_in_N
-        self.sigma_D, self.sigma_N, self.sigma_L = sigma_D, sigma_N, sigma_L
+        self.rho_in_N, self.sigma_L = rho_in_N, sigma_L
         self.K, self.sigma_K, self.K_eprime = K, sigma_K, K_eprime
         self.checks = {} if checks is None else checks
 
-    def d_index(self, i, j):
-        """Flat index of D_{i,j}, i in 1..nu, j in 1..p-1."""
-        return (i - 1) * (self.p - 1) + (j - 1)
-
-    def d_vector(self, i, j):
-        v = [0] * (self.nu * (self.p - 1))
-        v[self.d_index(i, j)] = 1
-        return v
-
 
 def _pair(gram, x, y):
-    """x . y under the integer Gram, as a Fraction: one integer pairing of
-    the scaled vectors over the product of their denominators."""
-    dx, (X,) = _scaled([x])
-    dy, (Y,) = _scaled([y])
-    return Fraction(dot(vec_mat(X, gram), Y), (dx or 1) * (dy or 1))
+    """x . y under the integer Gram, as a Fraction, for D-frame vectors
+    whose entries may be Fractions."""
+    return Fraction(dot(vec_mat(x, gram), y))
+
+
+def _exact_div(a, p, claim):
+    """a / p for the integer a, or ArithmeticError naming claim."""
+    q, r = divmod(a, p)
+    if r:
+        raise ArithmeticError("%s: %d is not divisible by %d" % (claim, a, p))
+    return q
 
 
 def build_family(p):
-    """Construct N_p from the A_{p-1}(-1)^nu blocks and the class varpi."""
+    """Construct N_p from the A_{p-1}(-1)^nu blocks and the class varpi.
+
+    N_p is the row HNF of p [I; varpi], the block lattice and the class
+    scaled by p into integers, over the denominator p (Cohen, GTM 138,
+    §2.4)."""
     if p not in K_VECTORS:
         raise UnsupportedPrime("p must be one of 2, 3, 5, 7")
     k = K_VECTORS[p]
@@ -108,21 +109,15 @@ def build_family(p):
     block = [[-x for x in row] for row in cartan_matrix("A", p - 1)] \
         if p > 2 else [[-2]]
     gram_D = block_diag(*[block] * nu)
-    labels = ["D_%d_%d" % (i + 1, j + 1)
-              for i in range(nu) for j in range(p - 1)]
 
-    varpi = [Fraction(0)] * m
-    rho = [Fraction(0)] * m
-    for i in range(1, nu + 1):
-        for j in range(1, p):
-            idx = (i - 1) * (p - 1) + (j - 1)
-            varpi[idx] = Fraction(k[i - 1] * j, p)
-            rho[idx] = -Fraction(j * (p - j), 2)
+    # p varpi and p rho, both integral
+    p_varpi = [k[i] * j for i in range(nu) for j in range(1, p)]
+    p_rho = [-p * j * (p - j) // 2 for _ in range(nu) for j in range(1, p)]
+    varpi = [Fraction(x, p) for x in p_varpi]
+    rho = [Fraction(x, p) for x in p_rho]
 
     # the fractional class is integral against every block vector
-    for idx in range(m):
-        e = [1 if t == idx else 0 for t in range(m)]
-        assert _pair(gram_D, varpi, e).denominator == 1
+    assert not any(x % p for x in vec_mat(p_varpi, gram_D))
 
     ww = _pair(gram_D, varpi, varpi)
     assert ww == Fraction((1 - p) * sum(x * x for x in k), p)
@@ -134,17 +129,17 @@ def build_family(p):
         assert all((2 * x).denominator == 1 for x in rho)
         assert [-x for x in rho] == varpi, "for p = 2 rho is minus varpi"
 
-    unit_rows = identity_matrix(m)
-    basis_N = group_generated_by(unit_rows + [varpi])
-    gram_N = gram_of_rows(basis_N, gram_D)
-    assert is_integral(gram_N), "N_p must be an integral lattice"
-    gram_N = to_int_matrix(gram_N)
+    p_basis_N = row_hnf(mat_scale(p, identity_matrix(m)) + [p_varpi])
+    gram_N = gram_of_rows(p_basis_N, gram_D, p,
+                          "N_p must be an integral lattice")
     N = Lattice(gram_N)
     assert N.is_even()
     assert det(gram_N) * p * p == det(gram_D)
 
-    fam = NikulinFamily(p=p, nu=nu, k=list(k), labels=labels, gram_D=gram_D,
-                        varpi=varpi, rho=rho, basis_N=basis_N, N=N)
+    rho_in_N = express_in_basis([p_rho], p_basis_N, "rho must lie in N_p")
+    fam = NikulinFamily(p=p, nu=nu, k=list(k), gram_D=gram_D, varpi=varpi,
+                        rho=rho, p_basis_N=p_basis_N, N=N,
+                        rho_in_N=rho_in_N[0])
 
     disc_orders = N.discriminant_group().cyclic_orders
     assert disc_orders == [p] * (nu - 2), disc_orders
@@ -153,20 +148,21 @@ def build_family(p):
     # no new roots appear in the overlattice
     roots_N = enumerate_vectors(N, -2)
     assert 2 * len(roots_N) == nu * p * (p - 1)
-    assert is_integral(mat_mul(roots_N, basis_N)), \
-        "roots of N_p must all lie in H2D"
+    assert not any(x % p for row in mat_mul(roots_N, p_basis_N)
+                   for x in row), "roots of N_p must all lie in H2D"
     return fam
+
+
+def _rho_functional(fam):
+    """x -> rho.x on N_p coordinates, as the integer row rho_N G_N."""
+    return vec_mat(fam.rho_in_N, fam.N.gram)
 
 
 def build_Lp(fam):
     """L_p = kernel of x -> rho.x mod p inside N_p; index p."""
     p = fam.p
-    m = len(fam.basis_N)
-    w = []
-    for row in fam.basis_N:
-        val = _pair(fam.gram_D, fam.rho, row)
-        assert val.denominator == 1, "rho must pair integrally with N_p"
-        w.append(int(val) % p)
+    m = len(fam.p_basis_N)
+    w = [x % p for x in _rho_functional(fam)]
     assert any(w), "the rho functional must be onto Z/p"
     t0 = next(t for t in range(m) if w[t])
     inv = pow(w[t0], -1, p)
@@ -192,13 +188,8 @@ def build_Lp(fam):
     assert (plus, zero) == (0, 0) and minus == fam.nu * (p - 1)
     assert L.is_even()
 
-    rho_in_N = express_in_basis([fam.rho], fam.basis_N,
-                                "rho must lie in N_p")[0]
-
     fam.L_basis_in_N = L_in_N
     fam.L = L
-    fam.L_basis_in_D = mat_mul(L_in_N, fam.basis_N)
-    fam.rho_in_N = rho_in_N
     fam.checks["disc_L_orders"] = L.discriminant_group().cyclic_orders
     fam.checks["L_has_no_roots"] = not enumerate_vectors(L, -2)
     return L
@@ -224,8 +215,9 @@ def build_sigma(fam):
                   fam.gram_D)
 
     # restrict to N_p (must be integral: sigma preserves the overlattice)
-    imgs = mat_mul(fam.basis_N, sigma_D)
-    sigma_N = express_in_basis(imgs, fam.basis_N, "sigma must preserve N_p")
+    H = fam.p_basis_N
+    sigma_N = express_in_basis(mat_mul(H, sigma_D), H,
+                               "sigma must preserve N_p")
     assert mat_eq(mat_mul(mat_mul(sigma_N, fam.N.gram), transpose(sigma_N)),
                   fam.N.gram)
     assert matrix_order(sigma_N, cap=2 * p) == p
@@ -255,10 +247,8 @@ def build_sigma(fam):
     assert power == fam.nu, "char poly must be Phi_p^nu"
     fam.checks["sigma_char_poly_power"] = power
 
-    fam.sigma_D = sigma_D
-    fam.sigma_N = sigma_N
     fam.sigma_L = sigma_L
-    return sigma_N
+    return sigma_L
 
 
 def aut_trivial_on_disc_search(fam, budget=10 ** 6):
@@ -334,31 +324,14 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
 
 
 def build_hat_and_K(fam):
-    """The even lattice K_p = N_p + U, after the orbit-sum identity.
+    """The even lattice K_p = N_p + U.
 
-    Lifted coordinates: the D frame plus one isotropic direction f scaled
-    by 1/p; x lifts to x + (rho.x / p) f, and the lifts of a full sigma
-    orbit sum to f. K_p adds a second direction s with s.s = -2,
-    s.f = 1; the change of basis (e := s + f, f) exhibits K_p as N_p
-    plus a hyperbolic plane.
+    K_p adds to N_p an isotropic direction f and a second direction s with
+    s.s = -2, s.f = 1; the change of basis (e := s + f, f) exhibits K_p
+    as N_p plus a hyperbolic plane.
     """
     p = fam.p
-    m = len(fam.basis_N)
-    f_row = [Fraction(0)] * m + [Fraction(1)]
-
-    # sum over a full sigma-orbit of lifted classes, including j = 0, is f
-    for i in range(1, fam.nu + 1):
-        total = [Fraction(0)] * (m + 1)
-        d0 = [Fraction(0)] * m
-        for j in range(1, p):
-            dv = fam.d_vector(i, j)
-            lift = list(map(Fraction, dv)) + [_pair(fam.gram_D, fam.rho, dv) / p]
-            total = [a + b for a, b in zip(total, lift)]
-            d0 = [a - b for a, b in zip(d0, map(Fraction, dv))]
-        lift0 = d0 + [_pair(fam.gram_D, fam.rho, d0) / p]
-        tilde0 = [a + b for a, b in zip(lift0, f_row)]
-        total = [a + b for a, b in zip(total, tilde0)]
-        assert total == f_row, "orbit sum of lifted classes must equal f"
+    m = len(fam.p_basis_N)
 
     # K_p in basis (i(n_1), ..., i(n_m), f, s)
     gram_K = [row[:] + [0, 0] for row in fam.N.gram]
@@ -378,9 +351,8 @@ def build_hat_and_K(fam):
     expected.append([0] * m + [1, 0])
     fam.checks["K_splits_off_U"] = mat_eq(moved, expected)
 
-    # s.rho, an integer: _flat_rho asserts that rho has no f part
     s = [0] * (m + 1) + [1]
-    fam.checks["s_dot_rho"] = int(_pair(gram_K, s, _flat_rho(fam)))
+    fam.checks["s_dot_rho"] = K.bilinear(s, _flat_rho(fam))
 
     # rank N_p + 2 throughout; at p = 2 that is 8 + 2 with one positive square
     assert K.rank == fam.nu * (p - 1) + 2
@@ -391,20 +363,15 @@ def build_hat_and_K(fam):
 def _flat_rho(fam):
     """rho as a K_p vector with no f component (possible since rho is
     in L_p: the f correction (rho.rho)/p is an integer multiple of f)."""
-    m = len(fam.basis_N)
-    rr_over_p = _pair(fam.gram_D, fam.rho, fam.rho) / fam.p
-    assert rr_over_p.denominator == 1
-    return [Fraction(x) for x in fam.rho_in_N] + [-rr_over_p, Fraction(0)]
+    rr = dot(_rho_functional(fam), fam.rho_in_N)
+    return fam.rho_in_N + [-_exact_div(rr, fam.p, "rho.rho / p"), 0]
 
 
 def _flat_L_basis(fam):
     """j(L_p) inside K_p: x + (-(rho.x)/p) f, integral exactly on L_p."""
-    rows = []
-    for lrow, x_D in zip(fam.L_basis_in_N, fam.L_basis_in_D):
-        val = _pair(fam.gram_D, fam.rho, x_D) / fam.p
-        assert val.denominator == 1
-        rows.append([Fraction(c) for c in lrow] + [-val, Fraction(0)])
-    return rows
+    w = _rho_functional(fam)
+    return [x + [-_exact_div(dot(w, x), fam.p, "rho.x / p on L_p"), 0]
+            for x in fam.L_basis_in_N]
 
 
 def Lp_complement_in_Kp(fam):
@@ -414,21 +381,19 @@ def Lp_complement_in_Kp(fam):
     and the order-p rotation extends to K_p fixing e' and f pointwise.
     """
     p = fam.p
-    m = len(fam.basis_N)
+    m = len(fam.p_basis_N)
     gram_K = fam.K.gram
     jL = _flat_L_basis(fam)
-    pairings = mat_mul(jL, gram_K)
-    comp = int_kernel([[int(x) for x in row] for row in pairings])
+    comp = int_kernel(mat_mul(jL, gram_K))
     assert len(comp) == 2
 
-    jrho = _flat_rho(fam)
-    s = [Fraction(0)] * (m + 1) + [Fraction(1)]
-    f = [Fraction(0)] * m + [Fraction(1), Fraction(0)]
-    eprime = [p * a + b + c for a, b, c in zip(s, jrho, f)]
-    assert all(x.denominator == 1 for x in eprime)
+    f = [0] * m + [1, 0]
+    eprime = _flat_rho(fam)
+    eprime[m] += 1
+    eprime[m + 1] += p
 
     # same Z-span: complement == <e', f>
-    ef = [[int(x) for x in eprime], [int(x) for x in f]]
+    ef = [eprime, f]
     gram_ef = gram_of_rows(ef, gram_K)
     fam.checks["complement_is_Up"] = (
         express_in_basis(ef, comp) is not None
@@ -451,8 +416,8 @@ def Lp_complement_in_Kp(fam):
             and vec_mat(f, sig_hat) == f)
     fam.checks["sigma_extends_to_K"] = extends
     fam.sigma_K = sig_hat
-    fam.K_eprime = [int(x) for x in eprime]
-    return {"p": p, "gram": gram_ef, "eprime": [int(x) for x in eprime],
+    fam.K_eprime = eprime
+    return {"p": p, "gram": gram_ef, "eprime": eprime,
             "sigma_extension": sig_hat}
 
 

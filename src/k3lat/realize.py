@@ -30,12 +30,13 @@ from .matrix import (
     dot,
     identity_matrix,
     int_kernel,
-    is_integral,
     mat_eq,
     mat_mul,
+    mat_scale,
     mat_sub,
     matrix_order,
     rank_mod_p,
+    row_hnf,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -47,7 +48,6 @@ from .lattice import (
     direct_sum,
     express_in_basis,
     gram_of_rows,
-    group_generated_by,
     signature_of_gram,
     span_intersection,
     sublattice_index,
@@ -55,7 +55,7 @@ from .lattice import (
 )
 from .standard import (
     cartan_matrix,
-    coxeter_element,
+    cycle_coxeter_matrix,
     hyperbolic_plane,
     k3_lattice,
     reflection,
@@ -546,30 +546,46 @@ def build_nikulin_involution():
 
 def _verify_anti_isometry(D_src, D_dst, images, p):
     """Generator-level certificate that images define an injective
-    homomorphism negating the quadratic form (both groups p-elementary)."""
+    homomorphism negating the quadratic form (both groups p-elementary).
+    A failed identity raises ArithmeticError naming it and the generator."""
     k = len(D_src.orders)
-    assert len(images) == k
-    assert D_src.orders == [p] * k and D_dst.orders == [p] * len(D_dst.orders)
+    if len(images) != k:
+        raise ArithmeticError("glue map: %d images for %d generators"
+                              % (len(images), k))
+    if D_src.orders != [p] * k or set(D_dst.orders) - {p}:
+        raise ArithmeticError("glue map: orders %s and %s are not all %d"
+                              % (D_src.orders, D_dst.orders, p))
+    unit = identity_matrix(k)
     for i in range(k):
-        ei = tuple(1 if a == i else 0 for a in range(k))
-        assert (D_dst.q(images[i]) + D_src.q(ei)) % 2 == 0
+        if (D_dst.q(images[i]) + D_src.q(unit[i])) % 2:
+            raise ArithmeticError(
+                "glue map: q(image of x_%d) = %s is not -q(x_%d) = %s mod 2"
+                % (i, D_dst.q(images[i]), i, -D_src.q(unit[i]) % 2))
         for j in range(i + 1, k):
-            ej = tuple(1 if a == j else 0 for a in range(k))
-            got = (D_dst.bilinear(images[i], images[j])
-                   + D_src.bilinear(ei, ej)) % 1
-            assert got == 0
-    assert rank_mod_p(images, p) == k, "glue map must be injective"
+            b_src = D_src.bilinear(unit[i], unit[j])
+            b_dst = D_dst.bilinear(images[i], images[j])
+            if (b_dst + b_src) % 1:
+                raise ArithmeticError(
+                    "glue map: b(images of x_%d, x_%d) = %s is not "
+                    "-b(x_%d, x_%d) = %s mod 1"
+                    % (i, j, b_dst, i, j, -b_src % 1))
+    if rank_mod_p(images, p) != k:
+        raise ArithmeticError("glue map: the images of the %d generators "
+                              "are not independent, so it is not injective"
+                              % k)
 
 
 def glue_unimodular(K, W, images, p):
     """Even unimodular overlattice of K + W along an anti-isometry graph.
 
     images lists, per generator of disc(K), its image in disc(W). The
-    result rebases the group generated by K + W and all graph lifts, and
-    the glue index |disc K| is asserted. Returns the new lattice, its
-    basis rows over the K + W frame, and the embedding rows of K
-    (integral coordinates in the new basis). Evenness, determinant +-1
-    and a primitive image of K, which together certify the anti-isometry
+    glued lattice is held in integers over the one denominator p: its
+    basis rows B are the row HNF of p [I; lift_K + lift_W(image)], p
+    times a basis over the K + W frame (Cohen, GTM 138, §2.4), and its
+    Gram is B (K + W) B^T / p^2. The glue index |disc K| is asserted.
+    Returns the new lattice, B, and the embedding rows of K (integral
+    coordinates in the new basis). Evenness, determinant +-1 and a
+    primitive image of K, which together certify the anti-isometry
     globally, are left to the caller to read off the result.
     """
     DK = DiscriminantForm(K.gram)
@@ -577,25 +593,24 @@ def glue_unimodular(K, W, images, p):
     _verify_anti_isometry(DK, DW, images, p)
     nk, nw = K.rank, W.rank
     amb = block_diag(K.gram, W.gram)
-    rows = identity_matrix(nk + nw)
-    for lift, img in zip(DK.lifts, images):
-        rows.append(lift + DW.lift(img))
-    B = group_generated_by(rows)
-    G = gram_of_rows(B, amb)
-    assert is_integral(G), "glue graph must be isotropic for the pairing"
-    G = to_int_matrix(G)
+    pI = mat_scale(p, identity_matrix(nk + nw))
+    glue = to_int_matrix([[p * x for x in lift + DW.lift(img)]
+                          for lift, img in zip(DK.lifts, images)])
+    B = row_hnf(pI + glue)
+    G = gram_of_rows(B, amb, p, "glue graph must be isotropic for the "
+                     "pairing")
     lam = Lattice(G)
-    assert sublattice_index(identity_matrix(nk + nw), B) == DK.group_order
+    assert sublattice_index(pI, B) == DK.group_order
 
-    embed_K = express_in_basis(identity_matrix(nk + nw)[:nk], B,
-                               "K must lie in the glued lattice")
+    embed_K = express_in_basis(pI[:nk], B, "K must lie in the glued lattice")
     assert gram_of_rows(embed_K, G) == K.gram
     return lam, B, embed_K
 
 
 def transport_action(B, M):
-    """Conjugate the frame action M into the glued basis B; must be
-    integral, which is exactly invariance of the glue group."""
+    """Conjugate the frame action M into the glued basis B, integer rows
+    over any common denominator; must be integral, which is exactly
+    invariance of the glue group."""
     return express_in_basis(mat_mul(B, M), B,
                             "action does not preserve the glue")
 
@@ -629,7 +644,7 @@ def build_coxeter_model():
     assert lam.signature() == (3, 19, 0)
     assert lam.is_even() and abs(lam.determinant()) == 1
 
-    c = coxeter_element("A", 2)
+    c = cycle_coxeter_matrix(2)
     M = block_diag(*([c] * 6 + [identity_matrix(X.rank)]))
     S = transport_action(B, M)
     group = IsometryGroup(lam, [S])

@@ -120,7 +120,7 @@ def _scenario_involution(budget):
 def _scenario_family(p, budget):
     from .lattice import DiscriminantForm, Lattice, direct_sum, \
         sublattice_index, two_elementary_profile
-    from .matrix import identity_matrix
+    from .matrix import identity_matrix, mat_scale
     from .nikulin import VARPI_NORMS, _flat_rho, _pair, \
         aut_trivial_on_disc_search, family
     from .shortvec import lattice_isometry, min_norm_and_kissing
@@ -135,9 +135,10 @@ def _scenario_family(p, budget):
     checks.append(_check("varpi-norm", Fraction(VARPI_NORMS[p]),
                          _pair(fam.gram_D, fam.varpi, fam.varpi),
                          "varpi.varpi determined by the weight vector"))
-    unit_rows = identity_matrix(m)
+    # the block lattice and N_p, both scaled by p
     checks.append(_check("overlattice-index", p,
-                         sublattice_index(unit_rows, fam.basis_N),
+                         sublattice_index(mat_scale(p, identity_matrix(m)),
+                                          fam.p_basis_N),
                          "N_p contains the block lattice with index p"))
     checks.append(_check("L-index", p,
                          sublattice_index(fam.L_basis_in_N,
@@ -156,16 +157,14 @@ def _scenario_family(p, budget):
         ("K-splits-U", "K_splits_off_U", True, "K_p = N_p + U"),
         ("s-dot-rho", "s_dot_rho", 2 * (p - 1), "s.rho = 2(p-1)"),
     ])
-    GK = fam.K.gram
+    # K-frame norms, reported as Fractions like the D-frame ones
     checks.append(_check("eprime-isotropic", Fraction(0),
-                         _pair(GK, fam.K_eprime, fam.K_eprime),
+                         Fraction(fam.K.q(fam.K_eprime)),
                          "the distinguished fixed vector e' is isotropic"))
-    jrho = _flat_rho(fam)
-    ps_rho = [Fraction(p) if i == m + 1 else Fraction(0)
-              for i in range(m + 2)]
-    ps_rho = [a + b for a, b in zip(ps_rho, jrho)]
+    ps_rho = _flat_rho(fam)
+    ps_rho[m + 1] += p
     checks.append(_check("ps-plus-rho-norm", Fraction(-2 * p),
-                         _pair(GK, ps_rho, ps_rho),
+                         Fraction(fam.K.q(ps_rho)),
                          "(p s + rho)^2 = -2p"))
     checks += _cert_checks(fam.checks, [
         ("L-complement-in-K", "complement_is_Up", True,

@@ -19,7 +19,6 @@ own.
 """
 
 from collections import Counter
-from fractions import Fraction
 import math
 
 from .matrix import (
@@ -157,26 +156,20 @@ def fincke_pohst_up_to(gram, bound, budget=None):
     """All x with 0 < x*gram*x^T <= bound, one per +- pair, lex sorted,
     each paired with its norm: a list of (x, x*gram*x^T).
 
-    gram must be positive definite; rational entries are fine. The search
-    runs in integers on the LLL-reduced basis: after scaling gram by the
-    common denominator den of its entries, with y the coordinates in the
-    reduced basis, M * den * Q = sum_i w_i (d[i+1] y_i + sum_{j>i}
-    lam[j][i] y_j)^2 for M = lcm(d[i] d[i+1]) and w_i = M / (d[i] d[i+1]).
-    Only y whose last nonzero coordinate is positive are visited; each hit
-    is mapped back by x = y H and signed so its first nonzero entry is
-    positive. Its norm is the part of the scaled bound the levels used up,
-    over M * den: an int when integral, else a Fraction. The budget counts
-    coordinate assignments (in the reduced basis) and raises
-    SearchBudgetExceeded.
+    gram must be a positive definite integer matrix and bound an int.
+    The search runs in integers on the LLL-reduced basis: with y the
+    coordinates in the reduced basis, M * Q = sum_i w_i (d[i+1] y_i +
+    sum_{j>i} lam[j][i] y_j)^2 for M = lcm(d[i] d[i+1]) and w_i = M /
+    (d[i] d[i+1]). Only y whose last nonzero coordinate is positive are
+    visited; each hit is mapped back by x = y H and signed so its first
+    nonzero entry is positive. Its norm is the part of the scaled bound
+    the levels used up, over M, an exact division. The budget counts coordinate assignments
+    (in the reduced basis) and raises SearchBudgetExceeded.
     """
     n = len(gram)
     if n == 0 or bound <= 0:
         return []
-    den = 1
-    for row in gram:
-        for v in row:
-            den = math.lcm(den, Fraction(v).denominator)
-    H, _, d, lam = lll_gram([[int(v * den) for v in row] for row in gram])
+    H, _, d, lam = lll_gram(gram)
     M = 1
     for i in range(n):
         M = math.lcm(M, d[i] * d[i + 1])
@@ -184,8 +177,7 @@ def fincke_pohst_up_to(gram, bound, budget=None):
     # the nonzero lam[j][i], j > i, that shift level i
     shifts = [[(j, lam[j][i]) for j in range(i + 1, n) if lam[j][i]]
               for i in range(n)]
-    scale = M * den
-    start = math.floor(Fraction(bound) * den) * M
+    start = bound * M
     out = []
     y = [0] * n
     nodes = 0
@@ -197,8 +189,7 @@ def fincke_pohst_up_to(gram, bound, budget=None):
                 x = [a + yj * b for a, b in zip(x, h)]
         if not _is_canonical(x):
             x = [-a for a in x]
-        q, r = divmod(start - rem, scale)
-        out.append((tuple(x), Fraction(start - rem, scale) if r else q))
+        out.append((tuple(x), (start - rem) // M))
 
     def descend(i, rem, top):
         # top: every y[j], j > i, is zero, so y[i] >= 0 fixes the sign

@@ -158,11 +158,3 @@ def cycle_coxeter_matrix(n):
         M[n - 1][c] = -1
     return M
 
-
-def coxeter_element(kind, n):
-    """Cyclic Coxeter transformation; type A only."""
-    if kind != "A":
-        raise UnsupportedRootSystem("Coxeter elements provided for type A only")
-    if n < 1:
-        raise UnsupportedRootSystem("A_n needs n >= 1")
-    return cycle_coxeter_matrix(n)

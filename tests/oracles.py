@@ -3,8 +3,11 @@
 Entrywise Fraction references for the integer kernels of k3lat.matrix
 and k3lat.lattice (product, Faddeev-LeVerrier, Gaussian elimination
 under det, rank and solve_rows, congruence diagonalization,
-discriminant-form pairing), integer row-span membership, the brute-force
-loops behind the closed forms of the group layer (point defects summed
+discriminant-form pairing), the rational overlattice path (the group
+generated by Fraction rows and its Gram) to check the p-scaled integer
+overlattices of nikulin and realize against, integer row-span
+membership, the brute-force loops behind the closed forms of the group
+layer (point defects summed
 over p - 1 conjugates in Z[x]/(x^p - 1) against the Dedekind sum,
 characters from one change of basis per element, rational classes closed
 under conjugation also when the generators commute, generation of a
@@ -56,7 +59,6 @@ from k3lat.matrix import (
     matrix_order,
     row_hnf,
     snf,
-    solve_rows,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -272,6 +274,18 @@ def fraction_solve_rows(A, B):
             x[pivots[i]] = s / row[pivots[i]]
         X.append(x)
     return X
+
+
+def fraction_overlattice(rows, gram):
+    """The Fraction path to an overlattice: (basis, Gram) with basis the
+    group generated by the rational rows, as Fraction rows (the row HNF of
+    the rows over their common denominator, divided back), and its Gram
+    under the integer gram, summed in Fractions."""
+    d = math.lcm(*[Fraction(x).denominator for row in rows for x in row])
+    H = row_hnf([[int(x * d) for x in row] for row in rows])
+    basis = [[Fraction(x, d) for x in row] for row in H]
+    return basis, fraction_mat_mul(fraction_mat_mul(basis, gram),
+                                   transpose(basis))
 
 
 def in_rowspan_z(basis, vec):
@@ -708,7 +722,7 @@ def naive_enumerate_up_to(gram, bound, prune=True):
     if n == 0 or bound <= 0:
         return []
     G = to_fraction_matrix(gram)
-    Ginv = inverse(G)
+    Ginv = inverse(gram)
     bound = Fraction(bound)
     # |x_i| <= sqrt(bound * Ginv[i][i]), and floor(sqrt(W)) = isqrt(floor(W))
     boxes = [math.isqrt(math.floor(bound * Ginv[i][i])) for i in range(n)]
@@ -720,8 +734,7 @@ def naive_enumerate_up_to(gram, bound, prune=True):
         for k in range(1, n):
             A = [row[:k] for row in G[:k]]
             B = [row[k:] for row in G[:k]]
-            C = [row[k:] for row in G[k:]]
-            Cinv = inverse(C)
+            Cinv = inverse([row[k:] for row in gram[k:]])
             D = mat_mul(mat_mul(B, Cinv), transpose(B))
             completions[k] = [[A[i][j] - D[i][j] for j in range(k)]
                               for i in range(k)]
@@ -807,7 +820,7 @@ def cartan_dieudonne_o_plus(ambient, g):
             break
         KF = to_fraction_matrix(K)
         # the restriction is rational: solve over Q
-        A = solve_rows(KF, [vec_mat(row, A) for row in KF])
+        A = fraction_solve_rows(KF, [vec_mat(row, A) for row in KF])
         assert A is not None
         gram = mat_mul(mat_mul(KF, gram), transpose(KF))
     return positive % 2 == 0

@@ -27,8 +27,8 @@ from k3lat.matrix import (
     det,
     identity_matrix,
     inverse,
-    is_integral,
     mat_mul,
+    mat_scale,
     matrix_order,
     to_int_matrix,
     transpose,
@@ -101,10 +101,10 @@ def test_criterion_03_family_identities(capsys):
         ok = ok and _pair(fam.gram_D, fam.rho, fam.rho) == -2 * (p - 1) * p
         ok = ok and _pair(fam.gram_D, fam.varpi, fam.varpi) == VARPI_NORMS[p]
         unit_rows = identity_matrix(m)
-        coords = express_in_basis(
-            [[Fraction(x) for x in row] for row in unit_rows], fam.basis_N)
-        ok = ok and coords is not None and is_integral(coords)
-        ok = ok and sublattice_index(to_int_matrix(coords), unit_rows) == p
+        # the block lattice in N_p, both scaled by p
+        coords = express_in_basis(mat_scale(p, unit_rows), fam.p_basis_N)
+        ok = ok and coords is not None
+        ok = ok and sublattice_index(coords, unit_rows) == p
         ok = ok and sublattice_index(fam.L_basis_in_N, unit_rows) == p
         ok = ok and in_rowspan_z(fam.L_basis_in_N, fam.rho_in_N)
         DL = fam.L.discriminant_group()

@@ -348,6 +348,19 @@ def test_corrupted_value_fails_exactly_its_row(scenario, optimize):
             if c["status"] == "fail"] == [name]
 
 
+def test_corrupted_glue_pin_fails_by_name_under_python_O():
+    # a glue image that breaks the anti-isometry is refused by the
+    # identity it breaks, not by a stripped assert or a later remainder
+    prelude = ("import k3lat.realize as r\n"
+               "r.MODEL_GLUE_IMAGES[3][0] = (0, 0, 0, 1)\n")
+    proc = _main_in_subprocess(["scenario", "model-prime-3"], True, prelude)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr == (b"error: internal check failed: glue map: "
+                           b"b(images of x_0, x_1) = 1/3 is not "
+                           b"-b(x_0, x_1) = 2/3 mod 1\n")
+
+
 def test_example_exits_1_on_a_failed_check(tmp_path):
     _, prelude = CORRUPTIONS["nikulin-involution"]
     proc = _main_in_subprocess(["example", "nikulin-involution", "--out",

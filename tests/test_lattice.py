@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from k3lat.lattice import (
     DiscriminantForm,
     Lattice,
@@ -8,13 +10,12 @@ from k3lat.lattice import (
     direct_sum,
     express_in_basis,
     gram_of_rows,
-    group_generated_by,
     rescale,
     signature_of_gram,
     span_intersection,
     sublattice_index,
 )
-from k3lat.matrix import det, identity_matrix, rank
+from k3lat.matrix import det, identity_matrix, rank, row_hnf
 from k3lat.standard import hyperbolic_plane, k3_lattice, root_lattice
 from oracles import disc_reduce, fraction_diagonalize, fraction_lift_pairing
 
@@ -57,8 +58,7 @@ def test_signature_counts_match_sylvester():
 
 
 def test_diagonalize_matches_fraction_oracle():
-    # zero diagonals force the e_i += e_j step; rational entries force
-    # the common denominator
+    # zero diagonals force the e_i += e_j step
     rng = random.Random(37)
     for trial in range(150):
         n = rng.randint(1, 7)
@@ -66,13 +66,9 @@ def test_diagonalize_matches_fraction_oracle():
         if trial % 2:
             for i in range(n):
                 G[i][i] = 0
-        if trial % 3 == 0:
-            dens = [rng.choice([1, 2, 3, 4, 6]) for _ in range(n)]
-            G = [[Fraction(G[i][j], dens[min(i, j)]) for j in range(n)]
-                 for i in range(n)]
         rows, norms, nullity = diagonalize(G)
         assert all(isinstance(x, int) for row in rows for x in row)
-        assert all(norms)
+        assert all(isinstance(d, int) and d for d in norms)
         assert gram_of_rows(rows, G) == [
             [norms[i] if i == j else 0 for j in range(len(rows))]
             for i in range(len(rows))]
@@ -193,8 +189,18 @@ def test_sublattice_index_and_group_generated_by():
     big = identity_matrix(3)
     small = [[2, 0, 0], [0, 3, 0], [0, 0, 1]]
     assert sublattice_index(small, big) == 6
-    gens = group_generated_by([[2, 0], [0, 2], [1, 1]])
+    # the group generated by dependent rows, as its row HNF basis
+    gens = row_hnf([[2, 0], [0, 2], [1, 1]])
+    assert gens == [[1, 1], [0, 2]]
     assert sublattice_index(gens, identity_matrix(2)) == 2
+    # read over the denominator 2, as nikulin and realize hold their
+    # overlattices, the same rows are Z^2 + Z (1/2, 1/2), of index 2 over
+    # Z^2, integral for the form 2 I and not for I
+    assert sublattice_index([[2, 0], [0, 2]], gens) == 2
+    assert gram_of_rows(gens, [[2, 0], [0, 2]], 2, "integral") == [
+        [1, 1], [1, 2]]
+    with pytest.raises(ArithmeticError, match="integral"):
+        gram_of_rows(gens, identity_matrix(2), 2, "integral")
 
 
 def test_span_intersection():

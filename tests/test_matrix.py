@@ -71,8 +71,7 @@ def test_inverse_is_a_two_sided_inverse_and_rejects_singular():
     tried = singular = 0
     while tried < 30 or singular < 10:
         n = rng.randint(1, 5)
-        A = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-              for _ in range(n)] for _ in range(n)]
+        A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         if n > 1 and rng.random() < 0.4:
             # a row that is a combination of two others
             A[-1] = [a - 2 * b for a, b in zip(A[0], A[1 % (n - 1)])]
@@ -91,10 +90,8 @@ def _rows(rng, k, n, lo=-3, hi=3):
 
 def _in_z_span(basis, row):
     """HNF oracle: row lies in the Z-span of basis iff adjoining it leaves
-    the row HNF unchanged; both sides scaled by one common denominator."""
-    d = math.lcm(*[Fraction(x).denominator for r in basis + [row] for x in r])
-    B = [[int(x * d) for x in r] for r in basis]
-    return row_hnf(B + [[int(x * d) for x in row]]) == row_hnf(B)
+    the row HNF unchanged."""
+    return row_hnf(basis + [row]) == row_hnf(basis)
 
 
 def test_express_in_basis_decides_z_span_membership_like_hnf():
@@ -104,8 +101,10 @@ def test_express_in_basis_decides_z_span_membership_like_hnf():
         n = rng.randint(1, 5)
         basis = _rows(rng, rng.randint(1, n), n)
         if trial % 3 == 1:
-            basis = [[Fraction(x, rng.randint(1, 4)) for x in row]
-                     for row in basis]
+            # a sublattice of larger index: each row times 1 to 4
+            basis = [[c * x for x in row]
+                     for c, row in zip(_rows(rng, 1, len(basis), 1, 4)[0],
+                                       basis)]
         elif trial % 3 == 2:
             # one more row inside the Q-span of the others
             basis.append([a - b for a, b in zip(basis[0], basis[-1])])
@@ -116,13 +115,16 @@ def test_express_in_basis_decides_z_span_membership_like_hnf():
             outcomes.add("dependent")
             continue
 
-        def combination(den):
-            c = [Fraction(x, den) for x in _rows(rng, 1, m)[0]]
-            return [sum(ci * b[j] for ci, b in zip(c, basis))
-                    for j in range(n)]
-        # an integer combination, a half-integer one (in the Q-span, and
-        # in the Z-span only when the halves cancel) and an arbitrary row
-        rows = [combination(1), combination(2), _rows(rng, 1, n)[0]]
+        def combination(primitive):
+            c = _rows(rng, 1, m)[0]
+            row = [sum(ci * b[j] for ci, b in zip(c, basis))
+                   for j in range(n)]
+            g = math.gcd(*row)
+            return [x // g for x in row] if primitive and g > 1 else row
+        # an integer combination, the primitive vector on its line (in the
+        # Q-span, and in the Z-span only when the divisor cancels) and an
+        # arbitrary row
+        rows = [combination(False), combination(True), _rows(rng, 1, n)[0]]
         for row in rows:
             in_z = _in_z_span(basis, row)
             in_q = rank(basis + [row]) == m
@@ -376,19 +378,20 @@ def _matrix(rng, m, n, rational):
 
 
 def test_mat_mul_and_vec_mat_match_fraction_reference():
+    # integer operands give integer products; the plain loop also
+    # multiplies Fraction operands exactly (gram_inverse's integrality
+    # tests do), without any common-denominator scaling
     rng = random.Random(71)
     shapes = [(1, 5, 1), (5, 1, 4), (1, 1, 1), (3, 4, 2), (4, 4, 4),
               (6, 3, 5)]
     for trial in range(60):
         m, k, n = shapes[trial % len(shapes)]
-        A = _matrix(rng, m, k, trial % 3 != 0)
-        B = _matrix(rng, k, n, trial % 3 != 1)
+        A = _matrix(rng, m, k, trial % 3 == 1)
+        B = _matrix(rng, k, n, trial % 3 == 2)
         P = mat_mul(A, B)
         assert P == fraction_mat_mul(A, B)
-        has_fraction = any(isinstance(x, Fraction)
-                           for M in (A, B) for row in M for x in row)
-        assert all(isinstance(x, Fraction) == has_fraction
-                   for row in P for x in row)
+        if trial % 3 == 0:
+            assert all(type(x) is int for row in P for x in row)
         for row in A:
             assert vec_mat(row, B) == fraction_mat_mul([row], B)[0]
     # sparse operands, whose zero entries the product skips: signed
@@ -431,10 +434,10 @@ def test_char_poly_matches_fraction_faddeev_leverrier():
     rng = random.Random(73)
     for trial in range(30):
         n = rng.randint(1, 6)
-        A = _matrix(rng, n, n, trial % 2 == 1)
+        A = _matrix(rng, n, n, False)
         cp = char_poly(A)
         assert cp == fraction_char_poly(A)
-        assert all(isinstance(c, int) for c in cp if Fraction(c).denominator == 1)
+        assert all(type(c) is int for c in cp)
     assert char_poly([]) == [1]
 
 
@@ -463,43 +466,40 @@ def test_char_poly_rejects_a_corrupted_trace_under_python_O():
     assert proc.stdout.startswith("raised"), proc.stdout
 
 
-def _combination(rng, A, n, rational):
-    """A random Q-combination of the rows of A (the zero row of width n
-    when A has none)."""
+def _combination(rng, A, n):
+    """A random integer combination of the rows of A (the zero row of
+    width n when A has none)."""
     out = [0] * n
     for row in A:
-        c = _entry(rng, rational)
+        c = _entry(rng, False)
         out = [x + c * a for x, a in zip(out, row)]
     return out
 
 
 def test_elimination_matches_fraction_oracle():
-    """det, rank, solve_rows and inverse against the Fraction elimination
-    they replaced: same values, same types, and X A = B."""
+    """det, rank, solve_rows and inverse on integer matrices against the
+    Fraction elimination they replaced: same values, same types, and
+    X A = B."""
     rng = random.Random(89)
     seen = Counter()
     for trial in range(1200):
         m, n = rng.randint(0, 5), rng.randint(0, 5)
         if trial % 3 == 0:
             n = m
-        rational = trial % 2 == 1
         if trial % 4 == 0 and min(m, n) > 1:
             # a product through a narrower middle has deficient rank
             k = rng.randint(1, min(m, n) - 1)
-            C, E = _matrix(rng, m, k, rational), _matrix(rng, k, n, rational)
+            C, E = _matrix(rng, m, k, False), _matrix(rng, k, n, False)
             A = [[sum(c * e for c, e in zip(row, col)) for col in zip(*E)]
                  for row in C]
         else:
-            A = _matrix(rng, m, n, rational)
+            A = _matrix(rng, m, n, False)
         r = rank(A)
         assert r == fraction_rank(A) and type(r) is int
         seen["square" if m == n else "rectangular"] += 1
         seen["rank-deficient"] += r < min(m, n)
         seen["empty"] += m * n == 0
         seen["1x1"] += m == n == 1
-        seen["mixed denominators"] += len({x.denominator for row in A
-                                          for x in row
-                                          if isinstance(x, Fraction)}) > 1
         if m == n:
             d = det(A)
             want = fraction_det(A)
@@ -512,10 +512,10 @@ def test_elimination_matches_fraction_oracle():
                 Ainv = inverse(A)
                 assert Ainv == want
                 assert all(type(x) is Fraction for row in Ainv for x in row)
-        B = [_combination(rng, A, n, rational)
+        B = [_combination(rng, A, n)
              for _ in range(rng.randint(0, 3))]
         if rng.random() < 0.5:
-            B.insert(rng.randint(0, len(B)), _matrix(rng, 1, n, rational)[0])
+            B.insert(rng.randint(0, len(B)), _matrix(rng, 1, n, False)[0])
         X = solve_rows(A, B)
         assert X == fraction_solve_rows(A, B), (A, B)
         if X is None:
@@ -530,25 +530,28 @@ def test_elimination_matches_fraction_oracle():
             assert not any(any(b) for b in B)
     assert sum(seen[k] for k in ("square", "rectangular")) == 1200
     for kind in ("square", "rectangular", "rank-deficient", "empty", "1x1",
-                 "mixed denominators", "outside the row span"):
+                 "outside the row span"):
         assert seen[kind] >= 30, seen
 
 
 def test_elimination_rejects_a_remainder_under_python_O():
-    # with the scaling switched off, rational entries reach the integer
-    # kernel and leave remainders: the exactness checks of the Bareiss
-    # step and of the back-substitution must fire with asserts stripped
+    # the kernels take integers only: rational entries that reach them
+    # leave remainders, and the exactness checks of the Bareiss step and
+    # of the back-substitution must fire with asserts stripped; so must
+    # the shape checks, where zip would truncate a mismatched operand
     code = (
         "from fractions import Fraction as F\n"
         "import k3lat.matrix as m\n"
-        "m._scaled = lambda A: (None, A)\n"
         "A = [[F(1, 2), F(1, 3), 0], [F(1, 5), 1, F(1, 7)], [0, F(1, 3), 1]]\n"
         "for call in (lambda: m.det(A),\n"
-        "             lambda: m.solve_rows([[F(2, 3)]], [[F(1, 2)]])):\n"
+        "             lambda: m.solve_rows([[F(2, 3)]], [[F(1, 2)]]),\n"
+        "             lambda: m.det([[1, 2, 3], [4, 5, 6]]),\n"
+        "             lambda: m.mat_mul([[1, 2]], [[1], [2], [3]]),\n"
+        "             lambda: m.dot([1, 2], [1, 2, 3]),\n"
+        "             lambda: m.vec_mat([1, 1], [[1, 2], [3, 4], [5, 6]])):\n"
         "    try:\n"
-        "        call()\n"
-        "        print('accepted')\n"
-        "    except ArithmeticError as exc:\n"
+        "        print('accepted', call())\n"
+        "    except (ArithmeticError, ValueError) as exc:\n"
         "        print('raised', exc)\n"
     )
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -558,9 +561,14 @@ def test_elimination_rejects_a_remainder_under_python_O():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2, proc.stdout
+    assert len(lines) == 6, proc.stdout
     assert lines[0].startswith("raised Bareiss:"), lines[0]
     assert lines[1].startswith("raised back-substitution:"), lines[1]
+    assert lines[2:] == [
+        "raised det needs a square matrix, got 2 rows of lengths [3]",
+        "raised mat_mul: 1 x 2 times 3 x 1",
+        "raised dot: vectors of lengths 2 and 3",
+        "raised vec_mat: vector of length 2 times 3 x 2"], lines
 
 
 def test_non_integral_entry_is_refused_also_under_python_O():

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from k3lat.lattice import (
@@ -10,8 +8,8 @@ from k3lat.lattice import (
 )
 from k3lat.matrix import (
     identity_matrix,
-    is_integral,
     mat_mul,
+    mat_scale,
     matrix_order,
     to_int_matrix,
     transpose,
@@ -62,12 +60,12 @@ def test_overlattice_and_kernel_indices(p):
     fam = family(p)
     m = fam.nu * (p - 1)
     # N_p contains the orthogonal sum of the Cartan blocks with index p
+    # (both scaled by p, as fam.p_basis_N holds N_p)
     unit_rows = identity_matrix(m)
-    X = [[Fraction(x) for x in row] for row in unit_rows]
     from k3lat.lattice import express_in_basis
-    coords = express_in_basis(X, fam.basis_N)
-    assert coords is not None and is_integral(coords)
-    assert sublattice_index(to_int_matrix(coords), unit_rows) == p
+    coords = express_in_basis(mat_scale(p, unit_rows), fam.p_basis_N)
+    assert coords is not None
+    assert sublattice_index(coords, unit_rows) == p
     # L_p is the kernel of pairing against rho mod p, again index p
     assert sublattice_index(fam.L_basis_in_N, unit_rows) == p
     # rho itself lies in the kernel

@@ -5,8 +5,14 @@ import sys
 import pytest
 
 from k3lat.groups import IsometryGroup, zg_decomposition
-from k3lat.lattice import DiscriminantForm
-from k3lat.matrix import identity_matrix, mat_mul, matrix_order
+from k3lat.lattice import DiscriminantForm, direct_sum
+from k3lat.matrix import (
+    block_diag,
+    identity_matrix,
+    mat_mul,
+    matrix_order,
+    to_int_matrix,
+)
 from k3lat.realize import (
     A3A3_EMBEDDING,
     COXETER_GLUE_IMAGES,
@@ -21,17 +27,29 @@ from k3lat.realize import (
     classify_dichotomy,
     decide_complex,
     decide_metric,
+    GLUE_PARTNERS,
+    _coxeter_partner,
     dehn_twist_obstruction,
     glue_unimodular,
+    transport_action,
 )
-from k3lat.standard import k3_lattice, reflection, root_lattice
+from k3lat.standard import (
+    cycle_coxeter_matrix,
+    k3_lattice,
+    reflection,
+    root_lattice,
+)
 from k3lat.lattice import rescale, two_elementary_profile
 
+from conftest import family
 from oracles import (
     anti_isometry_images,
     derive_coxeter_glue_images,
     derive_model_glue_images,
     find_a3a3_embedding,
+    fraction_mat_mul,
+    fraction_overlattice,
+    fraction_solve_rows,
 )
 
 K3 = k3_lattice()
@@ -265,6 +283,52 @@ def test_small_glue_of_opposite_planes():
     assert lam.is_even()
     assert abs(lam.determinant()) == 1
     assert lam.signature() == (2, 2, 0)
+    # the zero image does not negate q, and is refused by that identity
+    with pytest.raises(ArithmeticError, match=r"q\(image of x_0\) = 0"):
+        glue_unimodular(A, B, [(0,)], 3)
+
+
+def _glue_inputs(model):
+    """(K, W, images, p, frame action) of the glued model: the family
+    model at p with sigma_K on K, or the Coxeter model."""
+    if model == "coxeter":
+        K = direct_sum(*[root_lattice("A", 2, -1) for _ in range(6)])
+        W = _coxeter_partner()
+        c = cycle_coxeter_matrix(2)
+        M = block_diag(*([c] * 6 + [identity_matrix(W.rank)]))
+        return K, W, COXETER_GLUE_IMAGES, 3, M
+    p = int(model[1:])
+    fam = family(p)
+    W = GLUE_PARTNERS[p]()
+    M = block_diag(fam.sigma_K, identity_matrix(W.rank))
+    return fam.K, W, MODEL_GLUE_IMAGES[p], p, M
+
+
+@pytest.mark.parametrize("model", ("p2", "p3", "p5", "p7", "coxeter"))
+def test_integer_overlattices_match_the_fraction_path(model):
+    # N_p and the glued lattice, built as p-scaled integer rows, against
+    # the group generated by their Fraction rows: same basis up to the
+    # factor p, same Gram, same embedding of K and transported generator
+    K, W, images, p, M = _glue_inputs(model)
+    if model != "coxeter":
+        fam = family(p)
+        m = len(fam.gram_D)
+        basis, G = fraction_overlattice(
+            identity_matrix(m) + [fam.varpi], fam.gram_D)
+        assert fam.p_basis_N == [[p * x for x in row] for row in basis]
+        assert fam.N.gram == G
+    lam, B, embed_K = glue_unimodular(K, W, images, p)
+    DK, DW = DiscriminantForm(K.gram), DiscriminantForm(W.gram)
+    n = K.rank + W.rank
+    rows = identity_matrix(n) + [lift + DW.lift(img)
+                                 for lift, img in zip(DK.lifts, images)]
+    basis, G = fraction_overlattice(rows, block_diag(K.gram, W.gram))
+    assert B == [[p * x for x in row] for row in basis]
+    assert lam.gram == G
+    assert embed_K == to_int_matrix(fraction_solve_rows(
+        basis, identity_matrix(n)[:K.rank]))
+    assert transport_action(B, M) == to_int_matrix(fraction_solve_rows(
+        basis, fraction_mat_mul(basis, M)))
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))

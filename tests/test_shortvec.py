@@ -157,28 +157,14 @@ def test_fincke_pohst_does_not_depend_on_the_basis():
     rng = random.Random(31)
     grams = [root_lattice(kind, n).gram for kind, n in
              [("A", 2), ("A", 5), ("D", 4), ("D", 6), ("E", 8)]]
-    grams += [[[Fraction(x, 4) for x in row] for row in G] for G in grams]
     for G in grams:
         n = len(G)
-        bound = 4 if G[0][0] == 2 else 1
-        ref = fincke_pohst_up_to(G, bound)
+        ref = fincke_pohst_up_to(G, 4)
         assert ref
         for _ in range(3):
             U, Uinv = _random_unimodular(rng, n, 4 * n)
             skew = mat_mul(mat_mul(U, G), transpose(U))
-            assert fincke_pohst_up_to(skew, bound) == _mapped(ref, Uinv)
-
-
-def test_fincke_pohst_scales_rational_grams():
-    G = root_lattice("D", 5).gram
-    quarter = [[Fraction(x, 4) for x in row] for row in G]
-    got = fincke_pohst_up_to(quarter, Fraction(3, 2))
-    ref = fincke_pohst_up_to(G, 6)
-    assert [v for v, _ in got] == [v for v, _ in ref]
-    # norms are ints where integral and Fractions otherwise
-    assert all(type(q) is int for _, q in ref)
-    assert [q for _, q in got] == [Fraction(q, 4) for _, q in ref]
-    assert {type(q) for _, q in got} == {int, Fraction}
+            assert fincke_pohst_up_to(skew, 4) == _mapped(ref, Uinv)
 
 
 def test_fincke_pohst_on_L3_finds_378_short_vectors():
