@@ -48,16 +48,15 @@ class NotAZGLattice(ValueError):
     pass
 
 
-def _key(M):
-    return tuple(tuple(row) for row in M)
-
-
 class IsometryGroup:
     """A finite subgroup of O(ambient) given by generator matrices.
 
     Matrices act on row vectors from the right. Closure is computed on
     demand by breadth-first products and cached; an element cap guards
-    against accidentally infinite input.
+    against accidentally infinite input. Beside the elements, identity
+    first, the closure keeps the index table _table, with _table[a][j]
+    the index of elements[a] * generators[j], and _words, a breadth-first
+    generator word for each element.
     """
 
     def __init__(self, ambient, generators, element_cap=10 ** 5):
@@ -76,24 +75,31 @@ class IsometryGroup:
     def elements(self):
         if self._elements is None:
             I = identity_matrix(self.ambient.rank)
-            seen = {_key(I): I}
-            frontier = [I]
-            while frontier:
-                new = []
-                for a in frontier:
-                    for g in self.generators:
-                        prod = mat_mul(a, g)
-                        k = _key(prod)
-                        if k not in seen:
-                            seen[k] = prod
-                            new.append(prod)
-                            if len(seen) > self.element_cap:
-                                raise NotFinite(
-                                    "group exceeds element cap %d"
+            index = {tuple(map(tuple, I)): 0}
+            elements, self._table, self._words = [I], [], [()]
+            # the list is its own breadth-first queue: new elements join
+            # its end, and row a of the table fills when the loop reaches a
+            for a, x in enumerate(elements):
+                row = []
+                for j, g in enumerate(self.generators):
+                    prod = mat_mul(x, g)
+                    key = tuple(map(tuple, prod))
+                    row.append(index.setdefault(key, len(elements)))
+                    if row[-1] == len(elements):
+                        elements.append(prod)
+                        self._words.append(self._words[a] + (j,))
+                self._table.append(row)
+                if len(elements) > self.element_cap:
+                    raise NotFinite("group exceeds element cap %d"
                                     % self.element_cap)
-                frontier = new
-            self._elements = list(seen.values())
+            self._elements = elements
         return self._elements
+
+    def _mul(self, a, b):
+        """The index of elements[a] * elements[b]: b's word, walked from a."""
+        for j in self._words[b]:
+            a = self._table[a][j]
+        return a
 
     def order(self):
         return len(self.elements())
@@ -311,39 +317,34 @@ def rational_classes(group):
     g and h are rationally conjugate when <g> and <h> are conjugate, so
     the class of x is the conjugation orbit of the generators x^k of <x>,
     k prime to the order of x. The orbit closes under conjugation by the
-    group generators alone, since G is finite. When the generators
-    commute pairwise, as one generator does, G is abelian and each class
-    is the power orbit alone, so no conjugation is computed.
+    group generators alone, since G is finite. Powers and conjugates are
+    read off the closure's index table, so no matrix is multiplied or
+    inverted here.
     """
-    n = group.ambient.rank
-    I = identity_matrix(n)
-    gens = group.generators
-    abelian = all(mat_eq(mat_mul(g, h), mat_mul(h, g))
-                  for i, g in enumerate(gens) for h in gens[i + 1:])
-    conj = [] if abelian else [
-        (express_in_basis(I, g, "a group element must be invertible over Z"),
-         g) for g in gens]
+    elements = group.elements()
+    R, mul = group._table, group._mul
+    # g_j^-1 is the a with R[a][j] = 0, the index of the identity
+    ginv = [row.index(0) for row in zip(*R)]
     seen = set()
     classes = []
-    for x in group.elements():
-        if _key(x) in seen:
+    for x in range(len(elements)):
+        if x in seen:
             continue
         powers = [x]
-        while not mat_eq(powers[-1], I):
-            powers.append(mat_mul(powers[-1], x))
-        m = len(powers)
-        orbit = {_key(p): p for k, p in enumerate(powers, 1)
-                 if math.gcd(k, m) == 1}
-        stack = list(orbit.values())
+        while powers[-1]:
+            powers.append(mul(powers[-1], x))
+        orbit = dict.fromkeys(p for k, p in enumerate(powers, 1)
+                              if math.gcd(k, len(powers)) == 1)
+        stack = list(orbit)
         while stack:
             y = stack.pop()
-            for gi, g in conj:
-                z = mat_mul(mat_mul(gi, y), g)
-                if _key(z) not in orbit:
-                    orbit[_key(z)] = z
+            for j, gi in enumerate(ginv):
+                z = R[mul(gi, y)][j]
+                if z not in orbit:
+                    orbit[z] = None
                     stack.append(z)
         seen.update(orbit)
-        classes.append(list(orbit.values()))
+        classes.append([elements[i] for i in orbit])
     return classes
 
 

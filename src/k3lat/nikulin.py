@@ -305,20 +305,19 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     mats = []
     for filling in found:
         Sp = [wv for wv, _ in filling]
-        S = mat_mul(mat_mul(Hinv, Sp), H)
-        T = transpose(S)
-        assert mat_eq(mat_mul(mat_mul(T, G), transpose(T)), G)
-        shift = mat_mul(Ginv, mat_sub(T, identity_matrix(n)))
-        assert is_integral(shift)
+        T = transpose(mat_mul(mat_mul(Hinv, Sp), H))
+        if not is_integral(mat_mul(Ginv, mat_sub(T, identity_matrix(n)))):
+            raise ArithmeticError("a filling must act trivially on disc(L_p)")
         mats.append(T)
+    from .groups import IsometryGroup
+    # IsometryGroup checks the form; a finite set closed under products
+    # holds the identity
     order = len(mats)
-    keys = {tuple(tuple(r) for r in T) for T in mats}
-    assert tuple(tuple(r) for r in identity_matrix(n)) in keys
-    assert tuple(tuple(r) for r in fam.sigma_L) in keys, \
-        "sigma itself must appear in the stabilizer"
-    for T in mats[:min(order, 8)]:
-        for S in mats[:min(order, 8)]:
-            assert tuple(tuple(r) for r in mat_mul(T, S)) in keys
+    if IsometryGroup(fam.L, mats).order() != order:
+        raise ArithmeticError(
+            "the isometries trivial on disc(L_p) must form a group")
+    if fam.sigma_L not in mats:
+        raise ArithmeticError("sigma itself must appear in the stabilizer")
     return {"p": fam.p, "group_order": order,
             "equals_sigma_cyclic": order == fam.p, "nodes": nodes}
 

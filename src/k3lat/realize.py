@@ -34,7 +34,6 @@ from .matrix import (
     mat_mul,
     mat_scale,
     mat_sub,
-    matrix_order,
     rank_mod_p,
     row_hnf,
     to_int_matrix,
@@ -650,7 +649,6 @@ def build_coxeter_model():
     group = IsometryGroup(lam, [S])
     order = group.order()
     assert order == 3
-    assert matrix_order(S, cap=6) == 3
     in_o_plus = spinor_plus_membership(lam, S)
 
     dec = zg_decomposition(S, 3)

@@ -63,7 +63,6 @@ from k3lat.matrix import (
     transpose,
     vec_mat,
 )
-from k3lat.groups import _key
 from k3lat.gsignature import InvalidCharacter, defect_point
 from k3lat.polys import poly_eval_matrix
 from k3lat.realize import GLUE_PARTNERS, _coxeter_partner
@@ -425,6 +424,10 @@ def cyclic_coinvariant(group):
     keep = [row for d, b in sorted(comps.items()) if not a_plus[d]
             for row in b]
     return Sublattice(ambient, keep).saturation()
+
+
+def _key(M):
+    return tuple(tuple(row) for row in M)
 
 
 def rational_classes_by_conjugation(group):

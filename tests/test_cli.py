@@ -361,6 +361,25 @@ def test_corrupted_glue_pin_fails_by_name_under_python_O():
                            b"-b(x_0, x_1) = 2/3 mod 1\n")
 
 
+def test_aut_search_missing_an_element_fails_by_name_under_python_O():
+    # a search that drops one filling leaves a set that is not closed
+    # under products, which the closure check refuses with asserts off
+    prelude = """
+import k3lat.nikulin as n
+real = n._fill_slots
+def fake(*args, **kwargs):
+    found, nodes = real(*args, **kwargs)
+    return found[:-1], nodes
+n._fill_slots = fake
+"""
+    proc = _main_in_subprocess(["scenario", "nikulin-family-p3"], True,
+                               prelude)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr == (b"error: internal check failed: the isometries "
+                           b"trivial on disc(L_p) must form a group\n")
+
+
 def test_example_exits_1_on_a_failed_check(tmp_path):
     _, prelude = CORRUPTIONS["nikulin-involution"]
     proc = _main_in_subprocess(["example", "nikulin-involution", "--out",
@@ -450,9 +469,11 @@ def test_verbs_load_only_the_modules_they_call():
         LATTICE_FILE
     assert _loaded_by(["compute", "enumerate", "--lattice", e8,
                        "--norm", "-2"]) == LATTICE_FILE | {"k3lat.shortvec"}
+    # the aut search of these two closes its result in groups
     for family in ("nikulin-family-p2", "nikulin-family-p3"):
         assert _loaded_by(["scenario", family]) == \
-            LIBRARY | {"k3lat.scenarios", "k3lat.nikulin"}
+            LIBRARY | {"k3lat.scenarios", "k3lat.nikulin", "k3lat.groups",
+                       "k3lat.polys"}
     assert _loaded_by(["scenario", "defect-table"]) == \
         {"k3lat.scenarios", "k3lat.gsignature", "fractions"}
     # a structured report costs json and serialize, not the lattice layer

@@ -346,25 +346,74 @@ def test_noncyclic_group_splits_by_rational_class_sums():
 
 
 def test_rational_classes_match_the_conjugation_closure(monkeypatch):
-    # commuting generators skip conjugation, and no generator inverse is
-    # taken; the classes keep the lists and the order of the closure
+    # once the closure is cached (the oracle computes it) the classes are
+    # index lookups: no matrix product and no inverse, and the lists and
+    # their order are the conjugation closure's
     import k3lat.groups as groups
-    real = groups.express_in_basis
-    inverted = []
-    monkeypatch.setattr(groups, "express_in_basis",
-                        lambda *a: inverted.append(1) or real(*a))
+    calls = []
     rng = random.Random(3)
     cyclic = [IsometryGroup(K3, [_random_finite_isometry(rng)])
               for _ in range(8)]
-    for G in cyclic + [_c4_c2()]:
-        assert rational_classes(G) == rational_classes_by_conjugation(G)
-    assert not inverted
     assert sorted(G.order() for G in cyclic) != [1] * len(cyclic)
-    # a non-abelian group still closes under conjugation
-    A4 = a4_example().group
-    inverted.clear()
-    assert rational_classes(A4) == rational_classes_by_conjugation(A4)
-    assert len(inverted) == len(A4.generators)
+    # C4 x C2, and the non-abelian A_4
+    for G in cyclic + [_c4_c2(), a4_example().group]:
+        expect = rational_classes_by_conjugation(G)
+        with monkeypatch.context() as m:
+            for name in ("express_in_basis", "mat_mul"):
+                real = getattr(groups, name)
+                m.setattr(groups, name, lambda *a, name=name, real=real:
+                          calls.append(name) or real(*a))
+            assert rational_classes(G) == expect
+    assert not calls
+
+
+def _e8_chains(block, length):
+    # the simple-root chains of the E8(-1) block at basis slots
+    # block..block+7: the paths of its Dynkin tree, read off the Gram
+    slots = range(block, block + 8)
+    paths = [[i] for i in slots]
+    for _ in range(length - 1):
+        paths = [path + [j] for path in paths for j in slots
+                 if j not in path and K3.gram[path[-1]][j]]
+    return paths
+
+
+def _root_reflection(i):
+    root = [0] * N
+    root[i] = 1
+    return reflection(K3.gram, root)
+
+
+# (chain lengths in the two E8 blocks, with the twist, order, classes):
+# S_3, S_4, S_5, S_3 x S_3, S_3 x C_4 and S_4 x C_4
+WEYL_GROUPS = [((2,), False, 6, 3), ((3,), False, 24, 5),
+               ((4,), False, 120, 7), ((2, 2), False, 36, 9),
+               ((2,), True, 24, 9), ((3,), True, 96, 15)]
+
+
+def test_rational_classes_of_weyl_groups_match_the_conjugation_closure():
+    # non-abelian groups on seeded simple-root chains; the closure's
+    # table and words multiply out to its elements
+    rng = random.Random(26)
+    for lengths, twist, order, count in WEYL_GROUPS:
+        gens = [_u2_twist()] if twist else []
+        for block, k in zip((6, 14), lengths):
+            gens += [_root_reflection(i)
+                     for i in rng.choice(_e8_chains(block, k))]
+        G = IsometryGroup(K3, gens)
+        elements = G.elements()
+        assert len(elements) == order
+        for a, row in enumerate(G._table):
+            for b, g in zip(row, G.generators):
+                assert elements[b] == mat_mul(elements[a], g)
+        for x, word in zip(elements, G._words):
+            prod = I22
+            for j in word:
+                prod = mat_mul(prod, G.generators[j])
+            assert prod == x
+        classes = rational_classes(G)
+        assert classes == rational_classes_by_conjugation(G)
+        assert len(classes) == count
 
 
 def test_coarse_projectors_are_checked_against_the_components():
