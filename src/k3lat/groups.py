@@ -245,55 +245,58 @@ def spinor_plus_membership(ambient, g):
 class CoinvariantResult:
     """L_G and how it was determined.
 
-    mode is pointwise-fixed-3-plane when the fixed lattice holds a
-    positive 3-plane, supplied-isotypic when caller projectors were
-    checked against the components, and rotation-on-3-plane otherwise.
     pieces holds the sorted (rank, sig_+) pairs L_G was built from: the
-    fixed lattice and its complement in pointwise mode, else the
-    Q-isotypic components. L_G is the saturated span of the pieces with
-    sig_+ = 0.
+    fixed lattice and its complement, split into the Q-isotypic
+    components unless the fixed lattice holds a positive 3-plane and no
+    projectors came. L_G is the saturated span of the pieces with
+    sig_+ = 0. fixed_plus is the sig_+ of the fixed lattice (0 if zero),
+    and mode a label: supplied-isotypic when caller projectors were
+    checked, else pointwise-fixed-3-plane when fixed_plus is 3, else
+    rotation-on-3-plane.
     """
 
-    def __init__(self, L_G, fixed, mode, pieces):
+    def __init__(self, L_G, fixed, mode, pieces, fixed_plus):
         self.L_G, self.fixed, self.mode = L_G, fixed, mode
-        self.pieces = pieces
+        self.pieces, self.fixed_plus = pieces, fixed_plus
 
 
 def coinvariant_L_G(group, isotypic_data=None):
     """The coinvariant sublattice L_G of a finite isometry group on K3.
 
     One rule: of the Q-isotypic components of H_2, those with a positive
-    part meet an invariant positive 3-plane, and L_G is the saturated span
-    of the others. A group whose fixed lattice holds a positive 3-plane
-    needs no components when no projectors come with it: L_G is that
-    lattice's complement. Any other input is split into its components by
-    its rational class sums, and refused with ValueError when a generator
-    lies outside O^+. Optional rational projectors (isotypic_data) must
-    sum to 1 and act on every component as 0 or 1; they play no part in
-    computing L_G.
+    part meet an invariant positive 3-plane, and L_G is the saturated
+    span of the others. The pieces start as the fixed lattice, the
+    trivial component, and its complement. When the fixed lattice holds
+    a positive 3-plane the complement is negative definite, all of it
+    L_G, so the class sums split it only to check projectors, and a
+    large group is never closed. Any other group is refused with
+    ValueError outside O^+, and split. Optional rational projectors
+    (isotypic_data) must sum to 1 and act on every component as 0 or 1;
+    they play no part in computing L_G.
     """
     ambient = group.ambient
     n = ambient.rank
     if ambient.signature() != (3, 19, 0):
         raise ValueError(
             "coinvariant analysis is specific to the K3 lattice signature")
-    fixed = group.fixed_sublattice()
-    if isotypic_data is None and fixed.rank and \
-            signature_of_gram(fixed.gram())[0] == 3:
-        L = fixed.orthogonal_complement()
-        pieces = sorted(p for p in [(fixed.rank, 3), (L.rank, 0)] if p[0])
-        res = CoinvariantResult(L, fixed, "pointwise-fixed-3-plane", pieces)
-        _check_coinvariant(group, res)
-        return res
-
     if isotypic_data is not None and any(
             len(E) != n or any(len(r) != n for r in E) for E in isotypic_data):
         raise ValueError("projectors must be %d x %d matrices" % (n, n))
-    if not all(spinor_plus_membership(ambient, g) for g in group.generators):
+    fixed = group.fixed_sublattice()
+    sigs = [signature_of_gram(fixed.gram())] if fixed.rank else []
+    fixed_plus = sigs[0][0] if sigs else 0
+    if fixed_plus != 3 and not all(
+            spinor_plus_membership(ambient, g) for g in group.generators):
         raise ValueError("no orientation-compatible invariant positive "
                          "3-plane: the group does not lie in O^+")
-    comps = isotypic_components(group)
-    sigs = [signature_of_gram(gram_of_rows(B, ambient.gram)) for B in comps]
+    comps = [B for B in (fixed.basis, fixed.orthogonal_complement().basis)
+             if B]
+    if fixed_plus != 3 or isotypic_data is not None:
+        comps = isotypic_components(group, comps)
+    # every class sum is the scalar |C| on the fixed lattice, so a split
+    # keeps it whole and first
+    sigs += [signature_of_gram(gram_of_rows(B, ambient.gram))
+             for B in comps[len(sigs):]]
     rank, plus = sum(map(len, comps)), sum(p for p, _, _ in sigs)
     if rank != n or plus != 3 or any(z for _, _, z in sigs):
         raise AssertionError(
@@ -301,12 +304,15 @@ def coinvariant_L_G(group, isotypic_data=None):
             "to %d and sig_+ to 3, got %d and %d" % (n, rank, plus))
     keep = [row for B, (p, _, _) in zip(comps, sigs) if not p for row in B]
     L = Sublattice(ambient, keep).saturation()
-    mode = "rotation-on-3-plane"
     if isotypic_data is not None:
         _check_projectors(isotypic_data, comps)
         mode = "supplied-isotypic"
+    elif fixed_plus == 3:
+        mode = "pointwise-fixed-3-plane"
+    else:
+        mode = "rotation-on-3-plane"
     pieces = sorted((len(B), p) for B, (p, _, _) in zip(comps, sigs))
-    res = CoinvariantResult(L, fixed, mode, pieces)
+    res = CoinvariantResult(L, fixed, mode, pieces, fixed_plus)
     _check_coinvariant(group, res)
     return res
 
@@ -348,17 +354,20 @@ def rational_classes(group):
     return classes
 
 
-def isotypic_components(group):
-    """Saturated bases of the Q-isotypic components of the ambient lattice.
+def isotypic_components(group, pieces):
+    """Saturated bases of the Q-isotypic components of the ambient lattice,
+    split from pieces: saturated bases of G-invariant sublattices whose
+    spans sum directly to the whole space.
 
     The rational class sums S_C span the Galois-fixed centre of Q[G],
     which holds every central primitive idempotent (Serre, Linear
     Representations of Finite Groups, 12-13). So S_C acts on each
     component as an integer of absolute value at most |C|, and the joint
-    eigenspaces of the S_C are the components. Each piece is split by one
-    integer kernel per root of the characteristic polynomial of S_C on it.
+    eigenspaces of the S_C are the components. A piece that already is
+    one, such as the fixed lattice, on which S_C is the scalar |C|, stays
+    whole and in place; any other is split by one integer kernel per
+    root of the characteristic polynomial of S_C on it.
     """
-    pieces = [identity_matrix(group.ambient.rank)]
     # the first class is {1}, which splits nothing
     for C in rational_classes(group)[1:]:
         S = [[sum(col) for col in zip(*rows)] for rows in zip(*C)]

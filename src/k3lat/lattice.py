@@ -155,9 +155,6 @@ class Lattice:
     def discriminant_group(self):
         return DiscriminantForm(self)
 
-    def sublattice(self, basis):
-        return Sublattice(self, basis)
-
     def full_sublattice(self):
         return Sublattice(self, identity_matrix(self.rank))
 
@@ -256,18 +253,6 @@ def gram_of_rows(rows, ambient_gram, den=1,
         raise ArithmeticError("%s: a Gram entry is not divisible by %d^2"
                               % (claim, den))
     return [[x // d2 for x in row] for row in G]
-
-
-def span_intersection(basis1, basis2):
-    """Saturated intersection: (span_Q basis1) ∩ (span_Q basis2) ∩ Z^n."""
-    if not basis1 or not basis2:
-        return []
-    k1 = int_kernel(basis1)
-    k2 = int_kernel(basis2)
-    if not k1 and not k2:
-        n = len(basis1[0])
-        return identity_matrix(n)
-    return int_kernel(k1 + k2)
 
 
 class DiscriminantForm:
@@ -371,12 +356,6 @@ class DiscriminantForm:
             if xi:
                 for j in range(n):
                     out[j] += xi * l[j]
-        return out
-
-    def element_order(self, x):
-        out = 1
-        for a, o in zip(x, self.orders):
-            out = math.lcm(out, o // math.gcd(o, a))
         return out
 
     def elements(self):

@@ -48,7 +48,6 @@ from .lattice import (
     express_in_basis,
     gram_of_rows,
     signature_of_gram,
-    span_intersection,
     sublattice_index,
     two_elementary_profile,
 )
@@ -163,24 +162,19 @@ def decide_metric(group, isotypic_data=None, budget=None):
 def decide_complex(group, isotypic_data=None, budget=None):
     """Full realizability report: metric verdict plus the complex one.
 
-    complex is yes iff metric is yes and the fixed sublattice meets the
-    saturation of L_G-perp in a nonzero vector (a trivial summand there).
+    complex is yes iff metric is yes and the fixed lattice L^G holds a
+    trivial summand orthogonal to L_G. L^G is the trivial isotypic
+    component: with a positive part it lies outside L_G, so orthogonal to
+    it, and the witness is its first canonical basis row; without one it
+    lies inside the negative definite L_G, which meets L_G-perp in 0.
     """
     verdict, wit, res = decide_metric(group, isotypic_data, budget=budget)
     if verdict == "no":
         return RealizabilityReport("no", wit, "no", "no-minus-two-failed",
                                    None, res.L_G.rank, coinvariant=res)
-    if res.L_G.rank == 0:
-        comp_basis = identity_matrix(group.ambient.rank)
-    else:
-        comp_basis = res.L_G.orthogonal_complement().basis
-    if res.fixed.rank and comp_basis:
-        inter = span_intersection(res.fixed.basis, comp_basis)
-    else:
-        inter = []
-    if inter:
-        w = [int(x) for x in inter[0]]
-        return RealizabilityReport("yes", None, "yes", "ok", w, res.L_G.rank,
+    if res.fixed_plus:
+        return RealizabilityReport("yes", None, "yes", "ok",
+                                   list(res.fixed.basis[0]), res.L_G.rank,
                                    coinvariant=res)
     return RealizabilityReport("yes", None, "no",
                                "no-trivial-rep-in-complement", None,
@@ -241,17 +235,14 @@ def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
         raise ValueError("group must have odd prime order, got %d" % p)
     # every element but 1 generates a group of prime order
     g = next(h for h in group.generators if h != identity_matrix(len(h)))
-    fixed = coinvariant.fixed if coinvariant else group.fixed_sublattice()
-    sig_plus = signature_of_gram(fixed.gram())[0] if fixed.rank else 0
-    if sig_plus != 3:
-        raise HypothesisViolated(
-            "fixed sublattice carries sig_plus = %d, need 3" % sig_plus)
+    coinvariant = coinvariant or coinvariant_L_G(group)
+    if coinvariant.fixed_plus != 3:
+        raise HypothesisViolated("fixed sublattice carries sig_plus = %d, "
+                                 "need 3" % coinvariant.fixed_plus)
     dec = dec or zg_decomposition(g, p)
     if dec.c != 0:
         raise HypothesisViolated(
             "cyclotomic summands present (c = %d)" % dec.c)
-    if coinvariant is None:
-        coinvariant = coinvariant_L_G(group)
     L = coinvariant.L_G
     assert L.rank % (p - 1) == 0
     nu = L.rank // (p - 1)
@@ -481,7 +472,6 @@ def build_nikulin_involution():
     report = decide_complex(group)
     res = report.coinvariant
     fixed, L = res.fixed, res.L_G
-    assert res.mode == "pointwise-fixed-3-plane"
 
     # diagonal basis: u-block vectors plus (0, x, x); Gram is U^3 + E8(-2)
     expected_fixed = []
@@ -767,7 +757,6 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
     report = decide_complex(group)
     res = report.coinvariant
     fixed, L = res.fixed, res.L_G
-    assert res.mode == "pointwise-fixed-3-plane"
     fixed_sig = signature_of_gram(fixed.gram())
 
     dec = zg_decomposition(S, p)

@@ -270,7 +270,8 @@ def has_minus_two_vector(L, budget=None):
 def min_norm_and_kissing(L, budget=None):
     """(minimal |norm|, number of vectors attaining it, counting both signs)."""
     gram = _as_gram(L)
-    assert gram, "rank-0 lattice has no minimum"
+    if not gram:
+        raise ValueError("rank-0 lattice has no minimum")
     sign = _definite_sign(gram)
     work = gram if sign > 0 else [[-x for x in row] for row in gram]
     bound = 2

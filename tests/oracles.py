@@ -16,7 +16,11 @@ independent box enumerator to check Fincke-Pohst against, a constructive
 Cartan-Dieudonne to check O^+ membership against, two independent
 routes to L_G (the cyclotomic kernels of a cyclic generator, and
 supplied projectors with their Frobenius-Schur checks and characters
-tr(g Z)/D) to check the class-sum components against, the backtracking
+tr(g Z)/D) to check the class-sum components against, the two-path
+L_G (the complement of a pointwise fixed 3-plane, else the class-sum
+split from the whole lattice) with the complex verdict from the
+intersection of the fixed lattice with L_G-perp, to check the one
+pipeline of k3lat.groups and k3lat.realize against, the backtracking
 isomorphism search of discriminant forms, with its generator images and
 its generation test by one row HNF, to check the q-value count decision
 against, and the searches that first produced the data pinned in
@@ -28,7 +32,8 @@ and the defect identities that no verb runs: the signature balance, the
 total defect of points and surfaces, and the Noether-type count. And the
 small helpers only tests use: polynomial arithmetic over Q (division,
 extended Euclid, the general cyclotomic), discriminant-group arithmetic
-(the class of a dual vector, linear combinations of classes), the Smith
+(the class of a dual vector, linear combinations of classes, the order
+of an element), the saturated intersection of two spans, the Smith
 diagonal, and E8 simple roots in the even coordinate model of R^8.
 """
 
@@ -63,6 +68,11 @@ from k3lat.matrix import (
     transpose,
     vec_mat,
 )
+from k3lat.groups import (
+    _check_projectors,
+    isotypic_components,
+    spinor_plus_membership,
+)
 from k3lat.gsignature import InvalidCharacter, defect_point
 from k3lat.polys import poly_eval_matrix
 from k3lat.realize import GLUE_PARTNERS, _coxeter_partner
@@ -70,6 +80,7 @@ from k3lat.shortvec import (
     _fill_slots,
     _is_canonical,
     enumerate_vectors,
+    has_minus_two_vector,
 )
 from k3lat.standard import cartan_matrix, root_lattice
 
@@ -338,6 +349,14 @@ def hnf_generates(images, orders):
     return all(H[i][i] == 1 for i in range(k))
 
 
+def disc_element_order(D, x):
+    """The order of the element x (residues against D.orders) of D."""
+    out = 1
+    for a, o in zip(x, D.orders):
+        out = math.lcm(out, o // math.gcd(o, a))
+    return out
+
+
 def disc_form_isometry_images(D1, D2, budget=10 ** 6):
     """Generator images (tuples in D2) of an isomorphism of finite
     discriminant forms D1 -> D2, or None, by backtracking search.
@@ -355,7 +374,7 @@ def disc_form_isometry_images(D1, D2, budget=10 ** 6):
     want_q = [D1.q(g) if use_q else None for g in gens1]
     want_b = [[D1.bilinear(gens1[i], gens1[j]) for j in range(k)]
               for i in range(k)]
-    info = [(t, D2.element_order(t), D2.q(t) if use_q else None)
+    info = [(t, disc_element_order(D2, t), D2.q(t) if use_q else None)
             for t in D2.elements() if any(t)]
     cands = [[t for (t, o, val) in info
               if o == need and (not use_q or val == want)]
@@ -458,6 +477,75 @@ def rational_classes_by_conjugation(group):
         seen.update(orbit)
         classes.append(list(orbit.values()))
     return classes
+
+
+def span_intersection(basis1, basis2):
+    """Saturated intersection: (span_Q basis1) ∩ (span_Q basis2) ∩ Z^n."""
+    if not basis1 or not basis2:
+        return []
+    k1 = int_kernel(basis1)
+    k2 = int_kernel(basis2)
+    if not k1 and not k2:
+        n = len(basis1[0])
+        return identity_matrix(n)
+    return int_kernel(k1 + k2)
+
+
+def two_path_coinvariant(group, isotypic_data=None):
+    """(mode, fixed, L_G, pieces) by two paths: L_G is the complement of
+    the fixed lattice when that holds a positive 3-plane and no projectors
+    come with the group; any other group is refused outside O^+ and
+    split by its class sums from the whole lattice, not from the fixed
+    lattice and its complement. Raises the ValueErrors of
+    k3lat.groups.coinvariant_L_G, with the same messages."""
+    ambient = group.ambient
+    n = ambient.rank
+    if ambient.signature() != (3, 19, 0):
+        raise ValueError(
+            "coinvariant analysis is specific to the K3 lattice signature")
+    fixed = group.fixed_sublattice()
+    if isotypic_data is None and fixed.rank and \
+            signature_of_gram(fixed.gram())[0] == 3:
+        L = fixed.orthogonal_complement()
+        pieces = sorted(p for p in [(fixed.rank, 3), (L.rank, 0)] if p[0])
+        return "pointwise-fixed-3-plane", fixed, L, pieces
+    if isotypic_data is not None and any(
+            len(E) != n or any(len(r) != n for r in E) for E in isotypic_data):
+        raise ValueError("projectors must be %d x %d matrices" % (n, n))
+    if not all(spinor_plus_membership(ambient, g) for g in group.generators):
+        raise ValueError("no orientation-compatible invariant positive "
+                         "3-plane: the group does not lie in O^+")
+    comps = isotypic_components(group, [identity_matrix(n)])
+    sigs = [signature_of_gram(gram_of_rows(B, ambient.gram))[0]
+            for B in comps]
+    keep = [row for B, p in zip(comps, sigs) if not p for row in B]
+    L = Sublattice(ambient, keep).saturation()
+    mode = "rotation-on-3-plane"
+    if isotypic_data is not None:
+        _check_projectors(isotypic_data, comps)
+        mode = "supplied-isotypic"
+    return mode, fixed, L, sorted(zip(map(len, comps), sigs))
+
+
+def complement_complex_report(group, isotypic_data=None):
+    """The fields of k3lat.realize.decide_complex from two_path_coinvariant,
+    with the complex verdict from the intersection of the fixed lattice
+    with the saturation of L_G-perp: (mode, fixed, L_G, pieces, metric,
+    metric witness, complex, reason, complex witness)."""
+    mode, fixed, L, pieces = two_path_coinvariant(group, isotypic_data)
+    head = (mode, fixed, L, pieces)
+    if L.rank:
+        flag, wit = has_minus_two_vector(L.gram())
+        if flag:
+            return head + ("no", vec_mat(wit, L.basis), "no",
+                           "no-minus-two-failed", None)
+    comp_basis = L.orthogonal_complement().basis if L.rank \
+        else identity_matrix(group.ambient.rank)
+    inter = span_intersection(fixed.basis, comp_basis) \
+        if fixed.rank and comp_basis else []
+    if inter:
+        return head + ("yes", None, "yes", "ok", inter[0])
+    return head + ("yes", None, "no", "no-trivial-rep-in-complement", None)
 
 
 def projector_character(elements, Z, D):

@@ -138,6 +138,18 @@ def test_missing_file_exits_2(capsys):
     assert "cannot read" in err
 
 
+def test_dichotomy_off_the_k3_signature_exits_2(tmp_path, capsys):
+    # the order-3 rotation of A_2: the coinvariant analysis refuses the
+    # lattice before the fixed-lattice hypothesis is read off it
+    path = str(tmp_path / "a2.json")
+    with open(path, "w") as fh:
+        json.dump({"ambient": {"rank": 2, "gram": [[2, -1], [-1, 2]]},
+                   "generators": [[[0, 1], [-1, -1]]]}, fh)
+    code, _, err = _run(capsys, ["dichotomy", "--group", path])
+    assert code == 2
+    assert "specific to the K3 lattice signature" in err
+
+
 def test_decide_needs_group(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decide"])

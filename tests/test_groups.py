@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,11 +31,13 @@ from k3lat.matrix import (
     transpose,
     vec_mat,
 )
+from k3lat.realize import decide_complex
 from k3lat.standard import k3_lattice, reflection, reflection_general
 from conftest import a4_example
 from oracles import (
     basis_characters,
     cartan_dieudonne_o_plus,
+    complement_complex_report,
     cyclic_coinvariant,
     cyclotomic,
     projector_character,
@@ -253,6 +256,71 @@ def test_noncyclic_products_match_the_cyclic_oracle():
                                  else [])
     assert min(outcomes.values()) >= 2, outcomes
     assert len(orders) > 3, orders
+
+
+def _differential_outcome(G):
+    """Run decide_complex and the two-path oracle on G, assert they agree,
+    and name the outcome."""
+    try:
+        expect = complement_complex_report(G)
+    except ValueError as e:
+        with pytest.raises(ValueError) as info:
+            decide_complex(G)
+        assert str(info.value) == str(e)
+        return "refused"
+    mode, fixed, L, pieces, metric, mwit, cx, reason, cwit = expect
+    rep = decide_complex(G)
+    res = rep.coinvariant
+    assert (res.mode, res.fixed.basis, res.L_G.basis) == (
+        mode, fixed.basis, L.basis)
+    assert (rep.metric, rep.metric_witness, rep.complex_verdict,
+            rep.complex_reason, rep.complex_witness) == (
+        metric, mwit, cx, reason, cwit)
+    assert res.pieces == pieces
+    return "%s %s/%s" % (mode.split("-")[0], metric, cx)
+
+
+def test_one_pipeline_matches_the_two_path_oracle(monkeypatch):
+    # cyclic draws, <a> x <b> products and the bench input groups in
+    # seeded unimodular bases, on which the fixed lattice seeds the
+    # class-sum split and the complex verdict is read off it
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    from skew import Skew
+    from k3lat import serialize
+    rng = random.Random(3)
+    groups = [IsometryGroup(K3, [_random_finite_isometry(rng)])
+              for _ in range(16)]
+    while len(groups) < 20:
+        a = _random_finite_isometry(rng, blocks=(6,))
+        b = _reflection_word(rng, I22, 14)
+        if matrix_order(b, cap=12) is not None:
+            groups.append(IsometryGroup(K3, [a, b]))
+    for name in ("a4", "nikulin-involution", "model-prime-3", "coxeter",
+                 "rotation12"):
+        obj = serialize.read_json_file(os.path.join(
+            ROOT, "bench", "inputs", name + "-group.json"))
+        for seed in (1, 2):
+            skewed = Skew(N, 12, seed).group(obj, name)
+            groups.append(serialize.group_from_obj(skewed))
+    outcomes = Counter(map(_differential_outcome, groups))
+    want = ["pointwise yes/yes", "rotation yes/yes", "rotation yes/no",
+            "pointwise no/no", "rotation no/no", "refused"]
+    assert all(outcomes[k] >= 2 for k in want), outcomes
+
+
+def test_a_pointwise_group_beyond_the_element_cap_is_decided_unclosed():
+    # the simple-root reflections of both E8(-1) blocks generate
+    # W(E8) x W(E8), of order about 5 * 10^17, far above the element cap
+    # of 10^5; the group fixes U^3, so L_G is the complement E8(-1)^2,
+    # and its roots decide metric no without the closure
+    G = IsometryGroup(K3, [_root_reflection(i) for i in range(6, 22)])
+    rep = decide_complex(G)
+    res = rep.coinvariant
+    assert res.mode == "pointwise-fixed-3-plane"
+    assert res.pieces == [(6, 3), (16, 0)]
+    assert res.L_G.gram() == [row[6:] for row in K3.gram[6:]]
+    assert (rep.metric, rep.complex_verdict) == ("no", "no")
+    assert G._elements is None
 
 
 def test_a4_components_match_the_projector_oracle():

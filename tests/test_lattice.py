@@ -6,18 +6,23 @@ import pytest
 from k3lat.lattice import (
     DiscriminantForm,
     Lattice,
+    Sublattice,
     diagonalize,
     direct_sum,
     express_in_basis,
     gram_of_rows,
     rescale,
     signature_of_gram,
-    span_intersection,
     sublattice_index,
 )
 from k3lat.matrix import det, identity_matrix, rank, row_hnf
 from k3lat.standard import hyperbolic_plane, k3_lattice, root_lattice
-from oracles import disc_reduce, fraction_diagonalize, fraction_lift_pairing
+from oracles import (
+    disc_reduce,
+    fraction_diagonalize,
+    fraction_lift_pairing,
+    span_intersection,
+)
 
 
 def _random_symmetric(rng, n, lo=-4, hi=4):
@@ -174,7 +179,7 @@ def test_direct_sum_and_rescale():
 def test_sublattice_saturation_and_complement():
     k3 = k3_lattice()
     # index-2 subgroup of the first hyperbolic plane
-    S = k3.sublattice([[2, 0] + [0] * 20, [0, 1] + [0] * 20])
+    S = Sublattice(k3, [[2, 0] + [0] * 20, [0, 1] + [0] * 20])
     assert S.index_in_saturation() == 2
     assert not S.is_primitive()
     sat = S.saturation()

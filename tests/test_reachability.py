@@ -1,6 +1,8 @@
 """Every top-level def or class of src/k3lat is named somewhere else in
-src/k3lat, so no library code is reached only by the tests. Read from
-the syntax trees alone: nothing is imported or run."""
+src/k3lat, and every public method of its classes is read as an
+attribute somewhere in src/k3lat, so no library code is reached only by
+the tests. Read from the syntax trees alone: nothing is imported or
+run."""
 
 import ast
 import os
@@ -28,20 +30,39 @@ def _names(node):
     return out
 
 
+def _trees():
+    """(module name, syntax tree) of each module of src/k3lat."""
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                yield fname[:-len(".py")], ast.parse(fh.read(), fname)
+
+
 def test_every_top_level_definition_is_named_elsewhere_in_the_package():
     defined = []     # (module, name, node)
     named = []       # (node, identifiers) per top-level statement
-    for fname in sorted(os.listdir(SRC)):
-        if not fname.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, fname)) as fh:
-            tree = ast.parse(fh.read(), fname)
+    for mod, tree in _trees():
         for node in tree.body:
             named.append((node, _names(node)))
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((fname[:-len(".py")], node.name, node))
+                defined.append((mod, node.name, node))
     # a definition naming itself (recursion) does not reach it
     unreached = sorted(
         (mod, name) for mod, name, node in defined
         if not any(name in ids for other, ids in named if other is not node))
     assert unreached == sorted(ALLOWED), unreached
+
+
+def test_every_public_method_is_read_as_an_attribute_in_the_package():
+    methods = []     # (module, class, method)
+    read = set()     # every attribute name read anywhere in src/k3lat
+    for mod, tree in _trees():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods += [(mod, node.name, sub.name) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)
+                            and not sub.name.startswith("_")]
+        read.update(sub.attr for sub in ast.walk(tree)
+                    if isinstance(sub, ast.Attribute))
+    unread = sorted(m for m in methods if m[2] not in read)
+    assert unread == [], unread

@@ -11,6 +11,7 @@ import pytest
 from k3lat.lattice import (
     DiscriminantForm,
     Lattice,
+    Sublattice,
     direct_sum,
     rescale,
 )
@@ -224,7 +225,7 @@ def test_classification_reducible():
     assert sorted(rs.components) == [("A", 1), ("A", 1)]
     # A1 pair inside A3: not spanning
     A3 = root_lattice("A", 3, sign=-1)
-    sub = A3.sublattice([[1, 0, 0], [0, 0, 1]])
+    sub = Sublattice(A3, [[1, 0, 0], [0, 0, 1]])
     rs2 = classify_root_system(sub.as_lattice().gram)
     assert sorted(rs2.components) == [("A", 1), ("A", 1)]
 
@@ -277,6 +278,26 @@ def test_root_type_certificate_holds_under_python_O():
 def test_min_norm_and_kissing_e8():
     G = root_lattice("E", 8, sign=1).gram
     assert min_norm_and_kissing(G) == (2, 240)
+
+
+def test_min_norm_of_rank_zero_is_refused_under_python_O():
+    # the guard must not be an assert: without it the bound doubles over
+    # an empty enumeration forever
+    script = (
+        "from k3lat.shortvec import min_norm_and_kissing\n"
+        "try:\n"
+        "    min_norm_and_kissing([])\n"
+        "    print('accepted')\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rank-0 lattice has no minimum"
 
 
 def test_lattice_isometry_positive_and_negative():
