@@ -21,7 +21,6 @@ from .matrix import (
     dot,
     identity_matrix,
     int_kernel,
-    inverse,
     mat_mul,
     rank as qrank,
     snf,
@@ -122,7 +121,6 @@ class Lattice:
         self.labels = list(labels) if labels else None
         self._sig = None
         self._det = None
-        self._inv = None
         if self.determinant() == 0:
             raise ValueError("degenerate form")
 
@@ -146,11 +144,6 @@ class Lattice:
         if self._sig is None:
             self._sig = signature_of_gram(self.gram)
         return self._sig
-
-    def gram_inverse(self):
-        if self._inv is None:
-            self._inv = inverse(self.gram)
-        return self._inv
 
     def discriminant_group(self):
         return DiscriminantForm(self)
@@ -259,8 +252,11 @@ class DiscriminantForm:
     """Finite quadratic form on dual(L)/L for a nondegenerate even lattice.
 
     Elements are tuples of residues against `orders` (which form a
-    divisibility chain). `lifts` holds one rational representative per
-    generator, in lattice coordinates of the source.
+    divisibility chain), whose last entry is the exponent e. Generator i
+    is the class of u_i / s_i, u_i the row of the SNF transform at the
+    diagonal entry s_i > 1, so e times any class lifts to an integer row
+    of source coordinates; `lift` returns that row. Only the values leave
+    the integers: q in Q/2Z, the pairing in Q/Z and the q-value counts.
     """
 
     def __init__(self, lattice_or_gram):
@@ -272,18 +268,15 @@ class DiscriminantForm:
         # quadratic values mod 2 exist only for even source lattices
         self.even = all(gram[i][i] % 2 == 0 for i in range(len(gram)))
         S, U = snf(gram)
-        n = len(gram)
         self.orders = []
-        self.lifts = []
-        self._snf_U = U
-        self._gen_idx = []
-        for i in range(n):
+        self._gens = []  # the SNF rows u_i
+        for i in range(len(gram)):
             s = S[i][i]
             assert s != 0, "lattice must be nondegenerate"
             if s > 1:
                 self.orders.append(s)
-                self.lifts.append([Fraction(U[i][j], s) for j in range(n)])
-                self._gen_idx.append(i)
+                self._gens.append(U[i])
+        self.exponent = self.orders[-1] if self.orders else 1
         self._pair_table = None
 
     @property
@@ -304,11 +297,10 @@ class DiscriminantForm:
         # generator pairing table times the exponent e of the group, which
         # clears every denominator (b(x_i, x_j) lies in (1/gcd(s_i, s_j))Z):
         # everything downstream is integer table lookups. x_i lifts to
-        # u_i/s_i, u_i an SNF row, so e b(x_i, x_j) = e u_i G u_j^T/(s_i s_j)
+        # u_i/s_i, so e b(x_i, x_j) = e u_i G u_j^T/(s_i s_j)
         if self._pair_table is None:
-            e = math.lcm(*self.orders)
-            rows = [self._snf_U[i] for i in self._gen_idx]
-            P = mat_mul(mat_mul(rows, self.gram), transpose(rows))
+            e = self.exponent
+            P = mat_mul(mat_mul(self._gens, self.gram), transpose(self._gens))
             bil = []
             for i, (s_i, row) in enumerate(zip(self.orders, P)):
                 bil.append([])
@@ -316,8 +308,8 @@ class DiscriminantForm:
                     b, r = divmod(e * x, s_i * s_j)
                     if r:
                         raise ArithmeticError(
-                            "e * b(x_%d, x_%d) = %s is not integral"
-                            % (i, j, Fraction(e * x, s_i * s_j)))
+                            "e * b(x_%d, x_%d) = %d/%d is not integral"
+                            % (i, j, e * x, s_i * s_j))
                     bil[i].append(b)
             self._pair_table = (e, bil)
         return self._pair_table
@@ -349,13 +341,13 @@ class DiscriminantForm:
         return Fraction(acc % (2 * e), e)
 
     def lift(self, x):
-        """A rational representative in source-lattice coordinates."""
-        n = len(self.gram)
-        out = [Fraction(0)] * n
-        for xi, l in zip(x, self.lifts):
+        """e times a representative of the class x: the integer row
+        sum_i x_i (e/s_i) u_i in source-lattice coordinates."""
+        out = [0] * len(self.gram)
+        for xi, s, u in zip(x, self.orders, self._gens):
             if xi:
-                for j in range(n):
-                    out[j] += xi * l[j]
+                c = xi * (self.exponent // s)
+                out = [a + c * b for a, b in zip(out, u)]
         return out
 
     def elements(self):

@@ -2,19 +2,19 @@
 
 Everything here works with plain lists of lists. The kernels take
 integer matrices only, and Fractions appear only in the output of the
-rational solves `solve_rows`, `solve_right` and `inverse`. Vectors are
-rows throughout the package: a matrix acts on the right of a row
-vector, so composition of actions reads left to right.
+rational solve `solve_rows`, which `solve_right` and `inverse` wrap. A
+rational vector elsewhere in the package is an integer row over a
+known denominator. Vectors are rows throughout the package: a matrix
+acts on the right of a row vector, so composition of actions reads left
+to right.
 
 `mat_mul` builds row i of A*B from the rows of B weighted by the nonzero
-entries of row i of A. Its plain loop also multiplies a Fraction matrix
-exactly, which is how the integrality tests of `Lattice.gram_inverse`
-run, but no kernel below it scales one. `det`, `rank` and `_solve_int`
-share one fraction-free (Bareiss) elimination, `_echelon`, and
-`_solve_int` returns y = D*x for x A = b in integers: `solve_rows`
-divides y by D into Fractions, and `lattice.express_in_basis` into
-integer coordinates or None. `char_poly` runs Faddeev-LeVerrier with
-one exact integer division per coefficient.
+entries of row i of A. `det`, `rank` and `_solve_int` share one
+fraction-free (Bareiss) elimination, `_echelon`, and `_solve_int`
+returns y = D*x for x A = b in integers: `solve_rows` divides y by D
+into Fractions, and `lattice.express_in_basis` into integer coordinates
+or None. `char_poly` runs Faddeev-LeVerrier with one exact integer
+division per coefficient.
 
 Over Z, `row_hnf` returns the canonical Hermite basis of a row span and
 builds no transform. `int_kernel` reads the kernel lattice off one
@@ -115,32 +115,6 @@ def dot(x, y):
         raise ValueError("dot: vectors of lengths %d and %d"
                          % (len(x), len(y)))
     return sum(a * b for a, b in zip(x, y))
-
-
-def is_integral(A):
-    """True when every entry is an integer (possibly an integral Fraction)."""
-    for row in A:
-        for a in row:
-            if isinstance(a, Fraction):
-                if a.denominator != 1:
-                    return False
-            elif not isinstance(a, int):
-                return False
-    return True
-
-
-def to_int_matrix(A):
-    """Convert a matrix of integral Fractions/ints to plain ints; a
-    non-integral Fraction raises ArithmeticError (also under python -O)."""
-    out = []
-    for row in A:
-        r = []
-        for a in row:
-            if isinstance(a, Fraction) and a.denominator != 1:
-                raise ArithmeticError("entry %s is not an integer" % (a,))
-            r.append(int(a))
-        out.append(r)
-    return out
 
 
 def _echelon(M, ncols):

@@ -21,7 +21,6 @@ from .matrix import (
     dot,
     identity_matrix,
     int_kernel,
-    is_integral,
     mat_eq,
     mat_mul,
     mat_scale,
@@ -29,7 +28,6 @@ from .matrix import (
     matrix_order,
     rank,
     row_hnf,
-    to_int_matrix,
     transpose,
     vec_mat,
 )
@@ -59,19 +57,19 @@ VARPI_NORMS = {2: -4, 3: -4, 5: -8, 7: -12}
 class NikulinFamily:
     """All distinguished data of the family at one prime.
 
-    varpi and rho are stored in the D-coordinate frame, where H2D is the
-    orthogonal sum of negated Cartan blocks. N_p is held in integers over
-    the one denominator p: the rows of p_basis_N are p times a basis of
-    N_p in the D frame, its Gram is theirs over p^2, and every later
-    vector (rho_in_N, the L_p basis, the K_p frame) is in integer N_p
-    coordinates.
+    Everything is held in integers over the one denominator p. p_varpi
+    and p_rho are p varpi and p rho in the D-coordinate frame, where H2D
+    is the orthogonal sum of negated Cartan blocks. The rows of
+    p_basis_N are p times a basis of N_p in the D frame, its Gram is
+    theirs over p^2, and every later vector (rho_in_N, the L_p basis,
+    the K_p frame) is in integer N_p coordinates.
     """
 
-    def __init__(self, p, nu, k, gram_D, varpi, rho, p_basis_N, N,
+    def __init__(self, p, nu, k, gram_D, p_varpi, p_rho, p_basis_N, N,
                  L_basis_in_N=None, L=None, rho_in_N=None, sigma_L=None,
                  K=None, sigma_K=None, K_eprime=None, checks=None):
         self.p, self.nu, self.k = p, nu, k
-        self.gram_D, self.varpi, self.rho = gram_D, varpi, rho
+        self.gram_D, self.p_varpi, self.p_rho = gram_D, p_varpi, p_rho
         self.p_basis_N = p_basis_N  # rows, D frame, times p
         self.N = N
         self.L_basis_in_N, self.L = L_basis_in_N, L
@@ -80,10 +78,10 @@ class NikulinFamily:
         self.checks = {} if checks is None else checks
 
 
-def _pair(gram, x, y):
-    """x . y under the integer Gram, as a Fraction, for D-frame vectors
-    whose entries may be Fractions."""
-    return Fraction(dot(vec_mat(x, gram), y))
+def _pair(gram, x, y, d=1):
+    """x . y / d^2 under the integer Gram, as a Fraction: the pairing of
+    x / d and y / d for integer rows x and y over the denominator d."""
+    return Fraction(dot(vec_mat(x, gram), y), d * d)
 
 
 def _exact_div(a, p, claim):
@@ -113,21 +111,18 @@ def build_family(p):
     # p varpi and p rho, both integral
     p_varpi = [k[i] * j for i in range(nu) for j in range(1, p)]
     p_rho = [-p * j * (p - j) // 2 for _ in range(nu) for j in range(1, p)]
-    varpi = [Fraction(x, p) for x in p_varpi]
-    rho = [Fraction(x, p) for x in p_rho]
 
     # the fractional class is integral against every block vector
     assert not any(x % p for x in vec_mat(p_varpi, gram_D))
 
-    ww = _pair(gram_D, varpi, varpi)
+    ww = _pair(gram_D, p_varpi, p_varpi, p)
     assert ww == Fraction((1 - p) * sum(x * x for x in k), p)
     assert ww % 2 == 0, "overlattice class must have even norm"
 
     if p > 2:
-        assert all(x.denominator == 1 for x in rho), "rho integral for odd p"
+        assert not any(x % p for x in p_rho), "rho integral for odd p"
     else:
-        assert all((2 * x).denominator == 1 for x in rho)
-        assert [-x for x in rho] == varpi, "for p = 2 rho is minus varpi"
+        assert [-x for x in p_rho] == p_varpi, "for p = 2 rho is minus varpi"
 
     p_basis_N = row_hnf(mat_scale(p, identity_matrix(m)) + [p_varpi])
     gram_N = gram_of_rows(p_basis_N, gram_D, p,
@@ -137,9 +132,9 @@ def build_family(p):
     assert det(gram_N) * p * p == det(gram_D)
 
     rho_in_N = express_in_basis([p_rho], p_basis_N, "rho must lie in N_p")
-    fam = NikulinFamily(p=p, nu=nu, k=list(k), gram_D=gram_D, varpi=varpi,
-                        rho=rho, p_basis_N=p_basis_N, N=N,
-                        rho_in_N=rho_in_N[0])
+    fam = NikulinFamily(p=p, nu=nu, k=list(k), gram_D=gram_D,
+                        p_varpi=p_varpi, p_rho=p_rho, p_basis_N=p_basis_N,
+                        N=N, rho_in_N=rho_in_N[0])
 
     disc_orders = N.discriminant_group().cyclic_orders
     assert disc_orders == [p] * (nu - 2), disc_orders
@@ -232,9 +227,8 @@ def build_sigma(fam):
     # trivial action on the discriminant group of L_p
     n = len(sigma_L)
     sigma_L_minus_1 = mat_sub(sigma_L, identity_matrix(n))
-    Ginv = fam.L.gram_inverse()
-    shift = mat_mul(Ginv, sigma_L_minus_1)
-    fam.checks["sigma_trivial_on_disc"] = is_integral(shift)
+    fam.checks["sigma_trivial_on_disc"] = _trivial_on_disc(
+        _scaled_dual(fam.L, p), sigma_L, p)
 
     # rho lies in L_p, and (sigma - 1)(rho / p) lands in L_p there
     rho_in_L = express_in_basis([fam.rho_in_N], fam.L_basis_in_N)
@@ -251,13 +245,27 @@ def build_sigma(fam):
     return sigma_L
 
 
+def _scaled_dual(L, p):
+    """The integer matrix C = p G^-1 for the Gram G of L, the Gram of the
+    dual lattice scaled by p, which is integral exactly when the
+    discriminant exponent divides p; otherwise ArithmeticError."""
+    return express_in_basis(mat_scale(p, identity_matrix(L.rank)), L.gram,
+                            "discriminant exponent must divide p")
+
+
+def _trivial_on_disc(C, T, p):
+    """Whether T acts trivially on the discriminant group: G^-1 (T - 1)
+    is integral, that is C (T - 1) = 0 mod p for C = p G^-1."""
+    shift = mat_mul(C, mat_sub(T, identity_matrix(len(T))))
+    return not any(x % p for row in shift for x in row)
+
+
 def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     """Search for all isometries of L_p acting trivially on disc(L_p).
 
-    An isometry T is trivial on the discriminant iff Ginv (T - 1) is
-    integral, a condition on the columns of T. The backtracking therefore
-    builds S = T^t row by row: S preserves the rescaled dual form
-    C = p * Ginv (integral since the discriminant has exponent p), each
+    An isometry T is trivial on the discriminant iff C (T - 1) = 0 mod p
+    for the dual form C = p G^-1, a condition on the columns of T. The
+    backtracking therefore builds S = T^t row by row: S preserves C, each
     row must satisfy (s_i - e_i) C = 0 mod p, and transposing any complete
     solution gives a Gram isometry trivial on the discriminant.
     The pool vectors w and their negatives are bucketed once by
@@ -267,13 +275,9 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     enumeration or the backtracking raises SearchBudgetExceeded naming
     its stage.
     """
-    G = fam.L.gram
-    n = len(G)
+    n = fam.L.rank
     p = fam.p
-    Ginv = fam.L.gram_inverse()
-    C = [[x * p for x in row] for row in Ginv]
-    assert is_integral(C), "discriminant exponent must divide p"
-    C = to_int_matrix(C)
+    dual = C = _scaled_dual(fam.L, p)
     # rebase the dual form on its LLL basis so its diagonal is short, else
     # the pools explode; the congruence (S - 1) C = 0 mod p is covariant
     # under the unimodular change H
@@ -306,16 +310,26 @@ def aut_trivial_on_disc_search(fam, budget=10 ** 6):
     for filling in found:
         Sp = [wv for wv, _ in filling]
         T = transpose(mat_mul(mat_mul(Hinv, Sp), H))
-        if not is_integral(mat_mul(Ginv, mat_sub(T, identity_matrix(n)))):
+        if not _trivial_on_disc(dual, T, p):
             raise ArithmeticError("a filling must act trivially on disc(L_p)")
         mats.append(T)
     from .groups import IsometryGroup
-    # IsometryGroup checks the form; a finite set closed under products
-    # holds the identity
-    order = len(mats)
-    if IsometryGroup(fam.L, mats).order() != order:
+
+    # IsometryGroup checks the form. The generators are the found
+    # isometries the closure so far misses, and the found set must be
+    # exactly the group they generate, identity included
+    def frozen(T):
+        return tuple(map(tuple, T))
+    gens, closed = [], {frozen(identity_matrix(n))}
+    for T in mats:
+        if frozen(T) not in closed:
+            gens.append(T)
+            closed = {frozen(x)
+                      for x in IsometryGroup(fam.L, gens).elements()}
+    if closed != {frozen(T) for T in mats}:
         raise ArithmeticError(
             "the isometries trivial on disc(L_p) must form a group")
+    order = len(closed)
     if fam.sigma_L not in mats:
         raise ArithmeticError("sigma itself must appear in the stabilizer")
     return {"p": fam.p, "group_order": order,

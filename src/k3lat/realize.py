@@ -36,7 +36,6 @@ from .matrix import (
     mat_sub,
     rank_mod_p,
     row_hnf,
-    to_int_matrix,
     transpose,
     vec_mat,
 )
@@ -127,12 +126,15 @@ class ExampleAction:
     projectors, when set, carries rational isotypic projectors, which
     decide accepts with --isotypic and checks against the components it
     computes; certificates records every identity verified during
-    construction, for report emission.
+    construction, for report emission; fixed, when set, is the fixed
+    sublattice computed during construction.
     """
 
-    def __init__(self, group, projectors=None, certificates=None):
+    def __init__(self, group, projectors=None, certificates=None,
+                 fixed=None):
         self.group, self.projectors = group, projectors
         self.certificates = {} if certificates is None else certificates
+        self.fixed = fixed
 
     @property
     def ambient(self):
@@ -527,7 +529,7 @@ def build_nikulin_involution():
         "metric": report.metric,
         "complex": report.complex_verdict,
     }
-    return ExampleAction(group, None, certificates)
+    return ExampleAction(group, None, certificates, fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +571,10 @@ def glue_unimodular(K, W, images, p):
 
     images lists, per generator of disc(K), its image in disc(W). The
     glued lattice is held in integers over the one denominator p: its
-    basis rows B are the row HNF of p [I; lift_K + lift_W(image)], p
-    times a basis over the K + W frame (Cohen, GTM 138, §2.4), and its
-    Gram is B (K + W) B^T / p^2. The glue index |disc K| is asserted.
+    basis rows B are the row HNF of [p I; lift_K(x) + lift_W(image)].
+    Both forms have exponent p, so the lifts are p times representatives
+    and B is p times a basis over the K + W frame (Cohen, GTM 138, §2.4);
+    its Gram is B (K + W) B^T / p^2. The glue index |disc K| is asserted.
     Returns the new lattice, B, and the embedding rows of K (integral
     coordinates in the new basis). Evenness, determinant +-1 and a
     primitive image of K, which together certify the anti-isometry
@@ -583,8 +586,8 @@ def glue_unimodular(K, W, images, p):
     nk, nw = K.rank, W.rank
     amb = block_diag(K.gram, W.gram)
     pI = mat_scale(p, identity_matrix(nk + nw))
-    glue = to_int_matrix([[p * x for x in lift + DW.lift(img)]
-                          for lift, img in zip(DK.lifts, images)])
+    glue = [DK.lift(x) + DW.lift(img)
+            for x, img in zip(identity_matrix(len(images)), images)]
     B = row_hnf(pI + glue)
     G = gram_of_rows(B, amb, p, "glue graph must be isotropic for the "
                      "pairing")

@@ -104,8 +104,7 @@ def _involution_checks(act):
                         hyperbolic_plane(),
                         rescale(root_lattice("E", 8, -1), 2))
     prof = two_elementary_profile(DiscriminantForm(target.gram))
-    fixed = act.group.fixed_sublattice()
-    prof_fixed = two_elementary_profile(DiscriminantForm(fixed.gram()))
+    prof_fixed = two_elementary_profile(DiscriminantForm(act.fixed.gram()))
     checks.append(_check(
         "fixed-disc-profile", prof, prof_fixed,
         "disc of the fixed lattice matches disc of U^3 + E8(-2)"))
@@ -130,10 +129,10 @@ def _scenario_family(p, budget):
     checks = []
 
     checks.append(_check("rho-norm", Fraction(-2 * (p - 1) * p),
-                         _pair(fam.gram_D, fam.rho, fam.rho),
+                         _pair(fam.gram_D, fam.p_rho, fam.p_rho, p),
                          "rho.rho = -2(p-1)p"))
     checks.append(_check("varpi-norm", Fraction(VARPI_NORMS[p]),
-                         _pair(fam.gram_D, fam.varpi, fam.varpi),
+                         _pair(fam.gram_D, fam.p_varpi, fam.p_varpi, p),
                          "varpi.varpi determined by the weight vector"))
     # the block lattice and N_p, both scaled by p
     checks.append(_check("overlattice-index", p,

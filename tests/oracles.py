@@ -3,7 +3,9 @@
 Entrywise Fraction references for the integer kernels of k3lat.matrix
 and k3lat.lattice (product, Faddeev-LeVerrier, Gaussian elimination
 under det, rank and solve_rows, congruence diagonalization,
-discriminant-form pairing), the rational overlattice path (the group
+discriminant-form pairing, the Fraction lifts of discriminant classes,
+the Fraction test G^-1 (T - 1) integral for an action trivial on the
+discriminant), the rational overlattice path (the group
 generated by Fraction rows and its Gram) to check the p-scaled integer
 overlattices of nikulin and realize against, integer row-span
 membership, the brute-force loops behind the closed forms of the group
@@ -32,9 +34,11 @@ and the defect identities that no verb runs: the signature balance, the
 total defect of points and surfaces, and the Noether-type count. And the
 small helpers only tests use: polynomial arithmetic over Q (division,
 extended Euclid, the general cyclotomic), discriminant-group arithmetic
-(the class of a dual vector, linear combinations of classes, the order
-of an element), the saturated intersection of two spans, the Smith
-diagonal, and E8 simple roots in the even coordinate model of R^8.
+(the class of a dual vector, an integer lift over its denominator as
+Fractions, linear combinations of classes, the order of an element), the saturated intersection of two spans, the Smith
+diagonal, integrality of a Fraction matrix and its conversion to ints,
+a seeded unimodular base change of a Gram, and E8 simple roots in the
+even coordinate model of R^8.
 """
 
 from fractions import Fraction
@@ -61,10 +65,10 @@ from k3lat.matrix import (
     inverse,
     mat_eq,
     mat_mul,
+    mat_sub,
     matrix_order,
     row_hnf,
     snf,
-    to_int_matrix,
     transpose,
     vec_mat,
 )
@@ -117,6 +121,60 @@ def snf_transforms(A):
     that fits them; to_int_matrix refuses a V that is not integral."""
     S, U = snf(A)
     return S, U, to_int_matrix(mat_mul(mat_mul(inverse(A), inverse(U)), S))
+
+
+def is_integral(A):
+    """True when every entry is an integer (possibly an integral Fraction)."""
+    return all(Fraction(a).denominator == 1 for row in A for a in row)
+
+
+def to_int_matrix(A):
+    """A matrix of integral Fractions or ints as plain ints; a
+    non-integral entry raises ArithmeticError."""
+    bad = next((a for row in A for a in row if Fraction(a).denominator != 1),
+               None)
+    if bad is not None:
+        raise ArithmeticError("entry %s is not an integer" % (bad,))
+    return [[int(a) for a in row] for row in A]
+
+
+def fraction_trivial_on_disc(gram, T):
+    """Whether T acts trivially on the discriminant group of gram: the
+    Fraction matrix G^-1 (T - 1) is integral."""
+    shift = mat_sub(T, identity_matrix(len(T)))
+    return is_integral(fraction_mat_mul(inverse(gram), shift))
+
+
+def fraction_lift(D, x):
+    """A rational representative of the class x of D, in Fractions:
+    sum_i x_i u_i / s_i over the rows u_i of the Smith transform at the
+    diagonal entries s_i > 1."""
+    S, U = snf(D.gram)
+    n = len(D.gram)
+    lifts = [[Fraction(U[i][j], S[i][i]) for j in range(n)]
+             for i in range(n) if S[i][i] > 1]
+    out = [Fraction(0)] * n
+    for xi, row in zip(x, lifts):
+        out = [a + xi * b for a, b in zip(out, row)]
+    return out
+
+
+def base_changed_gram(rng, gram, moves):
+    """U G U^T for a seeded product U of `moves` elementary row moves,
+    the same form in a basis no constructor of k3lat reduced."""
+    n = len(gram)
+    U = identity_matrix(n)
+    for _ in range(moves if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return mat_mul(mat_mul(U, gram), transpose(U))
+
+
+def rational_lift(D, x):
+    """D.lift(x), e times a representative of x, over its denominator e
+    as Fractions."""
+    return [Fraction(v, D.exponent) for v in D.lift(x)]
 
 
 def disc_reduce(D, rational_vec):
@@ -315,7 +373,7 @@ def fraction_lift_pairing(D, x, y):
     """Unreduced x . y of the rational lifts of two classes of the
     discriminant form D, summed entrywise in Fractions; mod 1 it is the
     pairing, and for x = y mod 2 the quadratic value."""
-    lx, ly = D.lift(x), D.lift(y)
+    lx, ly = fraction_lift(D, x), fraction_lift(D, y)
     n = len(D.gram)
     return sum((lx[i] * D.gram[i][j] * ly[j]
                 for i in range(n) for j in range(n)), Fraction(0))
@@ -983,8 +1041,9 @@ def anti_isometry_images(D_src, D_dst, budget=10 ** 6):
     imgs = disc_form_isometry_images(Dop, D_dst, budget=budget)
     if imgs is None:
         return None
-    return [disc_combination(D_dst, disc_reduce(Dop, lift), imgs)
-            for lift in D_src.lifts]
+    return [disc_combination(D_dst, disc_reduce(Dop, rational_lift(D_src, x)),
+                             imgs)
+            for x in identity_matrix(len(D_src.orders))]
 
 
 def derive_model_glue_images(p, budget=10 ** 6):

@@ -30,7 +30,6 @@ from k3lat.matrix import (
     mat_mul,
     mat_scale,
     matrix_order,
-    to_int_matrix,
     transpose,
 )
 from k3lat.nikulin import VARPI_NORMS, _flat_rho, _pair, genus_check_lambda_G
@@ -53,8 +52,10 @@ from oracles import (
     cyclotomic,
     in_rowspan_z,
     naive_enumerate_up_to,
+    rational_lift,
     snf_diagonal,
     to_fraction_matrix,
+    to_int_matrix,
 )
 
 NU = {2: 8, 3: 6, 5: 4, 7: 3}
@@ -98,8 +99,10 @@ def test_criterion_03_family_identities(capsys):
     for p, nu in NU.items():
         fam = family(p)
         m = nu * (p - 1)
-        ok = ok and _pair(fam.gram_D, fam.rho, fam.rho) == -2 * (p - 1) * p
-        ok = ok and _pair(fam.gram_D, fam.varpi, fam.varpi) == VARPI_NORMS[p]
+        rho = [Fraction(x, p) for x in fam.p_rho]
+        varpi = [Fraction(x, p) for x in fam.p_varpi]
+        ok = ok and _pair(fam.gram_D, rho, rho) == -2 * (p - 1) * p
+        ok = ok and _pair(fam.gram_D, varpi, varpi) == VARPI_NORMS[p]
         unit_rows = identity_matrix(m)
         # the block lattice in N_p, both scaled by p
         coords = express_in_basis(mat_scale(p, unit_rows), fam.p_basis_N)
@@ -115,7 +118,8 @@ def test_criterion_03_family_identities(capsys):
         ok = ok and mat_mul(mat_mul(fam.sigma_L, GL),
                             transpose(fam.sigma_L)) == GL
         S = to_fraction_matrix(fam.sigma_L)
-        for lift in DL.lifts:
+        for unit in identity_matrix(nu):
+            lift = rational_lift(DL, unit)
             moved = [sum(lift[i] * S[i][j] for i in range(m))
                      for j in range(m)]
             ok = ok and all((a - b).denominator == 1

@@ -420,12 +420,13 @@ def test_internal_assert_is_not_reported_as_bad_input(capsys, monkeypatch):
     assert err.startswith("error: internal check failed: realize.py line ")
     # an exactness check raises ArithmeticError, reported the same way
     monkeypatch.undo()
-    from k3lat.matrix import to_int_matrix
+    from k3lat.lattice import express_in_basis
     monkeypatch.setattr(realize, "build_a4_example",
-                        lambda: to_int_matrix([[Fraction(1, 2)]]))
+                        lambda: express_in_basis([[1]], [[2]],
+                                                 "1/2 must be an integer"))
     code, out, err = _run(capsys, ["scenario", "a4-example"])
     assert (code, out) == (1, "")
-    assert err == "error: internal check failed: entry 1/2 is not an integer\n"
+    assert err == "error: internal check failed: 1/2 must be an integer\n"
 
 
 # modules a verb must not load when it does not call them

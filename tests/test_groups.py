@@ -27,7 +27,6 @@ from k3lat.matrix import (
     int_kernel,
     mat_mul,
     matrix_order,
-    to_int_matrix,
     transpose,
     vec_mat,
 )
@@ -43,6 +42,7 @@ from oracles import (
     projector_character,
     projector_coinvariant,
     rational_classes_by_conjugation,
+    to_int_matrix,
 )
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)

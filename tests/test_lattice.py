@@ -1,5 +1,8 @@
-import random
+from collections import Counter
 from fractions import Fraction
+import itertools
+import math
+import random
 
 import pytest
 
@@ -15,12 +18,15 @@ from k3lat.lattice import (
     signature_of_gram,
     sublattice_index,
 )
-from k3lat.matrix import det, identity_matrix, rank, row_hnf
+from k3lat.matrix import det, identity_matrix, rank, row_hnf, vec_mat
 from k3lat.standard import hyperbolic_plane, k3_lattice, root_lattice
 from oracles import (
+    base_changed_gram,
     disc_reduce,
     fraction_diagonalize,
+    fraction_lift,
     fraction_lift_pairing,
+    rational_lift,
     span_intersection,
 )
 
@@ -147,6 +153,42 @@ def test_disc_form_q_and_bilinear_match_fraction_reference():
             assert got == fraction_lift_pairing(D, x, y) % 1
 
 
+def test_integer_lift_is_exponent_times_the_fraction_lift():
+    # seeded even Grams in skewed bases plus fixed ones with noncyclic and
+    # mixed-order groups: lift(x) is e times the Fraction lift, an integer
+    # row in e times the dual, and over e it reduces back to x
+    rng = random.Random(59)
+    grams = [rescale(hyperbolic_plane(), 2).gram, root_lattice("D", 4).gram,
+             direct_sum(root_lattice("A", 1), root_lattice("A", 3)).gram,
+             direct_sum(root_lattice("A", 2, -1),
+                        rescale(hyperbolic_plane(), 6)).gram,
+             direct_sum(root_lattice("A", 2, -1),
+                        root_lattice("A", 2, -1)).gram]
+    while len(grams) < 25:
+        n = rng.randint(2, 4)
+        G = _random_symmetric(rng, n)
+        for i in range(n):
+            G[i][i] = 2 * rng.randint(-3, 3)
+        if det(G) != 0 and abs(det(G)) <= 200:
+            grams.append(G)
+    kinds = Counter()
+    for G in grams:
+        G = base_changed_gram(rng, G, 6)
+        D = DiscriminantForm(G)
+        e = D.exponent
+        assert e == math.lcm(*D.orders)
+        kinds["noncyclic"] += len(D.orders) > 1
+        kinds["mixed"] += len(set(D.orders)) > 1
+        for t, x in enumerate(itertools.islice(D.elements(), 200)):
+            v = D.lift(x)
+            assert all(type(a) is int for a in v)
+            assert v == [e * a for a in fraction_lift(D, x)]
+            assert not any(a % e for a in vec_mat(v, G))
+            if t < 12:
+                assert disc_reduce(D, rational_lift(D, x)) == tuple(x)
+    assert kinds["noncyclic"] >= 5 and kinds["mixed"] >= 3, kinds
+
+
 def test_discriminant_opposite_negates_q():
     a3 = root_lattice("A", 3)
     D = DiscriminantForm(a3)
@@ -162,7 +204,7 @@ def test_reduce_and_lift_round_trip():
     a3 = root_lattice("A", 3)
     D = DiscriminantForm(a3)
     for x in D.elements():
-        v = D.lift(x)
+        v = rational_lift(D, x)
         assert disc_reduce(D, v) == tuple(x)
 
 

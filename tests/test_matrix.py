@@ -17,7 +17,6 @@ from k3lat.matrix import (
     identity_matrix,
     int_kernel,
     inverse,
-    is_integral,
     mat_eq,
     mat_mul,
     mat_sub,
@@ -27,7 +26,6 @@ from k3lat.matrix import (
     row_hnf,
     solve_right,
     solve_rows,
-    to_int_matrix,
     transpose,
     vec_mat,
 )
@@ -38,9 +36,11 @@ from oracles import (
     fraction_mat_mul,
     fraction_rank,
     fraction_solve_rows,
+    is_integral,
     snf_diagonal,
     snf_transforms,
     to_fraction_matrix,
+    to_int_matrix,
 )
 
 
@@ -379,8 +379,8 @@ def _matrix(rng, m, n, rational):
 
 def test_mat_mul_and_vec_mat_match_fraction_reference():
     # integer operands give integer products; the plain loop also
-    # multiplies Fraction operands exactly (gram_inverse's integrality
-    # tests do), without any common-denominator scaling
+    # multiplies Fraction operands exactly, without any common-denominator
+    # scaling
     rng = random.Random(71)
     shapes = [(1, 5, 1), (5, 1, 4), (1, 1, 1), (3, 4, 2), (4, 4, 4),
               (6, 3, 5)]
@@ -572,16 +572,19 @@ def test_elimination_rejects_a_remainder_under_python_O():
 
 
 def test_non_integral_entry_is_refused_also_under_python_O():
-    # to_int_matrix must not truncate a Fraction when asserts are stripped
-    with pytest.raises(ArithmeticError, match="1/2 is not an integer"):
-        to_int_matrix([[Fraction(1, 2), Fraction(7, 3)]])
+    # integer coordinates of a row outside the Z-span raise the claim,
+    # also when asserts are stripped: x [2 0; 0 3] = [1 7] is solved by
+    # x = (1/2, 7/3) over Q only, which must not be truncated
+    claim = "the row must lie in the lattice"
+    with pytest.raises(ArithmeticError, match=claim):
+        express_in_basis([[1, 7]], [[2, 0], [0, 3]], claim)
     code = (
-        "from fractions import Fraction as F\n"
-        "from k3lat.matrix import to_int_matrix\n"
+        "from k3lat.lattice import express_in_basis\n"
         "try:\n"
-        "    print('accepted', to_int_matrix([[F(1, 2), F(7, 3)]]))\n"
+        "    X = express_in_basis([[1, 7]], [[2, 0], [0, 3]], %r)\n"
+        "    print('accepted', X)\n"
         "except ArithmeticError as exc:\n"
-        "    print('raised', exc)\n"
+        "    print('raised', exc)\n" % claim
     )
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
@@ -589,4 +592,4 @@ def test_non_integral_entry_is_refused_also_under_python_O():
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised entry 1/2 is not an integer"
+    assert proc.stdout.strip() == "raised " + claim

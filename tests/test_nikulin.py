@@ -1,17 +1,29 @@
+from collections import Counter
+from fractions import Fraction
+import os
+import random
+import subprocess
+import sys
+
 import pytest
+
+from k3lat import nikulin
 
 from k3lat.lattice import (
     DiscriminantForm,
+    Lattice,
     direct_sum,
     gram_of_rows,
     sublattice_index,
 )
 from k3lat.matrix import (
+    block_diag,
     identity_matrix,
+    inverse,
+    mat_add,
     mat_mul,
     mat_scale,
     matrix_order,
-    to_int_matrix,
     transpose,
 )
 from k3lat.nikulin import (
@@ -20,6 +32,8 @@ from k3lat.nikulin import (
     UnsupportedPrime,
     _flat_rho,
     _pair,
+    _scaled_dual,
+    _trivial_on_disc,
     aut_trivial_on_disc_search,
     genus_check_lambda_G,
 )
@@ -34,12 +48,16 @@ from k3lat.lattice import rescale
 
 from conftest import family
 from oracles import (
+    base_changed_gram,
     build_full,
+    fraction_trivial_on_disc,
     hermitian_pairing_smoke,
     in_rowspan_z,
     k_vector_uniqueness,
     naive_enumerate_up_to,
+    rational_lift,
     to_fraction_matrix,
+    to_int_matrix,
 )
 
 PRIMES = (2, 3, 5, 7)
@@ -49,8 +67,10 @@ PRIMES = (2, 3, 5, 7)
 def test_distinguished_vector_norms(p):
     fam = family(p)
     assert fam.nu * (p + 1) == 24
-    assert _pair(fam.gram_D, fam.rho, fam.rho) == -2 * (p - 1) * p
-    assert _pair(fam.gram_D, fam.varpi, fam.varpi) == VARPI_NORMS[p]
+    rho = [Fraction(x, p) for x in fam.p_rho]
+    varpi = [Fraction(x, p) for x in fam.p_varpi]
+    assert _pair(fam.gram_D, rho, rho) == -2 * (p - 1) * p
+    assert _pair(fam.gram_D, varpi, varpi) == VARPI_NORMS[p]
     assert fam.k == K_VECTORS[p]
     assert (p, fam.nu) in {(2, 8), (3, 6), (5, 4), (7, 3)}
 
@@ -98,7 +118,8 @@ def test_sigma_order_and_disc_action(p):
     # into the lattice itself
     DL = fam.L.discriminant_group()
     S = to_fraction_matrix(fam.sigma_L)
-    for lift in DL.lifts:
+    for unit in identity_matrix(len(DL.orders)):
+        lift = rational_lift(DL, unit)
         moved = [sum(lift[i] * S[i][j] for i in range(len(S)))
                  for j in range(len(S))]
         diff = [a - b for a, b in zip(moved, lift)]
@@ -253,3 +274,91 @@ def test_build_full_integration_p3():
     assert fam.checks["aut_search"]["group_order"] == 3
     assert fam.checks["hermitian_orbit_sums_vanish"]
     assert fam.L.rank == 12
+
+
+def _p_elementary_gram(rng, p):
+    """A seeded even lattice with p-elementary discriminant: a few blocks
+    A_{p-1}(-1), U(p) and U, in a skewed basis."""
+    blocks = [rng.choice([root_lattice("A", p - 1, -1).gram,
+                          hyperbolic_plane(p).gram,
+                          hyperbolic_plane().gram])
+              for _ in range(rng.randint(2, 4))]
+    return Lattice(base_changed_gram(rng, block_diag(*blocks), 8))
+
+
+def test_disc_triviality_congruence_matches_the_fraction_test():
+    # C (T - 1) = 0 mod p for C = p G^-1 against G^-1 (T - 1) integral in
+    # Fractions, on L_p and on seeded p-elementary lattices; T = 1 + G Y
+    # is always trivial, a random integer T mostly not
+    rng = random.Random(2917)
+    cases = [(family(p).L, p, [family(p).sigma_L]) for p in PRIMES]
+    cases += [(_p_elementary_gram(rng, p), p, []) for p in PRIMES
+              for _ in range(3)]
+    seen = Counter()
+    for L, p, known in cases:
+        G, n = L.gram, L.rank
+        C = _scaled_dual(L, p)
+        assert C == to_int_matrix(
+            [[p * x for x in row] for row in inverse(G)])
+        for T in known:
+            assert _trivial_on_disc(C, T, p)
+            assert fraction_trivial_on_disc(G, T)
+        for trial in range(6):
+            Y = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            if trial % 2 == 0:
+                T = mat_add(identity_matrix(n), mat_mul(G, Y))
+            else:
+                T = Y
+            got = _trivial_on_disc(C, T, p)
+            assert got == fraction_trivial_on_disc(G, T), (p, trial)
+            assert got or trial % 2
+            seen[got] += 1
+    assert seen[True] >= 10 and seen[False] >= 10, seen
+
+
+def test_scaled_dual_refuses_an_exponent_not_dividing_p():
+    # disc(A_3) is Z/4 and disc(A_2(-1) + U(2)) is Z/3 x (Z/2)^2
+    for gram, p in ((root_lattice("A", 3, -1).gram, 2),
+                    (block_diag(root_lattice("A", 2, -1).gram,
+                                hyperbolic_plane(2).gram), 3)):
+        with pytest.raises(ArithmeticError,
+                           match="discriminant exponent must divide p"):
+            _scaled_dual(Lattice(gram), p)
+
+
+def test_aut_search_refuses_an_exponent_not_dividing_p_under_python_O():
+    # the check was an assert, which -O strips
+    code = (
+        "from types import SimpleNamespace\n"
+        "from k3lat.nikulin import aut_trivial_on_disc_search\n"
+        "from k3lat.standard import root_lattice\n"
+        "fam = SimpleNamespace(L=root_lattice('A', 3, -1), p=2)\n"
+        "try:\n"
+        "    print('accepted', aut_trivial_on_disc_search(fam))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == \
+        "raised discriminant exponent must divide p"
+
+
+@pytest.mark.parametrize("drop", (0, -1))
+def test_aut_search_refuses_a_found_set_that_is_not_a_group(monkeypatch,
+                                                            drop):
+    # with one filling lost, the closure of the rest is larger than the
+    # found set
+    fill = nikulin._fill_slots
+
+    def lossy(*args, **kwargs):
+        found, nodes = fill(*args, **kwargs)
+        del found[drop]
+        return found, nodes
+    monkeypatch.setattr(nikulin, "_fill_slots", lossy)
+    with pytest.raises(ArithmeticError, match="must form a group"):
+        aut_trivial_on_disc_search(family(3))

@@ -12,6 +12,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 
 # named only from outside src/k3lat, each for one reason
 ALLOWED = {
+    ("matrix", "inverse"): "a per-layer name of BENCHMARK.json",
     ("matrix", "solve_right"): "a per-layer name of BENCHMARK.json",
     ("realize", "build_coxeter_model"): "bench/make_inputs.py imports it",
 }

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,6 @@ from k3lat.matrix import (
     identity_matrix,
     mat_mul,
     matrix_order,
-    to_int_matrix,
 )
 from k3lat.realize import (
     A3A3_EMBEDDING,
@@ -50,6 +50,8 @@ from oracles import (
     fraction_mat_mul,
     fraction_overlattice,
     fraction_solve_rows,
+    rational_lift,
+    to_int_matrix,
 )
 
 K3 = k3_lattice()
@@ -314,14 +316,16 @@ def test_integer_overlattices_match_the_fraction_path(model):
         fam = family(p)
         m = len(fam.gram_D)
         basis, G = fraction_overlattice(
-            identity_matrix(m) + [fam.varpi], fam.gram_D)
+            identity_matrix(m) + [[Fraction(x, p) for x in fam.p_varpi]],
+            fam.gram_D)
         assert fam.p_basis_N == [[p * x for x in row] for row in basis]
         assert fam.N.gram == G
     lam, B, embed_K = glue_unimodular(K, W, images, p)
     DK, DW = DiscriminantForm(K.gram), DiscriminantForm(W.gram)
     n = K.rank + W.rank
-    rows = identity_matrix(n) + [lift + DW.lift(img)
-                                 for lift, img in zip(DK.lifts, images)]
+    rows = identity_matrix(n) + [
+        rational_lift(DK, unit) + rational_lift(DW, img)
+        for unit, img in zip(identity_matrix(len(images)), images)]
     basis, G = fraction_overlattice(rows, block_diag(K.gram, W.gram))
     assert B == [[p * x for x in row] for row in basis]
     assert lam.gram == G

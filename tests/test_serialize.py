@@ -12,7 +12,6 @@ from k3lat.matrix import (
     identity_matrix,
     inverse,
     mat_mul,
-    to_int_matrix,
     transpose,
 )
 from k3lat.serialize import (
@@ -29,6 +28,8 @@ from k3lat.serialize import (
     write_json_file,
 )
 from k3lat.standard import hyperbolic_plane, k3_lattice, root_lattice
+
+from oracles import to_int_matrix
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src")

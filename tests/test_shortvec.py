@@ -21,7 +21,6 @@ from k3lat.matrix import (
     inverse,
     mat_eq,
     mat_mul,
-    to_int_matrix,
     transpose,
     vec_mat,
 )
@@ -47,6 +46,7 @@ from oracles import (
     disc_form_isometry_images,
     hnf_generates,
     naive_enumerate_up_to,
+    to_int_matrix,
 )
 
 
