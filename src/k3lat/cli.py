@@ -10,8 +10,8 @@ appear only in human mode.
 
 Exit status: 0 when no check failed (inconclusive does not fail), 1 when
 a check failed, in a scenario or an example, or when an internal
-consistency check of the library failed ("internal check failed", naming
-the file and line when the check carries no message), 2 for usage errors
+consistency check of the library failed ("internal check failed: " and
+the claim the check names), 2 for usage errors
 and bad input (unreadable or malformed files, invalid data). The
 budgeted searches are enumeration (Fincke-Pohst), lattice isometry and
 the aut search of the family scenarios; discriminant forms are decided
@@ -152,8 +152,7 @@ def _cmd_example(args):
         if args.p not in NU:
             return _fail("unsupported-prime: no embedding data for p = %d"
                          % args.p)
-        act = build_model_prime_action(args.p,
-                                       iso_budget=args.budget or 10 ** 7)
+        act = build_model_prime_action(args.p, args.budget)
         checks = _model_checks(args.p, act)
         stem = "model-prime-%d" % args.p
     elif name == "a4":
@@ -308,13 +307,7 @@ def _exit_code(args, e):
     if isinstance(e, ValueError):
         return _fail("invalid input: %s" % e)
     if isinstance(e, (AssertionError, ArithmeticError)):
-        msg = str(e)
-        if not msg:
-            import traceback
-            frame = traceback.extract_tb(e.__traceback__)[-1]
-            msg = "%s line %d" % (os.path.basename(frame.filename),
-                                  frame.lineno)
-        return _fail("internal check failed: %s" % msg, code=1)
+        return _fail("internal check failed: %s" % e, code=1)
     return None
 
 

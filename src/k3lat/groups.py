@@ -159,7 +159,6 @@ def zg_decomposition(g, p):
     blocks = {}
     for k in range(1, p + 1):
         m_k = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
-        assert m_k >= 0
         if m_k:
             blocks[k] = m_k
     allowed = {1, p - 1, p}
@@ -183,9 +182,7 @@ def zg_decomposition(g, p):
         phi_rank = n - qrank(poly_eval_matrix([1] * p, g))
         if phi_rank != (c + r) * (p - 1):
             raise NotAZGLattice("cyclotomic kernel disagrees with profile")
-    dec = ZGDecomposition(p, t, c, r, blocks)
-    assert dec.rank() == n
-    return dec
+    return ZGDecomposition(p, t, c, r, blocks)
 
 
 def regular_summand_discriminant_check(ambient, g, dec):

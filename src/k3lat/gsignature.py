@@ -59,7 +59,9 @@ def max_defect_check(p):
     """Whether the point defect is strictly maximal at q = p-1, where it
     should equal (p-1)(p-2)/3: the report of an exhaustive evaluation over
     all units, with the argmax of the table as max_at."""
-    assert p > 2, "needs an odd prime"
+    if p <= 2:
+        raise ValueError("max_defect_check needs an odd prime, got %r"
+                         % (p,))
     table = defect_table(p)
     top = table[p - 1]
     return {

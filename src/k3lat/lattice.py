@@ -48,9 +48,8 @@ def diagonalize(gram):
     it keeps both facts. The row of a pivot d then has norm d * prev.
     """
     n = len(gram)
-    for i in range(n):
-        for j in range(i):
-            assert gram[i][j] == gram[j][i], "Gram matrix must be symmetric"
+    if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("Gram matrix must be symmetric")
     M = [row[:] for row in gram]
     T = identity_matrix(n)
     active = list(range(n))
@@ -125,7 +124,6 @@ class Lattice:
             raise ValueError("degenerate form")
 
     def bilinear(self, x, y):
-        assert len(x) == len(y) == self.rank
         return dot(vec_mat(x, self.gram), y)
 
     def q(self, x):
@@ -157,7 +155,6 @@ class Lattice:
 
 def rescale(lat, c):
     """Same module, form multiplied by the integer c."""
-    assert c != 0
     return Lattice([[c * x for x in row] for row in lat.gram])
 
 
@@ -173,8 +170,9 @@ class Sublattice:
     def __init__(self, ambient, basis):
         self.ambient = ambient
         self.basis = [list(map(int, row)) for row in basis]
-        for row in self.basis:
-            assert len(row) == ambient.rank
+        if any(len(row) != ambient.rank for row in self.basis):
+            raise ValueError("sublattice basis rows must have length %d"
+                             % ambient.rank)
         if qrank(self.basis) != len(self.basis):
             raise ValueError("sublattice basis rows must be independent")
 
@@ -272,7 +270,8 @@ class DiscriminantForm:
         self._gens = []  # the SNF rows u_i
         for i in range(len(gram)):
             s = S[i][i]
-            assert s != 0, "lattice must be nondegenerate"
+            if s == 0:
+                raise ValueError("lattice must be nondegenerate")
             if s > 1:
                 self.orders.append(s)
                 self._gens.append(U[i])

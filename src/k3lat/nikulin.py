@@ -4,8 +4,9 @@ Start from nu disjoint A_{p-1}(-1) blocks on basis vectors D_{i,j}
 (nu(p+1) = 24), adjoin the fractional class varpi built from the weight
 vector k to get the overlattice N_p, cut out the index-p sublattice L_p
 with the Weyl-type vector rho, and extend by an isotropic direction to
-reach K_p = N_p + U. Each stage asserts, in exact arithmetic, the facts
-the later stages rely on, and records the identities the paper states as
+reach K_p = N_p + U. Each stage checks, in exact arithmetic, the facts
+the later stages rely on, raising AssertionError or ArithmeticError that
+names the failed claim, and records the identities the paper states as
 computed values in fam.checks; the scenario rows of k3lat.scenarios
 compare them with the claimed constants. The one search here, the
 isometries of L_p trivial on disc(L_p), runs on the backtracking kernel
@@ -17,7 +18,6 @@ from fractions import Fraction
 
 from .matrix import (
     block_diag,
-    det,
     dot,
     identity_matrix,
     int_kernel,
@@ -62,18 +62,21 @@ class NikulinFamily:
     is the orthogonal sum of negated Cartan blocks. The rows of
     p_basis_N are p times a basis of N_p in the D frame, its Gram is
     theirs over p^2, and every later vector (rho_in_N, the L_p basis,
-    the K_p frame) is in integer N_p coordinates.
+    the K_p frame) is in integer N_p coordinates. p_dual_L is the
+    integer matrix C = p G^-1 for the Gram G of L_p.
     """
 
     def __init__(self, p, nu, k, gram_D, p_varpi, p_rho, p_basis_N, N,
                  L_basis_in_N=None, L=None, rho_in_N=None, sigma_L=None,
-                 K=None, sigma_K=None, K_eprime=None, checks=None):
+                 K=None, sigma_K=None, K_eprime=None, checks=None,
+                 p_dual_L=None):
         self.p, self.nu, self.k = p, nu, k
         self.gram_D, self.p_varpi, self.p_rho = gram_D, p_varpi, p_rho
         self.p_basis_N = p_basis_N  # rows, D frame, times p
         self.N = N
         self.L_basis_in_N, self.L = L_basis_in_N, L
         self.rho_in_N, self.sigma_L = rho_in_N, sigma_L
+        self.p_dual_L = p_dual_L
         self.K, self.sigma_K, self.K_eprime = K, sigma_K, K_eprime
         self.checks = {} if checks is None else checks
 
@@ -102,7 +105,8 @@ def build_family(p):
         raise UnsupportedPrime("p must be one of 2, 3, 5, 7")
     k = K_VECTORS[p]
     nu = len(k)
-    assert nu * (p + 1) == 24
+    if nu * (p + 1) != 24:
+        raise AssertionError("nu (p + 1) must be 24")
     m = nu * (p - 1)
     block = [[-x for x in row] for row in cartan_matrix("A", p - 1)] \
         if p > 2 else [[-2]]
@@ -112,24 +116,22 @@ def build_family(p):
     p_varpi = [k[i] * j for i in range(nu) for j in range(1, p)]
     p_rho = [-p * j * (p - j) // 2 for _ in range(nu) for j in range(1, p)]
 
-    # the fractional class is integral against every block vector
-    assert not any(x % p for x in vec_mat(p_varpi, gram_D))
-
     ww = _pair(gram_D, p_varpi, p_varpi, p)
-    assert ww == Fraction((1 - p) * sum(x * x for x in k), p)
-    assert ww % 2 == 0, "overlattice class must have even norm"
-
-    if p > 2:
-        assert not any(x % p for x in p_rho), "rho integral for odd p"
-    else:
-        assert [-x for x in p_rho] == p_varpi, "for p = 2 rho is minus varpi"
+    if ww != Fraction((1 - p) * sum(x * x for x in k), p):
+        raise AssertionError("varpi.varpi must be (1 - p) k.k / p")
+    if ww % 2:
+        raise AssertionError("overlattice class must have even norm")
+    if p > 2 and any(x % p for x in p_rho):
+        raise AssertionError("rho integral for odd p")
+    if p == 2 and [-x for x in p_rho] != p_varpi:
+        raise AssertionError("for p = 2 rho is minus varpi")
 
     p_basis_N = row_hnf(mat_scale(p, identity_matrix(m)) + [p_varpi])
     gram_N = gram_of_rows(p_basis_N, gram_D, p,
                           "N_p must be an integral lattice")
     N = Lattice(gram_N)
-    assert N.is_even()
-    assert det(gram_N) * p * p == det(gram_D)
+    if not N.is_even():
+        raise AssertionError("N_p must be even")
 
     rho_in_N = express_in_basis([p_rho], p_basis_N, "rho must lie in N_p")
     fam = NikulinFamily(p=p, nu=nu, k=list(k), gram_D=gram_D,
@@ -137,14 +139,17 @@ def build_family(p):
                         N=N, rho_in_N=rho_in_N[0])
 
     disc_orders = N.discriminant_group().cyclic_orders
-    assert disc_orders == [p] * (nu - 2), disc_orders
+    if disc_orders != [p] * (nu - 2):
+        raise AssertionError("disc(N_p) must be (Z/p)^(nu - 2), got %s"
+                             % disc_orders)
     fam.checks["disc_N_orders"] = disc_orders
 
     # no new roots appear in the overlattice
     roots_N = enumerate_vectors(N, -2)
-    assert 2 * len(roots_N) == nu * p * (p - 1)
-    assert not any(x % p for row in mat_mul(roots_N, p_basis_N)
-                   for x in row), "roots of N_p must all lie in H2D"
+    if 2 * len(roots_N) != nu * p * (p - 1):
+        raise AssertionError("N_p must have nu p (p - 1) / 2 root pairs")
+    if any(x % p for row in mat_mul(roots_N, p_basis_N) for x in row):
+        raise AssertionError("roots of N_p must all lie in H2D")
     return fam
 
 
@@ -158,7 +163,8 @@ def build_Lp(fam):
     p = fam.p
     m = len(fam.p_basis_N)
     w = [x % p for x in _rho_functional(fam)]
-    assert any(w), "the rho functional must be onto Z/p"
+    if not any(w):
+        raise AssertionError("the rho functional must be onto Z/p")
     t0 = next(t for t in range(m) if w[t])
     inv = pow(w[t0], -1, p)
     rows = []
@@ -179,9 +185,9 @@ def build_Lp(fam):
     H, R = lll_gram([[-x for x in row] for row in gram_L])[:2]
     L_in_N = mat_mul(H, L_in_N)
     L = Lattice([[-x for x in row] for row in R])
-    plus, minus, zero = L.signature()
-    assert (plus, zero) == (0, 0) and minus == fam.nu * (p - 1)
-    assert L.is_even()
+    if L.signature() != (0, fam.nu * (p - 1), 0):
+        raise AssertionError("L_p must be negative definite of rank "
+                             "nu (p - 1)")
 
     fam.L_basis_in_N = L_in_N
     fam.L = L
@@ -193,9 +199,11 @@ def build_Lp(fam):
 def build_sigma(fam):
     """The blockwise Coxeter rotation sigma = (sigma_1^{k_1}, ...).
 
-    Its restriction sigma_L to L_p has checked order p, so its minimal
-    polynomial divides x^p - 1 = (x - 1) Phi_p, and its char poly is
-    Phi_p^nu exactly when it fixes no vector: rank(sigma_L - 1) = n.
+    Its order on N_p is checked to be p, so the minimal polynomial of
+    its restriction sigma_L to L_p divides x^p - 1 = (x - 1) Phi_p, and
+    the char poly is Phi_p^nu exactly when sigma_L fixes no vector:
+    rank(sigma_L - 1) = n. Both restrictions preserve the form because
+    sigma_D does.
     """
     p = fam.p
     C = cycle_coxeter_matrix(p - 1)
@@ -206,29 +214,27 @@ def build_sigma(fam):
             Ck = mat_mul(Ck, C)
         blocks.append(Ck)
     sigma_D = block_diag(*blocks)
-    assert mat_eq(mat_mul(mat_mul(sigma_D, fam.gram_D), transpose(sigma_D)),
-                  fam.gram_D)
+    if not mat_eq(mat_mul(mat_mul(sigma_D, fam.gram_D), transpose(sigma_D)),
+                  fam.gram_D):
+        raise AssertionError("sigma must preserve the block form")
 
     # restrict to N_p (must be integral: sigma preserves the overlattice)
     H = fam.p_basis_N
     sigma_N = express_in_basis(mat_mul(H, sigma_D), H,
                                "sigma must preserve N_p")
-    assert mat_eq(mat_mul(mat_mul(sigma_N, fam.N.gram), transpose(sigma_N)),
-                  fam.N.gram)
-    assert matrix_order(sigma_N, cap=2 * p) == p
+    if matrix_order(sigma_N, cap=2 * p) != p:
+        raise AssertionError("sigma must have order p on N_p")
 
     imgs = mat_mul(fam.L_basis_in_N, sigma_N)
     sigma_L = express_in_basis(imgs, fam.L_basis_in_N,
                                "sigma must preserve L_p")
-    assert mat_eq(mat_mul(mat_mul(sigma_L, fam.L.gram), transpose(sigma_L)),
-                  fam.L.gram)
-    assert matrix_order(sigma_L, cap=2 * p) == p
 
     # trivial action on the discriminant group of L_p
     n = len(sigma_L)
     sigma_L_minus_1 = mat_sub(sigma_L, identity_matrix(n))
+    fam.p_dual_L = _scaled_dual(fam.L, p)
     fam.checks["sigma_trivial_on_disc"] = _trivial_on_disc(
-        _scaled_dual(fam.L, p), sigma_L, p)
+        fam.p_dual_L, sigma_L, p)
 
     # rho lies in L_p, and (sigma - 1)(rho / p) lands in L_p there
     rho_in_L = express_in_basis([fam.rho_in_N], fam.L_basis_in_N)
@@ -238,7 +244,8 @@ def build_sigma(fam):
 
     # char poly on L_p is Phi_p^nu: no fixed vector, and Phi_p irreducible
     power = n // (p - 1) if rank(sigma_L_minus_1) == n else 0
-    assert power == fam.nu, "char poly must be Phi_p^nu"
+    if power != fam.nu:
+        raise AssertionError("char poly must be Phi_p^nu")
     fam.checks["sigma_char_poly_power"] = power
 
     fam.sigma_L = sigma_L
@@ -260,24 +267,27 @@ def _trivial_on_disc(C, T, p):
     return not any(x % p for row in shift for x in row)
 
 
-def aut_trivial_on_disc_search(fam, budget=10 ** 6):
+def aut_trivial_on_disc_search(fam, budget=None):
     """Search for all isometries of L_p acting trivially on disc(L_p).
 
     An isometry T is trivial on the discriminant iff C (T - 1) = 0 mod p
-    for the dual form C = p G^-1, a condition on the columns of T. The
-    backtracking therefore builds S = T^t row by row: S preserves C, each
-    row must satisfy (s_i - e_i) C = 0 mod p, and transposing any complete
-    solution gives a Gram isometry trivial on the discriminant.
+    for the dual form C = p G^-1 that build_sigma keeps as fam.p_dual_L,
+    a condition on the columns of T. The backtracking therefore builds
+    S = T^t row by row: S preserves C, each row must satisfy
+    (s_i - e_i) C = 0 mod p, and transposing any complete solution gives
+    a Gram isometry trivial on the discriminant.
     The pool vectors w and their negatives are bucketed once by
     (norm, w C mod p), and slot i draws from the bucket of
     (C_ii, C_i mod p), so the backtracking tests only the Gram rows.
-    The kernel returns every complete filling. Past its budget the pool
-    enumeration or the backtracking raises SearchBudgetExceeded naming
-    its stage.
+    The kernel returns every complete filling. Past its budget, 10^6
+    nodes when None, the pool enumeration or the backtracking raises
+    SearchBudgetExceeded naming its stage.
     """
+    if budget is None:
+        budget = 10 ** 6
     n = fam.L.rank
     p = fam.p
-    dual = C = _scaled_dual(fam.L, p)
+    dual = C = fam.p_dual_L
     # rebase the dual form on its LLL basis so its diagonal is short, else
     # the pools explode; the congruence (S - 1) C = 0 mod p is covariant
     # under the unimodular change H
@@ -343,7 +353,6 @@ def build_hat_and_K(fam):
     s.s = -2, s.f = 1; the change of basis (e := s + f, f) exhibits K_p
     as N_p plus a hyperbolic plane.
     """
-    p = fam.p
     m = len(fam.p_basis_N)
 
     # K_p in basis (i(n_1), ..., i(n_m), f, s)
@@ -351,7 +360,6 @@ def build_hat_and_K(fam):
     gram_K.append([0] * m + [0, 1])
     gram_K.append([0] * m + [1, -2])
     K = Lattice(gram_K)
-    assert K.is_even()
     fam.K = K
 
     # (e := s + f, f) turns the last block into a hyperbolic plane
@@ -366,10 +374,6 @@ def build_hat_and_K(fam):
 
     s = [0] * (m + 1) + [1]
     fam.checks["s_dot_rho"] = K.bilinear(s, _flat_rho(fam))
-
-    # rank N_p + 2 throughout; at p = 2 that is 8 + 2 with one positive square
-    assert K.rank == fam.nu * (p - 1) + 2
-    assert K.signature() == (1, fam.nu * (p - 1) + 1, 0)
     return K
 
 
@@ -398,7 +402,6 @@ def Lp_complement_in_Kp(fam):
     gram_K = fam.K.gram
     jL = _flat_L_basis(fam)
     comp = int_kernel(mat_mul(jL, gram_K))
-    assert len(comp) == 2
 
     f = [0] * m + [1, 0]
     eprime = _flat_rho(fam)

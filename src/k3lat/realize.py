@@ -12,8 +12,9 @@ a rank-22 Coxeter-kind model, and for each p in {2, 3, 5, 7} a glued
 unimodular model realizing the order-p rotation of the family lattice.
 
 Search-discovered data (discriminant glue images, the A_3 + A_3 chain
-embedding into E8) is pinned as module constants. A builder asserts the
-intermediate facts its later steps rely on, and records each identity
+embedding into E8) is pinned as module constants. A builder checks the
+intermediate facts its later steps rely on, raising AssertionError or
+ArithmeticError that names the failed claim, and records each identity
 the paper states as the value it computed, in its certificates; the
 scenario rows of k3lat.scenarios compare those values with the claims,
 once. The searches that first produced the pins live with the tests,
@@ -198,9 +199,10 @@ def dehn_twist_obstruction(v, ambient=None):
     v = [int(x) for x in v]
     R = reflection(ambient, v)
     group = IsometryGroup(ambient, [R])
-    assert group.order() == 2
     verdict, wit, res = decide_metric(group)
-    assert res.L_G.rank == 1
+    if res.L_G.rank != 1:
+        raise AssertionError("the coinvariant lattice of a reflection must "
+                             "have rank 1")
     dec = zg_decomposition(R, 2)
     tcr = (dec.t, dec.c, dec.r)
     profiles_differ = tcr != REALIZABLE_INVOLUTION_TCR
@@ -246,7 +248,8 @@ def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
         raise HypothesisViolated(
             "cyclotomic summands present (c = %d)" % dec.c)
     L = coinvariant.L_G
-    assert L.rank % (p - 1) == 0
+    if L.rank % (p - 1):
+        raise AssertionError("the rank of L_G must be a multiple of p - 1")
     nu = L.rank // (p - 1)
     evidence = {"tcr": (dec.t, dec.c, dec.r), "L_G_rank": L.rank}
     rs = classify_root_system(L.gram(), budget=budget)
@@ -316,8 +319,6 @@ def _a3_weyl(img):
         c[img[i]] += 1
         c[img[i + 1]] -= 1
         rows.append([c[0], c[0] + c[1], c[0] + c[1] + c[2]])
-    A3 = cartan_matrix("A", 3)
-    assert mat_eq(mat_mul(mat_mul(rows, A3), transpose(rows)), A3)
     return rows
 
 
@@ -344,16 +345,20 @@ def _verify_a3a3(data):
     C = cartan_matrix("E", 8)
     chain1, chain2, comp = data["chain1"], data["chain2"], data["complement"]
     A3 = cartan_matrix("A", 3)
-    assert mat_eq(gram_of_rows(chain1, C), A3)
-    assert mat_eq(gram_of_rows(chain2, C), A3)
-    for x in chain1:
-        gx = vec_mat(x, C)
-        assert all(dot(gx, y) == 0 for y in chain2)
+    for name, chain in (("chain1", chain1), ("chain2", chain2)):
+        if gram_of_rows(chain, C) != A3:
+            raise AssertionError("the %s rows must have the A_3 Gram in E8"
+                                 % name)
+    if any(dot(vec_mat(x, C), y) for x in chain1 for y in chain2):
+        raise AssertionError("the two A_3 chains must be orthogonal in E8")
     stacked = chain1 + chain2
     K = int_kernel([vec_mat(r, C) for r in stacked])
-    assert sublattice_index(comp, K) == 1, "complement rows must span the kernel"
+    if sublattice_index(comp, K) != 1:
+        raise AssertionError("complement rows must span the kernel")
     B = stacked + [list(r) for r in comp]
-    assert abs(det(B)) == 16
+    if abs(det(B)) != 16:
+        raise AssertionError("the chains and their complement must span "
+                             "a sublattice of index 16 in E8")
     return B, gram_of_rows(comp, C)
 
 
@@ -369,8 +374,6 @@ def _a4_e8_matrix(img, basis_rows):
     T = transpose(express_in_basis(
         transpose(mat_mul(D, basis_rows)), transpose(basis_rows),
         "the A_3 + A_3 action must be integral on E8"))
-    C = cartan_matrix("E", 8)
-    assert mat_eq(mat_mul(mat_mul(T, C), transpose(T)), C)
     return T
 
 
@@ -574,11 +577,11 @@ def glue_unimodular(K, W, images, p):
     basis rows B are the row HNF of [p I; lift_K(x) + lift_W(image)].
     Both forms have exponent p, so the lifts are p times representatives
     and B is p times a basis over the K + W frame (Cohen, GTM 138, §2.4);
-    its Gram is B (K + W) B^T / p^2. The glue index |disc K| is asserted.
-    Returns the new lattice, B, and the embedding rows of K (integral
-    coordinates in the new basis). Evenness, determinant +-1 and a
-    primitive image of K, which together certify the anti-isometry
-    globally, are left to the caller to read off the result.
+    its Gram is B (K + W) B^T / p^2. Returns the new lattice, B, and the
+    embedding rows of K (integral coordinates in the new basis). The glue
+    index |disc K|, evenness, determinant +-1 and a primitive image of K,
+    which together certify the anti-isometry globally, are left to the
+    caller to read off the result.
     """
     DK = DiscriminantForm(K.gram)
     DW = DiscriminantForm(W.gram)
@@ -592,10 +595,7 @@ def glue_unimodular(K, W, images, p):
     G = gram_of_rows(B, amb, p, "glue graph must be isotropic for the "
                      "pairing")
     lam = Lattice(G)
-    assert sublattice_index(pI, B) == DK.group_order
-
     embed_K = express_in_basis(pI[:nk], B, "K must lie in the glued lattice")
-    assert gram_of_rows(embed_K, G) == K.gram
     return lam, B, embed_K
 
 
@@ -633,28 +633,23 @@ def build_coxeter_model():
     A26 = direct_sum(*[root_lattice("A", 2, -1) for _ in range(6)])
     X = _coxeter_partner()
     lam, B, embed_K = glue_unimodular(A26, X, COXETER_GLUE_IMAGES, 3)
-    assert lam.signature() == (3, 19, 0)
-    assert lam.is_even() and abs(lam.determinant()) == 1
+    if lam.signature() != (3, 19, 0) or not lam.is_even() \
+            or abs(lam.determinant()) != 1:
+        raise AssertionError("the Coxeter model must be even unimodular of "
+                             "signature (3, 19)")
 
     c = cycle_coxeter_matrix(2)
     M = block_diag(*([c] * 6 + [identity_matrix(X.rank)]))
     S = transport_action(B, M)
     group = IsometryGroup(lam, [S])
-    order = group.order()
-    assert order == 3
     in_o_plus = spinor_plus_membership(lam, S)
 
     dec = zg_decomposition(S, 3)
     tcr = (dec.t, dec.c, dec.r)
-    assert tcr == (4, 0, 6), tcr
-
     report = classify_dichotomy(group)
-    assert report.kind == "Coxeter", report
-    assert report.nu == 6
-    assert report.evidence["root_components"] == [("A", 2)] * 6
 
     certificates = {
-        "order": order,
+        "order": group.order(),
         "in_O_plus": in_o_plus,
         "tcr": tcr,
         "kind": report.kind,
@@ -699,34 +694,22 @@ MODEL_GLUE_IMAGES = {
 def _transported_family_isometry(fam, embed_K, L_G):
     """Unimodular change of basis carrying the family lattice onto L_G.
 
-    The family lattice sits in K on the first block; correcting each
-    basis vector by a multiple of the isotropic fixed vector f forces
-    orthogonality to both fixed vectors without changing any pairing,
-    and the corrected image lies in L_G with equal determinant, hence
-    equals it. Returns T with T * fam.L.gram * T^t = L_G.gram().
+    The family lattice sits in K on the first block, as the rows of
+    nikulin._flat_L_basis: each basis vector x corrected by -(rho.x)/p
+    times the isotropic fixed vector f, which makes it orthogonal to both
+    fixed vectors (e'.f = p and e'.x = rho.x) without changing any
+    pairing. The corrected image lies in L_G with equal determinant,
+    hence equals it. Returns T with T * fam.L.gram * T^t = L_G.gram().
     """
-    GK = fam.K.gram
-    mN = len(fam.N.gram)
-    e_pair = vec_mat(fam.K_eprime, GK)
-    f_e = e_pair[mN]  # f . e', with f the unit vector at mN
-    assert f_e != 0
-    rows_K = []
-    for x in fam.L_basis_in_N:
-        y = list(x) + [0, 0]
-        a, r = divmod(-dot(e_pair, y), f_e)
-        assert r == 0
-        y[mN] += a
-        assert dot(vec_mat(y, GK), fam.K_eprime) == 0
-        rows_K.append(y)
-    assert gram_of_rows(rows_K, GK) == fam.L.gram
-    R = mat_mul(rows_K, embed_K)
+    from .nikulin import _flat_L_basis
+    R = mat_mul(_flat_L_basis(fam), embed_K)
     # X and its inverse are integral exactly when R is a basis of L_G
     X = express_in_basis(R, L_G.basis, "the corrected rows must lie in L_G")
     return express_in_basis(identity_matrix(L_G.rank), X,
                             "the corrected rows must span L_G")
 
 
-def build_model_prime_action(p, iso_budget=10 ** 7):
+def build_model_prime_action(p, budget=None):
     """Glued unimodular model of the order-p family rotation.
 
     Embeds K_p primitively into an even unimodular lattice of signature
@@ -737,8 +720,8 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
     q-value counts, then an explicit definite isometry transported
     through the glue (no search, so the strongest level is reached at
     every rank; the report states the level). The one budgeted search
-    is the lattice isometry of L_G onto E8(-2) at p = 2, under
-    iso_budget nodes.
+    is the lattice isometry of L_G onto E8(-2) at p = 2, under budget
+    nodes (None: the default of lattice_isometry).
     """
     from .gsignature import fixed_point_predictions
     from .nikulin import GENUS_CANDIDATES, family
@@ -747,10 +730,7 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
     fam = family(p)
     K = fam.K
     W = GLUE_PARTNERS[p]()
-    m = fam.nu * (p - 1)
-    assert W.signature() == (2, 18 - m, 0)
-    images = MODEL_GLUE_IMAGES[p]
-    lam, B, embed_K = glue_unimodular(K, W, images, p)
+    lam, B, embed_K = glue_unimodular(K, W, MODEL_GLUE_IMAGES[p], p)
 
     M = block_diag(fam.sigma_K, identity_matrix(W.rank))
     S = transport_action(B, M)
@@ -765,8 +745,10 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
     dec = zg_decomposition(S, p)
     tcr = (dec.t, dec.c, dec.r)
     reg = regular_summand_discriminant_check(lam, S, dec)
-    assert reg["image_is_direct_summand"]
-    assert reg["disc_is_Fp_space_of_dim_r"]
+    if not (reg["image_is_direct_summand"]
+            and reg["disc_is_Fp_space_of_dim_r"]):
+        raise AssertionError("the image of S - 1 must be a direct summand "
+                             "with disc (Z/p)^r")
 
     pred = fixed_point_predictions(p, fam.nu)
 
@@ -809,7 +791,7 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
     if p == 2:
         e8m2 = [[2 * x for x in row]
                 for row in root_lattice("E", 8, -1).gram]
-        T = lattice_isometry(GL, e8m2, budget=iso_budget)
+        T = lattice_isometry(GL, e8m2, budget=budget)
         prof_fixed = two_elementary_profile(DiscriminantForm(fixed.gram()))
         prof_swap = two_elementary_profile(DiscriminantForm(e8m2))
         certificates["tcr_matches_swap_involution"] = \
@@ -819,7 +801,6 @@ def build_model_prime_action(p, iso_budget=10 ** 7):
             prof_fixed == prof_swap
     else:
         dich = classify_dichotomy(group, coinvariant=res, dec=dec)
-        assert dich.nu == fam.nu
         cand = GENUS_CANDIDATES[p]()
         cand_match = cand.signature() == fixed_sig and disc_form_isometry(
             DiscriminantForm(cand.gram), DiscriminantForm(fixed.gram()))

@@ -175,8 +175,7 @@ def _scenario_family(p, budget):
     if p == 2:
         e8m2 = [[2 * x for x in row]
                 for row in root_lattice("E", 8, -1).gram]
-        T = lattice_isometry(fam.L.gram, e8m2,
-                             budget=budget or 10 ** 7)
+        T = lattice_isometry(fam.L.gram, e8m2, budget=budget)
         checks.append(_check("L2-is-E8-minus-2", True, T is not None,
                              "L_2 is isometric to E8(-2)"))
         u2cubed = direct_sum(hyperbolic_plane(2), hyperbolic_plane(2),
@@ -197,7 +196,7 @@ def _scenario_family(p, budget):
         checks.append(_check("L3-kissing", 756, kiss,
                              "L_3 has 756 minimal vectors"))
     if p in (2, 3):
-        aut = aut_trivial_on_disc_search(fam, budget or 10 ** 6)
+        aut = aut_trivial_on_disc_search(fam, budget)
         checks.append(_check("disc-trivial-aut-order", p,
                              aut.get("group_order"),
                              "isometries trivial on disc(L_p) are "
@@ -339,8 +338,7 @@ def _model_checks(p, act):
 
 def _scenario_model(p, budget):
     from .realize import build_model_prime_action
-    return _model_checks(p, build_model_prime_action(
-        p, iso_budget=budget or 10 ** 7))
+    return _model_checks(p, build_model_prime_action(p, budget))
 
 
 SCENARIOS = {

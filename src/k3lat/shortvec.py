@@ -427,15 +427,17 @@ def _fill_slots(cands, fits, budget, stage, every=False):
     return found, nodes
 
 
-def lattice_isometry(gram1, gram2, budget=10 ** 7):
+def lattice_isometry(gram1, gram2, budget=None):
     """An integer matrix T with T * gram2 * T^t == gram1, or None.
 
     Both forms must be integral and definite of the same sign; the slots
     are filled in the LLL basis of gram1 (lll_gram raises ValueError on a
     non-integral Gram). None is returned only when the search space is
-    exhausted; hitting the node budget raises SearchBudgetExceeded
-    instead (a timeout is not a 'no').
+    exhausted; hitting the node budget, 10^7 when None, raises
+    SearchBudgetExceeded instead (a timeout is not a 'no').
     """
+    if budget is None:
+        budget = 10 ** 7
     gram1 = _as_gram(gram1)
     gram2 = _as_gram(gram2)
     n = len(gram1)
@@ -493,7 +495,9 @@ def lattice_isometry(gram1, gram2, budget=10 ** 7):
         W[i] = w
     T = mat_mul(express_in_basis(identity_matrix(n), B,
                                  "an LLL transform must be unimodular"), W)
-    assert mat_eq(mat_mul(mat_mul(T, gram2), transpose(T)), gram1)
+    if not mat_eq(mat_mul(mat_mul(T, gram2), transpose(T)), gram1):
+        raise AssertionError("the isometry found must carry gram2 onto "
+                             "gram1")
     return T
 
 

@@ -70,7 +70,9 @@ def cartan_matrix(kind, n):
 
 def root_lattice(kind, n, sign=1):
     """Root lattice in its simple-root basis, Gram = sign * Cartan."""
-    assert sign in (1, -1)
+    if sign not in (1, -1):
+        raise ValueError("root lattice sign must be 1 or -1, got %r"
+                         % (sign,))
     C = cartan_matrix(kind, n)
     if sign == -1:
         C = [[-x for x in row] for row in C]

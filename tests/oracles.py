@@ -159,15 +159,22 @@ def fraction_lift(D, x):
     return out
 
 
-def base_changed_gram(rng, gram, moves):
-    """U G U^T for a seeded product U of `moves` elementary row moves,
-    the same form in a basis no constructor of k3lat reduced."""
-    n = len(gram)
+def random_unimodular(rng, n, moves):
+    """A seeded product of `moves` elementary row moves e_i += c e_j,
+    c in {-2, -1, 1, 2}: an n x n unimodular matrix (the identity when
+    n < 2)."""
     U = identity_matrix(n)
     for _ in range(moves if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         c = rng.choice([-2, -1, 1, 2])
         U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    return U
+
+
+def base_changed_gram(rng, gram, moves):
+    """U G U^T for U = random_unimodular(rng, n, moves), the same form in
+    a basis no constructor of k3lat reduced."""
+    U = random_unimodular(rng, len(gram), moves)
     return mat_mul(mat_mul(U, gram), transpose(U))
 
 

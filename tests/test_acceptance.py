@@ -52,6 +52,7 @@ from oracles import (
     cyclotomic,
     in_rowspan_z,
     naive_enumerate_up_to,
+    random_unimodular,
     rational_lift,
     snf_diagonal,
     to_fraction_matrix,
@@ -282,20 +283,6 @@ def _companion(poly):
     return C
 
 
-def _random_unimodular(rng, n):
-    U = identity_matrix(n)
-    for _ in range(3 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice([-2, -1, 1, 2])
-        for k in range(n):
-            U[i][k] += c * U[j][k]
-    if abs(det(U)) != 1:
-        return identity_matrix(n)
-    return U
-
-
 def test_criterion_10_property_suites(capsys):
     t0 = time.perf_counter()
     ok = True
@@ -370,7 +357,7 @@ def test_criterion_10_property_suites(capsys):
                     for j, x in enumerate(row):
                         g[at + i][at + j] = x
                 at += len(bl)
-            U = _random_unimodular(rng, n)
+            U = random_unimodular(rng, n, 3 * n)
             gc = to_int_matrix(mat_mul(mat_mul(U, g), inverse(U)))
             dec = zg_decomposition(gc, p)
             ok = ok and (dec.t, dec.c, dec.r) == (t, c, r)

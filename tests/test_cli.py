@@ -236,11 +236,13 @@ def test_family_scenarios_at_small_budgets_pass_or_are_inconclusive(capsys):
     # an exhausted search reads as inconclusive, never as a failed check.
     # The aut search fills its slots in at most 102 nodes, fewer than any
     # pool enumeration spends, so enumeration is the stage that runs out
+    # budget 0 is a budget like any other, not the library default
     stages = [
-        ("nikulin-family-p2", {10: "enumeration", 1000: None, 3000: None,
-                               10000: None}),
-        ("nikulin-family-p3", {10: "enumeration", 1000: "enumeration",
-                               3000: None, 10000: None, 100000: None}),
+        ("nikulin-family-p2", {0: "enumeration", 10: "enumeration",
+                               1000: None, 3000: None, 10000: None}),
+        ("nikulin-family-p3", {0: "enumeration", 10: "enumeration",
+                               1000: "enumeration", 3000: None, 10000: None,
+                               100000: None}),
         # discriminant forms are decided by q-value counts, with no budget
         ("genus-check", {100: None}),
     ]
@@ -402,8 +404,8 @@ def test_example_exits_1_on_a_failed_check(tmp_path):
 
 
 def test_internal_assert_is_not_reported_as_bad_input(capsys, monkeypatch):
-    # a corrupted pin trips an assert that guards a builder step: exit 1
-    # naming the check, or the file and line when it has no message
+    # a corrupted pin trips a check that guards a builder step: exit 1
+    # naming the claim, the same under python -O
     from k3lat import realize
     pin = realize.A3A3_EMBEDDING
     first, second = pin["complement"]
@@ -417,7 +419,15 @@ def test_internal_assert_is_not_reported_as_bad_input(capsys, monkeypatch):
     monkeypatch.setitem(pin, "chain1", [b, a, c])
     code, out, err = _run(capsys, ["scenario", "a4-example"])
     assert (code, out) == (1, "")
-    assert err.startswith("error: internal check failed: realize.py line ")
+    assert err == ("error: internal check failed: the chain1 rows must "
+                   "have the A_3 Gram in E8\n")
+    proc = _main_in_subprocess(["scenario", "a4-example"], True, """
+from k3lat import realize
+a, b, c = realize.A3A3_EMBEDDING["chain1"]
+realize.A3A3_EMBEDDING["chain1"] = [b, a, c]
+""")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == err.encode()
     # an exactness check raises ArithmeticError, reported the same way
     monkeypatch.undo()
     from k3lat.lattice import express_in_basis

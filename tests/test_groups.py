@@ -21,7 +21,6 @@ from k3lat.groups import (
 )
 from k3lat.lattice import Lattice
 from k3lat.matrix import (
-    det,
     identity_matrix,
     inverse,
     int_kernel,
@@ -41,6 +40,7 @@ from oracles import (
     cyclotomic,
     projector_character,
     projector_coinvariant,
+    random_unimodular,
     rational_classes_by_conjugation,
     to_int_matrix,
 )
@@ -629,20 +629,6 @@ def _companion(poly):
     return C
 
 
-def _random_unimodular(rng, n):
-    U = identity_matrix(n)
-    for _ in range(3 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice([-2, -1, 1, 2])
-        for k in range(n):
-            U[i][k] += c * U[j][k]
-    if abs(det(U)) != 1:
-        return identity_matrix(n)
-    return U
-
-
 def test_zg_decomposition_recovers_planted_shape():
     rng = random.Random(77)
     for p in (2, 3, 5, 7):
@@ -671,7 +657,7 @@ def test_zg_decomposition_recovers_planted_shape():
                     for j, x in enumerate(row):
                         g[at + i][at + j] = x
                 at += len(b)
-            U = _random_unimodular(rng, n)
+            U = random_unimodular(rng, n, 3 * n)
             gc = to_int_matrix(mat_mul(mat_mul(U, g), inverse(U)))
             assert matrix_order(gc) in (1, p)
             dec = zg_decomposition(gc, p)

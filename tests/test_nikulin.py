@@ -326,15 +326,14 @@ def test_scaled_dual_refuses_an_exponent_not_dividing_p():
             _scaled_dual(Lattice(gram), p)
 
 
-def test_aut_search_refuses_an_exponent_not_dividing_p_under_python_O():
-    # the check was an assert, which -O strips
+def test_scaled_dual_refuses_an_exponent_not_dividing_p_under_python_O():
+    # a raise, which -O keeps; build_sigma solves for C = p G^-1 of L_p
+    # here once, and the aut search reads it from the family
     code = (
-        "from types import SimpleNamespace\n"
-        "from k3lat.nikulin import aut_trivial_on_disc_search\n"
+        "from k3lat.nikulin import _scaled_dual\n"
         "from k3lat.standard import root_lattice\n"
-        "fam = SimpleNamespace(L=root_lattice('A', 3, -1), p=2)\n"
         "try:\n"
-        "    print('accepted', aut_trivial_on_disc_search(fam))\n"
+        "    print('accepted', _scaled_dual(root_lattice('A', 3, -1), 2))\n"
         "except ArithmeticError as exc:\n"
         "    print('raised', exc)\n"
     )

@@ -1,8 +1,9 @@
 """Every top-level def or class of src/k3lat is named somewhere else in
 src/k3lat, and every public method of its classes is read as an
 attribute somewhere in src/k3lat, so no library code is reached only by
-the tests. Read from the syntax trees alone: nothing is imported or
-run."""
+the tests; and no check of src/k3lat is an assert statement, which
+python -O strips. Read from the syntax trees alone: nothing is imported
+or run."""
 
 import ast
 import os
@@ -67,3 +68,10 @@ def test_every_public_method_is_read_as_an_attribute_in_the_package():
                     if isinstance(sub, ast.Attribute))
     unread = sorted(m for m in methods if m[2] not in read)
     assert unread == [], unread
+
+
+def test_no_assert_statement_in_the_package():
+    # a failed check raises an exception naming its claim, under -O too
+    asserts = sorted((mod, sub.lineno) for mod, tree in _trees()
+                     for sub in ast.walk(tree) if isinstance(sub, ast.Assert))
+    assert asserts == [], asserts

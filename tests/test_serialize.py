@@ -9,7 +9,6 @@ import pytest
 from k3lat.groups import IsometryGroup
 from k3lat.lattice import Lattice, Sublattice
 from k3lat.matrix import (
-    identity_matrix,
     inverse,
     mat_mul,
     transpose,
@@ -29,7 +28,7 @@ from k3lat.serialize import (
 )
 from k3lat.standard import hyperbolic_plane, k3_lattice, root_lattice
 
-from oracles import to_int_matrix
+from oracles import random_unimodular, to_int_matrix
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src")
@@ -147,15 +146,6 @@ def test_dependent_sublattice_basis_is_refused_also_under_python_O():
     assert "independent" in proc.stdout
 
 
-def _random_unimodular(rng, n):
-    U = identity_matrix(n)
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice([-2, -1, 1, 2])
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
-    return U
-
-
 def _round_trip(to_obj, from_obj, x):
     text = dumps_canonical(to_obj(x))
     assert dumps_canonical(loads(text)) == text
@@ -175,7 +165,7 @@ def test_seeded_groups_and_projectors_survive_the_round_trip():
         INPUTS, "a4-isotypic.json")))
     for k in range(2 * len(names)):
         G = groups[k % len(names)]
-        U = _random_unimodular(rng, 22)
+        U = random_unimodular(rng, 22, 66)
         Ui = to_int_matrix(inverse(U))
         gram = mat_mul(mat_mul(U, G.ambient.gram), transpose(U))
         gens = [mat_mul(mat_mul(U, g), Ui) for g in G.generators]
