@@ -208,7 +208,7 @@ def _cmd_compute(args):
     if args.norm is None:
         return _fail("compute enumerate requires --norm")
     from .shortvec import enumerate_vectors
-    vs = enumerate_vectors(lat, args.norm, budget=args.budget)
+    vs = enumerate_vectors(lat.gram, args.norm, budget=args.budget)
     for v in vs:
         sys.stdout.write(" ".join(str(x) for x in v) + "\n")
     return 0

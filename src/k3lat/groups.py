@@ -131,9 +131,6 @@ class ZGDecomposition:
         self.p, self.t, self.c, self.r = p, t, c, r
         self.jordan_blocks = {} if jordan_blocks is None else jordan_blocks
 
-    def rank(self):
-        return self.t + self.c * (self.p - 1) + self.r * self.p
-
 
 def zg_decomposition(g, p):
     """Detect the (t, c, r) summand counts of an isometry of prime order
@@ -288,7 +285,8 @@ def coinvariant_L_G(group, isotypic_data=None):
                          "3-plane: the group does not lie in O^+")
     comps = [B for B in (fixed.basis, fixed.orthogonal_complement().basis)
              if B]
-    if fixed_plus != 3 or isotypic_data is not None:
+    split = fixed_plus != 3 or isotypic_data is not None
+    if split:
         comps = isotypic_components(group, comps)
     # every class sum is the scalar |C| on the fixed lattice, so a split
     # keeps it whole and first
@@ -300,7 +298,18 @@ def coinvariant_L_G(group, isotypic_data=None):
             "isotypic components must be nondegenerate with ranks summing "
             "to %d and sig_+ to 3, got %d and %d" % (n, rank, plus))
     keep = [row for B, (p, _, _) in zip(comps, sigs) if not p for row in B]
-    L = Sublattice(ambient, keep).saturation()
+    L = Sublattice(ambient, keep)
+    # unsplit, L is the one piece fixed^perp, which orthogonal_complement
+    # gave saturated and the sum check above found negative definite;
+    # split pieces may span a proper sublattice
+    if split:
+        L = L.saturation()
+        if L.rank and signature_of_gram(L.gram())[1] != L.rank:
+            raise AssertionError("L_G must be negative definite or zero")
+    if L.rank:
+        for g in group.generators:
+            express_in_basis(mat_mul(L.basis, g), L.basis,
+                             "L_G must be G-invariant")
     if isotypic_data is not None:
         _check_projectors(isotypic_data, comps)
         mode = "supplied-isotypic"
@@ -309,9 +318,7 @@ def coinvariant_L_G(group, isotypic_data=None):
     else:
         mode = "rotation-on-3-plane"
     pieces = sorted((len(B), p) for B, (p, _, _) in zip(comps, sigs))
-    res = CoinvariantResult(L, fixed, mode, pieces, fixed_plus)
-    _check_coinvariant(group, res)
-    return res
+    return CoinvariantResult(L, fixed, mode, pieces, fixed_plus)
 
 
 def rational_classes(group):
@@ -410,15 +417,3 @@ def _check_projectors(projectors, comps):
                 raise ValueError("projector %d acts on the isotypic "
                                  "component of rank %d neither as 0 nor as 1"
                                  % (idx, len(B)))
-
-
-def _check_coinvariant(group, res):
-    L = res.L_G
-    if L.rank == 0:
-        return
-    p, m, z = signature_of_gram(L.gram())
-    if p or z:
-        raise AssertionError("L_G must be negative definite or zero")
-    for g in group.generators:
-        express_in_basis(mat_mul(L.basis, g), L.basis,
-                         "L_G must be G-invariant")

@@ -109,7 +109,7 @@ def express_in_basis(rows, basis, claim=None):
 class Lattice:
     """Free Z-module with a symmetric integer bilinear form."""
 
-    def __init__(self, gram, labels=None):
+    def __init__(self, gram):
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("Gram matrix must be square")
@@ -117,7 +117,6 @@ class Lattice:
             raise ValueError("Gram matrix must be symmetric")
         self.gram = [list(map(int, row)) for row in gram]
         self.rank = n
-        self.labels = list(labels) if labels else None
         self._sig = None
         self._det = None
         if self.determinant() == 0:
@@ -144,7 +143,7 @@ class Lattice:
         return self._sig
 
     def discriminant_group(self):
-        return DiscriminantForm(self)
+        return DiscriminantForm(self.gram)
 
     def full_sublattice(self):
         return Sublattice(self, identity_matrix(self.rank))
@@ -159,9 +158,7 @@ def rescale(lat, c):
 
 
 def direct_sum(*lattices):
-    labels = [x for l in lattices for x in l.labels] \
-        if all(l.labels for l in lattices) else None
-    return Lattice(block_diag(*[l.gram for l in lattices]), labels=labels)
+    return Lattice(block_diag(*[l.gram for l in lattices]))
 
 
 class Sublattice:
@@ -257,11 +254,7 @@ class DiscriminantForm:
     the integers: q in Q/2Z, the pairing in Q/Z and the q-value counts.
     """
 
-    def __init__(self, lattice_or_gram):
-        if isinstance(lattice_or_gram, Lattice):
-            gram = lattice_or_gram.gram
-        else:
-            gram = lattice_or_gram
+    def __init__(self, gram):
         self.gram = copy_matrix(gram)
         # quadratic values mod 2 exist only for even source lattices
         self.even = all(gram[i][i] % 2 == 0 for i in range(len(gram)))

@@ -145,7 +145,7 @@ def build_family(p):
     fam.checks["disc_N_orders"] = disc_orders
 
     # no new roots appear in the overlattice
-    roots_N = enumerate_vectors(N, -2)
+    roots_N = enumerate_vectors(N.gram, -2)
     if 2 * len(roots_N) != nu * p * (p - 1):
         raise AssertionError("N_p must have nu p (p - 1) / 2 root pairs")
     if any(x % p for row in mat_mul(roots_N, p_basis_N) for x in row):
@@ -192,7 +192,7 @@ def build_Lp(fam):
     fam.L_basis_in_N = L_in_N
     fam.L = L
     fam.checks["disc_L_orders"] = L.discriminant_group().cyclic_orders
-    fam.checks["L_has_no_roots"] = not enumerate_vectors(L, -2)
+    fam.checks["L_has_no_roots"] = not enumerate_vectors(L.gram, -2)
     return L
 
 

@@ -5,9 +5,15 @@ object twice gives byte-identical files. Integer entries stay plain
 decimal integers; rational entries (isotypic projectors) are exact
 fraction strings such as "3/4" or "2". Parsing is strict: shape or type
 errors raise SerializationError with a message, and syntax errors keep
-the line and column of the offending byte. The lattice and group codecs
-import their classes when they run, so writing a report loads json and
-fractions alone.
+the line and column of the offending byte.
+
+A lattice is the object {"rank": n, "gram": G}, G an n x n symmetric
+nondegenerate integer matrix as a list of rows. Other keys are ignored,
+so files that carry older metadata next to the Gram still load. A group
+is {"ambient": lattice, "generators": [M, ...]}, each M an n x n integer
+matrix acting on row vectors. The lattice and group codecs import their
+classes when they run, so writing a report loads json and fractions
+alone.
 """
 
 import json
@@ -67,20 +73,11 @@ def _int_matrix(obj, what, rows=None, cols=None):
 
 
 def lattice_to_obj(L):
-    from .standard import NamedLattice
-    obj = {"rank": L.rank, "gram": [list(r) for r in L.gram]}
-    if L.labels:
-        obj["labels"] = list(L.labels)
-    if isinstance(L, NamedLattice):
-        obj["name"] = L.name
-        obj["distinguished"] = {k: list(v) for k, v in
-                                sorted(L.distinguished.items())}
-    return obj
+    return {"rank": L.rank, "gram": [list(r) for r in L.gram]}
 
 
 def lattice_from_obj(obj):
     from .lattice import Lattice
-    from .standard import NamedLattice
     _require(isinstance(obj, dict), "lattice must be an object")
     _require("rank" in obj and "gram" in obj, "lattice needs rank and gram")
     n = obj["rank"]
@@ -88,16 +85,7 @@ def lattice_from_obj(obj):
     gram = _int_matrix(obj["gram"], "gram", rows=n, cols=n)
     _require(all(gram[i][j] == gram[j][i] for i in range(n)
                  for j in range(n)), "gram must be symmetric")
-    labels = obj.get("labels")
-    if labels is not None:
-        _require(isinstance(labels, list) and len(labels) == n,
-                 "labels must list one string per basis vector")
-    if "name" in obj:
-        dist = {k: [int(x) for x in v]
-                for k, v in obj.get("distinguished", {}).items()}
-        return NamedLattice(gram, obj["name"], distinguished=dist,
-                            labels=labels)
-    return Lattice(gram, labels=labels)
+    return Lattice(gram)
 
 
 def group_to_obj(G):

@@ -31,7 +31,7 @@ from .matrix import (
     transpose,
     vec_mat,
 )
-from .lattice import Lattice, express_in_basis, signature_of_gram
+from .lattice import express_in_basis, signature_of_gram
 from .standard import cartan_matrix
 
 
@@ -231,17 +231,12 @@ def _definite_sign(gram):
     raise ValueError("lattice is not definite")
 
 
-def _as_gram(L):
-    return L.gram if isinstance(L, Lattice) else L
-
-
-def enumerate_vectors(L, target_norm, budget=None):
+def enumerate_vectors(gram, target_norm, budget=None):
     """All lattice vectors of exactly the given norm, one per +- pair.
 
-    Deterministic lexicographic order. L must be definite; target_norm must
-    have the matching sign (or be zero, giving the empty list).
+    Deterministic lexicographic order. gram must be definite; target_norm
+    must have the matching sign (or be zero, giving the empty list).
     """
-    gram = _as_gram(L)
     sign = _definite_sign(gram)
     if target_norm == 0:
         return []
@@ -253,23 +248,22 @@ def enumerate_vectors(L, target_norm, budget=None):
             if q == t]
 
 
-def has_minus_two_vector(L, budget=None):
+def has_minus_two_vector(gram, budget=None):
     """(flag, witness): does a negative definite lattice contain v.v = -2?
 
     Rank 0 has none; enumerate_vectors raises ValueError unless the form
     is negative definite.
     """
-    if not _as_gram(L):
+    if not gram:
         return False, None
-    vecs = enumerate_vectors(L, -2, budget=budget)
+    vecs = enumerate_vectors(gram, -2, budget=budget)
     if vecs:
         return True, vecs[0]
     return False, None
 
 
-def min_norm_and_kissing(L, budget=None):
+def min_norm_and_kissing(gram, budget=None):
     """(minimal |norm|, number of vectors attaining it, counting both signs)."""
-    gram = _as_gram(L)
     if not gram:
         raise ValueError("rank-0 lattice has no minimum")
     sign = _definite_sign(gram)
@@ -318,7 +312,7 @@ class RootSystem:
         return "RootSystem(%s, spanning=%s)" % (self.components, self.spanning)
 
 
-def classify_root_system(L, budget=None):
+def classify_root_system(gram, budget=None):
     """Type the (-2)-vectors of a negative definite lattice.
 
     The simple roots are the positive roots, for a generic functional,
@@ -330,7 +324,6 @@ def classify_root_system(L, budget=None):
     det(-Cartan); that failing, or the components missing roots, raises
     AssertionError (also under python -O) naming rank and root count.
     """
-    gram = _as_gram(L)
     n = len(gram)
     if n == 0:
         return RootSystem([], [], [], [], True)
@@ -373,15 +366,15 @@ def classify_root_system(L, budget=None):
         comp.sort()
         part = [r for r in roots_half if any(dot(images[v], r) for v in comp)]
         m, count = len(comp), 2 * len(part)
-        labels = [t for t, f in ROOT_COUNTS.items() if f(m) == count]
+        types = [t for t, f in ROOT_COUNTS.items() if f(m) == count]
         ordered = [simple[v] for v in comp]
         got = det(mat_mul(mat_mul(ordered, gram), transpose(ordered)))
         # det(-Cartan) = (-1)^m det(Cartan)
-        if len(labels) != 1 or got != (-1) ** m * det(
-                cartan_matrix(labels[0], m)):
+        if len(types) != 1 or got != (-1) ** m * det(
+                cartan_matrix(types[0], m)):
             raise AssertionError("a rank %d root component with %d roots "
                                  "has no certified ADE type" % (m, count))
-        components.append((labels[0], m))
+        components.append((types[0], m))
         simple_roots.append(ordered)
         component_roots.append(part)
     total = sum(ROOT_COUNTS[t](m) for t, m in components)
@@ -438,8 +431,6 @@ def lattice_isometry(gram1, gram2, budget=None):
     """
     if budget is None:
         budget = 10 ** 7
-    gram1 = _as_gram(gram1)
-    gram2 = _as_gram(gram2)
     n = len(gram1)
     if len(gram2) != n:
         return None

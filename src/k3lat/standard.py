@@ -1,8 +1,8 @@
 """Standard lattices: U, ADE root lattices, the K3 lattice, reflections.
 
-Constructors return NamedLattice objects carrying a name and a table of
-distinguished coordinate vectors (e and f for U, simple roots for the ADE
-types, block generators for K3).
+Each constructor returns a Lattice, that is its Gram matrix in a fixed
+basis: e, f for U, the simple roots for the ADE types, and the blocks in
+order for K3. Reflections take a Gram matrix and a vector.
 """
 
 from .lattice import Lattice, direct_sum
@@ -14,18 +14,6 @@ class UnsupportedRootSystem(ValueError):
 
 class NotAMinusTwoVector(ValueError):
     pass
-
-
-class NamedLattice(Lattice):
-    """A Lattice with a name and distinguished coordinate vectors."""
-
-    def __init__(self, gram, name, distinguished=None, labels=None):
-        super().__init__(gram, labels=labels)
-        self.name = name
-        self.distinguished = dict(distinguished or {})
-
-    def __repr__(self):
-        return "NamedLattice(%r, rank %d)" % (self.name, self.rank)
 
 
 def _chain_edges(n):
@@ -74,45 +62,22 @@ def root_lattice(kind, n, sign=1):
         raise ValueError("root lattice sign must be 1 or -1, got %r"
                          % (sign,))
     C = cartan_matrix(kind, n)
-    if sign == -1:
-        C = [[-x for x in row] for row in C]
-    name = "%s%d" % (kind, n) + ("(-1)" if sign == -1 else "")
-    dist = {}
-    for i in range(n):
-        v = [0] * n
-        v[i] = 1
-        dist["alpha%d" % (i + 1)] = v
-    return NamedLattice(C, name, dist)
+    return Lattice([[sign * x for x in row] for row in C])
 
 
 def hyperbolic_plane(scale=1):
-    """U(scale): Gram [[0, s], [s, 0]] with distinguished e, f."""
-    name = "U" if scale == 1 else "U(%d)" % scale
-    return NamedLattice([[0, scale], [scale, 0]], name,
-                        {"e": [1, 0], "f": [0, 1]})
+    """U(scale): Gram [[0, s], [s, 0]] in the basis e, f."""
+    return Lattice([[0, scale], [scale, 0]])
 
 
 def k3_lattice():
-    """The even unimodular lattice of signature (3, 19).
+    """The even unimodular lattice of signature (3, 19): U^3 + E8(-1)^2.
 
-    Basis order: three hyperbolic planes, then two copies of the negated
-    E8 lattice. Labels name the blocks for readability of reports, and
-    every label doubles as a distinguished vector.
+    Basis order: the e, f of each of the three hyperbolic planes, then
+    the simple roots of each of the two negated E8 lattices.
     """
-    blocks = [hyperbolic_plane(), hyperbolic_plane(), hyperbolic_plane(),
-              root_lattice("E", 8, -1), root_lattice("E", 8, -1)]
-    labels = []
-    for k in range(3):
-        labels += ["u%d_e" % (k + 1), "u%d_f" % (k + 1)]
-    for k in range(2):
-        labels += ["e8%s_%d" % ("ab"[k], i + 1) for i in range(8)]
-    gram = direct_sum(*blocks).gram
-    dist = {}
-    for i, lab in enumerate(labels):
-        v = [0] * 22
-        v[i] = 1
-        dist[lab] = v
-    return NamedLattice(gram, "K3", dist, labels=labels)
+    U, E = hyperbolic_plane(), root_lattice("E", 8, -1)
+    return direct_sum(U, U, U, E, E)
 
 
 def reflection_general(gram, v):
@@ -122,8 +87,6 @@ def reflection_general(gram, v):
     vectors of an even lattice always qualify); any other v raises
     ValueError.
     """
-    if isinstance(gram, Lattice):
-        gram = gram.gram
     gv = [sum(g * x for g, x in zip(row, v)) for row in gram]  # e_i . v
     vv = sum(a * b for a, b in zip(gv, v))
     if vv == 0:
@@ -136,9 +99,8 @@ def reflection_general(gram, v):
             for i, row in enumerate(qr)]
 
 
-def reflection(ambient, v):
+def reflection(gram, v):
     """The reflection x -> x + (v.x) v in a vector of norm exactly -2."""
-    gram = ambient.gram if isinstance(ambient, Lattice) else ambient
     n = len(gram)
     vv = sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
     if vv != -2:

@@ -50,7 +50,6 @@ from conftest import family
 from k3lat import nikulin
 from k3lat.lattice import (
     DiscriminantForm,
-    Lattice,
     Sublattice,
     direct_sum,
     express_in_basis,
@@ -678,16 +677,6 @@ def poly_trim(p):
     return p
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_trim(out)
-
-
 def poly_sub(p, q):
     n = max(len(p), len(q))
     out = [0] * n
@@ -991,7 +980,7 @@ def find_a3a3_embedding():
     forming a basis. Existence makes the scan terminate early.
     """
     C = cartan_matrix("E", 8)
-    half = enumerate_vectors(Lattice(C), 2)
+    half = enumerate_vectors(C, 2)
     roots = half + [[-x for x in v] for v in half]
     assert len(roots) == 240
     paired = [vec_mat(r, C) for r in roots]
@@ -1028,7 +1017,7 @@ def find_a3a3_embedding():
 
 def _perpendicular_four_basis(GK):
     """Unimodular basis change of a binary form to diag(4, 4), or None."""
-    vv = enumerate_vectors(Lattice(GK), 4)
+    vv = enumerate_vectors(GK, 4)
     for a in range(len(vv)):
         ga = vec_mat(vv[a], GK)
         for b in range(a + 1, len(vv)):

@@ -113,7 +113,7 @@ def test_criterion_03_family_identities(capsys):
         ok = ok and in_rowspan_z(fam.L_basis_in_N, fam.rho_in_N)
         DL = fam.L.discriminant_group()
         ok = ok and DL.cyclic_orders == [p] * nu
-        ok = ok and enumerate_vectors(fam.L, -2) == []
+        ok = ok and enumerate_vectors(fam.L.gram, -2) == []
         ok = ok and matrix_order(fam.sigma_L) == p
         GL = fam.L.gram
         ok = ok and mat_mul(mat_mul(fam.sigma_L, GL),

@@ -326,8 +326,8 @@ r.regular_summand_discriminant_check = fake
     "nikulin-family-p3": ("L-root-free", """
 import k3lat.nikulin as n
 real = n.enumerate_vectors
-def fake(lat, norm, budget=None):
-    return real(lat, norm, budget) or [[1] + [0] * (lat.rank - 1)]
+def fake(gram, norm, budget=None):
+    return real(gram, norm, budget) or [[1] + [0] * (len(gram) - 1)]
 n.enumerate_vectors = fake
 """),
     "model-prime-3": ("dichotomy-kind", """
@@ -446,7 +446,7 @@ LAZY = ("dataclasses", "fractions", "json", "k3lat.scenarios",
         "k3lat.gsignature", "k3lat.groups", "k3lat.polys")
 # what reading a lattice file loads
 LATTICE_FILE = {"json", "fractions", "k3lat.serialize", "k3lat.matrix",
-                "k3lat.lattice", "k3lat.standard"}
+                "k3lat.lattice"}
 # the layers under the builders of realize and nikulin
 LIBRARY = {"fractions", "k3lat.matrix", "k3lat.lattice", "k3lat.standard",
            "k3lat.shortvec"}
@@ -491,7 +491,8 @@ def test_verbs_load_only_the_modules_they_call():
     assert _loaded_by(["compute", "signature", "--lattice", e8]) == \
         LATTICE_FILE
     assert _loaded_by(["compute", "enumerate", "--lattice", e8,
-                       "--norm", "-2"]) == LATTICE_FILE | {"k3lat.shortvec"}
+                       "--norm", "-2"]) == \
+        LATTICE_FILE | {"k3lat.shortvec", "k3lat.standard"}
     # the aut search of these two closes its result in groups
     for family in ("nikulin-family-p2", "nikulin-family-p3"):
         assert _loaded_by(["scenario", family]) == \

@@ -108,17 +108,17 @@ def test_discriminant_group_order_is_abs_det():
 
 def test_discriminant_form_known_values():
     a1 = root_lattice("A", 1)
-    D = DiscriminantForm(a1)
+    D = DiscriminantForm(a1.gram)
     assert D.cyclic_orders == [2]
     gen = [1]
     assert D.q(gen) == Fraction(1, 2)
 
     e8 = root_lattice("E", 8)
-    assert DiscriminantForm(e8).cyclic_orders == []
+    assert DiscriminantForm(e8.gram).cyclic_orders == []
     assert abs(e8.determinant()) == 1 and e8.is_even()
 
     u2 = rescale(hyperbolic_plane(), 2)
-    D2 = DiscriminantForm(u2)
+    D2 = DiscriminantForm(u2.gram)
     assert D2.cyclic_orders == [2, 2]
     vals = sorted(D2.q(x) for x in D2.elements())
     assert vals == [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
@@ -191,7 +191,7 @@ def test_integer_lift_is_exponent_times_the_fraction_lift():
 
 def test_discriminant_opposite_negates_q():
     a3 = root_lattice("A", 3)
-    D = DiscriminantForm(a3)
+    D = DiscriminantForm(a3.gram)
     O = D.opposite()
     assert D.cyclic_orders == O.cyclic_orders == [4]
     # q values of the opposite are the negatives mod 2Z, as multisets
@@ -202,7 +202,7 @@ def test_discriminant_opposite_negates_q():
 
 def test_reduce_and_lift_round_trip():
     a3 = root_lattice("A", 3)
-    D = DiscriminantForm(a3)
+    D = DiscriminantForm(a3.gram)
     for x in D.elements():
         v = rational_lift(D, x)
         assert disc_reduce(D, v) == tuple(x)

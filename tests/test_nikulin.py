@@ -104,7 +104,7 @@ def test_discriminant_shapes(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_L_has_no_roots(p):
     fam = family(p)
-    assert enumerate_vectors(fam.L, -2) == []
+    assert enumerate_vectors(fam.L.gram, -2) == []
     assert fam.checks["L_has_no_roots"]
 
 

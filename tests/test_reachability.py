@@ -1,15 +1,16 @@
 """Every top-level def or class of src/k3lat is named somewhere else in
 src/k3lat, and every public method of its classes is read as an
 attribute somewhere in src/k3lat, so no library code is reached only by
-the tests; and no check of src/k3lat is an assert statement, which
-python -O strips. Read from the syntax trees alone: nothing is imported
-or run."""
+the tests; no check of src/k3lat is an assert statement, which python -O
+strips; and every top-level def or class of tests/oracles.py is named by
+a test module or by another oracle. Read from the syntax trees alone:
+nothing is imported or run."""
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                   "src", "k3lat")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(TESTS, os.pardir, "src", "k3lat")
 
 # named only from outside src/k3lat, each for one reason
 ALLOWED = {
@@ -32,11 +33,11 @@ def _names(node):
     return out
 
 
-def _trees():
-    """(module name, syntax tree) of each module of src/k3lat."""
-    for fname in sorted(os.listdir(SRC)):
+def _trees(directory=SRC):
+    """(module name, syntax tree) of each module of directory."""
+    for fname in sorted(os.listdir(directory)):
         if fname.endswith(".py"):
-            with open(os.path.join(SRC, fname)) as fh:
+            with open(os.path.join(directory, fname)) as fh:
                 yield fname[:-len(".py")], ast.parse(fh.read(), fname)
 
 
@@ -75,3 +76,16 @@ def test_no_assert_statement_in_the_package():
     asserts = sorted((mod, sub.lineno) for mod, tree in _trees()
                      for sub in ast.walk(tree) if isinstance(sub, ast.Assert))
     assert asserts == [], asserts
+
+
+def test_every_oracle_is_named_by_a_test_or_another_oracle():
+    trees = dict(_trees(TESTS))
+    oracles = trees.pop("oracles")
+    named = set().union(*map(_names, trees.values()))
+    unnamed = sorted(
+        node.name for node in oracles.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in named
+        and not any(node.name in _names(other)
+                    for other in oracles.body if other is not node))
+    assert unnamed == [], unnamed

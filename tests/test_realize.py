@@ -206,7 +206,7 @@ def test_dichotomy_rejects_cyclotomic_summands():
     c = identity_matrix(8)
     for i in range(8):
         v = [int(k == i) for k in range(8)]
-        c = mat_mul(c, reflection(e8m, v))
+        c = mat_mul(c, reflection(e8m.gram, v))
     c10 = identity_matrix(8)
     for _ in range(10):
         c10 = mat_mul(c10, c)

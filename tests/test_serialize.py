@@ -43,13 +43,18 @@ def test_lattice_round_trip():
     assert back.rank == 2
 
 
-def test_named_lattice_keeps_name_and_distinguished():
-    U = hyperbolic_plane()
-    obj = lattice_to_obj(U)
-    back = lattice_from_obj(obj)
-    assert back.name == "U"
-    assert back.distinguished["e"] == [1, 0]
-    assert back.distinguished["f"] == [0, 1]
+def test_lattice_is_written_as_rank_and_gram_alone():
+    obj = lattice_to_obj(k3_lattice())
+    assert sorted(obj) == ["gram", "rank"]
+    assert obj["rank"] == 22 and obj["gram"] == k3_lattice().gram
+
+
+def test_legacy_lattice_keys_are_ignored_on_load():
+    # this file also carries the name, labels and distinguished table of
+    # the K3 basis, which older versions wrote next to the Gram
+    obj = read_json_file(os.path.join(INPUTS, "a4-group.json"))["ambient"]
+    assert {"name", "labels", "distinguished"} <= set(obj)
+    assert lattice_from_obj(obj).gram == k3_lattice().gram
 
 
 def test_group_round_trip():

@@ -180,7 +180,7 @@ def test_root_counts_one_per_sign_pair():
     for kind, n, count in [("A", 2, 6), ("A", 3, 12), ("D", 4, 24),
                            ("E", 6, 72), ("E", 8, 240)]:
         L = root_lattice(kind, n, sign=-1)
-        roots = enumerate_vectors(L, -2)
+        roots = enumerate_vectors(L.gram, -2)
         assert 2 * len(roots) == count
         seen = set(tuple(v) for v in roots)
         assert len(seen) == len(roots)
@@ -190,8 +190,8 @@ def test_root_counts_one_per_sign_pair():
 
 def test_enumerate_is_deterministic():
     L = root_lattice("D", 4, sign=-1)
-    a = enumerate_vectors(L, -2)
-    b = enumerate_vectors(L, -2)
+    a = enumerate_vectors(L.gram, -2)
+    b = enumerate_vectors(L.gram, -2)
     assert a == b
 
 
