@@ -24,9 +24,11 @@ from .matrix import (
     mat_sub,
     rank as qrank,
     rank_mod_p,
+    snf,
     transpose,
 )
 from .lattice import (
+    DiscriminantForm,
     Sublattice,
     diagonalize,
     express_in_basis,
@@ -105,19 +107,13 @@ class IsometryGroup:
         return len(self.elements())
 
     def fixed_sublattice(self):
-        return fixed_sublattice(self.ambient, self.generators)
-
-
-def fixed_sublattice(ambient, generators):
-    """Saturated sublattice of vectors fixed by every generator."""
-    if not generators:
-        return ambient.full_sublattice()
-    n = ambient.rank
-    rows = []
-    for g in generators:
-        rows.extend(transpose(mat_sub(g, identity_matrix(n))))
-    basis = int_kernel(rows)
-    return Sublattice(ambient, basis)
+        """Saturated sublattice of vectors fixed by every generator."""
+        if not self.generators:
+            return self.ambient.full_sublattice()
+        I = identity_matrix(self.ambient.rank)
+        rows = [row for g in self.generators
+                for row in transpose(mat_sub(g, I))]
+        return Sublattice(self.ambient, int_kernel(rows))
 
 
 class ZGDecomposition:
@@ -182,19 +178,27 @@ def zg_decomposition(g, p):
     return ZGDecomposition(p, t, c, r, blocks)
 
 
-def regular_summand_discriminant_check(ambient, g, dec):
+def regular_summand_discriminant_check(coinvariant, g, dec):
     """For c = 0 elements: im(g-1) is a direct summand, and the complement
-    of the fixed lattice has discriminant (Z/p)^r when ambient is unimodular.
-    dec is the zg_decomposition of g.
+    of the fixed lattice has discriminant (Z/p)^r when the ambient is
+    unimodular. coinvariant is the CoinvariantResult of the group g
+    generates, whose fixed^perp is read, not rebuilt; dec is the
+    zg_decomposition of g.
     """
     p = dec.p
     if dec.c != 0:
         raise ValueError("check applies only when no cyclotomic summand occurs")
+    fixed = coinvariant.fixed
+    ambient = fixed.ambient
     n = ambient.rank
-    N = mat_sub(g, identity_matrix(n))
-    from .matrix import snf
-    S, _ = snf(N)
+    S, _ = snf(mat_sub(g, identity_matrix(n)))
     divisors = [S[i][i] for i in range(n)]
+    # a saturated sublattice fixed by g with the rank of ker(g - 1) is
+    # the fixed lattice of g
+    if not (mat_eq(mat_mul(fixed.basis, g), fixed.basis)
+            and fixed.rank == divisors.count(0)):
+        raise ValueError("coinvariant must be the result for the group "
+                         "g generates")
     summand = all(d in (0, 1) for d in divisors)
     report = {
         "p": p,
@@ -204,13 +208,7 @@ def regular_summand_discriminant_check(ambient, g, dec):
         "snf_divisors": sorted(d for d in divisors if d),
     }
     if abs(ambient.determinant()) == 1:
-        fixed = fixed_sublattice(ambient, [g])
-        comp = fixed.orthogonal_complement()
-        if comp.rank:
-            disc = comp.as_lattice().discriminant_group()
-            orders = disc.cyclic_orders
-        else:
-            orders = []
+        orders = DiscriminantForm(coinvariant.complement.gram()).cyclic_orders
         report["complement_disc_orders"] = orders
         report["disc_dimension_over_Fp"] = len(orders)
         report["disc_is_Fp_space_of_dim_r"] = (
@@ -239,19 +237,22 @@ def spinor_plus_membership(ambient, g):
 class CoinvariantResult:
     """L_G and how it was determined.
 
-    pieces holds the sorted (rank, sig_+) pairs L_G was built from: the
-    fixed lattice and its complement, split into the Q-isotypic
-    components unless the fixed lattice holds a positive 3-plane and no
-    projectors came. L_G is the saturated span of the pieces with
-    sig_+ = 0. fixed_plus is the sig_+ of the fixed lattice (0 if zero),
-    and mode a label: supplied-isotypic when caller projectors were
-    checked, else pointwise-fixed-3-plane when fixed_plus is 3, else
+    fixed is the fixed sublattice and complement its orthogonal
+    complement fixed^perp, each built once, for callers to read. pieces
+    holds the sorted (rank, sig_+) pairs L_G was built from: the fixed
+    lattice and its complement, split into the Q-isotypic components
+    unless the fixed lattice holds a positive 3-plane and no projectors
+    came. L_G is the saturated span of the pieces with sig_+ = 0;
+    unsplit, it is complement, on the same rows. fixed_plus is the
+    sig_+ of the fixed lattice (0 if zero), and mode a label:
+    supplied-isotypic when caller projectors were checked, else
+    pointwise-fixed-3-plane when fixed_plus is 3, else
     rotation-on-3-plane.
     """
 
-    def __init__(self, L_G, fixed, mode, pieces, fixed_plus):
-        self.L_G, self.fixed, self.mode = L_G, fixed, mode
-        self.pieces, self.fixed_plus = pieces, fixed_plus
+    def __init__(self, L_G, fixed, complement, mode, pieces, fixed_plus):
+        self.L_G, self.fixed, self.complement = L_G, fixed, complement
+        self.mode, self.pieces, self.fixed_plus = mode, pieces, fixed_plus
 
 
 def coinvariant_L_G(group, isotypic_data=None):
@@ -283,8 +284,8 @@ def coinvariant_L_G(group, isotypic_data=None):
             spinor_plus_membership(ambient, g) for g in group.generators):
         raise ValueError("no orientation-compatible invariant positive "
                          "3-plane: the group does not lie in O^+")
-    comps = [B for B in (fixed.basis, fixed.orthogonal_complement().basis)
-             if B]
+    complement = fixed.orthogonal_complement()
+    comps = [B for B in (fixed.basis, complement.basis) if B]
     split = fixed_plus != 3 or isotypic_data is not None
     if split:
         comps = isotypic_components(group, comps)
@@ -318,7 +319,7 @@ def coinvariant_L_G(group, isotypic_data=None):
     else:
         mode = "rotation-on-3-plane"
     pieces = sorted((len(B), p) for B, (p, _, _) in zip(comps, sigs))
-    return CoinvariantResult(L, fixed, mode, pieces, fixed_plus)
+    return CoinvariantResult(L, fixed, complement, mode, pieces, fixed_plus)
 
 
 def rational_classes(group):

@@ -182,9 +182,6 @@ class Sublattice:
         BG = mat_mul(B, self.ambient.gram)
         return mat_mul(BG, transpose(B))
 
-    def as_lattice(self):
-        return Lattice(self.gram())
-
     def saturation_basis(self):
         if not self.basis:
             return []
@@ -274,13 +271,6 @@ class DiscriminantForm:
     @property
     def cyclic_orders(self):
         return list(self.orders)
-
-    @property
-    def group_order(self):
-        out = 1
-        for o in self.orders:
-            out *= o
-        return out
 
     def opposite(self):
         return DiscriminantForm([[-x for x in row] for row in self.gram])

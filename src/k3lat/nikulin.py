@@ -165,20 +165,9 @@ def build_Lp(fam):
     w = [x % p for x in _rho_functional(fam)]
     if not any(w):
         raise AssertionError("the rho functional must be onto Z/p")
-    t0 = next(t for t in range(m) if w[t])
-    inv = pow(w[t0], -1, p)
-    rows = []
-    for t in range(m):
-        if t == t0:
-            e = [0] * m
-            e[t0] = p
-            rows.append(e)
-        else:
-            e = [0] * m
-            e[t] = 1
-            e[t0] = -((w[t] * inv) % p)
-            rows.append(e)
-    L_in_N = row_hnf(rows)
+    # (x, y) with w.x + p y = 0 are the x with w.x = 0 mod p, and y is
+    # determined by x, so dropping it keeps a basis
+    L_in_N = row_hnf([r[:m] for r in int_kernel([w + [p]])])
     gram_L = gram_of_rows(L_in_N, fam.N.gram)
     # rebase on the LLL-reduced basis, which sigma_L and every later
     # search are written in; the reduced Gram is -R
@@ -433,8 +422,6 @@ def Lp_complement_in_Kp(fam):
     fam.checks["sigma_extends_to_K"] = extends
     fam.sigma_K = sig_hat
     fam.K_eprime = eprime
-    return {"p": p, "gram": gram_ef, "eprime": eprime,
-            "sigma_extension": sig_hat}
 
 
 def family(p):

@@ -47,7 +47,6 @@ from .lattice import (
     direct_sum,
     express_in_basis,
     gram_of_rows,
-    signature_of_gram,
     sublattice_index,
     two_elementary_profile,
 )
@@ -469,13 +468,13 @@ def build_nikulin_involution():
     group = IsometryGroup(k3, [g])
     in_o_plus = spinor_plus_membership(k3, g)
 
-    dec = zg_decomposition(g, 2)
-    tcr = (dec.t, dec.c, dec.r)
-    reg = regular_summand_discriminant_check(k3, g, dec)
-
     report = decide_complex(group)
     res = report.coinvariant
     fixed, L = res.fixed, res.L_G
+
+    dec = zg_decomposition(g, 2)
+    tcr = (dec.t, dec.c, dec.r)
+    reg = regular_summand_discriminant_check(res, g, dec)
 
     # diagonal basis: u-block vectors plus (0, x, x); Gram is U^3 + E8(-2)
     expected_fixed = []
@@ -645,7 +644,7 @@ def build_coxeter_model():
 
     dec = zg_decomposition(S, 3)
     tcr = (dec.t, dec.c, dec.r)
-    report = classify_dichotomy(group)
+    report = classify_dichotomy(group, dec=dec)
 
     certificates = {
         "order": group.order(),
@@ -714,13 +713,13 @@ def build_model_prime_action(p, budget=None):
     Embeds K_p primitively into an even unimodular lattice of signature
     (3, 19) by gluing against the pinned partner, extends sigma by the
     identity and records: order p, O^+ membership, sig_plus(fixed), and
-    how far L_G is certified isometric to the family lattice, staged:
-    signature and parity, then the discriminant form, decided by its
-    q-value counts, then an explicit definite isometry transported
-    through the glue (no search, so the strongest level is reached at
-    every rank; the report states the level). The one budgeted search
-    is the lattice isometry of L_G onto E8(-2) at p = 2, under budget
-    nodes (None: the default of lattice_isometry).
+    L_G_certification "isometry" when the explicit definite isometry of
+    the family lattice onto L_G, transported through the glue with no
+    search, carries one Gram onto the other (None otherwise). The
+    lattice invariants are read off the one CoinvariantResult of
+    decide_complex. The one budgeted search is the lattice isometry of
+    L_G onto E8(-2) at p = 2, under budget nodes (None: the default of
+    lattice_isometry).
     """
     from .gsignature import fixed_point_predictions
     from .nikulin import GENUS_CANDIDATES, family
@@ -739,38 +738,34 @@ def build_model_prime_action(p, budget=None):
     report = decide_complex(group)
     res = report.coinvariant
     fixed, L = res.fixed, res.L_G
-    fixed_sig = signature_of_gram(fixed.gram())
+    # coinvariant_L_G has refused a degenerate fixed lattice
+    fixed_sig = (res.fixed_plus, fixed.rank - res.fixed_plus, 0)
 
     dec = zg_decomposition(S, p)
     tcr = (dec.t, dec.c, dec.r)
-    reg = regular_summand_discriminant_check(lam, S, dec)
+    reg = regular_summand_discriminant_check(res, S, dec)
     if not (reg["image_is_direct_summand"]
             and reg["disc_is_Fp_space_of_dim_r"]):
         raise AssertionError("the image of S - 1 must be a direct summand "
                              "with disc (Z/p)^r")
+    # S is symplectic, so the fixed lattice holds the positive 3-plane and
+    # coinvariant_L_G, given no projectors, does not split: L_G is
+    # fixed^perp, whose discriminant the check above has read
+    GL = L.gram()
+    L_disc_orders = reg["complement_disc_orders"]
 
     pred = fixed_point_predictions(p, fam.nu)
 
-    # staged certification that L_G is the family lattice: signature and
-    # parity, then the discriminant form, then an explicit definite
-    # isometry transported through the glue; level is the last stage held
-    GL = L.gram()
-    DL = DiscriminantForm(GL)
-    level = None
-    if signature_of_gram(GL) == signature_of_gram(fam.L.gram) and \
-            Lattice(GL).is_even():
-        level = "signature-parity"
-        if disc_form_isometry(DL, DiscriminantForm(fam.L.gram)):
-            level = "discriminant-form"
-            iso = _transported_family_isometry(fam, embed_K, L)
-            if mat_eq(mat_mul(mat_mul(iso, fam.L.gram), transpose(iso)),
-                      GL):
-                level = "isometry"
+    # L_G is the family lattice by an explicit definite isometry
+    # transported through the glue
+    iso = _transported_family_isometry(fam, embed_K, L)
+    isometric = mat_eq(mat_mul(mat_mul(iso, fam.L.gram), transpose(iso)), GL)
 
     certificates = {
         "p": p,
         "partner": GLUE_PARTNER_NAMES[p],
-        "glue_index": DiscriminantForm(K.gram).group_order,
+        # |disc K| = |det K|, which K caches
+        "glue_index": abs(K.determinant()),
         "ambient_signature": lam.signature(),
         "ambient_even_unimodular": (lam.is_even()
                                     and abs(lam.determinant()) == 1),
@@ -783,8 +778,8 @@ def build_model_prime_action(p, budget=None):
         "euler_prediction": pred.euler,
         "euler_equals_nu": pred.euler == fam.nu,
         "L_G_rank": L.rank,
-        "L_G_disc_orders": DL.cyclic_orders,
-        "L_G_certification": level,
+        "L_G_disc_orders": L_disc_orders,
+        "L_G_certification": "isometry" if isometric else None,
     }
 
     if p == 2:

@@ -5,6 +5,7 @@ pytest's capture) and then asserts both the result and its runtime limit.
 All comparisons are exact; no tolerances appear anywhere.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -301,7 +302,7 @@ def test_criterion_10_property_suites(capsys):
         for x in snf_diagonal(G):
             prod *= x
         ok = ok and abs(prod) == abs(d)
-        ok = ok and DiscriminantForm(G).group_order == abs(d)
+        ok = ok and math.prod(DiscriminantForm(G).cyclic_orders) == abs(d)
 
     # short-vector enumeration vs the naive oracle, rank <= 4, 100 cases
     rng = random.Random(202)

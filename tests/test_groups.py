@@ -13,7 +13,6 @@ from k3lat.groups import (
     NotAnIsometry,
     NotFinite,
     coinvariant_L_G,
-    fixed_sublattice,
     rational_classes,
     regular_summand_discriminant_check,
     spinor_plus_membership,
@@ -105,7 +104,8 @@ def test_swap_involution_module_shape():
     swap = _swap_matrix()
     dec = zg_decomposition(swap, 2)
     assert (dec.t, dec.c, dec.r) == (6, 0, 8)
-    rep = regular_summand_discriminant_check(K3, swap, dec)
+    res = coinvariant_L_G(IsometryGroup(K3, [swap]))
+    rep = regular_summand_discriminant_check(res, swap, dec)
     assert rep["image_is_direct_summand"]
     assert rep["disc_is_Fp_space_of_dim_r"]
 
@@ -602,15 +602,24 @@ def test_order_three_rotation_glues_to_regular_summand():
     C3 = _c3_rotation()
     dec3 = zg_decomposition(C3, 3)
     assert (dec3.t, dec3.c, dec3.r) == (19, 0, 1)
-    rep3 = regular_summand_discriminant_check(K3, C3, dec3)
+    res3 = coinvariant_L_G(IsometryGroup(K3, [C3]))
+    rep3 = regular_summand_discriminant_check(res3, C3, dec3)
     assert rep3["image_is_direct_summand"]
     assert rep3["disc_is_Fp_space_of_dim_r"]
     assert rep3["complement_disc_orders"] == [3]
 
 
+def test_regular_summand_check_refuses_another_groups_result():
+    swap, C3 = _swap_matrix(), _c3_rotation()
+    res3 = coinvariant_L_G(IsometryGroup(K3, [C3]))
+    with pytest.raises(ValueError, match="the group g generates"):
+        regular_summand_discriminant_check(res3, swap,
+                                           zg_decomposition(swap, 2))
+
+
 def test_fixed_sublattice_is_primitive_and_pointwise():
     swap = _swap_matrix()
-    F = fixed_sublattice(K3, [swap])
+    F = IsometryGroup(K3, [swap]).fixed_sublattice()
     assert F.rank == 14
     assert F.is_primitive()
     for v in F.basis:

@@ -98,12 +98,7 @@ def test_discriminant_group_order_is_abs_det():
         if det(G) == 0:
             continue
         done += 1
-        D = DiscriminantForm(G)
-        assert D.group_order == abs(det(G))
-        prod = 1
-        for c in D.cyclic_orders:
-            prod *= c
-        assert prod == D.group_order
+        assert math.prod(DiscriminantForm(G).cyclic_orders) == abs(det(G))
 
 
 def test_discriminant_form_known_values():

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from k3lat import realize
 from k3lat.groups import IsometryGroup, zg_decomposition
-from k3lat.lattice import DiscriminantForm, direct_sum
+from k3lat.lattice import DiscriminantForm, Sublattice, direct_sum
 from k3lat.matrix import (
     block_diag,
     identity_matrix,
@@ -373,6 +374,31 @@ def test_model_prime_action_p3_summary():
     assert certs["dichotomy_kind"] == "Nikulin"
     assert certs["fixed_matches_genus_candidate"]
     assert certs["metric"] == "yes" and certs["complex"] == "yes"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_model_prime_action(3), build_nikulin_involution,
+    build_coxeter_model], ids=["model-prime-3", "nikulin-involution",
+                               "coxeter-model"])
+def test_builder_computes_each_lattice_invariant_once(monkeypatch, build):
+    # the fixed lattice, its complement and the Z[G] profile of the
+    # generator are built once and read from there on
+    calls = {}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    count(IsometryGroup, "fixed_sublattice")
+    count(Sublattice, "orthogonal_complement")
+    # the builders and classify_dichotomy call it through this binding
+    count(realize, "zg_decomposition")
+    build()
+    assert calls == {"fixed_sublattice": 1, "orthogonal_complement": 1,
+                     "zg_decomposition": 1}
 
 
 def test_model_prime_action_rejects_other_primes():

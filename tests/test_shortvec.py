@@ -226,7 +226,7 @@ def test_classification_reducible():
     # A1 pair inside A3: not spanning
     A3 = root_lattice("A", 3, sign=-1)
     sub = Sublattice(A3, [[1, 0, 0], [0, 0, 1]])
-    rs2 = classify_root_system(sub.as_lattice().gram)
+    rs2 = classify_root_system(sub.gram())
     assert sorted(rs2.components) == [("A", 1), ("A", 1)]
 
 
