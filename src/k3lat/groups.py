@@ -29,7 +29,6 @@ from .matrix import (
 )
 from .lattice import (
     DiscriminantForm,
-    Sublattice,
     diagonalize,
     express_in_basis,
     gram_of_rows,
@@ -107,13 +106,13 @@ class IsometryGroup:
         return len(self.elements())
 
     def fixed_sublattice(self):
-        """Saturated sublattice of vectors fixed by every generator."""
-        if not self.generators:
-            return self.ambient.full_sublattice()
+        """Basis rows, in row HNF, of the saturated sublattice of vectors
+        fixed by every generator: the identity rows when there is none."""
         I = identity_matrix(self.ambient.rank)
-        rows = [row for g in self.generators
-                for row in transpose(mat_sub(g, I))]
-        return Sublattice(self.ambient, int_kernel(rows))
+        if not self.generators:
+            return I
+        return int_kernel([row for g in self.generators
+                           for row in transpose(mat_sub(g, I))])
 
 
 class ZGDecomposition:
@@ -182,21 +181,20 @@ def regular_summand_discriminant_check(coinvariant, g, dec):
     """For c = 0 elements: im(g-1) is a direct summand, and the complement
     of the fixed lattice has discriminant (Z/p)^r when the ambient is
     unimodular. coinvariant is the CoinvariantResult of the group g
-    generates, whose fixed^perp is read, not rebuilt; dec is the
+    generates, whose fixed^perp Gram is read, not rebuilt; dec is the
     zg_decomposition of g.
     """
     p = dec.p
     if dec.c != 0:
         raise ValueError("check applies only when no cyclotomic summand occurs")
-    fixed = coinvariant.fixed
-    ambient = fixed.ambient
+    fixed, ambient = coinvariant.fixed, coinvariant.ambient
     n = ambient.rank
     S, _ = snf(mat_sub(g, identity_matrix(n)))
     divisors = [S[i][i] for i in range(n)]
     # a saturated sublattice fixed by g with the rank of ker(g - 1) is
     # the fixed lattice of g
-    if not (mat_eq(mat_mul(fixed.basis, g), fixed.basis)
-            and fixed.rank == divisors.count(0)):
+    if not (mat_eq(mat_mul(fixed, g), fixed)
+            and len(fixed) == divisors.count(0)):
         raise ValueError("coinvariant must be the result for the group "
                          "g generates")
     summand = all(d in (0, 1) for d in divisors)
@@ -208,7 +206,7 @@ def regular_summand_discriminant_check(coinvariant, g, dec):
         "snf_divisors": sorted(d for d in divisors if d),
     }
     if abs(ambient.determinant()) == 1:
-        orders = DiscriminantForm(coinvariant.complement.gram()).cyclic_orders
+        orders = DiscriminantForm(coinvariant.complement_gram).cyclic_orders
         report["complement_disc_orders"] = orders
         report["disc_dimension_over_Fp"] = len(orders)
         report["disc_is_Fp_space_of_dim_r"] = (
@@ -235,23 +233,29 @@ def spinor_plus_membership(ambient, g):
 
 
 class CoinvariantResult:
-    """L_G and how it was determined.
+    """L_G and how it was determined, for callers to read.
 
-    fixed is the fixed sublattice and complement its orthogonal
-    complement fixed^perp, each built once, for callers to read. pieces
-    holds the sorted (rank, sig_+) pairs L_G was built from: the fixed
-    lattice and its complement, split into the Q-isotypic components
-    unless the fixed lattice holds a positive 3-plane and no projectors
-    came. L_G is the saturated span of the pieces with sig_+ = 0;
-    unsplit, it is complement, on the same rows. fixed_plus is the
-    sig_+ of the fixed lattice (0 if zero), and mode a label:
-    supplied-isotypic when caller projectors were checked, else
-    pointwise-fixed-3-plane when fixed_plus is 3, else
+    ambient is the group's lattice. fixed, complement and L_G are the
+    basis rows, in ambient coordinates and row HNF, of the fixed
+    sublattice, its orthogonal complement fixed^perp and L_G, each built
+    once; fixed_gram, complement_gram and L_G_gram are their Grams, each
+    computed once ([] for no rows). pieces holds the sorted (rank, sig_+)
+    pairs L_G was built from: the fixed lattice and its complement, split
+    into the Q-isotypic components unless the fixed lattice holds a
+    positive 3-plane and no projectors came. L_G is the saturated span of
+    the pieces with sig_+ = 0; unsplit, it is complement, on the same
+    rows. fixed_plus is the sig_+ of the fixed lattice (0 if zero), and
+    mode a label: supplied-isotypic when caller projectors were checked,
+    else pointwise-fixed-3-plane when fixed_plus is 3, else
     rotation-on-3-plane.
     """
 
-    def __init__(self, L_G, fixed, complement, mode, pieces, fixed_plus):
-        self.L_G, self.fixed, self.complement = L_G, fixed, complement
+    def __init__(self, ambient, fixed, fixed_gram, complement,
+                 complement_gram, L_G, L_G_gram, mode, pieces, fixed_plus):
+        self.ambient = ambient
+        self.fixed, self.fixed_gram = fixed, fixed_gram
+        self.complement, self.complement_gram = complement, complement_gram
+        self.L_G, self.L_G_gram = L_G, L_G_gram
         self.mode, self.pieces, self.fixed_plus = mode, pieces, fixed_plus
 
 
@@ -278,39 +282,50 @@ def coinvariant_L_G(group, isotypic_data=None):
             len(E) != n or any(len(r) != n for r in E) for E in isotypic_data):
         raise ValueError("projectors must be %d x %d matrices" % (n, n))
     fixed = group.fixed_sublattice()
-    sigs = [signature_of_gram(fixed.gram())] if fixed.rank else []
+    fixed_gram = gram_of_rows(fixed, ambient.gram)
+    sigs = [signature_of_gram(fixed_gram)] if fixed else []
     fixed_plus = sigs[0][0] if sigs else 0
     if fixed_plus != 3 and not all(
             spinor_plus_membership(ambient, g) for g in group.generators):
         raise ValueError("no orientation-compatible invariant positive "
                          "3-plane: the group does not lie in O^+")
-    complement = fixed.orthogonal_complement()
-    comps = [B for B in (fixed.basis, complement.basis) if B]
+    complement = (int_kernel(mat_mul(fixed, ambient.gram)) if fixed
+                  else identity_matrix(n))
+    complement_gram = gram_of_rows(complement, ambient.gram)
+    comps = [B for B in (fixed, complement) if B]
     split = fixed_plus != 3 or isotypic_data is not None
     if split:
         comps = isotypic_components(group, comps)
-    # every class sum is the scalar |C| on the fixed lattice, so a split
-    # keeps it whole and first
-    sigs += [signature_of_gram(gram_of_rows(B, ambient.gram))
-             for B in comps[len(sigs):]]
+        # every class sum is the scalar |C| on the fixed lattice, so a
+        # split keeps it whole and first
+        sigs += [signature_of_gram(gram_of_rows(B, ambient.gram))
+                 for B in comps[len(sigs):]]
+    elif complement:
+        sigs.append(signature_of_gram(complement_gram))
     rank, plus = sum(map(len, comps)), sum(p for p, _, _ in sigs)
     if rank != n or plus != 3 or any(z for _, _, z in sigs):
         raise AssertionError(
             "isotypic components must be nondegenerate with ranks summing "
             "to %d and sig_+ to 3, got %d and %d" % (n, rank, plus))
-    keep = [row for B, (p, _, _) in zip(comps, sigs) if not p for row in B]
-    L = Sublattice(ambient, keep)
-    # unsplit, L is the one piece fixed^perp, which orthogonal_complement
-    # gave saturated and the sum check above found negative definite;
-    # split pieces may span a proper sublattice
     if split:
-        L = L.saturation()
-        if L.rank and signature_of_gram(L.gram())[1] != L.rank:
+        # the pieces without a positive part may span a proper sublattice;
+        # its saturation has their rank, which must be their row count
+        keep = [row for B, (p, _, _) in zip(comps, sigs) if not p
+                for row in B]
+        L = int_kernel(int_kernel(keep))
+        L_gram = gram_of_rows(L, ambient.gram)
+        if L and signature_of_gram(L_gram)[1] != len(L):
             raise AssertionError("L_G must be negative definite or zero")
-    if L.rank:
+        if len(L) != len(keep):
+            raise AssertionError("the isotypic components without a "
+                                 "positive part must be independent")
+    else:
+        # L_G is the one piece fixed^perp, which int_kernel gave
+        # saturated and the sum check above found negative definite
+        L, L_gram = complement, complement_gram
+    if L:
         for g in group.generators:
-            express_in_basis(mat_mul(L.basis, g), L.basis,
-                             "L_G must be G-invariant")
+            express_in_basis(mat_mul(L, g), L, "L_G must be G-invariant")
     if isotypic_data is not None:
         _check_projectors(isotypic_data, comps)
         mode = "supplied-isotypic"
@@ -319,7 +334,9 @@ def coinvariant_L_G(group, isotypic_data=None):
     else:
         mode = "rotation-on-3-plane"
     pieces = sorted((len(B), p) for B, (p, _, _) in zip(comps, sigs))
-    return CoinvariantResult(L, fixed, complement, mode, pieces, fixed_plus)
+    return CoinvariantResult(ambient, fixed, fixed_gram, complement,
+                             complement_gram, L, L_gram, mode, pieces,
+                             fixed_plus)
 
 
 def rational_classes(group):

@@ -2,10 +2,11 @@
 
 A lattice here is Z^n equipped with a symmetric integer Gram matrix; basis
 vectors are rows and an isometry acts on the right of a row vector. A
-Sublattice is a row span inside an ambient lattice. A DiscriminantForm is
-the finite quadratic form on dual-quotient of a nondegenerate even lattice;
-two p-elementary ones are isometric iff their orders and q-value counts
-agree.
+sublattice is its basis rows in ambient coordinates: independent and, as
+int_kernel returns them, in row HNF; gram_of_rows gives its Gram. A
+DiscriminantForm is the finite quadratic form on dual-quotient of a
+nondegenerate even lattice; two p-elementary ones are isometric iff their
+orders and q-value counts agree.
 """
 
 from collections import Counter
@@ -20,9 +21,7 @@ from .matrix import (
     det,
     dot,
     identity_matrix,
-    int_kernel,
     mat_mul,
-    rank as qrank,
     snf,
     transpose,
     vec_mat,
@@ -145,74 +144,12 @@ class Lattice:
     def discriminant_group(self):
         return DiscriminantForm(self.gram)
 
-    def full_sublattice(self):
-        return Sublattice(self, identity_matrix(self.rank))
-
     def __repr__(self):
         return "Lattice(rank=%d, det=%s)" % (self.rank, self.determinant())
 
 
-def rescale(lat, c):
-    """Same module, form multiplied by the integer c."""
-    return Lattice([[c * x for x in row] for row in lat.gram])
-
-
 def direct_sum(*lattices):
     return Lattice(block_diag(*[l.gram for l in lattices]))
-
-
-class Sublattice:
-    """Integer row span of `basis` inside an ambient lattice."""
-
-    def __init__(self, ambient, basis):
-        self.ambient = ambient
-        self.basis = [list(map(int, row)) for row in basis]
-        if any(len(row) != ambient.rank for row in self.basis):
-            raise ValueError("sublattice basis rows must have length %d"
-                             % ambient.rank)
-        if qrank(self.basis) != len(self.basis):
-            raise ValueError("sublattice basis rows must be independent")
-
-    @property
-    def rank(self):
-        return len(self.basis)
-
-    def gram(self):
-        B = self.basis
-        BG = mat_mul(B, self.ambient.gram)
-        return mat_mul(BG, transpose(B))
-
-    def saturation_basis(self):
-        if not self.basis:
-            return []
-        return int_kernel(int_kernel(self.basis))
-
-    def saturation(self):
-        return Sublattice(self.ambient, self.saturation_basis())
-
-    def index_in_saturation(self):
-        if not self.basis:
-            return 1
-        S, _ = snf(self.basis)
-        out = 1
-        for i in range(min(len(S), len(S[0]))):
-            if S[i][i]:
-                out *= S[i][i]
-        return out
-
-    def is_primitive(self):
-        return self.index_in_saturation() == 1
-
-    def orthogonal_complement(self):
-        """Vectors of the ambient lattice pairing to zero with this span."""
-        if not self.basis:
-            return self.ambient.full_sublattice()
-        A = mat_mul(self.basis, self.ambient.gram)
-        return Sublattice(self.ambient, int_kernel(A))
-
-    def __repr__(self):
-        return "Sublattice(rank=%d of ambient rank %d)" % (
-            self.rank, self.ambient.rank)
 
 
 def sublattice_index(sub_basis, sup_basis):

@@ -67,18 +67,15 @@ class NikulinFamily:
     """
 
     def __init__(self, p, nu, k, gram_D, p_varpi, p_rho, p_basis_N, N,
-                 L_basis_in_N=None, L=None, rho_in_N=None, sigma_L=None,
-                 K=None, sigma_K=None, K_eprime=None, checks=None,
-                 p_dual_L=None):
+                 rho_in_N):
         self.p, self.nu, self.k = p, nu, k
         self.gram_D, self.p_varpi, self.p_rho = gram_D, p_varpi, p_rho
         self.p_basis_N = p_basis_N  # rows, D frame, times p
-        self.N = N
-        self.L_basis_in_N, self.L = L_basis_in_N, L
-        self.rho_in_N, self.sigma_L = rho_in_N, sigma_L
-        self.p_dual_L = p_dual_L
-        self.K, self.sigma_K, self.K_eprime = K, sigma_K, K_eprime
-        self.checks = {} if checks is None else checks
+        self.N, self.rho_in_N = N, rho_in_N
+        # filled by the later stages
+        self.L_basis_in_N = self.L = self.sigma_L = self.p_dual_L = None
+        self.K = self.sigma_K = self.K_eprime = None
+        self.checks = {}
 
 
 def _pair(gram, x, y, d=1):
@@ -108,8 +105,7 @@ def build_family(p):
     if nu * (p + 1) != 24:
         raise AssertionError("nu (p + 1) must be 24")
     m = nu * (p - 1)
-    block = [[-x for x in row] for row in cartan_matrix("A", p - 1)] \
-        if p > 2 else [[-2]]
+    block = [[-x for x in row] for row in cartan_matrix("A", p - 1)]
     gram_D = block_diag(*[block] * nu)
 
     # p varpi and p rho, both integral

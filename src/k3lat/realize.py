@@ -43,7 +43,6 @@ from .matrix import (
 from .lattice import (
     DiscriminantForm,
     Lattice,
-    Sublattice,
     direct_sum,
     express_in_basis,
     gram_of_rows,
@@ -126,15 +125,15 @@ class ExampleAction:
     projectors, when set, carries rational isotypic projectors, which
     decide accepts with --isotypic and checks against the components it
     computes; certificates records every identity verified during
-    construction, for report emission; fixed, when set, is the fixed
-    sublattice computed during construction.
+    construction, for report emission; fixed_gram, when set, is the Gram
+    of the fixed sublattice computed during construction.
     """
 
     def __init__(self, group, projectors=None, certificates=None,
-                 fixed=None):
+                 fixed_gram=None):
         self.group, self.projectors = group, projectors
         self.certificates = {} if certificates is None else certificates
-        self.fixed = fixed
+        self.fixed_gram = fixed_gram
 
     @property
     def ambient(self):
@@ -148,11 +147,11 @@ def decide_metric(group, isotypic_data=None, budget=None):
     such a vector in ambient coordinates.
     """
     res = coinvariant_L_G(group, isotypic_data)
-    if res.L_G.rank == 0:
+    if not res.L_G:
         return "yes", None, res
-    flag, wit = has_minus_two_vector(res.L_G.gram(), budget=budget)
+    flag, wit = has_minus_two_vector(res.L_G_gram, budget=budget)
     if flag:
-        amb = vec_mat(wit, res.L_G.basis)
+        amb = vec_mat(wit, res.L_G)
         gv = vec_mat(amb, group.ambient.gram)
         if dot(gv, amb) != -2:
             raise AssertionError("metric witness must have square -2, got %d"
@@ -173,17 +172,17 @@ def decide_complex(group, isotypic_data=None, budget=None):
     verdict, wit, res = decide_metric(group, isotypic_data, budget=budget)
     if verdict == "no":
         return RealizabilityReport("no", wit, "no", "no-minus-two-failed",
-                                   None, res.L_G.rank, coinvariant=res)
+                                   None, len(res.L_G), coinvariant=res)
     if res.fixed_plus:
         return RealizabilityReport("yes", None, "yes", "ok",
-                                   list(res.fixed.basis[0]), res.L_G.rank,
+                                   list(res.fixed[0]), len(res.L_G),
                                    coinvariant=res)
     return RealizabilityReport("yes", None, "no",
                                "no-trivial-rep-in-complement", None,
-                               res.L_G.rank, coinvariant=res)
+                               len(res.L_G), coinvariant=res)
 
 
-def dehn_twist_obstruction(v, ambient=None):
+def dehn_twist_obstruction(v):
     """Obstruction report for the squared Dehn twist along a (-2)-sphere.
 
     The reflection in v is the candidate action on homology. Its
@@ -193,13 +192,12 @@ def dehn_twist_obstruction(v, ambient=None):
     involution fixing a positive 3-plane pointwise must carry (eight
     regular blocks); both profiles are computed and compared exactly.
     """
-    if ambient is None:
-        ambient = k3_lattice()
+    ambient = k3_lattice()
     v = [int(x) for x in v]
     R = reflection(ambient.gram, v)
     group = IsometryGroup(ambient, [R])
     verdict, wit, res = decide_metric(group)
-    if res.L_G.rank != 1:
+    if len(res.L_G) != 1:
         raise AssertionError("the coinvariant lattice of a reflection must "
                              "have rank 1")
     dec = zg_decomposition(R, 2)
@@ -209,7 +207,7 @@ def dehn_twist_obstruction(v, ambient=None):
         "vector": v,
         "metric": verdict,
         "witness": wit,
-        "L_G_rank": res.L_G.rank,
+        "L_G_rank": len(res.L_G),
         "tcr": tcr,
         "jordan_blocks": dict(dec.jordan_blocks),
         "realizable_tcr": REALIZABLE_INVOLUTION_TCR,
@@ -247,11 +245,11 @@ def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
         raise HypothesisViolated(
             "cyclotomic summands present (c = %d)" % dec.c)
     L = coinvariant.L_G
-    if L.rank % (p - 1):
+    if len(L) % (p - 1):
         raise AssertionError("the rank of L_G must be a multiple of p - 1")
-    nu = L.rank // (p - 1)
-    evidence = {"tcr": (dec.t, dec.c, dec.r), "L_G_rank": L.rank}
-    rs = classify_root_system(L.gram(), budget=budget)
+    nu = len(L) // (p - 1)
+    evidence = {"tcr": (dec.t, dec.c, dec.r), "L_G_rank": len(L)}
+    rs = classify_root_system(coinvariant.L_G_gram, budget=budget)
     evidence["root_components"] = list(rs.components)
     if rs.is_empty():
         evidence["nu_times_p_plus_1"] = nu * (p + 1)
@@ -262,8 +260,7 @@ def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
     if rs.components != [("A", p - 1)] * nu or not rs.spanning:
         return DichotomyReport(p, nu, "violation", evidence)
     # restriction of g to L_G (saturated and stable, hence integral)
-    M = express_in_basis([vec_mat(row, g) for row in L.basis], L.basis,
-                         "g must preserve L_G")
+    M = express_in_basis(mat_mul(L, g), L, "g must preserve L_G")
     certificates = []
     for simple, part in zip(rs.simple_roots, rs.component_roots):
         imgs = [vec_mat(r, M) for r in simple]
@@ -399,9 +396,8 @@ def build_a4_example():
     for i in range(3):
         P6[2 * i][i] = 1            # a_i to slot 2i
         P6[2 * i + 1][3 + i] = 1    # w_i to slot 2i+1
-    u3 = direct_sum(hyperbolic_plane(), hyperbolic_plane(),
-                    hyperbolic_plane()).gram
-    pairing_is_u3 = gram_of_rows(P6, G6) == u3
+    u = hyperbolic_plane().gram
+    pairing_is_u3 = gram_of_rows(P6, G6) == block_diag(u, u, u)
 
     gens = []
     for img in A4_GENERATOR_PERMUTATIONS:
@@ -419,14 +415,13 @@ def build_a4_example():
     projectors = [E, mat_sub(identity_matrix(k3.rank), E)]
 
     report = decide_complex(group, projectors)
-    L = report.coinvariant.L_G
-    GL = L.gram()
+    GL = report.coinvariant.L_G_gram
     mn, kiss = min_norm_and_kissing(GL)
     # perpendicular (-4)-vectors, one per rank, span L_G iff the |det| of
     # their diagonal Gram, 4^rank, equals |det L_G|
     gens4 = enumerate_vectors(GL, -4)
-    spanned = (len(gens4) == L.rank
-               and 4 ** L.rank == abs(det(GL))
+    spanned = (len(gens4) == len(GL)
+               and 4 ** len(GL) == abs(det(GL))
                and all(dot(vec_mat(a, GL), b) == 0
                        for a, b in itertools.combinations(gens4, 2)))
 
@@ -435,7 +430,7 @@ def build_a4_example():
         "in_O_plus": in_o_plus,
         "pairing_lattice_is_U3": pairing_is_u3,
         "embedding_complement_gram": complement_gram,
-        "L_G_rank": L.rank,
+        "L_G_rank": len(GL),
         "L_G_min_norm": mn,
         "L_G_kissing": kiss,
         "L_G_perpendicular_minus4_generators": len(gens4) if spanned else 0,
@@ -487,14 +482,14 @@ def build_nikulin_involution():
         row[6 + j] = 1
         row[14 + j] = 1
         expected_fixed.append(row)
-    P = express_in_basis(expected_fixed, fixed.basis)
-    e8m2 = [[2 * x for x in row] for row in root_lattice("E", 8, -1).gram]
-    target = block_diag(direct_sum(hyperbolic_plane(), hyperbolic_plane(),
-                                    hyperbolic_plane()).gram, e8m2)
+    P = express_in_basis(expected_fixed, fixed)
+    e8m2 = mat_scale(2, root_lattice("E", 8, -1).gram)
+    u = hyperbolic_plane().gram
     fixed_matches = (
-        fixed.rank == len(expected_fixed) and P is not None
+        len(fixed) == len(expected_fixed) and P is not None
         and abs(det(P)) == 1
-        and gram_of_rows(expected_fixed, k3.gram) == target)
+        and gram_of_rows(expected_fixed, k3.gram)
+        == block_diag(u, u, u, e8m2))
 
     # anti-diagonal basis: (0, x, -x); Gram is E8(-2) on the nose
     expected_L = []
@@ -503,11 +498,11 @@ def build_nikulin_involution():
         row[6 + j] = 1
         row[14 + j] = -1
         expected_L.append(row)
-    # Q L.basis = expected_L with Q unimodular, so Q carries the computed
-    # Gram onto the Gram of expected_L, E8(-2): an explicit isometry
-    Q = express_in_basis(expected_L, L.basis)
+    # Q L = expected_L with Q unimodular, so Q carries the computed Gram
+    # onto the Gram of expected_L, E8(-2): an explicit isometry
+    Q = express_in_basis(expected_L, L)
     L_matches = (
-        L.rank == len(expected_L) and Q is not None
+        len(L) == len(expected_L) and Q is not None
         and abs(det(Q)) == 1
         and gram_of_rows(expected_L, k3.gram) == e8m2)
 
@@ -522,15 +517,15 @@ def build_nikulin_involution():
         "disc_dimension_over_F2": (
             reg["disc_dimension_over_Fp"]
             if set(reg["complement_disc_orders"]) <= {2} else None),
-        "fixed_rank": fixed.rank,
+        "fixed_rank": len(fixed),
         "fixed_gram_matches_U3_plus_E8_minus_2": fixed_matches,
-        "L_G_rank": L.rank,
+        "L_G_rank": len(L),
         "L_G_gram_matches_E8_minus_2": L_matches,
         "predicted_fixed_points": pred.euler,
         "metric": report.metric,
         "complex": report.complex_verdict,
     }
-    return ExampleAction(group, None, certificates, fixed)
+    return ExampleAction(group, None, certificates, res.fixed_gram)
 
 
 # ---------------------------------------------------------------------------
@@ -697,13 +692,14 @@ def _transported_family_isometry(fam, embed_K, L_G):
     times the isotropic fixed vector f, which makes it orthogonal to both
     fixed vectors (e'.f = p and e'.x = rho.x) without changing any
     pairing. The corrected image lies in L_G with equal determinant,
-    hence equals it. Returns T with T * fam.L.gram * T^t = L_G.gram().
+    hence equals it. L_G is its basis rows in the glued lattice; returns
+    T with T * fam.L.gram * T^t the Gram of those rows.
     """
     from .nikulin import _flat_L_basis
     R = mat_mul(_flat_L_basis(fam), embed_K)
     # X and its inverse are integral exactly when R is a basis of L_G
-    X = express_in_basis(R, L_G.basis, "the corrected rows must lie in L_G")
-    return express_in_basis(identity_matrix(L_G.rank), X,
+    X = express_in_basis(R, L_G, "the corrected rows must lie in L_G")
+    return express_in_basis(identity_matrix(len(L_G)), X,
                             "the corrected rows must span L_G")
 
 
@@ -737,9 +733,9 @@ def build_model_prime_action(p, budget=None):
 
     report = decide_complex(group)
     res = report.coinvariant
-    fixed, L = res.fixed, res.L_G
+    fixed, L, GL = res.fixed, res.L_G, res.L_G_gram
     # coinvariant_L_G has refused a degenerate fixed lattice
-    fixed_sig = (res.fixed_plus, fixed.rank - res.fixed_plus, 0)
+    fixed_sig = (res.fixed_plus, len(fixed) - res.fixed_plus, 0)
 
     dec = zg_decomposition(S, p)
     tcr = (dec.t, dec.c, dec.r)
@@ -751,7 +747,6 @@ def build_model_prime_action(p, budget=None):
     # S is symplectic, so the fixed lattice holds the positive 3-plane and
     # coinvariant_L_G, given no projectors, does not split: L_G is
     # fixed^perp, whose discriminant the check above has read
-    GL = L.gram()
     L_disc_orders = reg["complement_disc_orders"]
 
     pred = fixed_point_predictions(p, fam.nu)
@@ -769,15 +764,16 @@ def build_model_prime_action(p, budget=None):
         "ambient_signature": lam.signature(),
         "ambient_even_unimodular": (lam.is_even()
                                     and abs(lam.determinant()) == 1),
-        "K_embedded_primitively": Sublattice(lam, embed_K).is_primitive(),
+        "K_embedded_primitively": sublattice_index(
+            embed_K, int_kernel(int_kernel(embed_K))) == 1,
         "order": group.order(),
         "in_O_plus": in_o_plus,
         "tcr": tcr,
-        "fixed_rank": fixed.rank,
+        "fixed_rank": len(fixed),
         "fixed_sig_plus": fixed_sig[0],
         "euler_prediction": pred.euler,
         "euler_equals_nu": pred.euler == fam.nu,
-        "L_G_rank": L.rank,
+        "L_G_rank": len(L),
         "L_G_disc_orders": L_disc_orders,
         "L_G_certification": "isometry" if isometric else None,
     }
@@ -786,7 +782,7 @@ def build_model_prime_action(p, budget=None):
         e8m2 = [[2 * x for x in row]
                 for row in root_lattice("E", 8, -1).gram]
         T = lattice_isometry(GL, e8m2, budget=budget)
-        prof_fixed = two_elementary_profile(DiscriminantForm(fixed.gram()))
+        prof_fixed = two_elementary_profile(DiscriminantForm(res.fixed_gram))
         prof_swap = two_elementary_profile(DiscriminantForm(e8m2))
         certificates["tcr_matches_swap_involution"] = \
             tcr == REALIZABLE_INVOLUTION_TCR
@@ -797,7 +793,7 @@ def build_model_prime_action(p, budget=None):
         dich = classify_dichotomy(group, coinvariant=res, dec=dec)
         cand = GENUS_CANDIDATES[p]()
         cand_match = cand.signature() == fixed_sig and disc_form_isometry(
-            DiscriminantForm(cand.gram), DiscriminantForm(fixed.gram()))
+            DiscriminantForm(cand.gram), DiscriminantForm(res.fixed_gram))
         certificates["dichotomy_kind"] = dich.kind
         certificates["nu"] = dich.nu
         certificates["fixed_matches_genus_candidate"] = cand_match

@@ -73,8 +73,8 @@ def _scenario_a4(budget):
 
 
 def _involution_checks(act):
-    from .lattice import DiscriminantForm, direct_sum, rescale, \
-        two_elementary_profile
+    from .lattice import DiscriminantForm, two_elementary_profile
+    from .matrix import block_diag, mat_scale
     from .standard import hyperbolic_plane, root_lattice
     rows = [
         ("group-order", "order", 2, "the swap is an involution"),
@@ -100,11 +100,10 @@ def _involution_checks(act):
     ]
     checks = _cert_checks(act.certificates, rows)
     # signature + discriminant identification, independent of the basis
-    target = direct_sum(hyperbolic_plane(), hyperbolic_plane(),
-                        hyperbolic_plane(),
-                        rescale(root_lattice("E", 8, -1), 2))
-    prof = two_elementary_profile(DiscriminantForm(target.gram))
-    prof_fixed = two_elementary_profile(DiscriminantForm(act.fixed.gram()))
+    u = hyperbolic_plane().gram
+    target = block_diag(u, u, u, mat_scale(2, root_lattice("E", 8, -1).gram))
+    prof = two_elementary_profile(DiscriminantForm(target))
+    prof_fixed = two_elementary_profile(DiscriminantForm(act.fixed_gram))
     checks.append(_check(
         "fixed-disc-profile", prof, prof_fixed,
         "disc of the fixed lattice matches disc of U^3 + E8(-2)"))
@@ -234,12 +233,10 @@ def _scenario_defect(budget):
 
 
 def _scenario_dehn(budget):
-    from .standard import k3_lattice
     from .realize import dehn_twist_obstruction
-    k3 = k3_lattice()
     v = [0] * 22
     v[6] = 1
-    rep = dehn_twist_obstruction(v, k3)
+    rep = dehn_twist_obstruction(v)
     return [
         _check("metric-verdict", "no", rep["metric"],
                "the coinvariant lattice of the reflection contains v "

@@ -35,7 +35,9 @@ total defect of points and surfaces, and the Noether-type count. And the
 small helpers only tests use: polynomial arithmetic over Q (division,
 extended Euclid, the general cyclotomic), discriminant-group arithmetic
 (the class of a dual vector, an integer lift over its denominator as
-Fractions, linear combinations of classes, the order of an element), the saturated intersection of two spans, the Smith
+Fractions, linear combinations of classes, the order of an element), a
+lattice with its form scaled by an integer, the saturated intersection
+of two spans, the Smith
 diagonal, integrality of a Fraction matrix and its conversion to ints,
 a seeded unimodular base change of a Gram, and E8 simple roots in the
 even coordinate model of R^8.
@@ -50,7 +52,7 @@ from conftest import family
 from k3lat import nikulin
 from k3lat.lattice import (
     DiscriminantForm,
-    Sublattice,
+    Lattice,
     direct_sum,
     express_in_basis,
     gram_of_rows,
@@ -86,6 +88,11 @@ from k3lat.shortvec import (
     has_minus_two_vector,
 )
 from k3lat.standard import cartan_matrix, root_lattice
+
+
+def rescale(lat, c):
+    """Same module, form multiplied by the integer c."""
+    return Lattice([[c * x for x in row] for row in lat.gram])
 
 
 def snf_diagonal(A):
@@ -506,7 +513,7 @@ def cyclic_coinvariant(group):
         return None
     keep = [row for d, b in sorted(comps.items()) if not a_plus[d]
             for row in b]
-    return Sublattice(ambient, keep).saturation()
+    return int_kernel(int_kernel(keep))
 
 
 def _key(M):
@@ -556,22 +563,23 @@ def span_intersection(basis1, basis2):
 
 
 def two_path_coinvariant(group, isotypic_data=None):
-    """(mode, fixed, L_G, pieces) by two paths: L_G is the complement of
-    the fixed lattice when that holds a positive 3-plane and no projectors
-    come with the group; any other group is refused outside O^+ and
-    split by its class sums from the whole lattice, not from the fixed
-    lattice and its complement. Raises the ValueErrors of
-    k3lat.groups.coinvariant_L_G, with the same messages."""
+    """(mode, fixed, L_G, pieces), the sublattices as basis rows, by two
+    paths: L_G is the complement of the fixed lattice when that holds a
+    positive 3-plane and no projectors come with the group; any other
+    group is refused outside O^+ and split by its class sums from the
+    whole lattice, not from the fixed lattice and its complement. Raises
+    the ValueErrors of k3lat.groups.coinvariant_L_G, with the same
+    messages."""
     ambient = group.ambient
     n = ambient.rank
     if ambient.signature() != (3, 19, 0):
         raise ValueError(
             "coinvariant analysis is specific to the K3 lattice signature")
     fixed = group.fixed_sublattice()
-    if isotypic_data is None and fixed.rank and \
-            signature_of_gram(fixed.gram())[0] == 3:
-        L = fixed.orthogonal_complement()
-        pieces = sorted(p for p in [(fixed.rank, 3), (L.rank, 0)] if p[0])
+    if isotypic_data is None and fixed and \
+            signature_of_gram(gram_of_rows(fixed, ambient.gram))[0] == 3:
+        L = int_kernel(mat_mul(fixed, ambient.gram))
+        pieces = sorted(p for p in [(len(fixed), 3), (len(L), 0)] if p[0])
         return "pointwise-fixed-3-plane", fixed, L, pieces
     if isotypic_data is not None and any(
             len(E) != n or any(len(r) != n for r in E) for E in isotypic_data):
@@ -583,7 +591,7 @@ def two_path_coinvariant(group, isotypic_data=None):
     sigs = [signature_of_gram(gram_of_rows(B, ambient.gram))[0]
             for B in comps]
     keep = [row for B, p in zip(comps, sigs) if not p for row in B]
-    L = Sublattice(ambient, keep).saturation()
+    L = int_kernel(int_kernel(keep))
     mode = "rotation-on-3-plane"
     if isotypic_data is not None:
         _check_projectors(isotypic_data, comps)
@@ -598,15 +606,15 @@ def complement_complex_report(group, isotypic_data=None):
     metric witness, complex, reason, complex witness)."""
     mode, fixed, L, pieces = two_path_coinvariant(group, isotypic_data)
     head = (mode, fixed, L, pieces)
-    if L.rank:
-        flag, wit = has_minus_two_vector(L.gram())
+    G = group.ambient.gram
+    if L:
+        flag, wit = has_minus_two_vector(gram_of_rows(L, G))
         if flag:
-            return head + ("no", vec_mat(wit, L.basis), "no",
+            return head + ("no", vec_mat(wit, L), "no",
                            "no-minus-two-failed", None)
-    comp_basis = L.orthogonal_complement().basis if L.rank \
-        else identity_matrix(group.ambient.rank)
-    inter = span_intersection(fixed.basis, comp_basis) \
-        if fixed.rank and comp_basis else []
+    comp_basis = int_kernel(mat_mul(L, G)) if L else identity_matrix(len(G))
+    inter = span_intersection(fixed, comp_basis) \
+        if fixed and comp_basis else []
     if inter:
         return head + ("yes", None, "yes", "ok", inter[0])
     return head + ("yes", None, "no", "no-trivial-rep-in-complement", None)
@@ -665,7 +673,7 @@ def projector_coinvariant(group, projectors):
         assert zero == 0
         if not plus:
             keep.extend(basis)
-    return Sublattice(ambient, keep).saturation()
+    return int_kernel(int_kernel(keep))
 
 
 # polynomial arithmetic over Q: lists of coefficients, constant term first,

@@ -20,7 +20,6 @@ from k3lat.lattice import (
     direct_sum,
     express_in_basis,
     gram_of_rows,
-    rescale,
     signature_of_gram,
     sublattice_index,
 )
@@ -55,6 +54,7 @@ from oracles import (
     naive_enumerate_up_to,
     random_unimodular,
     rational_lift,
+    rescale,
     snf_diagonal,
     to_fraction_matrix,
     to_int_matrix,

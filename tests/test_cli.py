@@ -115,9 +115,8 @@ def test_compute_signature_and_disc(tmp_path, capsys):
     assert code == 0
 
     u2 = str(tmp_path / "u2.json")
-    from k3lat.lattice import rescale
     serialize.write_json_file(
-        u2, serialize.lattice_to_obj(rescale(hyperbolic_plane(), 2)))
+        u2, serialize.lattice_to_obj(hyperbolic_plane(2)))
     code, out, _ = _run(capsys, ["compute", "disc", "--lattice", u2])
     assert code == 0
     assert "2 2" in out

@@ -1,8 +1,6 @@
 import math
 import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -18,19 +16,20 @@ from k3lat.groups import (
     spinor_plus_membership,
     zg_decomposition,
 )
-from k3lat.lattice import Lattice
+from k3lat.lattice import Lattice, gram_of_rows, sublattice_index
 from k3lat.matrix import (
     identity_matrix,
     inverse,
     int_kernel,
     mat_mul,
     matrix_order,
+    row_hnf,
     transpose,
     vec_mat,
 )
 from k3lat.realize import decide_complex
 from k3lat.standard import k3_lattice, reflection, reflection_general
-from conftest import a4_example
+from conftest import a4_example, run_optimized
 from oracles import (
     basis_characters,
     cartan_dieudonne_o_plus,
@@ -215,7 +214,7 @@ def test_cyclic_coinvariant_refuses_exactly_outside_o_plus():
         if spinor_plus_membership(K3, g):
             res = coinvariant_L_G(G)
             outcomes[res.mode] += 1
-            assert res.L_G.basis == expect.basis
+            assert res.L_G == expect
         else:
             assert expect is None
             with pytest.raises(ValueError, match="does not lie in O"):
@@ -249,11 +248,10 @@ def test_noncyclic_products_match_the_cyclic_oracle():
                 coinvariant_L_G(G)
             outcomes["refused"] += 1
             continue
-        rows = La.basis + Lb.basis
+        rows = La + Lb
         res = coinvariant_L_G(G)
         outcomes[res.mode] += 1
-        assert res.L_G.basis == (int_kernel(int_kernel(rows)) if rows
-                                 else [])
+        assert res.L_G == int_kernel(int_kernel(rows))
     assert min(outcomes.values()) >= 2, outcomes
     assert len(orders) > 3, orders
 
@@ -271,8 +269,7 @@ def _differential_outcome(G):
     mode, fixed, L, pieces, metric, mwit, cx, reason, cwit = expect
     rep = decide_complex(G)
     res = rep.coinvariant
-    assert (res.mode, res.fixed.basis, res.L_G.basis) == (
-        mode, fixed.basis, L.basis)
+    assert (res.mode, res.fixed, res.L_G) == (mode, fixed, L)
     assert (rep.metric, rep.metric_witness, rep.complex_verdict,
             rep.complex_reason, rep.complex_witness) == (
         metric, mwit, cx, reason, cwit)
@@ -308,6 +305,32 @@ def test_one_pipeline_matches_the_two_path_oracle(monkeypatch):
     assert all(outcomes[k] >= 2 for k in want), outcomes
 
 
+def test_coinvariant_rows_are_in_hnf_and_each_gram_is_theirs():
+    # L_G, the fixed lattice and its complement are basis rows in row
+    # HNF, and each stored Gram is the Gram of its rows: on the bench
+    # input groups and a seeded base-changed copy of each
+    from k3lat import serialize
+    rng = random.Random(34)
+    groups = []
+    for name in ("a4", "nikulin-involution", "model-prime-3", "coxeter",
+                 "rotation12"):
+        G = serialize.group_from_obj(serialize.read_json_file(os.path.join(
+            ROOT, "bench", "inputs", name + "-group.json")))
+        U = random_unimodular(rng, N, 12)
+        Uinv = to_int_matrix(inverse(U))
+        skewed = Lattice(mat_mul(mat_mul(U, G.ambient.gram), transpose(U)))
+        groups += [G, IsometryGroup(skewed, [mat_mul(mat_mul(U, g), Uinv)
+                                             for g in G.generators])]
+    for G in groups:
+        res = coinvariant_L_G(G)
+        assert res.ambient is G.ambient
+        for rows, gram in ((res.L_G, res.L_G_gram),
+                           (res.fixed, res.fixed_gram),
+                           (res.complement, res.complement_gram)):
+            assert rows == row_hnf(rows)
+            assert gram == gram_of_rows(rows, G.ambient.gram)
+
+
 def test_a_pointwise_group_beyond_the_element_cap_is_decided_unclosed():
     # the simple-root reflections of both E8(-1) blocks generate
     # W(E8) x W(E8), of order about 5 * 10^17, far above the element cap
@@ -318,7 +341,7 @@ def test_a_pointwise_group_beyond_the_element_cap_is_decided_unclosed():
     res = rep.coinvariant
     assert res.mode == "pointwise-fixed-3-plane"
     assert res.pieces == [(6, 3), (16, 0)]
-    assert res.L_G.gram() == [row[6:] for row in K3.gram[6:]]
+    assert res.L_G_gram == [row[6:] for row in K3.gram[6:]]
     assert (rep.metric, rep.complex_verdict) == ("no", "no")
     assert G._elements is None
 
@@ -331,7 +354,7 @@ def test_a4_components_match_the_projector_oracle():
         res = coinvariant_L_G(act.group, projectors)
         assert res.mode == mode
         assert res.pieces == [(4, 0), (18, 3)]
-        assert res.L_G.basis == expect.basis
+        assert res.L_G == expect
 
 
 def _complement(Z, D):
@@ -374,8 +397,8 @@ def test_pointwise_reflection_coinvariant():
     Gr = IsometryGroup(K3, [reflection(K3.gram, root)])
     res = coinvariant_L_G(Gr)
     assert res.mode == "pointwise-fixed-3-plane"
-    assert res.L_G.rank == 1
-    assert res.L_G.gram() == [[-2]]
+    assert len(res.L_G) == 1
+    assert res.L_G_gram == [[-2]]
 
 
 def test_order_twelve_rotation_coinvariant():
@@ -385,15 +408,15 @@ def test_order_twelve_rotation_coinvariant():
     res = coinvariant_L_G(G12)
     assert res.mode == "rotation-on-3-plane"
     assert res.pieces == [(2, 0), (4, 2), (16, 1)]
-    assert res.L_G.rank == 2
-    gram = res.L_G.gram()
+    assert len(res.L_G) == 2
+    gram = res.L_G_gram
     assert gram in ([[-2, 1], [1, -2]], [[-2, -1], [-1, -2]])
 
 
 def test_order_four_rotation_has_zero_coinvariant():
     G4 = IsometryGroup(K3, [_u2_twist()])
     res = coinvariant_L_G(G4)
-    assert res.L_G.rank == 0
+    assert res.L_G == []
     assert res.pieces == [(4, 2), (18, 1)]
 
 
@@ -410,7 +433,7 @@ def test_noncyclic_group_splits_by_rational_class_sums():
     res = coinvariant_L_G(Gnc)
     assert res.mode == "rotation-on-3-plane"
     assert res.pieces == [(1, 0), (4, 2), (17, 1)]
-    assert res.L_G.gram() == [[-2]]
+    assert res.L_G_gram == [[-2]]
 
 
 def test_rational_classes_match_the_conjugation_closure(monkeypatch):
@@ -497,7 +520,7 @@ def test_coarse_projectors_are_checked_against_the_components():
         projector_coinvariant(Gnc, projectors)
     res = coinvariant_L_G(Gnc, projectors)
     assert res.mode == "supplied-isotypic"
-    assert res.L_G.basis == coinvariant_L_G(Gnc).L_G.basis
+    assert res.L_G == coinvariant_L_G(Gnc).L_G
 
 
 def test_bad_isotypic_projectors_are_rejected():
@@ -526,7 +549,7 @@ def test_projectors_of_a_pointwise_group_meet_its_components():
     assert plain.mode == "pointwise-fixed-3-plane"
     res = coinvariant_L_G(G, [I22])
     assert res.mode == "supplied-isotypic"
-    assert res.L_G.basis == plain.L_G.basis
+    assert res.L_G == plain.L_G
     assert res.pieces == plain.pieces == [(8, 0), (14, 3)]
     half = [[Fraction(x, 2) for x in row] for row in I22]
     with pytest.raises(ValueError, match="projector 0 is not idempotent"):
@@ -543,26 +566,55 @@ def test_projectors_of_the_wrong_size_are_rejected():
 
 def test_coinvariant_certificates_hold_under_python_O():
     # a saturation that returns the whole lattice must be caught by a
-    # check that names the claim, not by an assert that -O strips
+    # check that names the claim, not by an assert that -O strips; the
+    # outer kernel of the saturation int_kernel(int_kernel(keep)) is the
+    # one call of coinvariant_L_G on rows an earlier call returned
     script = (
-        "from k3lat import lattice, serialize\n"
-        "from k3lat.groups import coinvariant_L_G\n"
+        "from k3lat import groups, serialize\n"
+        "from k3lat.matrix import identity_matrix\n"
         "G = serialize.group_from_obj(serialize.read_json_file(%r))\n"
-        "lattice.Sublattice.saturation = (\n"
-        "    lambda self: self.ambient.full_sublattice())\n"
+        "kernels = []\n"
+        "def int_kernel(A, kernel=groups.int_kernel):\n"
+        "    if A in kernels:\n"
+        "        return identity_matrix(len(A[0]))\n"
+        "    kernels.append(kernel(A))\n"
+        "    return kernels[-1]\n"
+        "groups.int_kernel = int_kernel\n"
         "try:\n"
-        "    coinvariant_L_G(G)\n"
+        "    groups.coinvariant_L_G(G)\n"
         "    print('accepted')\n"
         "except AssertionError as e:\n"
         "    print(e)\n" % os.path.join(ROOT, "bench", "inputs",
                                        "rotation12-group.json")
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ,
-                                   PYTHONPATH=os.path.join(ROOT, "src")))
+    proc = run_optimized(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "L_G must be negative definite or zero"
+
+
+def test_dependent_kept_components_are_refused_under_python_O():
+    # the kept pieces are the one place L_G's rows are not independent by
+    # construction: a split that repeats the first row of the rank-2
+    # negative definite component of the order-12 rotation passes the
+    # rank and signature sums, and the independence check must name it
+    script = (
+        "from k3lat import groups, serialize\n"
+        "G = serialize.group_from_obj(serialize.read_json_file(%r))\n"
+        "def split(group, pieces, split=groups.isotypic_components):\n"
+        "    return [part for B in split(group, pieces)\n"
+        "            for part in ([B[:1], B[:1]] if len(B) == 2 else [B])]\n"
+        "groups.isotypic_components = split\n"
+        "try:\n"
+        "    groups.coinvariant_L_G(G)\n"
+        "    print('accepted')\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n" % os.path.join(ROOT, "bench", "inputs",
+                                       "rotation12-group.json")
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ("the isotypic components without a "
+                                   "positive part must be independent")
 
 
 def test_bad_isotypic_projectors_are_rejected_under_python_O():
@@ -589,11 +641,7 @@ def test_bad_isotypic_projectors_are_rejected_under_python_O():
         "except ValueError as e:\n"
         "    print(e)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_optimized(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "projector 0 is not idempotent"
 
@@ -620,9 +668,9 @@ def test_regular_summand_check_refuses_another_groups_result():
 def test_fixed_sublattice_is_primitive_and_pointwise():
     swap = _swap_matrix()
     F = IsometryGroup(K3, [swap]).fixed_sublattice()
-    assert F.rank == 14
-    assert F.is_primitive()
-    for v in F.basis:
+    assert len(F) == 14
+    assert sublattice_index(F, int_kernel(int_kernel(F))) == 1
+    for v in F:
         assert [sum(v[i] * swap[i][j] for i in range(N))
                 for j in range(N)] == list(v)
 

@@ -1,7 +1,4 @@
 import cmath
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +11,7 @@ from k3lat.gsignature import (
     fixed_point_predictions,
     max_defect_check,
 )
+from conftest import run_optimized
 from oracles import (
     DefectInput,
     defect_point_by_conjugates,
@@ -73,11 +71,7 @@ def test_defect_checks_raise_under_python_O():
         "g.sum = lambda terms: 1\n"
         "run()\n"
     )
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_optimized(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "accepted -4",

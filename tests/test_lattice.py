@@ -9,16 +9,22 @@ import pytest
 from k3lat.lattice import (
     DiscriminantForm,
     Lattice,
-    Sublattice,
     diagonalize,
     direct_sum,
     express_in_basis,
     gram_of_rows,
-    rescale,
     signature_of_gram,
     sublattice_index,
 )
-from k3lat.matrix import det, identity_matrix, rank, row_hnf, vec_mat
+from k3lat.matrix import (
+    det,
+    identity_matrix,
+    int_kernel,
+    mat_mul,
+    rank,
+    row_hnf,
+    vec_mat,
+)
 from k3lat.standard import hyperbolic_plane, k3_lattice, root_lattice
 from oracles import (
     base_changed_gram,
@@ -27,6 +33,7 @@ from oracles import (
     fraction_lift,
     fraction_lift_pairing,
     rational_lift,
+    rescale,
     span_intersection,
 )
 
@@ -216,15 +223,15 @@ def test_direct_sum_and_rescale():
 def test_sublattice_saturation_and_complement():
     k3 = k3_lattice()
     # index-2 subgroup of the first hyperbolic plane
-    S = Sublattice(k3, [[2, 0] + [0] * 20, [0, 1] + [0] * 20])
-    assert S.index_in_saturation() == 2
-    assert not S.is_primitive()
-    sat = S.saturation()
-    assert sat.index_in_saturation() == 1
-    comp = sat.orthogonal_complement()
-    assert comp.rank == 20
-    assert comp.is_primitive()
-    assert signature_of_gram(comp.gram()) == (2, 18, 0)
+    S = [[2, 0] + [0] * 20, [0, 1] + [0] * 20]
+    sat = int_kernel(int_kernel(S))
+    assert sublattice_index(S, sat) == 2
+    assert sat == identity_matrix(22)[:2]
+    assert int_kernel(int_kernel(sat)) == sat
+    comp = int_kernel(mat_mul(sat, k3.gram))
+    assert len(comp) == 20
+    assert int_kernel(int_kernel(comp)) == comp
+    assert signature_of_gram(gram_of_rows(comp, k3.gram)) == (2, 18, 0)
 
 
 def test_sublattice_index_and_group_generated_by():

@@ -3,8 +3,6 @@ import json
 import math
 import os
 import random
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -29,7 +27,7 @@ from k3lat.matrix import (
     transpose,
     vec_mat,
 )
-from conftest import a4_example
+from conftest import a4_example, run_optimized
 from oracles import (
     fraction_char_poly,
     fraction_det,
@@ -457,11 +455,7 @@ def test_char_poly_rejects_a_corrupted_trace_under_python_O():
         "except ArithmeticError as exc:\n"
         "    print('raised', exc)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_optimized(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised"), proc.stdout
 
@@ -554,11 +548,7 @@ def test_elimination_rejects_a_remainder_under_python_O():
         "    except (ArithmeticError, ValueError) as exc:\n"
         "        print('raised', exc)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_optimized(code)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 6, proc.stdout
@@ -586,10 +576,6 @@ def test_non_integral_entry_is_refused_also_under_python_O():
         "except ArithmeticError as exc:\n"
         "    print('raised', exc)\n" % claim
     )
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_optimized(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "raised " + claim

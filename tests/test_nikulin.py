@@ -1,9 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -44,9 +41,8 @@ from k3lat.shortvec import (
     min_norm_and_kissing,
 )
 from k3lat.standard import hyperbolic_plane, root_lattice
-from k3lat.lattice import rescale
 
-from conftest import family
+from conftest import family, run_optimized
 from oracles import (
     base_changed_gram,
     build_full,
@@ -56,6 +52,7 @@ from oracles import (
     k_vector_uniqueness,
     naive_enumerate_up_to,
     rational_lift,
+    rescale,
     to_fraction_matrix,
     to_int_matrix,
 )
@@ -337,11 +334,7 @@ def test_scaled_dual_refuses_an_exponent_not_dividing_p_under_python_O():
         "except ArithmeticError as exc:\n"
         "    print('raised', exc)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_optimized(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == \
         "raised discriminant exponent must divide p"

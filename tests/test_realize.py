@@ -1,13 +1,10 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
 from k3lat import realize
 from k3lat.groups import IsometryGroup, zg_decomposition
-from k3lat.lattice import DiscriminantForm, Sublattice, direct_sum
+from k3lat.lattice import DiscriminantForm, Lattice, direct_sum
 from k3lat.matrix import (
     block_diag,
     identity_matrix,
@@ -40,9 +37,9 @@ from k3lat.standard import (
     reflection,
     root_lattice,
 )
-from k3lat.lattice import rescale, two_elementary_profile
+from k3lat.lattice import two_elementary_profile
 
-from conftest import family
+from conftest import family, run_optimized
 from oracles import (
     anti_isometry_images,
     derive_coxeter_glue_images,
@@ -52,6 +49,7 @@ from oracles import (
     fraction_overlattice,
     fraction_solve_rows,
     rational_lift,
+    rescale,
     to_int_matrix,
 )
 
@@ -126,11 +124,7 @@ def test_report_invariants_enforced_under_python_O():
         "    except AssertionError:\n"
         "        print('raised')\n"
     )
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_optimized(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised"] * 3
 
@@ -152,11 +146,7 @@ def test_integrality_claims_raise_under_python_O():
         "    except (ArithmeticError, ValueError) as e:\n"
         "        print(e)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_optimized(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "first lattice must be a subgroup of the second"] * 2 + [
@@ -382,7 +372,8 @@ def test_model_prime_action_p3_summary():
                                "coxeter-model"])
 def test_builder_computes_each_lattice_invariant_once(monkeypatch, build):
     # the fixed lattice, its complement and the Z[G] profile of the
-    # generator are built once and read from there on
+    # generator are built once and read from there on; the complement is
+    # built inside coinvariant_L_G, once per call
     calls = {}
 
     def count(owner, name):
@@ -393,12 +384,30 @@ def test_builder_computes_each_lattice_invariant_once(monkeypatch, build):
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     count(IsometryGroup, "fixed_sublattice")
-    count(Sublattice, "orthogonal_complement")
-    # the builders and classify_dichotomy call it through this binding
+    # the builders, decide_metric and classify_dichotomy call these
+    # through their bindings in realize
+    count(realize, "coinvariant_L_G")
     count(realize, "zg_decomposition")
     build()
-    assert calls == {"fixed_sublattice": 1, "orthogonal_complement": 1,
+    assert calls == {"fixed_sublattice": 1, "coinvariant_L_G": 1,
                      "zg_decomposition": 1}
+
+
+def test_nikulin_involution_scenario_compares_grams_not_lattices(
+        monkeypatch):
+    # U^3 + E8(-2) is compared by its Gram, built with block_diag: the
+    # Lattice objects are the K3 lattice (U, E8(-1) and their sum) and
+    # one U and one E8(-1) for each of the two comparisons
+    from k3lat.scenarios import run_scenario
+    inits = []
+    real = Lattice.__init__
+
+    def counted(self, gram):
+        inits.append(len(gram))
+        real(self, gram)
+    monkeypatch.setattr(Lattice, "__init__", counted)
+    run_scenario("nikulin-involution")
+    assert len(inits) <= 7, inits
 
 
 def test_model_prime_action_rejects_other_primes():

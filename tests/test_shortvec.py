@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -11,9 +8,8 @@ import pytest
 from k3lat.lattice import (
     DiscriminantForm,
     Lattice,
-    Sublattice,
     direct_sum,
-    rescale,
+    gram_of_rows,
 )
 from k3lat.matrix import (
     det,
@@ -39,13 +35,14 @@ from k3lat.shortvec import (
 )
 from k3lat.standard import cartan_matrix, hyperbolic_plane, root_lattice
 
-from conftest import family
+from conftest import family, run_optimized
 from oracles import (
     bfs_generates,
     disc_combination,
     disc_form_isometry_images,
     hnf_generates,
     naive_enumerate_up_to,
+    rescale,
     to_int_matrix,
 )
 
@@ -225,8 +222,7 @@ def test_classification_reducible():
     assert sorted(rs.components) == [("A", 1), ("A", 1)]
     # A1 pair inside A3: not spanning
     A3 = root_lattice("A", 3, sign=-1)
-    sub = Sublattice(A3, [[1, 0, 0], [0, 0, 1]])
-    rs2 = classify_root_system(sub.gram())
+    rs2 = classify_root_system(gram_of_rows([[1, 0, 0], [0, 0, 1]], A3.gram))
     assert sorted(rs2.components) == [("A", 1), ("A", 1)]
 
 
@@ -266,11 +262,7 @@ def test_root_type_certificate_holds_under_python_O():
         "except AssertionError as e:\n"
         "    print(e)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_optimized(script)
     assert proc.returncode == 0, proc.stderr
     assert "rank 2" in proc.stdout and "6 roots" in proc.stdout, proc.stdout
 
@@ -291,11 +283,7 @@ def test_min_norm_of_rank_zero_is_refused_under_python_O():
         "except ValueError as e:\n"
         "    print(e)\n"
     )
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                       os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=30,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = run_optimized(script, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "rank-0 lattice has no minimum"
 
