@@ -5,10 +5,12 @@ prime-order Nikulin/Coxeter dichotomy, signature-defect arithmetic for
 cyclic quotient singularities, and the one-lattice-per-prime family of
 fixed-point-free examples, all over Z and Q with no floating point.
 
-The schema tag and the value conversion of the reports live here, so the
-front end (k3lat.cli) and the scenario pipelines (k3lat.scenarios) share
-them without either importing the other.
+The schema tag, the report value conversion and the primality test
+live here, so the front end (k3lat.cli), the scenario pipelines
+(k3lat.scenarios) and the library share them, importing no other module.
 """
+
+import math
 
 __version__ = "0.1.0"
 
@@ -25,3 +27,7 @@ def jsonable(v):
     if isinstance(v, dict):
         return {str(k): jsonable(x) for k, x in v.items()}
     return str(v)
+
+
+def is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))

@@ -38,30 +38,29 @@ from . import SCHEMA, jsonable
 # ---------------------------------------------------------------------------
 # rendering
 
-def _print_report(report, fmt, runtime=None, stream=None):
-    stream = stream or sys.stdout
+def _print_report(report, fmt, runtime=None):
     if fmt == "structured":
         from .serialize import dumps_canonical
-        stream.write(dumps_canonical(report))
+        sys.stdout.write(dumps_canonical(report))
         return
     if report.get("kind") == "scenario":
-        stream.write("scenario: %s\n" % report["scenario"])
+        sys.stdout.write("scenario: %s\n" % report["scenario"])
         for c in report["checks"]:
-            stream.write("%-12s %-28s expected=%r computed=%r  [%s]\n" % (
+            sys.stdout.write("%-12s %-28s expected=%r computed=%r  [%s]\n" % (
                 c["status"].upper(), c["name"], c["expected"],
                 c["computed"], c["anchor"]))
         n_fail = sum(1 for c in report["checks"] if c["status"] == "fail")
-        stream.write("checks: %d, failed: %d\n" % (len(report["checks"]),
-                                                   n_fail))
+        sys.stdout.write("checks: %d, failed: %d\n"
+                         % (len(report["checks"]), n_fail))
         if runtime is not None:
-            stream.write("runtime: %.2fs\n" % runtime)
+            sys.stdout.write("runtime: %.2fs\n" % runtime)
         return
     for k in sorted(report):
         if k in ("schema", "kind"):
             continue
-        stream.write("%s: %s\n" % (k, report[k]))
+        sys.stdout.write("%s: %s\n" % (k, report[k]))
     if runtime is not None:
-        stream.write("runtime: %.2fs\n" % runtime)
+        sys.stdout.write("runtime: %.2fs\n" % runtime)
 
 
 def _inconclusive(args, e):

@@ -2,17 +2,18 @@
 
 Covers group validation/closure, fixed sublattices, rational classes and
 the Q-isotypic components their class sums split the lattice into, the
-coinvariant sublattice L_G (one rule for every finite group), module
-decomposition counts (t, c, r) for prime-order elements, the
-direct-summand check for the regular part, and membership in O^+, the
-isometries preserving the orientation of positive-definite 3-planes:
-the sign of one small determinant, det(P g G P^T) for a positive-definite
-basis P, which is never 0.
+coinvariant sublattice L_G (one rule for every finite group), the
+profile (t, c, r) of a prime-order element g and the direct-summand
+check of its regular part, both read off one Smith form of g - 1, and
+membership in O^+, the isometries preserving the orientation of
+positive-definite 3-planes: the sign of one small determinant,
+det(P g G P^T) for a positive-definite basis P, which is never 0.
 """
 
 from fractions import Fraction
 import math
 
+from . import is_prime
 from .matrix import (
     char_poly,
     det,
@@ -22,8 +23,7 @@ from .matrix import (
     mat_mul,
     mat_scale,
     mat_sub,
-    rank as qrank,
-    rank_mod_p,
+    matrix_order,
     snf,
     transpose,
 )
@@ -34,7 +34,6 @@ from .lattice import (
     gram_of_rows,
     signature_of_gram,
 )
-from .polys import poly_eval_matrix
 
 
 class NotAnIsometry(ValueError):
@@ -42,10 +41,6 @@ class NotAnIsometry(ValueError):
 
 
 class NotFinite(ValueError):
-    pass
-
-
-class NotAZGLattice(ValueError):
     pass
 
 
@@ -115,102 +110,82 @@ class IsometryGroup:
                            for row in transpose(mat_sub(g, I))])
 
 
+def jordan_blocks(p, t, c, r):
+    """Size -> count of the Jordan blocks of g - 1 mod p for the profile
+    (t, c, r): its summands give blocks of sizes 1, p - 1 and p."""
+    blocks = {}
+    for size, count in ((1, t), (p - 1, c), (p, r)):
+        if count:
+            blocks[size] = blocks.get(size, 0) + count
+    return blocks
+
+
 class ZGDecomposition:
-    """Summand counts of a prime-order lattice automorphism.
+    """Summand counts of a prime-order lattice automorphism g.
 
     t trivial (rank 1), c cyclotomic (rank p-1), r regular (rank p);
-    t + c(p-1) + r*p equals the rank of the module.
+    t + c(p-1) + r*p equals the rank of the module. divisors are the
+    nonzero Smith divisors of g - 1; jordan_blocks follow from (t, c, r).
     """
 
-    def __init__(self, p, t, c, r, jordan_blocks=None):
+    def __init__(self, p, t, c, r, divisors):
         self.p, self.t, self.c, self.r = p, t, c, r
-        self.jordan_blocks = {} if jordan_blocks is None else jordan_blocks
+        self.divisors = divisors
+        self.jordan_blocks = jordan_blocks(p, t, c, r)
 
 
 def zg_decomposition(g, p):
-    """Detect the (t, c, r) summand counts of an isometry of prime order
-    p (or 1).
+    """The (t, c, r) profile of an isometry of prime order p (or 1).
 
-    Works mod p via the Jordan partition of the nilpotent g-1 and
-    cross-checks against rational kernel dimensions, the kernel of
-    Phi_p(g) = 1 + g + ... + g^(p-1) among them.
+    By Reiner (Curtis and Reiner, Methods of Representation Theory I,
+    34) coker(g - 1) is Z^(t+r) + (Z/p)^c, so one Smith form of g - 1
+    gives the profile: t + r divisors 0, c divisors p, the rest 1. Any
+    other divisors raise ArithmeticError naming them.
     """
-    n = len(g)
-    I = identity_matrix(n)
-    power = g
-    for _ in range(p - 1):
-        power = mat_mul(power, g)
-    if not mat_eq(power, I):
+    if not is_prime(p):
+        raise ValueError("p must be a prime, got %d" % p)
+    if matrix_order(g, cap=p) not in (1, p):
         raise ValueError("element does not have order dividing %d" % p)
-    N = mat_sub(g, I)
-    ranks = [n]
-    M = I
-    for _ in range(p + 1):
-        M = mat_mul(M, N)
-        ranks.append(rank_mod_p(M, p))
-    blocks = {}
-    for k in range(1, p + 1):
-        m_k = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
-        if m_k:
-            blocks[k] = m_k
-    allowed = {1, p - 1, p}
-    if any(k not in allowed for k in blocks):
-        raise NotAZGLattice("Jordan block sizes %s admit no t/c/r splitting"
-                            % sorted(blocks))
-    dim_fix = n - qrank(N)
-    if p == 2:
-        r = blocks.get(2, 0)
-        t = dim_fix - r
-        Nplus = [[g[i][j] + I[i][j] for j in range(n)] for i in range(n)]
-        c = (n - qrank(Nplus)) - r
-        if t < 0 or c < 0 or t + c != blocks.get(1, 0):
-            raise NotAZGLattice("mod-2 profile inconsistent with Z-structure")
-    else:
-        t = blocks.get(1, 0)
-        c = blocks.get(p - 1, 0)
-        r = blocks.get(p, 0)
-        if dim_fix != t + r:
-            raise NotAZGLattice("rational fixed rank disagrees with profile")
-        phi_rank = n - qrank(poly_eval_matrix([1] * p, g))
-        if phi_rank != (c + r) * (p - 1):
-            raise NotAZGLattice("cyclotomic kernel disagrees with profile")
-    return ZGDecomposition(p, t, c, r, blocks)
+    n = len(g)
+    S, _ = snf(mat_sub(g, identity_matrix(n)))
+    divisors = [S[i][i] for i in range(n) if S[i][i]]
+    c = divisors.count(p)
+    # n - #{0} - c(p - 1) = r(p - 1), and #{0} = t + r
+    r, rest = divmod(len(divisors) - c * (p - 1), p - 1)
+    t = n - len(divisors) - r
+    if rest or r < 0 or t < 0 or any(d not in (1, p) for d in divisors):
+        raise ArithmeticError("the Smith divisors %s of g - 1 give no "
+                              "t/c/r profile at p = %d" % (divisors, p))
+    return ZGDecomposition(p, t, c, r, divisors)
 
 
 def regular_summand_discriminant_check(coinvariant, g, dec):
-    """For c = 0 elements: im(g-1) is a direct summand, and the complement
-    of the fixed lattice has discriminant (Z/p)^r when the ambient is
-    unimodular. coinvariant is the CoinvariantResult of the group g
-    generates, whose fixed^perp Gram is read, not rebuilt; dec is the
-    zg_decomposition of g.
+    """For c = 0 elements: im(g-1) is a direct summand iff every divisor
+    of dec is 1, and fixed^perp has discriminant (Z/p)^r when the ambient
+    is unimodular. coinvariant is the CoinvariantResult of the group g
+    generates, whose fixed^perp Gram is read; dec is zg_decomposition(g).
     """
-    p = dec.p
     if dec.c != 0:
         raise ValueError("check applies only when no cyclotomic summand occurs")
     fixed, ambient = coinvariant.fixed, coinvariant.ambient
-    n = ambient.rank
-    S, _ = snf(mat_sub(g, identity_matrix(n)))
-    divisors = [S[i][i] for i in range(n)]
-    # a saturated sublattice fixed by g with the rank of ker(g - 1) is
-    # the fixed lattice of g
+    # a saturated sublattice fixed by g with the rank t + r of ker(g - 1)
+    # is the fixed lattice of g
     if not (mat_eq(mat_mul(fixed, g), fixed)
-            and len(fixed) == divisors.count(0)):
+            and len(fixed) == dec.t + dec.r):
         raise ValueError("coinvariant must be the result for the group "
                          "g generates")
-    summand = all(d in (0, 1) for d in divisors)
     report = {
-        "p": p,
+        "p": dec.p,
         "t": dec.t,
         "r": dec.r,
-        "image_is_direct_summand": summand,
-        "snf_divisors": sorted(d for d in divisors if d),
+        "image_is_direct_summand": all(d == 1 for d in dec.divisors),
     }
     if abs(ambient.determinant()) == 1:
         orders = DiscriminantForm(coinvariant.complement_gram).cyclic_orders
         report["complement_disc_orders"] = orders
         report["disc_dimension_over_Fp"] = len(orders)
         report["disc_is_Fp_space_of_dim_r"] = (
-            all(o == p for o in orders) and len(orders) == dec.r)
+            all(o == dec.p for o in orders) and len(orders) == dec.r)
     return report
 
 

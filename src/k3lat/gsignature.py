@@ -13,6 +13,8 @@ maximal-defect statement and fixed-point-count predictions.
 
 from fractions import Fraction
 
+from . import is_prime
+
 
 class InvalidCharacter(ValueError):
     pass
@@ -36,7 +38,7 @@ def defect_point(p, q):
     (1+z)(1+z^q) / ((1-z)(1-z^q)); the local defect of an isolated
     fixed point with rotation weights (1, q).
     """
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not is_prime(p):
         raise ValueError("p must be a prime, got %d" % p)
     q = q % p
     if q == 0:

@@ -12,8 +12,8 @@ orders and q-value counts agree.
 from collections import Counter
 from fractions import Fraction
 import itertools
-import math
 
+from . import is_prime
 from .matrix import (
     _solve_int,
     block_diag,
@@ -290,8 +290,7 @@ class DiscriminantForm:
         element costs O(k) table entries, not O(k^2).
         """
         p = self.orders[0] if self.orders else 2
-        if any(o != p for o in self.orders) or any(
-                p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if any(o != p for o in self.orders) or not is_prime(p):
             raise ValueError("q-value counts decide p-elementary forms "
                              "only, got orders %s" % (self.orders,))
         if not self.even:

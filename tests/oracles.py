@@ -15,7 +15,9 @@ characters from one change of basis per element, rational classes closed
 under conjugation also when the generators commute, generation of a
 finite abelian group by breadth-first closure), an
 independent box enumerator to check Fincke-Pohst against, a constructive
-Cartan-Dieudonne to check O^+ membership against, two independent
+Cartan-Dieudonne to check O^+ membership against, the mod-p Jordan
+partition of g - 1 with its rational cross-checks to check the Smith-form
+profile (t, c, r) of a prime-order element against, two independent
 routes to L_G (the cyclotomic kernels of a cyclic generator, and
 supplied projectors with their Frobenius-Schur checks and characters
 tr(g Z)/D) to check the class-sum components against, the two-path
@@ -64,10 +66,13 @@ from k3lat.matrix import (
     identity_matrix,
     int_kernel,
     inverse,
+    mat_add,
     mat_eq,
     mat_mul,
     mat_sub,
     matrix_order,
+    rank,
+    rank_mod_p,
     row_hnf,
     snf,
     transpose,
@@ -514,6 +519,42 @@ def cyclic_coinvariant(group):
     keep = [row for d, b in sorted(comps.items()) if not a_plus[d]
             for row in b]
     return int_kernel(int_kernel(keep))
+
+
+def jordan_profile(g, p):
+    """((t, c, r), Jordan blocks of g - 1 mod p) of an element of prime
+    order p, from the mod-p Jordan partition of the nilpotent g - 1: with
+    rk_k the F_p rank of (g - 1)^k, rk_(k-1) - 2 rk_k + rk_(k+1) blocks
+    have size k. Trivial, cyclotomic and regular summands give blocks of
+    sizes 1, p - 1 and p; at p = 2 the first two coincide and the
+    rational rank of g + 1 splits them. The rational fixed rank and the
+    rank of ker Phi_p(g) cross-check the profile at odd p.
+    """
+    n = len(g)
+    I = identity_matrix(n)
+    N = mat_sub(g, I)
+    ranks = [n]
+    M = I
+    for _ in range(p + 1):
+        M = mat_mul(M, N)
+        ranks.append(rank_mod_p(M, p))
+    blocks = {}
+    for k in range(1, p + 1):
+        m_k = ranks[k - 1] - 2 * ranks[k] + ranks[k + 1]
+        if m_k:
+            blocks[k] = m_k
+    assert set(blocks) <= {1, p - 1, p}, blocks
+    dim_fix = n - rank(N)
+    if p == 2:
+        r = blocks.get(2, 0)
+        t = dim_fix - r
+        c = n - rank(mat_add(g, I)) - r
+        assert t >= 0 and c >= 0 and t + c == blocks.get(1, 0)
+    else:
+        t, c, r = blocks.get(1, 0), blocks.get(p - 1, 0), blocks.get(p, 0)
+        assert dim_fix == t + r
+        assert n - rank(poly_eval_matrix([1] * p, g)) == (c + r) * (p - 1)
+    return (t, c, r), blocks
 
 
 def _key(M):

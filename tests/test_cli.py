@@ -449,7 +449,7 @@ LATTICE_FILE = {"json", "fractions", "k3lat.serialize", "k3lat.matrix",
 # the layers under the builders of realize and nikulin
 LIBRARY = {"fractions", "k3lat.matrix", "k3lat.lattice", "k3lat.standard",
            "k3lat.shortvec"}
-REALIZE = LIBRARY | {"k3lat.realize", "k3lat.groups", "k3lat.polys"}
+REALIZE = LIBRARY | {"k3lat.realize", "k3lat.groups"}
 
 
 def _loaded_by(argv):
@@ -495,8 +495,7 @@ def test_verbs_load_only_the_modules_they_call():
     # the aut search of these two closes its result in groups
     for family in ("nikulin-family-p2", "nikulin-family-p3"):
         assert _loaded_by(["scenario", family]) == \
-            LIBRARY | {"k3lat.scenarios", "k3lat.nikulin", "k3lat.groups",
-                       "k3lat.polys"}
+            LIBRARY | {"k3lat.scenarios", "k3lat.nikulin", "k3lat.groups"}
     assert _loaded_by(["scenario", "defect-table"]) == \
         {"k3lat.scenarios", "k3lat.gsignature", "fractions"}
     # a structured report costs json and serialize, not the lattice layer

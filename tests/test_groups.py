@@ -1,11 +1,13 @@
 import math
 import os
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from k3lat import is_prime
 from k3lat.groups import (
     IsometryGroup,
     NotAnIsometry,
@@ -22,11 +24,14 @@ from k3lat.matrix import (
     inverse,
     int_kernel,
     mat_mul,
+    mat_sub,
     matrix_order,
+    rank,
     row_hnf,
     transpose,
     vec_mat,
 )
+from k3lat.polys import poly_eval_matrix
 from k3lat.realize import decide_complex
 from k3lat.standard import k3_lattice, reflection, reflection_general
 from conftest import a4_example, run_optimized
@@ -36,6 +41,7 @@ from oracles import (
     complement_complex_report,
     cyclic_coinvariant,
     cyclotomic,
+    jordan_profile,
     projector_character,
     projector_coinvariant,
     random_unimodular,
@@ -686,8 +692,9 @@ def _companion(poly):
     return C
 
 
-def test_zg_decomposition_recovers_planted_shape():
-    rng = random.Random(77)
+def _planted_shapes(rng):
+    """(g, p, (t, c, r)): block sums of the planted summands, 12 draws per
+    prime, in a seeded unimodular basis."""
     for p in (2, 3, 5, 7):
         for _ in range(12):
             t = rng.randint(0, 3)
@@ -717,8 +724,65 @@ def test_zg_decomposition_recovers_planted_shape():
             U = random_unimodular(rng, n, 3 * n)
             gc = to_int_matrix(mat_mul(mat_mul(U, g), inverse(U)))
             assert matrix_order(gc) in (1, p)
-            dec = zg_decomposition(gc, p)
-            assert (dec.t, dec.c, dec.r) == (t, c, r)
+            yield gc, p, (t, c, r)
+
+
+def _bench_prime_order_elements(rng):
+    """(g, p, None): the prime-order powers g^(m/p) of each generator, of
+    order m, of the bench input groups, each also in a seeded unimodular
+    basis."""
+    from k3lat import serialize
+    for name in ("a4", "nikulin-involution", "model-prime-3", "coxeter",
+                 "rotation12"):
+        G = serialize.group_from_obj(serialize.read_json_file(os.path.join(
+            ROOT, "bench", "inputs", name + "-group.json")))
+        for g in G.generators:
+            m = matrix_order(g)
+            for p in filter(is_prime, range(2, m + 1)):
+                if m % p:
+                    continue
+                h = I22
+                for _ in range(m // p):
+                    h = mat_mul(h, g)
+                U = random_unimodular(rng, N, 12)
+                yield h, p, None
+                yield to_int_matrix(mat_mul(mat_mul(U, h), inverse(U))), p, None
+
+
+def test_zg_decomposition_recovers_planted_shape():
+    # one Smith form of g - 1 against the mod-p Jordan ladder and the
+    # rational kernel ranks ker(g - 1) = t + r, ker Phi_p(g) = (c + r)(p - 1)
+    rng = random.Random(77)
+    cases = list(_planted_shapes(rng)) + list(_bench_prime_order_elements(rng))
+    assert {p for _, p, planted in cases if planted is None} == {2, 3}
+    for g, p, planted in cases:
+        dec = zg_decomposition(g, p)
+        tcr = (dec.t, dec.c, dec.r)
+        assert planted in (None, tcr)
+        assert (tcr, dec.jordan_blocks) == jordan_profile(g, p)
+        n = len(g)
+        assert n - rank(mat_sub(g, identity_matrix(n))) == dec.t + dec.r
+        assert n - rank(poly_eval_matrix([1] * p, g)) == \
+            (dec.c + dec.r) * (p - 1)
+
+
+def test_zg_decomposition_names_smith_divisors_outside_0_1_p(monkeypatch):
+    from k3lat import groups
+    real = groups.snf
+
+    def fake(A):
+        S, U = real(A)
+        S[0][0] = 3
+        return S, U
+    monkeypatch.setattr(groups, "snf", fake)
+    with pytest.raises(ArithmeticError,
+                       match=re.escape("divisors %s" % ([3] + [1] * 7))):
+        zg_decomposition(_swap_matrix(), 2)
+
+
+def test_zg_decomposition_refuses_a_composite_p():
+    with pytest.raises(ValueError, match="p must be a prime, got 4"):
+        zg_decomposition(_u2_twist(), 4)
 
 
 def test_zg_decomposition_rejects_wrong_order():

@@ -16,6 +16,7 @@ SRC = os.path.join(TESTS, os.pardir, "src", "k3lat")
 ALLOWED = {
     ("matrix", "inverse"): "a per-layer name of BENCHMARK.json",
     ("matrix", "solve_right"): "a per-layer name of BENCHMARK.json",
+    ("polys", "poly_eval_matrix"): "a per-layer name of BENCHMARK.json",
     ("realize", "build_coxeter_model"): "bench/make_inputs.py imports it",
 }
 
