@@ -3,10 +3,9 @@ decision verbs and example emission.
 
 One binary, verb-style subcommands. Reports are lists of named checks,
 each carrying expected and computed values plus an anchor string that
-states the mathematical claim being verified (or the literal tag
-"plumbing" for format-level checks). Structured output is deterministic:
-two runs with the same arguments emit byte-identical reports; runtimes
-appear only in human mode.
+states the mathematical claim being verified. Structured output is
+deterministic: two runs with the same arguments emit byte-identical
+reports; runtimes appear only in human mode.
 
 Exit status: 0 when no check failed (inconclusive does not fail), 1 when
 a check failed, in a scenario or an example, or when an internal
@@ -200,8 +199,9 @@ def _cmd_compute(args):
         sys.stdout.write("%d %d %d\n" % (p, m, z))
         return 0
     if sub == "disc":
-        D = lat.discriminant_group()
-        sys.stdout.write(" ".join(str(o) for o in D.cyclic_orders) + "\n")
+        from .lattice import DiscriminantForm
+        D = DiscriminantForm(lat.gram)
+        sys.stdout.write(" ".join(str(o) for o in D.orders) + "\n")
         return 0
     # enumerate: argparse's choices admit no other subcommand
     if args.norm is None:

@@ -181,7 +181,7 @@ def regular_summand_discriminant_check(coinvariant, g, dec):
         "image_is_direct_summand": all(d == 1 for d in dec.divisors),
     }
     if abs(ambient.determinant()) == 1:
-        orders = DiscriminantForm(coinvariant.complement_gram).cyclic_orders
+        orders = DiscriminantForm(coinvariant.complement_gram).orders
         report["complement_disc_orders"] = orders
         report["disc_dimension_over_Fp"] = len(orders)
         report["disc_is_Fp_space_of_dim_r"] = (

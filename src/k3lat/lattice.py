@@ -141,9 +141,6 @@ class Lattice:
             self._sig = signature_of_gram(self.gram)
         return self._sig
 
-    def discriminant_group(self):
-        return DiscriminantForm(self.gram)
-
     def __repr__(self):
         return "Lattice(rank=%d, det=%s)" % (self.rank, self.determinant())
 
@@ -204,10 +201,6 @@ class DiscriminantForm:
                 self._gens.append(U[i])
         self.exponent = self.orders[-1] if self.orders else 1
         self._pair_table = None
-
-    @property
-    def cyclic_orders(self):
-        return list(self.orders)
 
     def opposite(self):
         return DiscriminantForm([[-x for x in row] for row in self.gram])

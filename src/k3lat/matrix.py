@@ -259,29 +259,6 @@ def solve_right(A, b):
     return None if X is None else X[0]
 
 
-def rank_mod_p(A, p):
-    """Rank of an integer matrix over F_p."""
-    M = [[x % p for x in row] for row in A]
-    m = len(M)
-    n = len(M[0]) if M else 0
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if M[i][col]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][col], -1, p)
-        M[r] = [(x * inv) % p for x in M[r]]
-        for i in range(r + 1, m):
-            if M[i][col]:
-                f = M[i][col]
-                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
 def row_hnf(A):
     """Row Hermite normal form: the canonical basis of the row span of the
     integer matrix A over Z.
@@ -436,7 +413,7 @@ def char_poly(A):
     return coeffs
 
 
-def matrix_order(M, cap=10000):
+def matrix_order(M, cap):
     """Multiplicative order of a square integer matrix, or None past cap."""
     n = len(M)
     I = identity_matrix(n)

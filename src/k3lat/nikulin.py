@@ -32,6 +32,7 @@ from .matrix import (
     vec_mat,
 )
 from .lattice import (
+    DiscriminantForm,
     Lattice,
     direct_sum,
     express_in_basis,
@@ -78,7 +79,7 @@ class NikulinFamily:
         self.checks = {}
 
 
-def _pair(gram, x, y, d=1):
+def _pair(gram, x, y, d):
     """x . y / d^2 under the integer Gram, as a Fraction: the pairing of
     x / d and y / d for integer rows x and y over the denominator d."""
     return Fraction(dot(vec_mat(x, gram), y), d * d)
@@ -134,7 +135,7 @@ def build_family(p):
                         p_varpi=p_varpi, p_rho=p_rho, p_basis_N=p_basis_N,
                         N=N, rho_in_N=rho_in_N[0])
 
-    disc_orders = N.discriminant_group().cyclic_orders
+    disc_orders = DiscriminantForm(N.gram).orders
     if disc_orders != [p] * (nu - 2):
         raise AssertionError("disc(N_p) must be (Z/p)^(nu - 2), got %s"
                              % disc_orders)
@@ -176,7 +177,7 @@ def build_Lp(fam):
 
     fam.L_basis_in_N = L_in_N
     fam.L = L
-    fam.checks["disc_L_orders"] = L.discriminant_group().cyclic_orders
+    fam.checks["disc_L_orders"] = DiscriminantForm(L.gram).orders
     fam.checks["L_has_no_roots"] = not enumerate_vectors(L.gram, -2)
     return L
 
@@ -440,20 +441,18 @@ GENUS_CANDIDATES = {
 }
 
 
-def genus_check_lambda_G(p, fam=None):
+def genus_check_lambda_G(p):
     """The listed invariant-lattice candidate has the right signature and
     its discriminant form is the opposite of disc(L_p). Both forms are
     p-elementary, so they are compared by their q-value counts, with no
     search and no budget."""
     if p not in (3, 5, 7):
         raise UnsupportedPrime("genus candidates listed for p in {3,5,7}")
-    if fam is None:
-        fam = family(p)
     cand = GENUS_CANDIDATES[p]()
-    Dc = cand.discriminant_group()
-    DL = fam.L.discriminant_group()
+    Dc = DiscriminantForm(cand.gram)
+    DL = DiscriminantForm(family(p).L.gram)
     match = disc_form_isometry(Dc, DL.opposite())
     return {"p": p, "candidate_rank": cand.rank,
             "candidate_signature": cand.signature(),
-            "disc_orders": Dc.cyclic_orders,
+            "disc_orders": Dc.orders,
             "opposite_disc_match": match}

@@ -19,7 +19,7 @@ from . import SCHEMA, jsonable
 NU = {2: 8, 3: 6, 5: 4, 7: 3}
 
 
-def _check(name, expected, computed, anchor="plumbing"):
+def _check(name, expected, computed, anchor):
     expected, computed = jsonable(expected), jsonable(computed)
     status = "pass" if expected == computed else "fail"
     return {"name": name, "status": status, "expected": expected,
@@ -116,9 +116,9 @@ def _scenario_involution(budget):
 
 
 def _scenario_family(p, budget):
-    from .lattice import DiscriminantForm, Lattice, direct_sum, \
-        sublattice_index, two_elementary_profile
-    from .matrix import identity_matrix, mat_scale
+    from .lattice import DiscriminantForm, sublattice_index, \
+        two_elementary_profile
+    from .matrix import block_diag, identity_matrix, mat_scale
     from .nikulin import VARPI_NORMS, _flat_rho, _pair, \
         aut_trivial_on_disc_search, family
     from .shortvec import lattice_isometry, min_norm_and_kissing
@@ -177,15 +177,14 @@ def _scenario_family(p, budget):
         T = lattice_isometry(fam.L.gram, e8m2, budget=budget)
         checks.append(_check("L2-is-E8-minus-2", True, T is not None,
                              "L_2 is isometric to E8(-2)"))
-        u2cubed = direct_sum(hyperbolic_plane(2), hyperbolic_plane(2),
-                             hyperbolic_plane(2))
+        u2 = hyperbolic_plane(2).gram
         pN = two_elementary_profile(DiscriminantForm(fam.N.gram))
-        pU = two_elementary_profile(DiscriminantForm(u2cubed.gram))
+        pU = two_elementary_profile(DiscriminantForm(block_diag(u2, u2, u2)))
         checks.append(_check("N2-disc-is-U2-disc", pU, pN,
                              "disc(N_2) matches disc(U(2)^3)"))
-        a1m2 = direct_sum(*[Lattice([[-4]]) for _ in range(8)])
-        same_orders = DiscriminantForm(e8m2).cyclic_orders == \
-            DiscriminantForm(a1m2.gram).cyclic_orders
+        a1m2 = mat_scale(-4, identity_matrix(8))
+        same_orders = DiscriminantForm(e8m2).orders == \
+            DiscriminantForm(a1m2).orders
         checks.append(_check("E8-minus-2-disc-differs", False, same_orders,
                              "disc(E8(-2)) differs from disc(A_1(-2)^8)"))
     if p == 3:

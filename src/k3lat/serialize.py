@@ -56,7 +56,7 @@ def _require(cond, message):
         raise SerializationError(message)
 
 
-def _int_matrix(obj, what, rows=None, cols=None):
+def _int_matrix(obj, what, rows, cols):
     _require(isinstance(obj, list) and obj, "%s must be a nonempty list" % what)
     _require(all(isinstance(r, list) for r in obj), "%s rows must be lists" % what)
     n = len(obj[0])
@@ -65,10 +65,8 @@ def _int_matrix(obj, what, rows=None, cols=None):
         for x in r:
             _require(isinstance(x, int) and not isinstance(x, bool),
                      "%s entries must be integers" % what)
-    if rows is not None:
-        _require(len(obj) == rows, "%s must have %d rows" % (what, rows))
-    if cols is not None:
-        _require(n == cols, "%s must have %d columns" % (what, cols))
+    _require(len(obj) == rows, "%s must have %d rows" % (what, rows))
+    _require(n == cols, "%s must have %d columns" % (what, cols))
     return [list(r) for r in obj]
 
 

@@ -16,14 +16,14 @@ under conjugation also when the generators commute, generation of a
 finite abelian group by breadth-first closure), an
 independent box enumerator to check Fincke-Pohst against, a constructive
 Cartan-Dieudonne to check O^+ membership against, the mod-p Jordan
-partition of g - 1 with its rational cross-checks to check the Smith-form
-profile (t, c, r) of a prime-order element against, two independent
-routes to L_G (the cyclotomic kernels of a cyclic generator, and
-supplied projectors with their Frobenius-Schur checks and characters
-tr(g Z)/D) to check the class-sum components against, the two-path
-L_G (the complement of a pointwise fixed 3-plane, else the class-sum
-split from the whole lattice) with the complex verdict from the
-intersection of the fixed lattice with L_G-perp, to check the one
+partition of g - 1 from the F_p rank, with its rational cross-checks, to
+check the Smith-form profile (t, c, r) of a prime-order element against,
+two independent routes to L_G (the cyclotomic kernels of a cyclic
+generator, and supplied projectors with their Frobenius-Schur checks and
+characters tr(g Z)/D) to check the class-sum components against, the
+two-path L_G (the complement of a pointwise fixed 3-plane, else the
+class-sum split from the whole lattice) with the complex verdict from
+the intersection of the fixed lattice with L_G-perp, to check the one
 pipeline of k3lat.groups and k3lat.realize against, the backtracking
 isomorphism search of discriminant forms, with its generator images and
 its generation test by one row HNF, to check the q-value count decision
@@ -33,7 +33,8 @@ discriminant glue images. Also the
 family checks that no verb runs: uniqueness of the k-vector squares, the
 Hermitian orbit-sum smoke test and the whole-family integration build,
 and the defect identities that no verb runs: the signature balance, the
-total defect of points and surfaces, and the Noether-type count. And the
+total defect of points and surfaces, the Noether-type count and Mukai's
+trace law for symplectic actions. And the
 small helpers only tests use: polynomial arithmetic over Q (division,
 extended Euclid, the general cyclotomic), discriminant-group arithmetic
 (the class of a dual vector, an integer lift over its denominator as
@@ -41,8 +42,8 @@ Fractions, linear combinations of classes, the order of an element), a
 lattice with its form scaled by an integer, the saturated intersection
 of two spans, the Smith
 diagonal, integrality of a Fraction matrix and its conversion to ints,
-a seeded unimodular base change of a Gram, and E8 simple roots in the
-even coordinate model of R^8.
+a seeded unimodular base change of a Gram or a group, and E8 simple
+roots in the even coordinate model of R^8.
 """
 
 from fractions import Fraction
@@ -72,13 +73,13 @@ from k3lat.matrix import (
     mat_sub,
     matrix_order,
     rank,
-    rank_mod_p,
     row_hnf,
     snf,
     transpose,
     vec_mat,
 )
 from k3lat.groups import (
+    IsometryGroup,
     _check_projectors,
     isotypic_components,
     spinor_plus_membership,
@@ -187,6 +188,16 @@ def base_changed_gram(rng, gram, moves):
     a basis no constructor of k3lat reduced."""
     U = random_unimodular(rng, len(gram), moves)
     return mat_mul(mat_mul(U, gram), transpose(U))
+
+
+def base_changed_group(rng, group, moves):
+    """The group in the basis U = random_unimodular(rng, n, moves): the
+    Gram U G U^T and the generators U g U^-1."""
+    U = random_unimodular(rng, group.ambient.rank, moves)
+    Uinv = to_int_matrix(inverse(U))
+    ambient = Lattice(mat_mul(mat_mul(U, group.ambient.gram), transpose(U)))
+    return IsometryGroup(ambient, [mat_mul(mat_mul(U, g), Uinv)
+                                   for g in group.generators])
 
 
 def rational_lift(D, x):
@@ -519,6 +530,29 @@ def cyclic_coinvariant(group):
     keep = [row for d, b in sorted(comps.items()) if not a_plus[d]
             for row in b]
     return int_kernel(int_kernel(keep))
+
+
+def rank_mod_p(A, p):
+    """Rank of an integer matrix over F_p."""
+    M = [[x % p for x in row] for row in A]
+    m = len(M)
+    n = len(M[0]) if M else 0
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = pow(M[r][col], -1, p)
+        M[r] = [(x * inv) % p for x in M[r]]
+        for i in range(r + 1, m):
+            if M[i][col]:
+                f = M[i][col]
+                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
+        r += 1
+        if r == m:
+            break
+    return r
 
 
 def jordan_profile(g, p):
@@ -905,6 +939,18 @@ def noether_identity_check(p, points, surfaces):
     return {"p": p, "value": val, "equals_8": val == 8}
 
 
+def mukai_epsilon(n):
+    """Mukai's epsilon(n) = 24 / (n prod_{q | n} (1 + 1/q)), q prime: the
+    Euler number of the fixed locus of a symplectic automorphism of order
+    n <= 8 of a K3 surface, so that its trace on H^2 is epsilon(n) - 2.
+    """
+    val = Fraction(24, n)
+    for q in range(2, n + 1):
+        if n % q == 0 and all(q % d for d in range(2, q)):
+            val /= 1 + Fraction(1, q)
+    return val
+
+
 def naive_enumerate_up_to(gram, bound, prune=True):
     """Box-search oracle: same output contract as fincke_pohst_up_to.
 
@@ -1161,7 +1207,7 @@ def build_full(p, aut_budget=10 ** 6):
     k_vector_uniqueness(p)
     hermitian_pairing_smoke(fam)
     if p in (3, 5, 7):
-        fam.checks["genus"] = nikulin.genus_check_lambda_G(p, fam)
+        fam.checks["genus"] = nikulin.genus_check_lambda_G(p)
     fam.checks["aut_search"] = nikulin.aut_trivial_on_disc_search(
         fam, aut_budget)
     return fam

@@ -20,6 +20,8 @@ from k3lat.groups import (
 )
 from k3lat.lattice import Lattice, gram_of_rows, sublattice_index
 from k3lat.matrix import (
+    det,
+    dot,
     identity_matrix,
     inverse,
     int_kernel,
@@ -32,16 +34,20 @@ from k3lat.matrix import (
     vec_mat,
 )
 from k3lat.polys import poly_eval_matrix
-from k3lat.realize import decide_complex
+from k3lat.realize import decide_complex, decide_metric
+from k3lat.shortvec import lll_gram
 from k3lat.standard import k3_lattice, reflection, reflection_general
 from conftest import a4_example, run_optimized
 from oracles import (
+    base_changed_group,
     basis_characters,
     cartan_dieudonne_o_plus,
     complement_complex_report,
     cyclic_coinvariant,
     cyclotomic,
+    in_rowspan_z,
     jordan_profile,
+    naive_enumerate_up_to,
     projector_character,
     projector_coinvariant,
     random_unimodular,
@@ -723,7 +729,7 @@ def _planted_shapes(rng):
                 at += len(b)
             U = random_unimodular(rng, n, 3 * n)
             gc = to_int_matrix(mat_mul(mat_mul(U, g), inverse(U)))
-            assert matrix_order(gc) in (1, p)
+            assert matrix_order(gc, cap=p) in (1, p)
             yield gc, p, (t, c, r)
 
 
@@ -737,7 +743,7 @@ def _bench_prime_order_elements(rng):
         G = serialize.group_from_obj(serialize.read_json_file(os.path.join(
             ROOT, "bench", "inputs", name + "-group.json")))
         for g in G.generators:
-            m = matrix_order(g)
+            m = matrix_order(g, cap=12)
             for p in filter(is_prime, range(2, m + 1)):
                 if m % p:
                     continue
@@ -788,3 +794,38 @@ def test_zg_decomposition_refuses_a_composite_p():
 def test_zg_decomposition_rejects_wrong_order():
     with pytest.raises(ValueError):
         zg_decomposition(_u2_twist(), 2)  # order 4, not 2
+
+
+def test_decide_metric_agrees_with_brute_force_roots():
+    # the verdict is no exactly when the box enumerator finds a vector of
+    # norm 2 in -L_G, and a no witness is a (-2)-vector in the row span of
+    # L_G: on the bench input groups, two seeded skews of each, and 30
+    # seeded groups in O^+
+    from k3lat import serialize
+    rng = random.Random(36)
+    groups = []
+    for name in ("a4", "nikulin-involution", "model-prime-3", "coxeter",
+                 "rotation12"):
+        G = serialize.group_from_obj(serialize.read_json_file(os.path.join(
+            ROOT, "bench", "inputs", name + "-group.json")))
+        groups += [G, base_changed_group(rng, G, 12),
+                   base_changed_group(rng, G, 12)]
+    while len(groups) < 45:
+        g = _random_finite_isometry(rng)
+        if spinor_plus_membership(K3, g):
+            groups.append(IsometryGroup(K3, [g]))
+    verdicts = Counter()
+    for G in groups:
+        verdict, wit, res = decide_metric(G)
+        neg = [[-x for x in row] for row in res.L_G_gram]
+        # a skewed L_G Gram has entries near 10^6, too wide for the boxes:
+        # enumerate an LLL basis, certified unimodular with Gram H neg H^T
+        H, R = lll_gram(neg)[:2] if neg else ([], [])
+        assert abs(det(H)) == 1 and mat_mul(mat_mul(H, neg), transpose(H)) == R
+        roots = [v for v, q in naive_enumerate_up_to(R, 2) if q == 2]
+        assert (verdict == "no") == bool(roots), (verdict, roots[:1])
+        if verdict == "no":
+            assert dot(vec_mat(wit, G.ambient.gram), wit) == -2
+            assert in_rowspan_z(res.L_G, wit)
+        verdicts[verdict] += 1
+    assert min(verdicts["yes"], verdicts["no"]) >= 5, verdicts

@@ -105,23 +105,23 @@ def test_discriminant_group_order_is_abs_det():
         if det(G) == 0:
             continue
         done += 1
-        assert math.prod(DiscriminantForm(G).cyclic_orders) == abs(det(G))
+        assert math.prod(DiscriminantForm(G).orders) == abs(det(G))
 
 
 def test_discriminant_form_known_values():
     a1 = root_lattice("A", 1)
     D = DiscriminantForm(a1.gram)
-    assert D.cyclic_orders == [2]
+    assert D.orders == [2]
     gen = [1]
     assert D.q(gen) == Fraction(1, 2)
 
     e8 = root_lattice("E", 8)
-    assert DiscriminantForm(e8.gram).cyclic_orders == []
+    assert DiscriminantForm(e8.gram).orders == []
     assert abs(e8.determinant()) == 1 and e8.is_even()
 
     u2 = rescale(hyperbolic_plane(), 2)
     D2 = DiscriminantForm(u2.gram)
-    assert D2.cyclic_orders == [2, 2]
+    assert D2.orders == [2, 2]
     vals = sorted(D2.q(x) for x in D2.elements())
     assert vals == [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
 
@@ -195,7 +195,7 @@ def test_discriminant_opposite_negates_q():
     a3 = root_lattice("A", 3)
     D = DiscriminantForm(a3.gram)
     O = D.opposite()
-    assert D.cyclic_orders == O.cyclic_orders == [4]
+    assert D.orders == O.orders == [4]
     # q values of the opposite are the negatives mod 2Z, as multisets
     dv = sorted(D.q(x) % 2 for x in D.elements())
     ov = sorted((-O.q(x)) % 2 for x in O.elements())

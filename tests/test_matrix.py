@@ -20,7 +20,6 @@ from k3lat.matrix import (
     mat_sub,
     matrix_order,
     rank,
-    rank_mod_p,
     row_hnf,
     solve_right,
     solve_rows,
@@ -35,6 +34,7 @@ from oracles import (
     fraction_rank,
     fraction_solve_rows,
     is_integral,
+    rank_mod_p,
     snf_diagonal,
     snf_transforms,
     to_fraction_matrix,
@@ -345,11 +345,11 @@ def test_kernels_on_skewed_inputs():
 
 
 def test_matrix_order_known_cases():
-    assert matrix_order(identity_matrix(4)) == 1
+    assert matrix_order(identity_matrix(4), cap=12) == 1
     minus = [[-1 if i == j else 0 for j in range(3)] for i in range(3)]
-    assert matrix_order(minus) == 2
+    assert matrix_order(minus, cap=12) == 2
     rot = [[0, -1], [1, -1]]
-    assert matrix_order(rot) == 3
+    assert matrix_order(rot, cap=12) == 3
     shear = [[1, 1], [0, 1]]
     assert matrix_order(shear, cap=50) is None
 

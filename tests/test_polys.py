@@ -59,7 +59,7 @@ def test_eval_and_matrix_eval_agree_on_scalars():
 
 def test_cyclotomic_annihilates_rotation():
     rot = [[0, -1], [1, -1]]
-    assert matrix_order(rot) == 3
+    assert matrix_order(rot, cap=12) == 3
     assert poly_eval_matrix(cyclotomic(3), rot) == [[0, 0], [0, 0]]
 
 

@@ -1,10 +1,11 @@
 """Every top-level def or class of src/k3lat is named somewhere else in
 src/k3lat, and every public method of its classes is read as an
 attribute somewhere in src/k3lat, so no library code is reached only by
-the tests; no check of src/k3lat is an assert statement, which python -O
-strips; and every top-level def or class of tests/oracles.py is named by
-a test module or by another oracle. Read from the syntax trees alone:
-nothing is imported or run."""
+the tests; no private function of src/k3lat has a default that every
+call passes; no check of src/k3lat is an assert statement, which
+python -O strips; and every top-level def or class of tests/oracles.py
+is named by a test module or by another oracle. Read from the syntax
+trees alone: nothing is imported or run."""
 
 import ast
 import os
@@ -90,3 +91,35 @@ def test_every_oracle_is_named_by_a_test_or_another_oracle():
         and not any(node.name in _names(other)
                     for other in oracles.body if other is not node))
     assert unnamed == [], unnamed
+
+
+def test_no_private_default_is_passed_by_every_call():
+    # a defaulted parameter of a private function that every call in
+    # src/k3lat passes is a required parameter in disguise; calls are
+    # matched by name, and a function with no direct call is skipped
+    defs, calls = [], {}
+    for mod, tree in _trees():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.FunctionDef) and sub.name.startswith("_") \
+                    and not sub.name.endswith("__"):
+                defs.append((mod, sub))
+            elif isinstance(sub, ast.Call):
+                name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                calls.setdefault(name, []).append(sub)
+    dead = []
+    for mod, fn in defs:
+        args = fn.args.args
+        if args and args[0].arg in ("self", "cls"):
+            args = args[1:]
+        defaulted = [(i, a.arg) for i, a in
+                     enumerate(args)][len(args) - len(fn.args.defaults):]
+        defaulted += [(None, a.arg) for a, d in
+                      zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if d is not None]
+        sites = calls.get(fn.name, [])
+        for i, name in defaulted if sites else ():
+            if all((i is not None and i < len(c.args))
+                   or any(k.arg == name for k in c.keywords)
+                   for c in sites):
+                dead.append("%s.%s(%s)" % (mod, fn.name, name))
+    assert dead == [], dead

@@ -332,9 +332,9 @@ def test_disc_form_isometry_cases():
     U = [[1, 2, 1], [0, 1, 3], [0, 0, 1]]
     A3s = mat_mul(mat_mul(U, A3), transpose(U))
     LA = root_lattice("A", 3, sign=-1)
-    DA = LA.discriminant_group()
-    assert DA.cyclic_orders == [4]
-    DB = Lattice([[-x for x in row] for row in A3s]).discriminant_group()
+    DA = DiscriminantForm(LA.gram)
+    assert DA.orders == [4]
+    DB = DiscriminantForm([[-x for x in row] for row in A3s])
     assert disc_form_isometry_images(DA, DB)
     with pytest.raises(ValueError, match=r"p-elementary .* orders \[4\]"):
         DA.q_value_counts()
@@ -342,10 +342,10 @@ def test_disc_form_isometry_cases():
         disc_form_isometry(DA, DB)
     # Z/3 of the odd lattice [3] has no quadratic refinement
     with pytest.raises(ValueError, match=r"even lattice, got orders \[3\]"):
-        Lattice([[3]]).discriminant_group().q_value_counts()
+        DiscriminantForm([[3]]).q_value_counts()
     # (Z/2, q=1/2) vs (Z/2, q=-1/2) are not isometric
-    assert not disc_form_isometry(Lattice([[2]]).discriminant_group(),
-                                  Lattice([[-2]]).discriminant_group())
+    assert not disc_form_isometry(DiscriminantForm([[2]]),
+                                  DiscriminantForm([[-2]]))
 
 
 def _skewed_form(rng, blocks):
@@ -363,7 +363,7 @@ def _even_type_invariants(blocks):
     forms, 1979, 3.6)."""
     L = direct_sum(*blocks)
     plus, minus, _ = L.signature()
-    return len(L.discriminant_group().orders), (plus - minus) % 8
+    return len(DiscriminantForm(L.gram).orders), (plus - minus) % 8
 
 
 def test_disc_form_isometry_agrees_with_rank_and_signature_mod_8():
@@ -423,9 +423,9 @@ def _p_blocks(rng, p, r):
     out = []
     while r:
         block = rng.choice([b for b in P_BLOCKS[p]
-                            if len(b.discriminant_group().orders) <= r])
+                            if len(DiscriminantForm(b.gram).orders) <= r])
         out.append(block)
-        r -= len(block.discriminant_group().orders)
+        r -= len(DiscriminantForm(block.gram).orders)
     return out
 
 
@@ -497,8 +497,8 @@ def test_disc_form_isometry_refuses_at_once():
 
 def test_disc_form_isometry_images_transport_q():
     LA = root_lattice("A", 3, sign=-1)
-    DA = LA.discriminant_group()
-    DB = root_lattice("A", 3, sign=-1).discriminant_group()
+    DA = DiscriminantForm(LA.gram)
+    DB = DiscriminantForm(root_lattice("A", 3, sign=-1).gram)
     images = disc_form_isometry_images(DA, DB)
     assert images
     for x in DA.elements():

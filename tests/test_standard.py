@@ -76,7 +76,7 @@ def test_reflection_fixes_and_negates():
 def test_cycle_coxeter_order_and_isometry():
     for n in (1, 2, 3, 4, 7):
         M = cycle_coxeter_matrix(n)
-        assert matrix_order(M) == n + 1
+        assert matrix_order(M, cap=12) == n + 1
         assert char_poly(M) == [1] * (n + 1)
         an = root_lattice("A", n, sign=-1)
         assert mat_mul(mat_mul(M, an.gram), transpose(M)) == an.gram
@@ -85,7 +85,7 @@ def test_cycle_coxeter_order_and_isometry():
 def test_coxeter_element_type_a_only():
     # the type-A Coxeter element is the cycle matrix; the A_2 one is what
     # the rank-22 Coxeter model uses
-    assert matrix_order(cycle_coxeter_matrix(3)) == 4
+    assert matrix_order(cycle_coxeter_matrix(3), cap=12) == 4
     assert cycle_coxeter_matrix(2) == [[0, 1], [-1, -1]]
 
 
@@ -97,7 +97,7 @@ def test_product_of_simple_reflections_has_coxeter_order():
     for i in range(8):
         v = [int(k == i) for k in range(8)]
         c = mat_mul(c, reflection(e8m.gram, v))
-    assert matrix_order(c) == 30
+    assert matrix_order(c, cap=60) == 30
     assert mat_mul(mat_mul(c, e8m.gram), transpose(c)) == e8m.gram
 
 
