@@ -29,7 +29,6 @@ from .matrix import (
 )
 from .lattice import (
     DiscriminantForm,
-    diagonalize,
     express_in_basis,
     gram_of_rows,
     signature_of_gram,
@@ -193,8 +192,9 @@ def spinor_plus_membership(ambient, g):
     """Whether g preserves the orientation of positive-definite 3-planes.
 
     Let the rows of P be an integral basis of a maximal positive-definite
-    subspace, from one congruence diagonalization of the form. Then g lies
-    in O^+ iff det(P g G P^T) > 0: the matrix is the Gram pairing of the
+    subspace, from the congruence diagonalization the ambient lattice
+    runs once (Lattice.diagonal). Then g lies in O^+ iff
+    det(P g G P^T) > 0: the matrix is the Gram pairing of the
     image plane g(P) against P, and its determinant is never 0, because
     g(P) is positive definite and P^perp is negative definite, so g(P)
     meets P^perp only in 0.
@@ -202,7 +202,7 @@ def spinor_plus_membership(ambient, g):
     G = ambient.gram
     if not mat_eq(mat_mul(mat_mul(g, G), transpose(g)), G):
         raise NotAnIsometry("matrix does not preserve the form")
-    rows, norms, _ = diagonalize(G)
+    rows, norms, _ = ambient.diagonal()
     P = [row for row, d in zip(rows, norms) if d > 0]
     return det(mat_mul(mat_mul(P, g), transpose(mat_mul(P, G)))) > 0
 

@@ -116,7 +116,7 @@ class Lattice:
             raise ValueError("Gram matrix must be symmetric")
         self.gram = [list(map(int, row)) for row in gram]
         self.rank = n
-        self._sig = None
+        self._diag = None
         self._det = None
         if self.determinant() == 0:
             raise ValueError("degenerate form")
@@ -135,11 +135,17 @@ class Lattice:
             self._det = det(self.gram)
         return self._det
 
+    def diagonal(self):
+        """diagonalize(gram), run once and kept: (rows, norms, nullity)."""
+        if self._diag is None:
+            self._diag = diagonalize(self.gram)
+        return self._diag
+
     def signature(self):
-        """Inertia triple (n_plus, n_minus, n_zero)."""
-        if self._sig is None:
-            self._sig = signature_of_gram(self.gram)
-        return self._sig
+        """Inertia triple (n_plus, n_minus, n_zero), read off diagonal()."""
+        _, norms, nullity = self.diagonal()
+        plus = sum(1 for d in norms if d > 0)
+        return plus, len(norms) - plus, nullity
 
     def __repr__(self):
         return "Lattice(rank=%d, det=%s)" % (self.rank, self.determinant())

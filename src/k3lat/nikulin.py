@@ -9,9 +9,12 @@ the later stages rely on, raising AssertionError or ArithmeticError that
 names the failed claim, and records the identities the paper states as
 computed values in fam.checks; the scenario rows of k3lat.scenarios
 compare them with the claimed constants. The one search here, the
-isometries of L_p trivial on disc(L_p), runs on the backtracking kernel
-of k3lat.shortvec under a node budget; the genus candidate's
-discriminant form is matched by its q-value counts, with no search.
+isometries of L_p trivial on disc(L_p), is k3lat.shortvec's isometry
+kernel, the one lattice_isometry runs, asked under a node budget for
+every automorphism S of the dual form C with (S - 1) C = 0 mod p; the
+found set is a group when it is closed under products. The genus
+candidate's discriminant form is matched by its q-value counts, with no
+search.
 """
 
 from fractions import Fraction
@@ -40,7 +43,7 @@ from .lattice import (
 )
 from .standard import cartan_matrix, cycle_coxeter_matrix, hyperbolic_plane, root_lattice
 from .shortvec import (
-    _fill_slots,
+    _isometries,
     disc_form_isometry,
     enumerate_vectors,
     lll_gram,
@@ -254,82 +257,41 @@ def _trivial_on_disc(C, T, p):
 
 
 def aut_trivial_on_disc_search(fam, budget=None):
-    """Search for all isometries of L_p acting trivially on disc(L_p).
+    """All isometries of L_p acting trivially on disc(L_p), as a report of
+    their number.
 
     An isometry T is trivial on the discriminant iff C (T - 1) = 0 mod p
-    for the dual form C = p G^-1 that build_sigma keeps as fam.p_dual_L,
-    a condition on the columns of T. The backtracking therefore builds
-    S = T^t row by row: S preserves C, each row must satisfy
-    (s_i - e_i) C = 0 mod p, and transposing any complete solution gives
-    a Gram isometry trivial on the discriminant.
-    The pool vectors w and their negatives are bucketed once by
-    (norm, w C mod p), and slot i draws from the bucket of
-    (C_ii, C_i mod p), so the backtracking tests only the Gram rows.
-    The kernel returns every complete filling. Past its budget, 10^6
-    nodes when None, the pool enumeration or the backtracking raises
-    SearchBudgetExceeded naming its stage.
+    for the dual form C = p G^-1 that build_sigma keeps as fam.p_dual_L.
+    So T is one exactly when S = T^t preserves C and (S - 1) C = 0 mod p,
+    and the search is k3lat.shortvec's isometry kernel asked for every
+    such automorphism S of the positive definite -C. The found set must
+    be nonempty and closed under products, which makes it a group: a
+    finite set of invertible matrices closed under products holds the
+    identity and every inverse. Past its budget, 10^6 nodes when None,
+    the enumeration or the filling raises SearchBudgetExceeded naming
+    its stage.
     """
     if budget is None:
         budget = 10 ** 6
-    n = fam.L.rank
-    p = fam.p
-    dual = C = fam.p_dual_L
-    # rebase the dual form on its LLL basis so its diagonal is short, else
-    # the pools explode; the congruence (S - 1) C = 0 mod p is covariant
-    # under the unimodular change H
-    H, R = lll_gram([[-x for x in row] for row in C])[:2]
-    Hinv = express_in_basis(identity_matrix(n), H,
-                            "an LLL transform must be unimodular")
-    C = [[-x for x in row] for row in R]
-    buckets = {}
-    for t in sorted({C[i][i] for i in range(n)}):
-        vecs = enumerate_vectors(C, t, budget=budget)
-        # each pool vector with its image under C, computed once
-        imgs = [vec_mat(v, C) for v in vecs]
-        pool = list(zip(vecs, imgs)) + [
-            ([-x for x in v], [-x for x in w]) for v, w in zip(vecs, imgs)]
-        for wv, wc in pool:
-            key = (t, tuple(x % p for x in wc))
-            buckets.setdefault(key, []).append((wv, wc))
-
-    def fits(i, c, chosen):
-        # the bucket has (w - e_i) C in p Z^n; the Gram row remains
-        wv = c[0]
-        return all(dot(chosen[j][1], wv) == C[j][i] for j in range(i))
-
-    slots = [buckets.get((C[i][i], tuple(x % p for x in C[i])), [])
-             for i in range(n)]
-    found, nodes = _fill_slots(slots, fits, budget, "aut search",
-                               every=True)
-
-    mats = []
-    for filling in found:
-        Sp = [wv for wv, _ in filling]
-        T = transpose(mat_mul(mat_mul(Hinv, Sp), H))
-        if not _trivial_on_disc(dual, T, p):
+    p, C = fam.p, fam.p_dual_L
+    minus_C = [[-x for x in row] for row in C]
+    mats = [transpose(S)
+            for S in _isometries(minus_C, minus_C, budget, "aut search", p)]
+    for T in mats:
+        if not _trivial_on_disc(C, T, p):
             raise ArithmeticError("a filling must act trivially on disc(L_p)")
-        mats.append(T)
-    from .groups import IsometryGroup
 
-    # IsometryGroup checks the form. The generators are the found
-    # isometries the closure so far misses, and the found set must be
-    # exactly the group they generate, identity included
     def frozen(T):
         return tuple(map(tuple, T))
-    gens, closed = [], {frozen(identity_matrix(n))}
-    for T in mats:
-        if frozen(T) not in closed:
-            gens.append(T)
-            closed = {frozen(x)
-                      for x in IsometryGroup(fam.L, gens).elements()}
-    if closed != {frozen(T) for T in mats}:
+    found = {frozen(T) for T in mats}
+    if not found or any(frozen(mat_mul(A, B)) not in found
+                        for A in mats for B in mats):
         raise ArithmeticError(
             "the isometries trivial on disc(L_p) must form a group")
-    order = len(closed)
     if fam.sigma_L not in mats:
         raise ArithmeticError("sigma itself must appear in the stabilizer")
-    return {"p": fam.p, "group_order": order,
-            "equals_sigma_cyclic": order == fam.p, "nodes": nodes}
+    return {"p": p, "group_order": len(found),
+            "equals_sigma_cyclic": len(found) == p}
 
 
 def build_hat_and_K(fam):

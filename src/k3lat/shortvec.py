@@ -6,16 +6,16 @@ integers on the reduced basis (each vector comes with its norm, read off
 the enumeration's own remainder), and root-system classification: each
 irreducible component's type is read off its rank and root count and
 certified by one determinant, and its simple roots come in discovery
-order. One slot-filling backtrack, _fill_slots, runs the two searches
-over candidate lists: lattice isometry on definite Gram matrices and
-nikulin's automorphisms of L_p trivial on its discriminant. Each search
-supplies only its candidates per slot and its fit test against the
-earlier slots; the kernel counts the nodes and enforces the budget.
-Enumeration, lattice isometry and the aut search are the budgeted
-searches; discriminant forms are decided by their q-value counts, with
-no search. The tests check the enumeration against an independent box
-enumerator and the discriminant-form decision against a search of their
-own.
+order. One isometry kernel, _isometries, serves lattice_isometry and
+nikulin's automorphisms of L_p trivial on its discriminant: it reduces
+the source Gram once, enumerates the target's candidates once, buckets
+them by norm (and, given a prime p, by image mod p) and hands the
+buckets to the slot-filling backtrack _fill_slots, which counts the
+nodes and enforces the budget; it returns the first filling or every
+one. Enumeration and that kernel are the budgeted searches;
+discriminant forms are decided by their q-value counts, with no search.
+The tests check the enumeration against an independent box enumerator
+and the discriminant-form decision against a search of their own.
 """
 
 from collections import Counter
@@ -31,7 +31,7 @@ from .matrix import (
     transpose,
     vec_mat,
 )
-from .lattice import express_in_basis, signature_of_gram
+from .lattice import express_in_basis, gram_of_rows, signature_of_gram
 from .standard import cartan_matrix
 
 
@@ -166,10 +166,17 @@ def fincke_pohst_up_to(gram, bound, budget=None):
     the levels used up, over M, an exact division. The budget counts coordinate assignments
     (in the reduced basis) and raises SearchBudgetExceeded.
     """
-    n = len(gram)
-    if n == 0 or bound <= 0:
+    if not gram or bound <= 0:
         return []
-    H, _, d, lam = lll_gram(gram)
+    return _fincke_pohst(lll_gram(gram), bound, budget)
+
+
+def _fincke_pohst(reduction, bound, budget):
+    """fincke_pohst_up_to for a nonempty Gram and bound > 0, given the
+    lll_gram output of the Gram, so a caller that reduced it reduces it
+    only once."""
+    H, _, d, lam = reduction
+    n = len(H)
     M = 1
     for i in range(n):
         M = math.lcm(M, d[i] * d[i + 1])
@@ -386,15 +393,14 @@ def classify_root_system(gram, budget=None):
                       spanning)
 
 
-def _fill_slots(cands, fits, budget, stage, every=False):
+def _fill_slots(cands, fits, budget, stage, every):
     """The backtracking kernel of the searches over candidate lists.
 
     Slot i takes a candidate c from cands[i], in order, when
     fits(i, c, chosen) holds against the candidates chosen for the slots
     before it. One node is counted per candidate tried; past budget nodes
-    SearchBudgetExceeded names stage. Returns (fillings, nodes):
-    fillings holds the first complete filling, or every one when every
-    is set.
+    SearchBudgetExceeded names stage. Returns the first complete filling,
+    or every one when every is set, as a list.
     """
     chosen = []
     found = []
@@ -417,7 +423,69 @@ def _fill_slots(cands, fits, budget, stage, every=False):
         return False
 
     fill(0)
-    return found, nodes
+    return found
+
+
+def _isometries(gram1, gram2, budget, stage, p=None):
+    """Integer T with T * gram2 * T^t == gram1 for positive definite
+    integer Grams, filled row by row in the LLL basis B of gram1.
+
+    The candidates for row i are the vectors w of gram2, both signs, of
+    norm the reduced diagonal entry i, from one Fincke-Pohst enumeration
+    up to the largest such entry, with their images under gram2 from one
+    mat_mul. The norm histograms of the two forms up to that bound must
+    agree: they include the minimum and the kissing number. The rows
+    with fewest candidates are filled first; a candidate fits when its
+    pairings with the earlier rows are the reduced Gram's. A filling W
+    gives T = B^-1 W, checked on the forms. Without p, the first row's
+    sign is fixed by the symmetry -1 and the first T, if any, is
+    returned. With p, gram2 is gram1, whose enumeration is then the
+    candidates', and every T with (T - 1) gram1 = 0 mod p is returned:
+    (W - B) gram1 = 0 mod p, so row i also draws only the candidates
+    whose image is row i of B gram1 mod p. Past budget nodes
+    SearchBudgetExceeded is raised.
+    """
+    n = len(gram1)
+    reduction = lll_gram(gram1)
+    B, G1p = reduction[:2]
+    top = max(G1p[i][i] for i in range(n))
+    own = _fincke_pohst(reduction, top, budget)
+    cands = own if p else fincke_pohst_up_to(gram2, top, budget=budget)
+    if Counter(q for _, q in own) != Counter(q for _, q in cands):
+        return []
+
+    def key(norm, image):
+        return (norm, tuple(x % p for x in image)) if p else norm
+
+    buckets = {}
+    for (v, q), img in zip(cands, mat_mul([v for v, _ in cands], gram2)):
+        for w, wg in ((v, img), ([-x for x in v], [-x for x in img])):
+            buckets.setdefault(key(q, wg), []).append((w, wg))
+    rows = mat_mul(B, gram1) if p else [None] * n
+    slots = [buckets.get(key(G1p[i][i], rows[i]), []) for i in range(n)]
+    perm = sorted(range(n), key=lambda i: len(slots[i]))
+    Gq = [[G1p[i][j] for j in perm] for i in perm]
+
+    def fits(slot, c, chosen):
+        if p is None and slot == 0 and not _is_canonical(c[0]):
+            return False  # -identity symmetry: fix the first slot's sign
+        return all(dot(chosen[j][1], c[0]) == Gq[slot][j]
+                   for j in range(slot))
+
+    found = _fill_slots([slots[i] for i in perm], fits, budget, stage,
+                        p is not None)
+    if not found:
+        return []
+    Binv = express_in_basis(identity_matrix(n), B,
+                            "an LLL transform must be unimodular")
+    out = []
+    for filling in found:
+        T = mat_mul(Binv, [w for _, (w, _) in sorted(zip(perm, filling))])
+        if not mat_eq(gram_of_rows(T, gram2), gram1):
+            raise AssertionError("the isometry found must carry gram2 onto "
+                                 "gram1")
+        out.append(T)
+    return out
 
 
 def lattice_isometry(gram1, gram2, budget=None):
@@ -449,47 +517,8 @@ def lattice_isometry(gram1, gram2, budget=None):
     even2 = all(gram2[i][i] % 2 == 0 for i in range(n))
     if even1 != even2:
         return None
-
-    B, G1p = lll_gram(gram1)[:2]
-
-    # equal norm histograms up to the largest reduced diagonal include
-    # equal minimum and kissing number
-    max_norm = max(G1p[i][i] for i in range(n))
-    cand1 = fincke_pohst_up_to(gram1, max_norm, budget=budget)
-    cand2 = fincke_pohst_up_to(gram2, max_norm, budget=budget)
-    hist2 = Counter(q for _, q in cand2)
-    if Counter(q for _, q in cand1) != hist2:
-        return None
-
-    # slot order: most-constrained (fewest same-norm candidates) first
-    perm = sorted(range(n), key=lambda i: hist2[G1p[i][i]])
-    Gq = [[G1p[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-
-    # both signs of every candidate, with its image under gram2
-    by_norm = {}
-    for v, q in cand2:
-        for w in (v, [-x for x in v]):
-            by_norm.setdefault(q, []).append((w, vec_mat(w, gram2)))
-
-    def fits(slot, c, chosen):
-        if slot == 0 and not _is_canonical(c[0]):
-            return False  # -identity symmetry: fix the first slot's sign
-        return all(dot(chosen[j][1], c[0]) == Gq[slot][j]
-                   for j in range(slot))
-
-    found, _ = _fill_slots([by_norm.get(Gq[i][i], []) for i in range(n)],
-                           fits, budget, "isometry")
-    if not found:
-        return None
-    W = [None] * n
-    for i, (w, _) in zip(perm, found[0]):
-        W[i] = w
-    T = mat_mul(express_in_basis(identity_matrix(n), B,
-                                 "an LLL transform must be unimodular"), W)
-    if not mat_eq(mat_mul(mat_mul(T, gram2), transpose(T)), gram1):
-        raise AssertionError("the isometry found must carry gram2 onto "
-                             "gram1")
-    return T
+    found = _isometries(gram1, gram2, budget, "isometry")
+    return found[0] if found else None
 
 
 def disc_form_isometry(D1, D2):

@@ -473,7 +473,8 @@ def disc_form_isometry_images(D1, D2, budget=10 ** 6):
                 and D2.bilinear(t, t) == want_b[i][i]
                 and (i < k - 1 or hnf_generates(chosen + [t], D2.orders)))
 
-    found, _ = _fill_slots(cands, fits, budget, "discriminant-form isometry")
+    found = _fill_slots(cands, fits, budget, "discriminant-form isometry",
+                        False)
     return found[0] if found else None
 
 
@@ -951,12 +952,21 @@ def mukai_epsilon(n):
     return val
 
 
+# the most points naive_enumerate_up_to's coordinate box may hold. The
+# largest box a test feeds it holds about 1.2 * 10^9 points, and boxes of
+# up to about 10^10 finished in under a second; a skewed basis widens them
+# to 10^11 and more, where the search ran for seconds to past minutes
+NAIVE_BOX_LIMIT = 10 ** 10
+
+
 def naive_enumerate_up_to(gram, bound, prune=True):
     """Box-search oracle: same output contract as fincke_pohst_up_to.
 
     Independent code path: coordinate boxes from the inverse Gram diagonal,
     optional pruning by Schur-complement completion bounds. With prune=False
-    this is a pure brute-force scan suitable only for small ranks.
+    this is a pure brute-force scan suitable only for small ranks. A box of
+    more than NAIVE_BOX_LIMIT points, as a skewed basis gives, raises
+    ValueError naming its size before any point is visited.
     """
     n = len(gram)
     if n == 0 or bound <= 0:
@@ -966,6 +976,10 @@ def naive_enumerate_up_to(gram, bound, prune=True):
     bound = Fraction(bound)
     # |x_i| <= sqrt(bound * Ginv[i][i]), and floor(sqrt(W)) = isqrt(floor(W))
     boxes = [math.isqrt(math.floor(bound * Ginv[i][i])) for i in range(n)]
+    size = math.prod(2 * b + 1 for b in boxes)
+    if size > NAIVE_BOX_LIMIT:
+        raise ValueError("the coordinate box holds %d points, more than %d: "
+                         "enumerate a reduced basis" % (size, NAIVE_BOX_LIMIT))
     completions = None
     if prune:
         # completions[k] bounds the full norm given the first k coordinates:

@@ -233,8 +233,9 @@ def test_budget_exhaustion_is_inconclusive(capsys):
 def test_family_scenarios_at_small_budgets_pass_or_are_inconclusive(capsys):
     # each budget runs out in one fixed stage (None: the run completes);
     # an exhausted search reads as inconclusive, never as a failed check.
-    # The aut search fills its slots in at most 102 nodes, fewer than any
-    # pool enumeration spends, so enumeration is the stage that runs out
+    # The aut search fills its slots in 30 nodes at p = 2 and 102 at
+    # p = 3, fewer than its one candidate enumeration spends (368 and
+    # 1697), so enumeration is the stage that runs out
     # budget 0 is a budget like any other, not the library default
     stages = [
         ("nikulin-family-p2", {0: "enumeration", 10: "enumeration",
@@ -376,14 +377,13 @@ def test_corrupted_glue_pin_fails_by_name_under_python_O():
 
 def test_aut_search_missing_an_element_fails_by_name_under_python_O():
     # a search that drops one filling leaves a set that is not closed
-    # under products, which the closure check refuses with asserts off
+    # under products, which the group check refuses with asserts off
     prelude = """
-import k3lat.nikulin as n
-real = n._fill_slots
+import k3lat.shortvec as s
+real = s._fill_slots
 def fake(*args, **kwargs):
-    found, nodes = real(*args, **kwargs)
-    return found[:-1], nodes
-n._fill_slots = fake
+    return real(*args, **kwargs)[:-1]
+s._fill_slots = fake
 """
     proc = _main_in_subprocess(["scenario", "nikulin-family-p3"], True,
                                prelude)
@@ -492,10 +492,10 @@ def test_verbs_load_only_the_modules_they_call():
     assert _loaded_by(["compute", "enumerate", "--lattice", e8,
                        "--norm", "-2"]) == \
         LATTICE_FILE | {"k3lat.shortvec", "k3lat.standard"}
-    # the aut search of these two closes its result in groups
+    # the aut search of these two checks its group with no group layer
     for family in ("nikulin-family-p2", "nikulin-family-p3"):
         assert _loaded_by(["scenario", family]) == \
-            LIBRARY | {"k3lat.scenarios", "k3lat.nikulin", "k3lat.groups"}
+            LIBRARY | {"k3lat.scenarios", "k3lat.nikulin"}
     assert _loaded_by(["scenario", "defect-table"]) == \
         {"k3lat.scenarios", "k3lat.gsignature", "fractions"}
     # a structured report costs json and serialize, not the lattice layer

@@ -2,6 +2,7 @@ import math
 import os
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -794,6 +795,22 @@ def test_zg_decomposition_refuses_a_composite_p():
 def test_zg_decomposition_rejects_wrong_order():
     with pytest.raises(ValueError):
         zg_decomposition(_u2_twist(), 2)  # order 4, not 2
+
+
+def test_box_enumerator_refuses_a_skewed_basis_at_once():
+    # -L_G of a 12-move skew of the model-prime-3 group has a coordinate
+    # box of about 2.7 * 10^13 points; unrefused, the box search ran past
+    # 20 s on it. The refusal comes before any point is visited
+    from k3lat import serialize
+    G = serialize.group_from_obj(serialize.read_json_file(os.path.join(
+        ROOT, "bench", "inputs", "model-prime-3-group.json")))
+    res = decide_metric(base_changed_group(random.Random(7), G, 12))[2]
+    neg = [[-x for x in row] for row in res.L_G_gram]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"the coordinate box holds "
+                       r"27\d{12} points, more than 10000000000"):
+        naive_enumerate_up_to(neg, 2)
+    assert time.perf_counter() - start < 1
 
 
 def test_decide_metric_agrees_with_brute_force_roots():

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from k3lat import nikulin
+from k3lat import nikulin, shortvec
+from k3lat.groups import IsometryGroup
 
 from k3lat.lattice import (
     DiscriminantForm,
@@ -190,6 +191,29 @@ def test_disc_trivial_automorphisms_outgrow_sigma(p, order):
     assert not rep["equals_sigma_cyclic"]
 
 
+@pytest.mark.parametrize("p, order", ((2, 2), (3, 3), (5, 10), (7, 21)))
+def test_found_disc_trivial_set_is_the_group_it_generates(monkeypatch, p,
+                                                          order):
+    # the search checks its set by products alone; the breadth-first
+    # closure of groups.IsometryGroup, on the form of L_p, must agree
+    fam = family(p)
+    seen = []
+
+    def spy(*args):
+        found = isometries(*args)
+        seen.extend(transpose(S) for S in found)
+        return found
+    isometries = nikulin._isometries
+    monkeypatch.setattr(nikulin, "_isometries", spy)
+    assert aut_trivial_on_disc_search(fam)["group_order"] == order
+    elements = IsometryGroup(fam.L, seen).elements()
+
+    def frozen(mats):
+        return {tuple(map(tuple, T)) for T in mats}
+    assert len(seen) == len(elements) == order
+    assert frozen(seen) == frozen(elements)
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_Lp_basis_is_LLL_reduced(p):
     # build_Lp rebases on the LLL basis, so reducing again changes nothing;
@@ -343,14 +367,13 @@ def test_scaled_dual_refuses_an_exponent_not_dividing_p_under_python_O():
 @pytest.mark.parametrize("drop", (0, -1))
 def test_aut_search_refuses_a_found_set_that_is_not_a_group(monkeypatch,
                                                             drop):
-    # with one filling lost, the closure of the rest is larger than the
-    # found set
-    fill = nikulin._fill_slots
+    # with one filling lost, the rest is not closed under products
+    fill = shortvec._fill_slots
 
     def lossy(*args, **kwargs):
-        found, nodes = fill(*args, **kwargs)
+        found = fill(*args, **kwargs)
         del found[drop]
-        return found, nodes
-    monkeypatch.setattr(nikulin, "_fill_slots", lossy)
+        return found
+    monkeypatch.setattr(shortvec, "_fill_slots", lossy)
     with pytest.raises(ArithmeticError, match="must form a group"):
         aut_trivial_on_disc_search(family(3))

@@ -3,9 +3,10 @@ src/k3lat, and every public method of its classes is read as an
 attribute somewhere in src/k3lat, so no library code is reached only by
 the tests; no private function of src/k3lat has a default that every
 call passes; no check of src/k3lat is an assert statement, which
-python -O strips; and every top-level def or class of tests/oracles.py
-is named by a test module or by another oracle. Read from the syntax
-trees alone: nothing is imported or run."""
+python -O strips; the slot-filling backtrack has one caller, the
+isometry kernel both searches share; and every top-level def or class of
+tests/oracles.py is named by a test module or by another oracle. Read
+from the syntax trees alone: nothing is imported or run."""
 
 import ast
 import os
@@ -78,6 +79,16 @@ def test_no_assert_statement_in_the_package():
     asserts = sorted((mod, sub.lineno) for mod, tree in _trees()
                      for sub in ast.walk(tree) if isinstance(sub, ast.Assert))
     assert asserts == [], asserts
+
+
+def test_the_slot_filling_backtrack_has_one_call_site():
+    # lattice isometry and the disc-trivial automorphisms of L_p fill
+    # their slots through one kernel, not each through its own
+    sites = sorted((mod, sub.lineno) for mod, tree in _trees()
+                   for sub in ast.walk(tree) if isinstance(sub, ast.Call)
+                   and getattr(sub.func, "id", getattr(sub.func, "attr",
+                                                       None)) == "_fill_slots")
+    assert len(sites) == 1, sites
 
 
 def test_every_oracle_is_named_by_a_test_or_another_oracle():
